@@ -23,7 +23,7 @@ from .objectives import (
     stabilized_target,
     target_profile,
 )
-from .sampler import EndpointStats, SamplerStep, endpoint_statistics, oracle_field, sample, step
+from .sampler import EndpointStats, SamplerStep, endpoint_statistics, integrate, oracle_field
 from .schedules import Schedule, shifted, uniform as uniform_schedule
 from .tasks import EvalReport, TaskSpec, energy_distance, evaluate, generate_pairs
 from .trainer import TrainConfig, TrainStats, train, train_step
@@ -51,17 +51,16 @@ __all__ = [
     "evaluate",
     "gaussian",
     "generate_pairs",
+    "integrate",
     "interpolate",
     "loss",
     "loss_gradient",
     "marginal_variance",
     "oracle_field",
-    "sample",
     "sample_state",
     "shifted",
     "squared_norm",
     "stabilized_target",
-    "step",
     "target_profile",
     "train",
     "train_step",

@@ -28,21 +28,13 @@ from .model import (
     init,
     load_parameters,
     save_parameters,
+    velocity_field_from,
 )
 from .numerics import RngStream
 from .objectives import ObjectiveKind, target_profile
-from .sampler import oracle_field, sample as sample_trajectory
-from .schedules import shifted
-from .tasks import (
-    TaskSpec,
-    evaluate,
-    generate_pairs,
-    model_batch_field,
-    oracle_batch_field,
-    pair_provider,
-    report_from_endpoints,
-    simulate_endpoints_for_pairs,
-)
+from .sampler import integrate, oracle_field
+from .schedules import Schedule, shifted
+from .tasks import TaskSpec, evaluate, generate_pairs, pair_provider, report_from_endpoints
 from .trainer import TrainConfig, train
 from .verify import SUITES, report_to_json, run_suite
 
@@ -57,6 +49,14 @@ _OUT_DIR_ENV = "BRIDGELAB_OUT_DIR"
 def _usage_error(message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
+
+
+def _usage_checked(build, *args):
+    """Resolve configuration up front: a ValueError (or DomainError) from ``build`` exits 2."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        _usage_error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +206,20 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zero-context", action="store_true", help="train/evaluate with conditioning zeroed")
 
 
+def _contexts(pairs, mconfig: ModelConfig, zero_context: bool):
+    """Per-run conditioning rows for a model field; zeros under --zero-context."""
+    if mconfig.context_dim == 0:
+        return None
+    return np.stack(
+        [
+            np.zeros(mconfig.context_dim)
+            if zero_context or p.context is None
+            else p.context.ravel()
+            for p in pairs
+        ]
+    )
+
+
 def _model_config(args, spec: TaskSpec) -> ModelConfig:
     return ModelConfig(
         input_dim=spec.dimension,
@@ -331,16 +345,12 @@ class _AlphaAudit:
 
 
 def cmd_train(args) -> int:
+    spec = _usage_checked(_task_from_args, args)
     out_dir = _ensure_out_dir(args)
-    spec = _task_from_args(args)
     audit = _AlphaAudit() if args.debug else None
-    try:
-        params, mconfig, config, stats = _train_once(
-            args, spec, ObjectiveKind(args.objective), args.s, args.steps, observer=audit
-        )
-    except (TrainingError, IntegrationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    params, mconfig, config, stats = _train_once(
+        args, spec, ObjectiveKind(args.objective), args.s, args.steps, observer=audit
+    )
     params_path = os.path.join(out_dir, "params.bin")
     stats_path = os.path.join(out_dir, "stats.csv")
     save_parameters(params_path, mconfig, params)
@@ -363,28 +373,29 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    spec = _usage_checked(_task_from_args, args)
+    schedule = _usage_checked(shifted, args.N, args.gamma)
+    if not args.oracle and not args.params:
+        _usage_error("either --oracle or --params FILE is required")
     out_dir = _ensure_out_dir(args)
-    spec = _task_from_args(args)
-    schedule = shifted(args.N, args.gamma)
-    loaded = None
-    if args.oracle:
-        make_field = oracle_batch_field
-    else:
-        if not args.params:
-            _usage_error("either --oracle or --params FILE is required")
-        loaded = load_parameters(args.params)
-        make_field = model_batch_field(
-            loaded[1], loaded[0], args.objective, use_context=not args.zero_context
-        )
     rng = RngStream(seed=args.seed, stream=700)
     pairs = generate_pairs(spec, args.runs, rng.split(1))
-    try:
-        endpoints = simulate_endpoints_for_pairs(
-            make_field, pairs, schedule, args.mode, args.s, rng.split(2)
+    if args.oracle:
+        field = oracle_field(np.stack([p.x1.ravel() for p in pairs]))
+    else:
+        mconfig, params = load_parameters(args.params)
+        field = velocity_field_from(
+            params, mconfig, args.objective, _contexts(pairs, mconfig, args.zero_context)
         )
-    except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    trajectory: list[list] = []
+
+    def record(k, states):
+        trajectory.append([k, float(schedule.points[k])] + [float(v) for v in states[0]])
+
+    x0 = np.stack([p.x0.ravel() for p in pairs])
+    endpoints = integrate(
+        x0, field, schedule, args.mode, args.s, rng.split(2), record if args.trajectories else None
+    )
     report = report_from_endpoints(endpoints, pairs)
     d = spec.dimension
     endpoints_path = os.path.join(out_dir, "endpoints.csv")
@@ -398,22 +409,7 @@ def cmd_sample(args) -> int:
     outputs = [endpoints_path, eval_path]
     if args.trajectories:
         traj_path = os.path.join(out_dir, "trajectory.csv")
-        field = (
-            oracle_field(pairs[0].x1)
-            if args.oracle
-            else _single_field(loaded, args, pairs[0])
-        )
-        traj = sample_trajectory(
-            args.mode, pairs[0].x0, field, schedule, args.s, RngStream(seed=args.seed, stream=701)
-        )
-        _write_csv(
-            traj_path,
-            ["k", "t"] + [f"coord_{i}" for i in range(d)],
-            [
-                [k, float(schedule.points[k])] + [float(v) for v in state.ravel()]
-                for k, state in enumerate(traj)
-            ],
-        )
+        _write_csv(traj_path, ["k", "t"] + [f"coord_{i}" for i in range(d)], trajectory)
         outputs.append(traj_path)
     resolved = _resolved_config(args)
     resolved["schedule_points"] = [float(t) for t in schedule.points]
@@ -425,27 +421,31 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _single_field(loaded, args, pair: EndpointPair):
-    from .model import velocity_field_from
-
-    mconfig, params = loaded
-    context = None
-    if mconfig.context_dim > 0:
-        context = (
-            np.zeros(mconfig.context_dim)
-            if (args.zero_context or pair.context is None)
-            else pair.context
-        )
-    return velocity_field_from(params, mconfig, args.objective, context)
-
-
-def cmd_ablate(args) -> int:
-    out_dir = _ensure_out_dir(args)
-    spec = _task_from_args(args)
+def _ablate_cells(args) -> list[tuple[str, ObjectiveKind, float, Schedule]]:
+    """(axis value, objective, noise scale, sampling schedule) for each cell."""
     values = [v for v in args.values.split(",") if v != ""]
     if len(values) < 2:
         _usage_error("ablation needs at least 2 axis values")
-    schedule = shifted(args.N, args.gamma)
+    cells = []
+    for value in values:
+        objective, noise_scale = ObjectiveKind(args.objective), args.s
+        n_steps, gamma = args.N, args.gamma
+        if args.axis == "objective":
+            objective = ObjectiveKind(value)
+        elif args.axis == "noise_scale":
+            noise_scale = float(value)
+        elif args.axis == "steps":
+            n_steps = int(value)
+        else:
+            gamma = float(value)
+        cells.append((value, objective, noise_scale, shifted(n_steps, gamma)))
+    return cells
+
+
+def cmd_ablate(args) -> int:
+    spec = _usage_checked(_task_from_args, args)
+    cells = _usage_checked(_ablate_cells, args)
+    out_dir = _ensure_out_dir(args)
 
     def eval_rng():
         # fresh evaluation stream per cell: identical pairs/noise across
@@ -470,31 +470,24 @@ def cmd_ablate(args) -> int:
         # Sampling-time axes reuse one trained model across all cells.
         shared_model = _train_once(args, spec, ObjectiveKind(args.objective), args.s, args.steps)
 
-    for value in values:
+    for value, objective, noise_scale, cell_schedule in cells:
         try:
-            objective = ObjectiveKind(args.objective)
-            noise_scale = args.s
-            cell_schedule = schedule
-            if args.axis == "objective":
-                objective = ObjectiveKind(value)
-            elif args.axis == "noise_scale":
-                noise_scale = float(value)
-            elif args.axis == "steps":
-                cell_schedule = shifted(int(value), args.gamma)
-            elif args.axis == "gamma":
-                cell_schedule = shifted(args.N, float(value))
-
             if shared_model is None:
                 params, mconfig, _config, stats = _train_once(
                     args, spec, objective, noise_scale, args.steps
                 )
             else:
                 params, mconfig, _config, stats = shared_model
-            make_field = model_batch_field(
-                params, mconfig, objective, use_context=not args.zero_context
-            )
             report = evaluate(
-                make_field, spec, cell_schedule, args.mode, noise_scale, args.runs, eval_rng()
+                lambda pairs: velocity_field_from(
+                    params, mconfig, objective, _contexts(pairs, mconfig, args.zero_context)
+                ),
+                spec,
+                cell_schedule,
+                args.mode,
+                noise_scale,
+                args.runs,
+                eval_rng(),
             )
             rows.append(
                 [
@@ -520,8 +513,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_schedule_dump(args) -> int:
+    schedule = _usage_checked(shifted, args.N, args.gamma)
     out_dir = _ensure_out_dir(args)
-    schedule = shifted(args.N, args.gamma)
     path = args.out or os.path.join(out_dir, "schedule.csv")
     _write_csv(
         path, ["i", "t"], [[i, float(t)] for i, t in enumerate(schedule.points)]
@@ -591,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="corrected", choices=["standard", "corrected"])
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--runs", type=int, default=1024)
-    p.add_argument("--trajectories", action="store_true", help="also write the first run's trajectory")
+    p.add_argument("--trajectories", action="store_true", help="also write run 0's path; its last row is row 0 of endpoints.csv")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_sample)

@@ -295,19 +295,21 @@ def velocity_field_from(
     objective: str = "stabilized_velocity",
     context: Tensor | None = None,
 ):
-    """Wrap trained parameters as a sampler-ready velocity field.
+    """Wrap trained parameters as a sampler-ready velocity field over (B, D) states.
 
-    Displacement-trained networks predict the remaining displacement, so
-    their output is converted to a velocity by dividing by (1 - t); velocity
-    and stabilized-velocity networks already predict raw velocity.
+    ``context`` is None for unconditioned models, one (C,) vector shared by
+    every run, or one (B, C) row per run. Displacement-trained networks
+    predict the remaining displacement, so their output is converted to a
+    velocity by dividing by (1 - t); velocity and stabilized-velocity
+    networks already predict raw velocity.
     """
     objective = str(getattr(objective, "value", objective))
     predicts_displacement = objective == "displacement"
 
-    def field_fn(state: Tensor, t: float) -> Tensor:
-        out = forward(params, config, state, t, context)
+    def field(states: Tensor, t: float) -> Tensor:
+        out = forward(params, config, states, t, context)
         if predicts_displacement:
             out = out / (1.0 - t)
         return out
 
-    return field_fn
+    return field

@@ -35,25 +35,26 @@ _MODES = (MODE_STANDARD, MODE_CORRECTED)
 
 
 class VelocityField(Protocol):
-    """Evaluation contract: (state, time) -> velocity of identical shape.
+    """Evaluation contract: (states (B, D), time) -> velocities (B, D).
 
     Conditioning, when present, is closed over by the callable; the sampler
     never inspects it.
     """
 
-    def __call__(self, state: Tensor, t: float) -> Tensor: ...
+    def __call__(self, states: Tensor, t: float) -> Tensor: ...
 
 
 def oracle_field(x1: Tensor) -> VelocityField:
     """Analytic conditional drift (x1 - x) / (1 - t), available when x1 is known.
 
-    Ground-truth field for sampler verification; undefined at t = 1 (the
-    sampler only ever evaluates fields at t_k < 1).
+    ``x1`` is one target (D,) shared by every run or one target row per run
+    (B, D). Ground-truth field for sampler verification; undefined at t = 1
+    (the sampler only ever evaluates fields at t_k < 1).
     """
     x1 = np.asarray(x1, dtype=np.float64)
 
-    def field(state: Tensor, t: float) -> Tensor:
-        return (x1 - state) / (1.0 - t)
+    def field(states: Tensor, t: float) -> Tensor:
+        return (x1 - states) / (1.0 - t)
 
     return field
 
@@ -97,53 +98,46 @@ def plan_steps(schedule: Schedule, mode: str, noise_scale: float) -> list[Sample
     ]
 
 
-def step(state: Tensor, field: VelocityField, sampler_step: SamplerStep, eps: Tensor) -> Tensor:
-    """Single transition x + dt * v(x, t_k) + eta * eps with non-finite detection."""
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != np.shape(state):
-        raise ValueError(f"noise shape {eps.shape} does not match state {np.shape(state)}")
-    drift = np.asarray(field(state, sampler_step.t_start), dtype=np.float64)
-    if not np.all(np.isfinite(drift)):
-        raise IntegrationError(
-            f"velocity field returned non-finite values at step {sampler_step.k} "
-            f"(t={sampler_step.t_start})",
-            step_index=sampler_step.k,
-        )
-    new_state = state + sampler_step.dt * drift + sampler_step.eta * eps
-    if not np.all(np.isfinite(new_state)):
-        raise IntegrationError(
-            f"state became non-finite at step {sampler_step.k} (t={sampler_step.t_end})",
-            step_index=sampler_step.k,
-        )
-    return new_state
-
-
-def sample(
-    mode: str,
+def integrate(
     x0: Tensor,
     field: VelocityField,
     schedule: Schedule,
+    mode: str,
     noise_scale: float,
     rng: RngStream,
-    keep_trajectory: bool = True,
-) -> list[Tensor]:
-    """Integrate from x0 across the full schedule.
+    record: Callable[[int, Tensor], None] | None = None,
+) -> Tensor:
+    """Advance a (B, D) block of states across the full schedule in lockstep.
 
-    Returns the trajectory [x_{t_0}, ..., x_{t_N}] (length N+1); the last
-    element is the generated endpoint. With ``keep_trajectory=False`` only
-    [x_{t_0}, x_{t_N}] is returned, for large step counts where intermediate
-    states are not wanted.
+    Per-step noise for the whole block comes from one stream and is not drawn
+    on noiseless steps (eta = 0), so results are reproducible and independent
+    of any run ordering. ``record(k, states)`` sees the block at every grid
+    point t_k, k = 0..N; the returned block is the one recorded at k = N.
+    Non-finite drifts or states raise :class:`IntegrationError` carrying the
+    failing step index.
     """
-    state = np.asarray(x0, dtype=np.float64)
-    trajectory = [state]
+    states = np.asarray(x0, dtype=np.float64)
+    if states.ndim != 2:
+        raise ValueError(f"x0 must be a (B, D) block, got shape {states.shape}")
+    if record is not None:
+        record(0, states)
     for planned in plan_steps(schedule, mode, noise_scale):
-        eps = gaussian(rng, state.shape)
-        state = step(state, field, planned, eps)
-        if keep_trajectory:
-            trajectory.append(state)
-    if not keep_trajectory:
-        trajectory.append(state)
-    return trajectory
+        drift = np.asarray(field(states, planned.t_start), dtype=np.float64)
+        if not np.all(np.isfinite(drift)):
+            raise IntegrationError(
+                f"velocity field returned non-finite values at step {planned.k}",
+                step_index=planned.k,
+            )
+        states = states + planned.dt * drift
+        if planned.eta != 0.0:
+            states += planned.eta * gaussian(rng, states.shape)
+        if not np.all(np.isfinite(states)):
+            raise IntegrationError(
+                f"state became non-finite at step {planned.k}", step_index=planned.k
+            )
+        if record is not None:
+            record(planned.k + 1, states)
+    return states
 
 
 @dataclass(frozen=True)
@@ -161,41 +155,6 @@ class EndpointStats:
     runs: int
 
 
-def simulate_endpoints(
-    mode: str,
-    x0: Tensor,
-    field_batch: Callable[[Tensor, float], Tensor],
-    schedule: Schedule,
-    noise_scale: float,
-    runs: int,
-    rng: RngStream,
-) -> Tensor:
-    """Vectorized endpoint simulation: all runs advance in lockstep.
-
-    ``field_batch`` must accept a (runs, D) state block and return drifts of
-    the same shape; the pointwise fields here (oracle, model-backed) all
-    broadcast that way. Per-step noise for the whole block comes from one
-    stream, so results are reproducible and independent of any run ordering.
-    """
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    states = np.broadcast_to(x0, (runs, x0.size)).copy()
-    for planned in plan_steps(schedule, mode, noise_scale):
-        drift = np.asarray(field_batch(states, planned.t_start), dtype=np.float64)
-        if not np.all(np.isfinite(drift)):
-            raise IntegrationError(
-                f"velocity field returned non-finite values at step {planned.k}",
-                step_index=planned.k,
-            )
-        states = states + planned.dt * drift
-        if planned.eta != 0.0:
-            states += planned.eta * gaussian(rng, states.shape)
-        if not np.all(np.isfinite(states)):
-            raise IntegrationError(
-                f"state became non-finite at step {planned.k}", step_index=planned.k
-            )
-    return states
-
-
 def endpoint_statistics(
     mode: str,
     field: VelocityField,
@@ -208,8 +167,9 @@ def endpoint_statistics(
     """Endpoint bias, MSE against x1, and endpoint variance over repeated runs."""
     if runs < 2:
         raise ValueError("endpoint statistics need at least 2 runs")
-    endpoints = simulate_endpoints(
-        mode, pair.x0, field, schedule, noise_scale, runs, rng
+    x0 = pair.x0.ravel()
+    endpoints = integrate(
+        np.broadcast_to(x0, (runs, x0.size)), field, schedule, mode, noise_scale, rng
     )
     target = pair.x1.ravel()
     errors = endpoints - target

@@ -26,9 +26,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .bridge import EndpointPair
-from .errors import IntegrationError
 from .numerics import RngStream, Tensor, gaussian, uniform
-from .sampler import plan_steps
+from .sampler import integrate
 from .schedules import Schedule
 
 TASK_NAMES = ("gaussian_shift", "moons_rotate", "grid_colorize", "signal_refine")
@@ -240,77 +239,6 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def oracle_batch_field(pairs: list[EndpointPair]):
-    """Batch analogue of the analytic conditional drift, one target row per run."""
-    x1 = np.stack([p.x1.ravel() for p in pairs])
-
-    def field(states: Tensor, t: float) -> Tensor:
-        return (x1 - states) / (1.0 - t)
-
-    return field
-
-
-def model_batch_field(params, model_config, objective="stabilized_velocity", use_context=True):
-    """Factory adapting trained parameters to batched evaluation over many pairs."""
-    from .model import forward  # local import to avoid cycle at module load
-
-    objective = str(getattr(objective, "value", objective))
-    predicts_displacement = objective == "displacement"
-
-    def make(pairs: list[EndpointPair]):
-        contexts = None
-        if model_config.context_dim > 0:
-            rows = []
-            for p in pairs:
-                if p.context is None or not use_context:
-                    rows.append(np.zeros(model_config.context_dim))
-                else:
-                    rows.append(p.context.ravel())
-            contexts = np.stack(rows)
-
-        def field(states: Tensor, t: float) -> Tensor:
-            out = forward(params, model_config, states, t, contexts)
-            if predicts_displacement:
-                out = out / (1.0 - t)
-            return out
-
-        return field
-
-    return make
-
-
-def simulate_endpoints_for_pairs(
-    make_field,
-    pairs: list[EndpointPair],
-    schedule: Schedule,
-    mode: str,
-    noise_scale: float,
-    rng: RngStream,
-) -> Tensor:
-    """Run the bridge dynamics for every pair in lockstep; returns (runs, D) endpoints.
-
-    ``make_field(pairs)`` must return a batch velocity field over the stacked
-    run states (see :func:`oracle_batch_field` / :func:`model_batch_field`).
-    """
-    states = np.stack([p.x0.ravel() for p in pairs])
-    field = make_field(pairs)
-    for planned in plan_steps(schedule, mode, noise_scale):
-        drift = np.asarray(field(states, planned.t_start), dtype=np.float64)
-        if not np.all(np.isfinite(drift)):
-            raise IntegrationError(
-                f"velocity field returned non-finite values at step {planned.k}",
-                step_index=planned.k,
-            )
-        states = states + planned.dt * drift
-        if planned.eta != 0.0:
-            states += planned.eta * gaussian(rng, states.shape)
-        if not np.all(np.isfinite(states)):
-            raise IntegrationError(
-                f"state became non-finite at step {planned.k}", step_index=planned.k
-            )
-    return states
-
-
 def report_from_endpoints(endpoints: Tensor, pairs: list[EndpointPair]) -> EvalReport:
     targets = np.stack([p.x1.ravel() for p in pairs])
     errors = endpoints - targets
@@ -336,49 +264,15 @@ def evaluate(
 ) -> EvalReport:
     """Generate endpoints for fresh pairs and score them against ground truth.
 
+    ``make_field(pairs)`` returns the velocity field over the stacked run
+    states, e.g. ``lambda pairs: oracle_field(np.stack([p.x1 for p in pairs]))``.
     Evaluation data comes from the provided stream, which callers keep
     disjoint from training streams. Sampler failures propagate.
     """
     if runs < 2:
         raise ValueError("evaluation needs at least 2 runs")
     pairs = generate_pairs(spec, runs, rng.split(1))
-    endpoints = simulate_endpoints_for_pairs(
-        make_field, pairs, schedule, mode, noise_scale, rng.split(2)
-    )
+    x0 = np.stack([p.x0.ravel() for p in pairs])
+    endpoints = integrate(x0, make_field(pairs), schedule, mode, noise_scale, rng.split(2))
     return report_from_endpoints(endpoints, pairs)
 
-
-# ---------------------------------------------------------------------------
-# Pair serialization
-# ---------------------------------------------------------------------------
-
-
-def pairs_to_csv(path: str, pairs: list[EndpointPair]) -> None:
-    """One row per pair with x0_*, x1_* columns (ctx_* appended when present)."""
-    if not pairs:
-        raise ValueError("no pairs to write")
-    d = pairs[0].dimension
-    ctx_dim = 0 if pairs[0].context is None else pairs[0].context.size
-    header = [f"x0_{i}" for i in range(d)] + [f"x1_{i}" for i in range(d)]
-    header += [f"ctx_{i}" for i in range(ctx_dim)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for p in pairs:
-            row = [repr(float(v)) for v in p.x0.ravel()]
-            row += [repr(float(v)) for v in p.x1.ravel()]
-            if ctx_dim:
-                row += [repr(float(v)) for v in p.context.ravel()]
-            fh.write(",".join(row) + "\n")
-
-
-def pairs_from_csv(path: str) -> list[EndpointPair]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        d = sum(1 for h in header if h.startswith("x0_"))
-        ctx_dim = sum(1 for h in header if h.startswith("ctx_"))
-        pairs = []
-        for line in fh:
-            vals = np.array([float(v) for v in line.strip().split(",")])
-            ctx = vals[2 * d : 2 * d + ctx_dim] if ctx_dim else None
-            pairs.append(EndpointPair(vals[:d], vals[d : 2 * d], context=ctx))
-    return pairs

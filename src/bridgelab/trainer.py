@@ -34,7 +34,7 @@ _STREAM_NOISE = 103
 
 
 class PairProvider(Protocol):
-    """Pull-based dataset contract shared by synthetic tasks and file-backed data."""
+    """Pull-based dataset contract: (batch size, stream) -> a list of pairs."""
 
     def __call__(self, batch_size: int, rng: RngStream) -> list[EndpointPair]: ...
 

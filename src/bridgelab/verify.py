@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as scipy_stats
 
-from . import sampler as sampler_mod
 from .bridge import (
     EndpointPair,
     conditional_variance,
@@ -38,7 +37,7 @@ from .objectives import (
     expected_target_sqnorm,
     target_profile,
 )
-from .sampler import endpoint_statistics, oracle_field, plan_steps
+from .sampler import endpoint_statistics, integrate, oracle_field, plan_steps
 from .schedules import shifted, uniform as uniform_schedule
 
 SUITES = ("bridge", "objectives", "sampler", "schedules", "all")
@@ -357,27 +356,37 @@ def sampler_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) -
     # corrected sampler's state variance reproduces the bridge marginal
     # s^2 t (1-t) at every grid time (telescoping conditional variances).
     s = 1.0
-    states = np.zeros((mc, 1))
-    track_rng = rng.split(5)
-    worst_track = 0.0
-    for planned in plan_steps(uniform_schedule(8), "corrected", s):
-        drift = -states / (1.0 - planned.t_start)
-        states = states + planned.dt * drift + planned.eta * gaussian(track_rng, states.shape)
-        expected = marginal_variance(planned.t_end, s)
+    sch = uniform_schedule(8)
+    deviations = [0.0]
+
+    def track(k, states):
+        expected = marginal_variance(float(sch.points[k]), s)
         if expected > 0.0:
-            worst_track = max(worst_track, abs(float(np.var(states, ddof=1)) / expected - 1.0))
+            deviations.append(abs(float(np.var(states, ddof=1)) / expected - 1.0))
+
+    states = integrate(
+        np.zeros((mc, 1)), oracle_field(np.zeros(1)), sch, "corrected", s, rng.split(5), track
+    )
+    worst_track = max(deviations)
     final_var = float(np.var(states, ddof=1))
     checks.append(_check("sampler", "bridge_marginal_tracking", worst_track, 0.03, overrides))
     checks.append(_check("sampler", "bridge_marginal_endpoint_pinned", final_var, 0.0, overrides))
 
     # Determinism: identical (seed, schedule, field) gives identical trajectories.
-    traj_a = sampler_mod.sample(
-        "corrected", pair.x0, oracle_field(pair.x1), shifted(8, 5.0), 1.0, RngStream(seed=seed, stream=77)
-    )
-    traj_b = sampler_mod.sample(
-        "corrected", pair.x0, oracle_field(pair.x1), shifted(8, 5.0), 1.0, RngStream(seed=seed, stream=77)
-    )
-    det = max(float(np.max(np.abs(a - b))) for a, b in zip(traj_a, traj_b))
+    def trajectory() -> list:
+        states = []
+        integrate(
+            pair.x0[None, :],
+            oracle_field(pair.x1),
+            shifted(8, 5.0),
+            "corrected",
+            1.0,
+            RngStream(seed=seed, stream=77),
+            lambda k, x: states.append(x),
+        )
+        return states
+
+    det = max(float(np.max(np.abs(a - b))) for a, b in zip(trajectory(), trajectory()))
     checks.append(_check("sampler", "trajectory_determinism", det, 0.0, overrides))
 
     return checks

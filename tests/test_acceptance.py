@@ -22,19 +22,24 @@ from bridgelab.bridge import (
 )
 from bridgelab.bridge import sample_state
 from bridgelab.cli import main
-from bridgelab.model import ModelConfig, backward, forward, init, parameter_count
+from bridgelab.model import (
+    ModelConfig,
+    backward,
+    forward,
+    init,
+    parameter_count,
+    velocity_field_from,
+)
 from bridgelab.numerics import RngStream, gaussian, squared_norm
 from bridgelab.objectives import ObjectiveKind, alpha_factor, loss, loss_gradient
-from bridgelab.sampler import endpoint_statistics, oracle_field
+from bridgelab.sampler import endpoint_statistics, integrate, oracle_field
 from bridgelab.schedules import shifted, uniform
 from bridgelab.tasks import (
     TaskSpec,
     energy_distance,
     evaluate,
     generate_pairs,
-    model_batch_field,
     pair_provider,
-    simulate_endpoints_for_pairs,
 )
 from bridgelab.trainer import TrainConfig, train
 
@@ -264,7 +269,7 @@ def test_criterion_08_objective_ablation(shift_task, trained_shift_models):
     ed = {}
     for objective, (params, mconfig, _stats) in models.items():
         report_obj = evaluate(
-            model_batch_field(params, mconfig, objective),
+            lambda pairs: velocity_field_from(params, mconfig, objective),
             shift_task,
             schedule,
             "corrected",
@@ -336,9 +341,10 @@ def test_criterion_09_noise_scale_sweep(tmp_path):
     # ... and the sampler path is noise-independent: different noise streams
     # produce identical endpoints.
     pairs = generate_pairs(task, 32, RngStream(seed=9, stream=801))
-    field = model_batch_field(params, mconfig)
-    a = simulate_endpoints_for_pairs(field, pairs, uniform(8), "corrected", 0.0, RngStream(seed=1, stream=1))
-    b = simulate_endpoints_for_pairs(field, pairs, uniform(8), "corrected", 0.0, RngStream(seed=2, stream=2))
+    x0 = np.stack([p.x0 for p in pairs])
+    field = velocity_field_from(params, mconfig)
+    a = integrate(x0, field, uniform(8), "corrected", 0.0, RngStream(seed=1, stream=1))
+    b = integrate(x0, field, uniform(8), "corrected", 0.0, RngStream(seed=2, stream=2))
     assert np.array_equal(a, b)
     report(9, "noise sweep (5/5 rows ok; s=0: alpha = 1, deterministic path)")
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from bridgelab.cli import main
+from bridgelab.numerics import RngStream
+from bridgelab.tasks import TaskSpec, generate_pairs
 
 
 def read(path: str) -> str:
@@ -277,6 +279,43 @@ class TestSampleCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--N", "4", "--runs", "8", "--seed", "1", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_trajectory_is_run_zero(self, tmp_path):
+        """trajectory.csv follows run 0 of the batch: it starts at pair 0's x0
+        and its last row is row 0 of endpoints.csv, bit for bit. Standard mode
+        keeps noise on the last step, so a separately sampled path would differ."""
+        out = str(tmp_path)
+        argv = ["sample", "--oracle", "--mode", "standard", "--s", "1", "--N", "4"]
+        argv += ["--runs", "8", "--seed", "3", "--trajectories", "--out-dir", out]
+        assert main(argv) == 0
+        traj = read_csv_rows(os.path.join(out, "trajectory.csv"))
+        endpoints = read_csv_rows(os.path.join(out, "endpoints.csv"))
+        coords = ["coord_0", "coord_1"]
+        assert [row["k"] for row in traj] == ["0", "1", "2", "3", "4"]
+        assert [traj[-1][c] for c in coords] == [endpoints[0][c] for c in coords]
+        spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
+        pair0 = generate_pairs(spec, 8, RngStream(seed=3, stream=700).split(1))[0]
+        assert [traj[0][c] for c in coords] == [repr(float(v)) for v in pair0.x0]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--oracle", "--N", "0"],
+            ["sample", "--oracle", "--gamma", "0.5"],
+            ["train", "--task", "grid_colorize", "--grid-size", "9"],
+            ["ablate", "--axis", "steps", "--values", "4,0", "--steps", "5"],
+        ],
+        ids=["sample-N0", "sample-gamma-below-1", "train-grid-too-large", "ablate-steps0"],
+    )
+    def test_bad_argument_exits_two_before_any_output(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
 
 
 class TestAblateCommand:

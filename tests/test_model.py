@@ -238,3 +238,18 @@ class TestVelocityFieldAdapter:
         for objective in ("velocity", "stabilized_velocity"):
             field = velocity_field_from(params, config, objective)
             np.testing.assert_array_equal(field(x, 0.4), forward(params, config, x, 0.4))
+
+    def test_context_shared_or_per_run(self):
+        """A (C,) context conditions every run alike; a (B, C) block one row per run."""
+        config = ModelConfig(input_dim=2, hidden=(8,), context_dim=1)
+        params = random_params(config, 27)
+        states = np.array([[0.2, -0.5], [1.0, 0.3]])
+        shared = velocity_field_from(params, config, context=np.array([0.7]))
+        per_run = velocity_field_from(params, config, context=np.array([[0.7], [0.7]]))
+        np.testing.assert_array_equal(shared(states, 0.4), per_run(states, 0.4))
+        rows = velocity_field_from(params, config, context=np.array([[0.7], [-0.7]]))
+        np.testing.assert_allclose(
+            rows(states, 0.4)[1],
+            forward(params, config, states[1], 0.4, np.array([-0.7])),
+            rtol=1e-14,
+        )

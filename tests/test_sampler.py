@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelab.bridge import EndpointPair
 from bridgelab.errors import DomainError, IntegrationError
 from bridgelab.numerics import RngStream, gaussian
 from bridgelab.sampler import (
     endpoint_statistics,
+    integrate,
     noise_amplitude,
     oracle_field,
     plan_steps,
-    sample,
-    step,
 )
 from bridgelab.schedules import shifted, uniform
 
@@ -59,27 +60,35 @@ class TestNoiseAmplitude:
             noise_amplitude("standard", 0.5, 0.5, 1.0)
 
 
+def run(mode, x0, field, schedule, s, rng):
+    """Integrate a (B, D) block; returns every recorded state [x_{t_0}, ..., x_{t_N}]."""
+    states = []
+    integrate(np.atleast_2d(x0), field, schedule, mode, s, rng, lambda k, x: states.append(x))
+    return states
+
+
 class TestStep:
     def test_update_formula(self, pair2d):
-        planned = plan_steps(uniform(4), "corrected", 1.0)[2]
-        eps = np.array([0.3, -0.1])
-        state = np.array([0.5, 0.5])
+        """Each step is x + dt * v(x, t_k), plus eta * eps drawn only where eta != 0."""
         field = oracle_field(pair2d.x1)
-        out = step(state, field, planned, eps)
-        expected = state + planned.dt * field(state, planned.t_start) + planned.eta * eps
-        np.testing.assert_array_equal(out, expected)
+        x0 = np.array([[0.5, 0.5], [-1.0, 2.0]])
+        rng = RngStream(seed=4)
+        states = run("corrected", x0, field, uniform(4), 1.0, rng)
+        replay = RngStream(seed=4)
+        for planned, before, after in zip(
+            plan_steps(uniform(4), "corrected", 1.0), states, states[1:]
+        ):
+            expected = before + planned.dt * field(before, planned.t_start)
+            if planned.eta != 0.0:
+                expected += planned.eta * gaussian(replay, before.shape)
+            np.testing.assert_array_equal(after, expected)
+        assert rng.counter == replay.counter == 3 * x0.size  # the noiseless final step draws nothing
 
     def test_non_finite_field_reports_step_index(self):
-        planned = plan_steps(uniform(4), "corrected", 1.0)[1]
-        bad_field = lambda x, t: np.full_like(x, np.nan)
+        bad_field = lambda x, t: np.full_like(x, np.nan if t > 0.0 else 0.0)
         with pytest.raises(IntegrationError) as err:
-            step(np.zeros(2), bad_field, planned, np.zeros(2))
+            integrate(np.zeros((1, 2)), bad_field, uniform(4), "corrected", 1.0, RngStream(seed=1))
         assert err.value.step_index == 1
-
-    def test_noise_shape_mismatch(self, pair2d):
-        planned = plan_steps(uniform(4), "corrected", 1.0)[0]
-        with pytest.raises(ValueError):
-            step(np.zeros(2), oracle_field(pair2d.x1), planned, np.zeros(3))
 
 
 class TestSample:
@@ -88,7 +97,7 @@ class TestSample:
         for n in (1, 2, 4, 16, 64):
             for gamma in (1.0, 5.0):
                 for s in (0.0, 1.0, 2.0):
-                    traj = sample(
+                    traj = run(
                         "corrected",
                         pair2d.x0,
                         oracle_field(pair2d.x1),
@@ -97,36 +106,31 @@ class TestSample:
                         RngStream(seed=3, stream=n),
                     )
                     assert len(traj) == n + 1
-                    np.testing.assert_allclose(traj[-1], pair2d.x1, atol=1e-10)
+                    np.testing.assert_allclose(traj[-1][0], pair2d.x1, atol=1e-10)
 
     def test_zero_scale_constant_field_is_linear_path(self, pair2d):
         """s=0 with the constant displacement field reproduces interpolation."""
         shift = pair2d.x1 - pair2d.x0
-        field = lambda x, t: shift
+        field = lambda x, t: np.broadcast_to(shift, x.shape)
         sch = uniform(8)
-        traj = sample("corrected", pair2d.x0, field, sch, 0.0, RngStream(seed=5))
+        traj = run("corrected", pair2d.x0, field, sch, 0.0, RngStream(seed=5))
         for t, state in zip(sch.points, traj):
-            np.testing.assert_allclose(state, pair2d.x0 + t * shift, atol=1e-12)
+            np.testing.assert_allclose(state[0], pair2d.x0 + t * shift, atol=1e-12)
 
     def test_trajectory_determinism(self, pair2d):
-        a = sample("standard", pair2d.x0, oracle_field(pair2d.x1), uniform(8), 1.0, RngStream(seed=9))
-        b = sample("standard", pair2d.x0, oracle_field(pair2d.x1), uniform(8), 1.0, RngStream(seed=9))
+        a = run("standard", pair2d.x0, oracle_field(pair2d.x1), uniform(8), 1.0, RngStream(seed=9))
+        b = run("standard", pair2d.x0, oracle_field(pair2d.x1), uniform(8), 1.0, RngStream(seed=9))
         for sa, sb in zip(a, b):
             assert np.array_equal(sa, sb)
 
     def test_streaming_final_only(self, pair2d):
-        full = sample("corrected", pair2d.x0, oracle_field(pair2d.x1), uniform(16), 1.0, RngStream(seed=2))
-        lean = sample(
-            "corrected",
-            pair2d.x0,
-            oracle_field(pair2d.x1),
-            uniform(16),
-            1.0,
-            RngStream(seed=2),
-            keep_trajectory=False,
+        """Without a recorder only the endpoint block comes back; it is the last recorded state."""
+        full = run("corrected", pair2d.x0, oracle_field(pair2d.x1), uniform(16), 1.0, RngStream(seed=2))
+        lean = integrate(
+            pair2d.x0[None, :], oracle_field(pair2d.x1), uniform(16), "corrected", 1.0, RngStream(seed=2)
         )
-        assert len(lean) == 2
-        np.testing.assert_array_equal(lean[-1], full[-1])
+        assert len(full) == 17
+        np.testing.assert_array_equal(lean, full[-1])
 
     def test_blowup_carries_step_index(self, pair2d):
         def exploding(x, t):
@@ -134,8 +138,36 @@ class TestSample:
                 return x * 1e200
 
         with pytest.raises(IntegrationError) as err:
-            sample("corrected", pair2d.x0, exploding, uniform(8), 0.0, RngStream(seed=1))
+            run("corrected", pair2d.x0, exploding, uniform(8), 0.0, RngStream(seed=1))
         assert 0 <= err.value.step_index < 8
+
+    def test_rejects_unbatched_start(self, pair2d):
+        with pytest.raises(ValueError):
+            integrate(pair2d.x0, oracle_field(pair2d.x1), uniform(4), "corrected", 1.0, RngStream(seed=1))
+
+    @given(
+        b=st.integers(1, 8),
+        d=st.integers(1, 5),
+        n=st.integers(1, 32),
+        gamma=st.floats(1.0, 10.0),
+        mode=st.sampled_from(["standard", "corrected"]),
+        s=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_runs_match_single_runs(self, b, d, n, gamma, mode, s, seed):
+        """s=0: row i of a batch is bitwise the run of row i alone. Corrected
+        mode with the oracle field lands on x1 for any s."""
+        x0 = gaussian(RngStream(seed=seed, stream=1), (b, d))
+        x1 = gaussian(RngStream(seed=seed, stream=2), (b, d))
+        sch = shifted(n, gamma)
+        batched = integrate(x0, oracle_field(x1), sch, mode, 0.0, RngStream(seed=seed))
+        for i in range(b):
+            alone = integrate(x0[i : i + 1], oracle_field(x1[i]), sch, mode, 0.0, RngStream(seed=seed))
+            assert np.array_equal(batched[i : i + 1], alone)
+        if mode == "corrected":
+            noisy = integrate(x0, oracle_field(x1), sch, mode, s, RngStream(seed=seed))
+            np.testing.assert_allclose(noisy, x1, rtol=0.0, atol=1e-10)
 
 
 class TestEndpointStatistics:
@@ -168,14 +200,20 @@ class TestEndpointStatistics:
         """With the conditional drift toward a zero target, the state variance
         follows s^2 t (1-t) at every grid point and pins to 0 at t=1."""
         runs, s = 100_000, 1.0
-        states = np.zeros((runs, 1))
-        rng = RngStream(seed=10)
-        for planned in plan_steps(uniform(8), "corrected", s):
-            drift = -states / (1.0 - planned.t_start)
-            states = states + planned.dt * drift + planned.eta * gaussian(rng, states.shape)
-            expected = s * s * planned.t_end * (1.0 - planned.t_end)
+        sch = uniform(8)
+        checked = []
+
+        def track(k, states):
+            t = float(sch.points[k])
+            expected = s * s * t * (1.0 - t)
             if expected > 0.0:
                 assert float(np.var(states, ddof=1)) == pytest.approx(expected, rel=0.03)
+                checked.append(k)
+
+        states = integrate(
+            np.zeros((runs, 1)), oracle_field(np.zeros(1)), sch, "corrected", s, RngStream(seed=10), track
+        )
+        assert checked == list(range(1, 8))
         assert float(np.var(states)) == 0.0
 
     def test_requires_two_runs(self, pair2d):

@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgelab.model import ModelConfig, init
+from bridgelab.model import ModelConfig, init, velocity_field_from
 from bridgelab.numerics import RngStream, gaussian
+from bridgelab.sampler import oracle_field
 from bridgelab.schedules import uniform
 from bridgelab.tasks import (
     TaskSpec,
     energy_distance,
     evaluate,
     generate_pairs,
-    model_batch_field,
-    oracle_batch_field,
     pair_provider,
-    pairs_from_csv,
-    pairs_to_csv,
 )
 from bridgelab.trainer import TrainConfig, train
 
@@ -159,7 +156,7 @@ class TestEvaluate:
     def test_oracle_field_is_numerically_exact(self):
         spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
         report = evaluate(
-            oracle_batch_field, spec, uniform(4), "corrected", 1.0, 256, RngStream(seed=17)
+            lambda pairs: oracle_field(np.stack([p.x1 for p in pairs])), spec, uniform(4), "corrected", 1.0, 256, RngStream(seed=17)
         )
         assert report.paired_mse <= 1e-10
         assert report.sample_count == 256
@@ -171,7 +168,7 @@ class TestEvaluate:
         mconfig = ModelConfig(input_dim=2, hidden=(16,))
         params = init(mconfig, RngStream(seed=18, stream=900))
         report = evaluate(
-            model_batch_field(params, mconfig),
+            lambda pairs: velocity_field_from(params, mconfig),
             spec,
             uniform(16),
             "corrected",
@@ -188,7 +185,7 @@ class TestEvaluate:
     def test_report_fields_finite_and_nonnegative(self):
         spec = TaskSpec(name="signal_refine", dimension=8, repeat=2)
         report = evaluate(
-            oracle_batch_field, spec, uniform(8), "standard", 0.5, 64, RngStream(seed=19)
+            lambda pairs: oracle_field(np.stack([p.x1 for p in pairs])), spec, uniform(8), "standard", 0.5, 64, RngStream(seed=19)
         )
         data = report.to_dict()
         for key in ("paired_mse", "energy_distance", "mean_displacement_error"):
@@ -214,8 +211,15 @@ class TestConditioningPathway:
             params, _ = train(
                 params, mconfig, pair_provider(spec, zero_context=zero_context), config
             )
+
+            def make_field(pairs):
+                contexts = np.stack([p.context for p in pairs])
+                return velocity_field_from(
+                    params, mconfig, context=np.zeros_like(contexts) if zero_context else contexts
+                )
+
             report = evaluate(
-                model_batch_field(params, mconfig, use_context=not zero_context),
+                make_field,
                 spec,
                 uniform(16),
                 "corrected",
@@ -240,7 +244,7 @@ class TestStepCountTrend:
         eds = {}
         for n in (4, 8, 16, 64):
             report = evaluate(
-                model_batch_field(params, mconfig),
+                lambda pairs: velocity_field_from(params, mconfig),
                 shift_task,
                 uniform(n),
                 "corrected",
@@ -252,24 +256,3 @@ class TestStepCountTrend:
         for n in (8, 16, 64):
             assert eds[n] <= 1.10 * eds[4]
 
-
-class TestPairSerialization:
-    def test_round_trip(self, tmp_path):
-        spec = TaskSpec(name="moons_rotate", dimension=2, angle=0.4)
-        pairs = generate_pairs(spec, 12, RngStream(seed=20))
-        path = str(tmp_path / "pairs.csv")
-        pairs_to_csv(path, pairs)
-        loaded = pairs_from_csv(path)
-        assert len(loaded) == len(pairs)
-        for a, b in zip(pairs, loaded):
-            np.testing.assert_array_equal(a.x0, b.x0)
-            np.testing.assert_array_equal(a.x1, b.x1)
-            np.testing.assert_array_equal(a.context, b.context)
-
-    def test_header_schema(self, tmp_path):
-        spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(1.0, 1.0))
-        pairs = generate_pairs(spec, 3, RngStream(seed=21))
-        path = str(tmp_path / "pairs.csv")
-        pairs_to_csv(path, pairs)
-        with open(path) as fh:
-            assert fh.readline().strip() == "x0_0,x0_1,x1_0,x1_1"
