@@ -15,12 +15,10 @@ from .bridge import (
 )
 from .numerics import RngStream, Tensor, gaussian, squared_norm, uniform
 from .objectives import (
-    NormalizationFactor,
     ObjectiveKind,
     alpha_factor,
     loss,
     loss_gradient,
-    stabilized_target,
     target_profile,
 )
 from .sampler import EndpointStats, SamplerStep, endpoint_statistics, integrate, oracle_field
@@ -34,7 +32,6 @@ __all__ = [
     "EndpointPair",
     "EndpointStats",
     "EvalReport",
-    "NormalizationFactor",
     "ObjectiveKind",
     "RngStream",
     "SamplerStep",
@@ -60,7 +57,6 @@ __all__ = [
     "sample_state",
     "shifted",
     "squared_norm",
-    "stabilized_target",
     "target_profile",
     "train",
     "train_step",

@@ -41,8 +41,11 @@ def _check_noise_scale(noise_scale: float) -> float:
 class EndpointPair:
     """Source latent x0 and target latent x1 of identical shape.
 
-    ``context`` optionally carries per-pair conditioning (e.g. a task
-    parameter the pairing depends on); it is opaque to the bridge math.
+    One pair has endpoints of shape (D,); a batch of B pairs is one
+    ``EndpointPair`` with a leading batch axis, (B, D). ``context``
+    optionally carries conditioning (e.g. a task parameter the pairing
+    depends on): None, (C,) for one pair or (B, C) for a batch. It is opaque
+    to the bridge math.
     """
 
     x0: Tensor
@@ -54,46 +57,71 @@ class EndpointPair:
         x1 = np.asarray(self.x1, dtype=np.float64)
         if x0.shape != x1.shape:
             raise ValueError(f"endpoint shapes differ: {x0.shape} vs {x1.shape}")
+        if x0.ndim not in (1, 2):
+            raise ValueError(f"endpoints must be (D,) or (B, D), got shape {x0.shape}")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "x1", x1)
         if self.context is not None:
-            object.__setattr__(self, "context", np.asarray(self.context, dtype=np.float64))
+            context = np.asarray(self.context, dtype=np.float64)
+            if context.shape[:-1] != x0.shape[:-1]:
+                raise ValueError(
+                    f"context shape {context.shape} does not match endpoints {x0.shape}"
+                )
+            object.__setattr__(self, "context", context)
 
     @property
     def dimension(self) -> int:
-        return self.x0.size
+        return self.x0.shape[-1]
+
+    def __len__(self) -> int:
+        """Number of pairs: 1 for a single pair, B for a batch."""
+        return 1 if self.x0.ndim == 1 else self.x0.shape[0]
 
 
 @dataclass(frozen=True)
 class BridgeSample:
-    """Training-time tuple: time t, the noise draw, and the constructed state."""
+    """Training-time tuple: time t, the noise draw, and the constructed state.
 
-    t: float
+    ``t`` is a float, or one time per pair (B,) for a batch.
+    """
+
+    t: "float | Tensor"
     epsilon: Tensor
     state: Tensor
 
 
-def interpolate(pair: EndpointPair, t: float) -> Tensor:
+def _times(t: "float | Tensor") -> "float | Tensor":
+    """t as a float, or as a (B, 1) column that broadcasts over the coordinates."""
+    t = np.asarray(t, dtype=np.float64)
+    return t[:, None] if t.ndim else float(t)
+
+
+def interpolate(pair: EndpointPair, t: "float | Tensor") -> Tensor:
     """Deterministic linear interpolation (1-t) x0 + t x1 for t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
+    tc = _times(t)
+    if not np.all((0.0 <= tc) & (tc <= 1.0)):
         raise DomainError(f"interpolation time must be in [0, 1], got {t}")
-    return (1.0 - t) * pair.x0 + t * pair.x1
+    return (1.0 - tc) * pair.x0 + tc * pair.x1
 
 
-def sample_state(pair: EndpointPair, t: float, eps: Tensor, noise_scale: float) -> BridgeSample:
+def sample_state(
+    pair: EndpointPair, t: "float | Tensor", eps: Tensor, noise_scale: float
+) -> BridgeSample:
     """Construct the intermediate bridge state at time t from a noise draw.
 
-    t=1 is excluded: the state is defined there (it is x1) but never sampled
-    for training since the velocity target is singular at t=1.
+    ``t`` is a float or one time per pair (B,); ``eps`` has the shape of the
+    endpoints. t=1 is excluded: the state is defined there (it is x1) but
+    never sampled for training since the velocity target is singular at t=1.
     """
     s = _check_noise_scale(noise_scale)
-    if not 0.0 <= t < 1.0:
+    tc = _times(t)
+    if not np.all((0.0 <= tc) & (tc < 1.0)):
         raise DomainError(f"state construction requires 0 <= t < 1, got {t}")
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != pair.x0.shape:
         raise ValueError(f"noise shape {eps.shape} does not match endpoints {pair.x0.shape}")
-    state = interpolate(pair, t) + s * math.sqrt(t * (1.0 - t)) * eps
-    return BridgeSample(t=float(t), epsilon=eps, state=state)
+    state = interpolate(pair, t) + s * np.sqrt(tc * (1.0 - tc)) * eps
+    return BridgeSample(t=tc if isinstance(tc, float) else tc[:, 0], epsilon=eps, state=state)
 
 
 def velocity_target(pair: EndpointPair, sample: BridgeSample) -> Tensor:
@@ -102,11 +130,11 @@ def velocity_target(pair: EndpointPair, sample: BridgeSample) -> Tensor:
     Rejects t beyond the clamp band, where the target is numerically
     unbounded.
     """
-    if sample.t > 1.0 - T_CLAMP:
+    if np.any(sample.t > 1.0 - T_CLAMP):
         raise ClampedTimeError(
             f"velocity target undefined for t > {1.0 - T_CLAMP!r}, got t={sample.t}"
         )
-    return (pair.x1 - sample.state) / (1.0 - sample.t)
+    return (pair.x1 - sample.state) / (1.0 - _times(sample.t))
 
 
 def displacement_target(pair: EndpointPair, sample: BridgeSample) -> Tensor:
@@ -166,11 +194,11 @@ def sample_joint(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     d = pair.dimension
-    mean1 = interpolate(pair, t1).ravel()
+    mean1 = interpolate(pair, t1)
     std1 = math.sqrt(marginal_variance(t1, s))
     states1 = mean1 + std1 * gaussian(rng, (draws, d))
     pull = (t2 - t1) / (1.0 - t1)
-    mean2 = states1 + pull * (pair.x1.ravel() - states1)
+    mean2 = states1 + pull * (pair.x1 - states1)
     std2 = math.sqrt(conditional_variance(t1, t2, s))
     states2 = mean2 + std2 * gaussian(rng, (draws, d))
     return states1, states2

@@ -206,18 +206,14 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zero-context", action="store_true", help="train/evaluate with conditioning zeroed")
 
 
-def _contexts(pairs, mconfig: ModelConfig, zero_context: bool):
-    """Per-run conditioning rows for a model field; zeros under --zero-context."""
+def _contexts(batch: EndpointPair, mconfig: ModelConfig, zero_context: bool):
+    """Conditioning for a model field over ``batch``: its context rows, or zeros
+    under --zero-context."""
     if mconfig.context_dim == 0:
         return None
-    return np.stack(
-        [
-            np.zeros(mconfig.context_dim)
-            if zero_context or p.context is None
-            else p.context.ravel()
-            for p in pairs
-        ]
-    )
+    if zero_context or batch.context is None:
+        return np.zeros(mconfig.context_dim)
+    return batch.context
 
 
 def _model_config(args, spec: TaskSpec) -> ModelConfig:
@@ -267,13 +263,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    out_dir = _ensure_out_dir(args)
     d = args.dim
+    if d < 1 or args.distance2 < 0.0 or args.s < 0.0:
+        _usage_error("profile needs --dim >= 1, --distance2 >= 0 and --s >= 0")
     x1 = np.full(d, np.sqrt(args.distance2 / d))
     pair = EndpointPair(np.zeros(d), x1)
-    kind = ObjectiveKind(args.objective)
+    kind = _usage_checked(ObjectiveKind, args.objective)
+    grid = _usage_checked(_parse_grid, args.grid)
     rng = RngStream(seed=args.seed, stream=600) if args.mc > 0 else None
-    points = target_profile(kind, pair, args.s, _parse_grid(args.grid), mc_samples=args.mc, rng=rng)
+    points = _usage_checked(target_profile, kind, pair, args.s, grid, args.mc, rng)
+    out_dir = _ensure_out_dir(args)
     csv_path = os.path.join(out_dir, f"profile_{kind.value}.csv")
     _write_csv(csv_path, ["t", "S", "C"], [[p.t, p.s_value, p.c_value] for p in points])
     outputs = [csv_path]
@@ -293,29 +292,23 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _train_once(
-    args,
-    spec: TaskSpec,
-    objective: ObjectiveKind,
-    noise_scale: float,
-    steps: int,
-    observer=None,
-):
-    mconfig = _model_config(args, spec)
-    config = TrainConfig(
+def _train_config(args, objective: "ObjectiveKind | str", noise_scale: float) -> TrainConfig:
+    return TrainConfig(
         objective=objective,
         noise_scale=noise_scale,
-        steps=steps,
+        steps=args.steps,
         batch_size=args.batch_size,
         learning_rate=args.lr,
         optimizer=args.optimizer,
         seed=args.seed,
         log_every=args.log_every,
     )
+
+
+def _train_once(args, spec: TaskSpec, mconfig: ModelConfig, config: TrainConfig, observer=None):
     params = init(mconfig, RngStream(seed=args.seed, stream=900))
     provider = pair_provider(spec, zero_context=args.zero_context)
-    params, stats = train(params, mconfig, provider, config, observer=observer)
-    return params, mconfig, config, stats
+    return train(params, mconfig, provider, config, observer=observer)
 
 
 class _AlphaAudit:
@@ -323,34 +316,21 @@ class _AlphaAudit:
 
     def __init__(self):
         self.rows = []
-        self._step = None
-        self._values = []
 
-    def __call__(self, step, pair, t, eps, state, alpha_sq, target):
-        if step != self._step:
-            self._flush()
-            self._step = step
-        self._values.append(alpha_sq)
-
-    def _flush(self):
-        if self._step is not None and self._values:
-            self.rows.append(
-                [self._step, float(np.mean(self._values)), float(np.max(self._values))]
-            )
-        self._values = []
+    def __call__(self, step, batch, sample, alpha_sq, targets):
+        self.rows.append([step, float(np.mean(alpha_sq)), float(np.max(alpha_sq))])
 
     def write(self, path: str) -> None:
-        self._flush()
         _write_csv(path, ["step", "mean_alpha_sq", "max_alpha_sq"], self.rows)
 
 
 def cmd_train(args) -> int:
     spec = _usage_checked(_task_from_args, args)
+    mconfig = _usage_checked(_model_config, args, spec)
+    config = _usage_checked(_train_config, args, args.objective, args.s)
     out_dir = _ensure_out_dir(args)
     audit = _AlphaAudit() if args.debug else None
-    params, mconfig, config, stats = _train_once(
-        args, spec, ObjectiveKind(args.objective), args.s, args.steps, observer=audit
-    )
+    params, stats = _train_once(args, spec, mconfig, config, observer=audit)
     params_path = os.path.join(out_dir, "params.bin")
     stats_path = os.path.join(out_dir, "stats.csv")
     save_parameters(params_path, mconfig, params)
@@ -377,26 +357,28 @@ def cmd_sample(args) -> int:
     schedule = _usage_checked(shifted, args.N, args.gamma)
     if not args.oracle and not args.params:
         _usage_error("either --oracle or --params FILE is required")
+    if args.runs < 1:
+        _usage_error(f"--runs must be >= 1, got {args.runs}")
+    if not args.s >= 0.0:
+        _usage_error(f"--s must be >= 0, got {args.s}")
     out_dir = _ensure_out_dir(args)
     rng = RngStream(seed=args.seed, stream=700)
-    pairs = generate_pairs(spec, args.runs, rng.split(1))
+    batch = generate_pairs(spec, args.runs, rng.split(1))
     if args.oracle:
-        field = oracle_field(np.stack([p.x1.ravel() for p in pairs]))
+        field = oracle_field(batch.x1)
     else:
         mconfig, params = load_parameters(args.params)
         field = velocity_field_from(
-            params, mconfig, args.objective, _contexts(pairs, mconfig, args.zero_context)
+            params, mconfig, args.objective, _contexts(batch, mconfig, args.zero_context)
         )
     trajectory: list[list] = []
 
     def record(k, states):
         trajectory.append([k, float(schedule.points[k])] + [float(v) for v in states[0]])
 
-    x0 = np.stack([p.x0.ravel() for p in pairs])
-    endpoints = integrate(
-        x0, field, schedule, args.mode, args.s, rng.split(2), record if args.trajectories else None
-    )
-    report = report_from_endpoints(endpoints, pairs)
+    recorder = record if args.trajectories else None
+    endpoints = integrate(batch.x0, field, schedule, args.mode, args.s, rng.split(2), recorder)
+    report = report_from_endpoints(endpoints, batch)
     d = spec.dimension
     endpoints_path = os.path.join(out_dir, "endpoints.csv")
     _write_csv(
@@ -421,11 +403,13 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _ablate_cells(args) -> list[tuple[str, ObjectiveKind, float, Schedule]]:
-    """(axis value, objective, noise scale, sampling schedule) for each cell."""
+def _ablate_cells(args) -> list[tuple[str, TrainConfig, Schedule]]:
+    """(axis value, training configuration, sampling schedule) for each cell."""
     values = [v for v in args.values.split(",") if v != ""]
     if len(values) < 2:
         _usage_error("ablation needs at least 2 axis values")
+    if args.runs < 2:
+        _usage_error(f"ablation needs --runs >= 2, got {args.runs}")
     cells = []
     for value in values:
         objective, noise_scale = ObjectiveKind(args.objective), args.s
@@ -438,12 +422,13 @@ def _ablate_cells(args) -> list[tuple[str, ObjectiveKind, float, Schedule]]:
             n_steps = int(value)
         else:
             gamma = float(value)
-        cells.append((value, objective, noise_scale, shifted(n_steps, gamma)))
+        cells.append((value, _train_config(args, objective, noise_scale), shifted(n_steps, gamma)))
     return cells
 
 
 def cmd_ablate(args) -> int:
     spec = _usage_checked(_task_from_args, args)
+    mconfig = _usage_checked(_model_config, args, spec)
     cells = _usage_checked(_ablate_cells, args)
     out_dir = _ensure_out_dir(args)
 
@@ -467,25 +452,21 @@ def cmd_ablate(args) -> int:
 
     shared_model = None
     if args.axis in ("steps", "gamma"):
-        # Sampling-time axes reuse one trained model across all cells.
-        shared_model = _train_once(args, spec, ObjectiveKind(args.objective), args.s, args.steps)
+        # Sampling-time axes share one training configuration, so one trained
+        # model serves all cells.
+        shared_model = _train_once(args, spec, mconfig, cells[0][1])
 
-    for value, objective, noise_scale, cell_schedule in cells:
+    for value, config, cell_schedule in cells:
         try:
-            if shared_model is None:
-                params, mconfig, _config, stats = _train_once(
-                    args, spec, objective, noise_scale, args.steps
-                )
-            else:
-                params, mconfig, _config, stats = shared_model
+            params, stats = shared_model or _train_once(args, spec, mconfig, config)
             report = evaluate(
-                lambda pairs: velocity_field_from(
-                    params, mconfig, objective, _contexts(pairs, mconfig, args.zero_context)
+                lambda batch: velocity_field_from(
+                    params, mconfig, config.objective, _contexts(batch, mconfig, args.zero_context)
                 ),
                 spec,
                 cell_schedule,
                 args.mode,
-                noise_scale,
+                config.noise_scale,
                 args.runs,
                 eval_rng(),
             )

@@ -17,7 +17,6 @@ velocity; only the loss residual is rescaled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +27,7 @@ from .bridge import (
     BridgeSample,
     EndpointPair,
     displacement_target,
+    sample_state,
     velocity_target,
 )
 from .errors import DomainError
@@ -47,35 +47,19 @@ class ObjectiveKind(str, Enum):
 DEFAULT_OBJECTIVE = ObjectiveKind.STABILIZED_VELOCITY
 
 
-@dataclass(frozen=True)
-class NormalizationFactor:
-    alpha_squared: float
-
-    @property
-    def alpha(self) -> float:
-        return math.sqrt(self.alpha_squared)
-
-
-def _floored_distance_sq(pair: EndpointPair) -> float:
-    return max(squared_norm(pair.x1 - pair.x0), SQNORM_FLOOR_PER_DIM * pair.dimension)
-
-
-def alpha_factor(pair: EndpointPair, t: float, noise_scale: float) -> NormalizationFactor:
-    """Per-sample normalization factor of the stabilized objective.
+def alpha_factor(pair: EndpointPair, t: "float | Tensor", noise_scale: float) -> "float | Tensor":
+    """Per-sample normalization factor alpha^2 of the stabilized objective.
 
     alpha^2 = 1 + s^2 t D / ((1-t) max(||x1-x0||^2, floor)) >= 1, with
-    equality iff t=0 or s=0. Computed per sample, never batch-pooled.
+    equality iff t=0 or s=0. Computed per pair, never batch-pooled: a float
+    for one pair at one time, (B,) for a batch of pairs or of times.
     """
-    if not 0.0 <= t <= 1.0 - T_CLAMP:
+    if not np.all((0.0 <= t) & (t <= 1.0 - T_CLAMP)):
         raise DomainError(f"alpha factor requires 0 <= t <= {1.0 - T_CLAMP!r}, got {t}")
     s = float(noise_scale)
-    alpha_sq = 1.0 + (s * s * t * pair.dimension) / ((1.0 - t) * _floored_distance_sq(pair))
-    return NormalizationFactor(alpha_squared=alpha_sq)
-
-
-def stabilized_target(pair: EndpointPair, sample: BridgeSample, noise_scale: float) -> Tensor:
-    """Velocity target rescaled by 1/alpha; equals x1 - x0 in expectation scale."""
-    return velocity_target(pair, sample) / alpha_factor(pair, sample.t, noise_scale).alpha
+    diff = pair.x1 - pair.x0
+    dist_sq = np.maximum(np.sum(diff * diff, axis=-1), SQNORM_FLOOR_PER_DIM * pair.dimension)
+    return 1.0 + (s * s * t * pair.dimension) / ((1.0 - t) * dist_sq)
 
 
 def raw_target(kind: ObjectiveKind, pair: EndpointPair, sample: BridgeSample) -> Tensor:
@@ -89,12 +73,21 @@ def raw_target(kind: ObjectiveKind, pair: EndpointPair, sample: BridgeSample) ->
     return velocity_target(pair, sample)
 
 
-def _residual_scale_sq(
-    kind: ObjectiveKind, pair: EndpointPair, sample: BridgeSample, noise_scale: float
-) -> float:
+def _residual_and_weight(
+    kind: ObjectiveKind,
+    prediction: Tensor,
+    pair: EndpointPair,
+    sample: BridgeSample,
+    noise_scale: float,
+) -> tuple[Tensor, "float | Tensor"]:
+    """The residual pred - target and its per-pair weight 1/alpha^2 (1 unless stabilized)."""
+    prediction = np.asarray(prediction, dtype=np.float64)
+    if prediction.shape != pair.x0.shape:
+        raise ValueError(f"prediction shape {prediction.shape} does not match {pair.x0.shape}")
+    alpha_sq = 1.0
     if kind is ObjectiveKind.STABILIZED_VELOCITY:
-        return alpha_factor(pair, sample.t, noise_scale).alpha_squared
-    return 1.0
+        alpha_sq = alpha_factor(pair, sample.t, noise_scale)
+    return prediction - raw_target(kind, pair, sample), 1.0 / alpha_sq
 
 
 def loss(
@@ -103,18 +96,15 @@ def loss(
     pair: EndpointPair,
     sample: BridgeSample,
     noise_scale: float,
-) -> float:
-    """Per-sample squared-error loss of the chosen objective.
+) -> "float | Tensor":
+    """Per-pair squared-error loss of the chosen objective: a float, or (B,) for a batch.
 
     displacement:        ||pred - (x1 - x_t)||^2
     velocity:            ||pred - u_t||^2
     stabilized velocity: ||(pred - u_t) / alpha||^2
     """
-    prediction = np.asarray(prediction, dtype=np.float64)
-    if prediction.shape != pair.x0.shape:
-        raise ValueError(f"prediction shape {prediction.shape} does not match {pair.x0.shape}")
-    target = raw_target(kind, pair, sample)
-    return squared_norm(prediction - target) / _residual_scale_sq(kind, pair, sample, noise_scale)
+    residual, weight = _residual_and_weight(kind, prediction, pair, sample, noise_scale)
+    return np.sum(residual * residual, axis=-1) * weight
 
 
 def loss_gradient(
@@ -124,12 +114,13 @@ def loss_gradient(
     sample: BridgeSample,
     noise_scale: float,
 ) -> Tensor:
-    """Gradient of :func:`loss` with respect to the prediction: 2 (pred - target) / alpha^2."""
-    prediction = np.asarray(prediction, dtype=np.float64)
-    if prediction.shape != pair.x0.shape:
-        raise ValueError(f"prediction shape {prediction.shape} does not match {pair.x0.shape}")
-    target = raw_target(kind, pair, sample)
-    return 2.0 * (prediction - target) / _residual_scale_sq(kind, pair, sample, noise_scale)
+    """Gradient of the batch-mean :func:`loss` with respect to the prediction.
+
+    2 (pred - target) / (alpha^2 B) for each of the B pairs; for a single
+    pair, 2 (pred - target) / alpha^2.
+    """
+    residual, weight = _residual_and_weight(kind, prediction, pair, sample, noise_scale)
+    return 2.0 * residual * np.asarray(weight / len(pair))[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +158,7 @@ def expected_target_sqnorm(
     if kind is ObjectiveKind.DISPLACEMENT:
         return (1.0 - t) ** 2 * dist_sq + s * s * t * (1.0 - t) * d
     velocity_sqnorm = dist_sq + s * s * t * d / (1.0 - t)
-    return velocity_sqnorm / alpha_factor(pair, t, s).alpha_squared
+    return velocity_sqnorm / alpha_factor(pair, t, s)
 
 
 def _mc_target_sqnorm(
@@ -179,19 +170,13 @@ def _mc_target_sqnorm(
     rng: RngStream,
 ) -> float:
     eps = gaussian(rng, (draws,) + pair.x0.shape)
+    # The pair broadcast over the draws: one batched state and target per draw.
+    drawn = EndpointPair(np.broadcast_to(pair.x0, eps.shape), np.broadcast_to(pair.x1, eps.shape))
+    targets = raw_target(kind, drawn, sample_state(drawn, t, eps, noise_scale))
     alpha_sq = 1.0
     if kind is ObjectiveKind.STABILIZED_VELOCITY:
-        alpha_sq = alpha_factor(pair, t, noise_scale).alpha_squared
-    # Vectorized over draws: target is affine in eps for every kind.
-    interp = (1.0 - t) * pair.x0 + t * pair.x1
-    spread = float(noise_scale) * math.sqrt(t * (1.0 - t))
-    states = interp + spread * eps
-    if kind is ObjectiveKind.DISPLACEMENT:
-        targets = pair.x1 - states
-    else:
-        targets = (pair.x1 - states) / (1.0 - t)
-    sqnorms = np.sum((targets * targets).reshape(draws, -1), axis=1)
-    return float(np.mean(sqnorms)) / alpha_sq
+        alpha_sq = alpha_factor(pair, t, noise_scale)
+    return float(np.mean(np.sum(targets * targets, axis=-1))) / alpha_sq
 
 
 def target_profile(

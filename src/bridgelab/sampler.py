@@ -167,12 +167,10 @@ def endpoint_statistics(
     """Endpoint bias, MSE against x1, and endpoint variance over repeated runs."""
     if runs < 2:
         raise ValueError("endpoint statistics need at least 2 runs")
-    x0 = pair.x0.ravel()
     endpoints = integrate(
-        np.broadcast_to(x0, (runs, x0.size)), field, schedule, mode, noise_scale, rng
+        np.broadcast_to(pair.x0, (runs, pair.dimension)), field, schedule, mode, noise_scale, rng
     )
-    target = pair.x1.ravel()
-    errors = endpoints - target
+    errors = endpoints - pair.x1
     mean_error = float(np.mean(np.mean(errors, axis=0)))
     mse = float(np.mean(errors * errors))
     variance = float(np.mean(np.var(endpoints, axis=0, ddof=1)))

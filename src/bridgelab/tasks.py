@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -128,12 +128,13 @@ def _smooth_grid_channels(count: int, g: int, rng: RngStream) -> Tensor:
     return np.einsum("bcm,mg->bcg", coef, basis)  # (count, 3, g*g)
 
 
-def generate_pairs(spec: TaskSpec, count: int, rng: RngStream) -> list[EndpointPair]:
-    """Draw i.i.d. pairs for the task; pure function of (spec, count, stream state).
+def generate_pairs(spec: TaskSpec, count: int, rng: RngStream) -> EndpointPair:
+    """Draw ``count`` i.i.d. pairs for the task as one (count, D) batch.
 
-    Consumes one position of the parent stream, so repeated calls (e.g. the
-    trainer pulling batch after batch) yield fresh pairs while an identical
-    parent state replays the identical list.
+    A pure function of (spec, count, stream state). Consumes one position of
+    the parent stream, so repeated calls (e.g. the trainer pulling batch
+    after batch) yield fresh pairs while an identical parent state replays
+    the identical batch.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -143,7 +144,7 @@ def generate_pairs(spec: TaskSpec, count: int, rng: RngStream) -> list[EndpointP
     if spec.name == "gaussian_shift":
         x0 = gaussian(stream, (count, spec.dimension))
         x1 = x0 + np.asarray(spec.shift, dtype=np.float64)
-        return [EndpointPair(x0[i], x1[i]) for i in range(count)]
+        return EndpointPair(x0, x1)
 
     if spec.name == "moons_rotate":
         x0 = _moons_source(count, stream)
@@ -153,22 +154,20 @@ def generate_pairs(spec: TaskSpec, count: int, rng: RngStream) -> list[EndpointP
         x1 = np.stack(
             [cos_a * x0[:, 0] - sin_a * x0[:, 1], sin_a * x0[:, 0] + cos_a * x0[:, 1]], axis=1
         )
-        return [
-            EndpointPair(x0[i], x1[i], context=np.array([angles[i]])) for i in range(count)
-        ]
+        return EndpointPair(x0, x1, context=angles[:, None])
 
     if spec.name == "grid_colorize":
         g = spec.grid_size
         color = _smooth_grid_channels(count, g, stream)  # (count, 3, g*g)
         luma = np.einsum("c,bcg->bg", _LUMA, color)
         gray = np.repeat(luma[:, None, :], 3, axis=1)
-        return [EndpointPair(gray[i].ravel(), color[i].ravel()) for i in range(count)]
+        return EndpointPair(gray.reshape(count, -1), color.reshape(count, -1))
 
     # signal_refine: keep every k-th value of the fine signal, repeat it k times
     k = spec.repeat
     fine = _smooth_signal(count, spec.dimension, stream)
     coarse = np.repeat(fine[:, ::k], k, axis=1)
-    return [EndpointPair(coarse[i], fine[i]) for i in range(count)]
+    return EndpointPair(coarse, fine)
 
 
 def pair_provider(spec: TaskSpec, zero_context: bool = False):
@@ -178,16 +177,11 @@ def pair_provider(spec: TaskSpec, zero_context: bool = False):
     (same architecture, conditioning information removed).
     """
 
-    def provider(batch_size: int, rng: RngStream) -> list[EndpointPair]:
-        pairs = generate_pairs(spec, batch_size, rng)
-        if zero_context:
-            pairs = [
-                EndpointPair(
-                    p.x0, p.x1, None if p.context is None else np.zeros_like(p.context)
-                )
-                for p in pairs
-            ]
-        return pairs
+    def provider(batch_size: int, rng: RngStream) -> EndpointPair:
+        batch = generate_pairs(spec, batch_size, rng)
+        if zero_context and batch.context is not None:
+            batch = replace(batch, context=np.zeros_like(batch.context))
+        return batch
 
     return provider
 
@@ -239,17 +233,17 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def report_from_endpoints(endpoints: Tensor, pairs: list[EndpointPair]) -> EvalReport:
-    targets = np.stack([p.x1.ravel() for p in pairs])
-    errors = endpoints - targets
+def report_from_endpoints(endpoints: Tensor, batch: EndpointPair) -> EvalReport:
+    """Score endpoints (B, D) against the targets of the batch of pairs they started from."""
+    errors = endpoints - batch.x1
     paired_mse = float(np.mean(errors * errors))
     mean_disp = float(np.sqrt(np.sum(np.mean(errors, axis=0) ** 2)))
-    ed = energy_distance(endpoints, targets)
+    ed = energy_distance(endpoints, batch.x1)
     return EvalReport(
         paired_mse=paired_mse,
         energy_distance=ed,
         mean_displacement_error=mean_disp,
-        sample_count=len(pairs),
+        sample_count=len(batch),
     )
 
 
@@ -264,15 +258,14 @@ def evaluate(
 ) -> EvalReport:
     """Generate endpoints for fresh pairs and score them against ground truth.
 
-    ``make_field(pairs)`` returns the velocity field over the stacked run
-    states, e.g. ``lambda pairs: oracle_field(np.stack([p.x1 for p in pairs]))``.
+    ``make_field(batch)`` returns the velocity field over the run states for
+    the batch of evaluation pairs, e.g. ``lambda batch: oracle_field(batch.x1)``.
     Evaluation data comes from the provided stream, which callers keep
     disjoint from training streams. Sampler failures propagate.
     """
     if runs < 2:
         raise ValueError("evaluation needs at least 2 runs")
-    pairs = generate_pairs(spec, runs, rng.split(1))
-    x0 = np.stack([p.x0.ravel() for p in pairs])
-    endpoints = integrate(x0, make_field(pairs), schedule, mode, noise_scale, rng.split(2))
-    return report_from_endpoints(endpoints, pairs)
+    batch = generate_pairs(spec, runs, rng.split(1))
+    endpoints = integrate(batch.x0, make_field(batch), schedule, mode, noise_scale, rng.split(2))
+    return report_from_endpoints(endpoints, batch)
 

@@ -1,9 +1,9 @@
 """Training loop: sample (pair, t, eps), build the bridge state, regress.
 
-Every step executes, per sample: draw t ~ U(0, 1 - t_clamp) and
-eps ~ N(0, I), construct x_t, compute the configured objective's target and
-normalization, backpropagate the loss residual through the network, and
-apply one optimizer update on the batch-mean gradient.
+Every step draws one batch of pairs, one time t ~ U(0, 1 - T_CLAMP) and one
+noise draw eps ~ N(0, I) per pair, constructs the states x_t, computes the
+configured objective's targets and per-pair loss, backpropagates the
+batch-mean loss through the network, and applies one optimizer update.
 
 The (pair, t, eps) streams are derived only from the seed, never from the
 objective, so runs that differ only in objective consume identical sample
@@ -20,11 +20,11 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .bridge import EndpointPair, sample_state
+from .bridge import T_CLAMP, BridgeSample, EndpointPair, sample_state
 from .errors import TrainingError
 from .model import ModelConfig, backward, forward
 from .numerics import RngStream, Tensor, gaussian, uniform
-from .objectives import ObjectiveKind, alpha_factor, raw_target
+from .objectives import ObjectiveKind, alpha_factor, loss, loss_gradient, raw_target
 
 # Fixed stream ids so data/time/noise draws are independent of each other
 # and of everything else derived from the run seed.
@@ -34,9 +34,9 @@ _STREAM_NOISE = 103
 
 
 class PairProvider(Protocol):
-    """Pull-based dataset contract: (batch size, stream) -> a list of pairs."""
+    """Pull-based dataset contract: (batch size, stream) -> one batch of pairs (B, D)."""
 
-    def __call__(self, batch_size: int, rng: RngStream) -> list[EndpointPair]: ...
+    def __call__(self, batch_size: int, rng: RngStream) -> EndpointPair: ...
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     optimizer: str = "adam"  # {"sgd", "adam"}
-    t_clamp: float = 1e-5
     seed: int = 0
     log_every: int = 50
 
@@ -57,11 +56,11 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 < self.t_clamp < 0.1:
-            raise ValueError("t_clamp must lie in (0, 0.1)")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if self.noise_scale < 0.0:
+        if not self.noise_scale >= 0.0:
             raise ValueError("noise_scale must be >= 0")
 
     def to_dict(self) -> dict:
@@ -72,7 +71,6 @@ class TrainConfig:
             "batch_size": self.batch_size,
             "learning_rate": self.learning_rate,
             "optimizer": self.optimizer,
-            "t_clamp": self.t_clamp,
             "seed": self.seed,
             "log_every": self.log_every,
         }
@@ -131,85 +129,57 @@ def _optimizer_update(
     return params - learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-# Test/debug instrumentation: called once per sample with
-# (step, pair, t, eps, state, alpha_squared, target), the exact quantities
-# entering the update. Observers must not mutate their arguments.
-SampleObserver = Callable[[int, EndpointPair, float, Tensor, Tensor, float, Tensor], None]
+# Test/debug instrumentation: called once per step with
+# (step, batch, sample, alpha_squared (B,), targets (B, D)), the exact
+# quantities entering the update; alpha_squared is all ones unless the
+# objective is stabilized. Observers must not mutate their arguments.
+BatchObserver = Callable[[int, EndpointPair, BridgeSample, Tensor, Tensor], None]
 
 
 def train_step(
     params: Tensor,
     model_config: ModelConfig,
     opt_state: OptimizerState,
-    batch: list[EndpointPair],
+    batch: EndpointPair,
     config: TrainConfig,
     time_rng: RngStream,
     noise_rng: RngStream,
     step_index: int,
-    observer: SampleObserver | None = None,
+    observer: BatchObserver | None = None,
     digest: "hashlib._Hash | None" = None,
 ) -> tuple[Tensor, StepStats]:
-    """One batch update; returns new parameters and the step's statistics."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
+    """One update on a batch of pairs (B, D); returns new parameters and the step's statistics."""
+    if batch.x0.ndim != 2 or len(batch) == 0:
+        raise ValueError("batch must be a nonempty (B, D) batch of pairs")
     t0 = time.perf_counter()
     b = len(batch)
-    d = model_config.input_dim
-    s = config.noise_scale
+    kind = config.objective
 
-    t_batch = uniform(time_rng, (b,)) * (1.0 - config.t_clamp)
-    eps_batch = gaussian(noise_rng, (b, d))
-
-    states = np.empty((b, d), dtype=np.float64)
-    targets = np.empty((b, d), dtype=np.float64)
-    inv_alpha_sq = np.ones(b, dtype=np.float64)
-    max_target_sqnorm = 0.0
-    contexts = None
-    if model_config.context_dim > 0:
-        contexts = np.empty((b, model_config.context_dim), dtype=np.float64)
-
-    for i, pair in enumerate(batch):
-        t_i = float(t_batch[i])
-        sample = sample_state(pair, t_i, eps_batch[i].reshape(pair.x0.shape), s)
-        target = raw_target(config.objective, pair, sample)
-        states[i] = sample.state.ravel()
-        targets[i] = target.ravel()
-        target_sqnorm = float(np.sum(target * target))
-        max_target_sqnorm = max(max_target_sqnorm, target_sqnorm)
-        alpha_sq = 1.0
-        if config.objective is ObjectiveKind.STABILIZED_VELOCITY:
-            alpha_sq = alpha_factor(pair, t_i, s).alpha_squared
-            inv_alpha_sq[i] = 1.0 / alpha_sq
-        if contexts is not None:
-            if pair.context is None:
-                raise ValueError("model expects context but pair has none")
-            contexts[i] = pair.context.ravel()
-        if observer is not None:
-            observer(step_index, pair, t_i, sample.epsilon, sample.state, alpha_sq, target)
-        if digest is not None:
-            digest.update(pair.x0.tobytes())
-            digest.update(pair.x1.tobytes())
-            digest.update(np.float64(t_i).tobytes())
-            digest.update(eps_batch[i].tobytes())
+    t = uniform(time_rng, (b,)) * (1.0 - T_CLAMP)
+    eps = gaussian(noise_rng, (b, model_config.input_dim))
+    sample = sample_state(batch, t, eps, config.noise_scale)
+    targets = raw_target(kind, batch, sample)
+    max_target_sqnorm = float(np.max(np.sum(targets * targets, axis=-1)))
+    if observer is not None:
+        alpha_sq = np.ones(b)
+        if kind is ObjectiveKind.STABILIZED_VELOCITY:
+            alpha_sq = alpha_factor(batch, t, config.noise_scale)
+        observer(step_index, batch, sample, alpha_sq, targets)
+    if digest is not None:
+        digest.update(np.concatenate([batch.x0, batch.x1, t[:, None], eps], axis=1).tobytes())
 
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions = forward(params, model_config, states, t_batch, contexts)
-        residuals = predictions - targets
-        per_sample_loss = np.sum(residuals * residuals, axis=1) * inv_alpha_sq
-        batch_loss = float(np.mean(per_sample_loss))
+        predictions = forward(params, model_config, sample.state, t, batch.context)
+        batch_loss = float(np.mean(loss(kind, predictions, batch, sample, config.noise_scale)))
     if not np.isfinite(batch_loss):
-        raise TrainingError(
-            f"non-finite loss at step {step_index}", step_index, config.objective.value
-        )
+        raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)
 
-    upstream = 2.0 * residuals * (inv_alpha_sq / b)[:, None]
-    grad_params, _ = backward(params, model_config, states, t_batch, contexts, upstream)
+    upstream = loss_gradient(kind, predictions, batch, sample, config.noise_scale)
+    grad_params, _ = backward(params, model_config, sample.state, t, batch.context, upstream)
     grad_norm = float(np.sqrt(np.sum(grad_params * grad_params)))
     if not np.isfinite(grad_norm):
-        raise TrainingError(
-            f"non-finite gradient at step {step_index}", step_index, config.objective.value
-        )
+        raise TrainingError(f"non-finite gradient at step {step_index}", step_index, kind.value)
 
     new_params = _optimizer_update(opt_state, params, grad_params, config.learning_rate)
     ms = (time.perf_counter() - t0) * 1e3
@@ -228,7 +198,7 @@ def train(
     model_config: ModelConfig,
     provider: PairProvider,
     config: TrainConfig,
-    observer: SampleObserver | None = None,
+    observer: BatchObserver | None = None,
 ) -> tuple[Tensor, TrainStats]:
     """Run the configured number of steps; logs every ``log_every`` steps plus the last.
 

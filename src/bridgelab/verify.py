@@ -35,6 +35,7 @@ from .objectives import (
     alpha_factor,
     default_profile_grid,
     expected_target_sqnorm,
+    raw_target,
     target_profile,
 )
 from .sampler import endpoint_statistics, integrate, oracle_field, plan_steps
@@ -79,11 +80,13 @@ def bridge_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) ->
     # Mean deviations are reported in estimator sigmas with a family-wise
     # bound of 4.5 (18 coordinate comparisons; a literal 3-sigma gate flags
     # ~5% of correct runs). Variance bounds are the stated 3% relative, which
-    # is ~6.7 sigma at 1e5 draws.
+    # is ~6.7 sigma at 1e5 draws. States come from the library's batched
+    # sample_state on the pair broadcast over the draws.
+    drawn = EndpointPair(np.broadcast_to(_X0, (mc, d)), np.broadcast_to(_X1, (mc, d)))
     for ti, t in enumerate((0.1, 0.5, 0.9)):
         for si, s in enumerate((0.5, 1.0, 2.0)):
             eps = gaussian(rng.split(10 * ti + si), (mc, d))
-            states = interpolate(pair, t) + s * math.sqrt(t * (1.0 - t)) * eps
+            states = sample_state(drawn, t, eps, s).state
             emp_mean = states.mean(axis=0)
             emp_var = states.var(axis=0, ddof=1)
             sigma_mean = s * math.sqrt(t * (1.0 - t) / mc)
@@ -111,7 +114,7 @@ def bridge_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) ->
         s = 1.0
         states1, states2 = sample_joint(pair, t1, t2, s, rng.split(100 + i), mc)
         pull = (t2 - t1) / (1.0 - t1)
-        residual = states2 - (states1 + pull * (pair.x1.ravel() - states1))
+        residual = states2 - (states1 + pull * (pair.x1 - states1))
         emp_cond_var = residual.var(axis=0, ddof=1)
         true_cond = conditional_variance(t1, t2, s)
         checks.append(
@@ -191,7 +194,7 @@ def objectives_suite(
         eps = gaussian(rng.split(10 + i), (ratio_draws, d))
         u = (pair.x1 - pair.x0) - s * math.sqrt(t / (1.0 - t)) * eps
         u_sqnorms = np.sum(u * u, axis=1)
-        alpha_sq = alpha_factor(pair, t, s).alpha_squared
+        alpha_sq = alpha_factor(pair, t, s)
         stab_sqnorms = u_sqnorms / alpha_sq
         se = float(np.std(stab_sqnorms, ddof=1)) / math.sqrt(ratio_draws)
         worst_z = max(worst_z, abs(float(np.mean(stab_sqnorms)) - dist_sq) / se)
@@ -231,22 +234,19 @@ def objectives_suite(
     checks.append(_check("objectives", "profile_stabilized_linear", stab_dev, 0.01, overrides))
 
     # Monte-Carlo estimates agree with the closed forms for every objective
-    # kind; same family-wise sigma bound, 30 comparisons.
+    # kind; same family-wise sigma bound, 30 comparisons. The library's
+    # batched state, target and alpha run on the pair broadcast over the draws.
     mc_grid = np.linspace(0.05, 0.95, 10)
+    drawn = EndpointPair(np.broadcast_to(_X0, (draws, d)), np.broadcast_to(_X1, (draws, d)))
     worst_mc_z = 0.0
     for ki, kind in enumerate(ObjectiveKind):
         for i, t in enumerate(mc_grid):
             t = float(t)
             eps = gaussian(rng.split(400 + 20 * ki + i), (draws, d))
-            spread = s * math.sqrt(t * (1.0 - t))
-            states = interpolate(pair, t) + spread * eps
-            if kind is ObjectiveKind.DISPLACEMENT:
-                targets = pair.x1 - states
-            else:
-                targets = (pair.x1 - states) / (1.0 - t)
+            targets = raw_target(kind, drawn, sample_state(drawn, t, eps, s))
             sqnorms = np.sum(targets * targets, axis=1)
             if kind is ObjectiveKind.STABILIZED_VELOCITY:
-                sqnorms = sqnorms / alpha_factor(pair, t, s).alpha_squared
+                sqnorms = sqnorms / alpha_factor(drawn, t, s)
             closed = expected_target_sqnorm(kind, pair, s, t)
             se = float(np.std(sqnorms, ddof=1)) / math.sqrt(draws)
             worst_mc_z = max(worst_mc_z, abs(float(np.mean(sqnorms)) - closed) / se)
@@ -270,9 +270,9 @@ def objectives_suite(
 
     # alpha monotonicity in t and in s (closed form, fine grids).
     t_grid = np.linspace(0.0, 0.99, 200)
-    alphas_t = np.array([alpha_factor(pair, float(t), 1.5).alpha_squared for t in t_grid])
+    alphas_t = alpha_factor(pair, t_grid, 1.5)
     s_grid = np.linspace(0.0, 4.0, 200)
-    alphas_s = np.array([alpha_factor(pair, 0.7, float(v)).alpha_squared for v in s_grid])
+    alphas_s = np.array([alpha_factor(pair, 0.7, float(v)) for v in s_grid])
     mono_violations = float(np.sum(np.diff(alphas_t) < 0) + np.sum(np.diff(alphas_s) < 0))
     checks.append(_check("objectives", "alpha_monotonic", mono_violations, 0.0, overrides))
     checks.append(

@@ -102,7 +102,7 @@ def test_criterion_03_alpha_law():
         eps = gaussian(RngStream(seed=4, stream=60).split(i), (draws, 2))
         u = (PAIR.x1 - PAIR.x0) - math.sqrt(t / (1.0 - t)) * eps
         u_sqnorms = np.sum(u * u, axis=1)
-        alpha_sq = alpha_factor(PAIR, t, 1.0).alpha_squared
+        alpha_sq = alpha_factor(PAIR, t, 1.0)
         stabilized = u_sqnorms / alpha_sq
         se = float(np.std(stabilized, ddof=1)) / math.sqrt(draws)
         assert abs(float(np.mean(stabilized)) - dist_sq) < 3.0 * se
@@ -262,14 +262,12 @@ def test_criterion_08_objective_ablation(shift_task, trained_shift_models):
     eval_runs = 4096
 
     eval_pairs = generate_pairs(shift_task, eval_runs, RngStream(seed=ABLATION_SEED, stream=800).split(1))
-    sources = np.stack([p.x0 for p in eval_pairs])
-    targets = np.stack([p.x1 for p in eval_pairs])
-    ed_baseline = energy_distance(sources, targets)
+    ed_baseline = energy_distance(eval_pairs.x0, eval_pairs.x1)
 
     ed = {}
     for objective, (params, mconfig, _stats) in models.items():
         report_obj = evaluate(
-            lambda pairs: velocity_field_from(params, mconfig, objective),
+            lambda batch: velocity_field_from(params, mconfig, objective),
             shift_task,
             schedule,
             "corrected",
@@ -330,7 +328,7 @@ def test_criterion_09_noise_scale_sweep(tmp_path):
 
     # s=0 degeneration: every per-sample alpha is exactly 1 ...
     alphas = []
-    observer = lambda step, pair, t, eps, state, alpha_sq, target: alphas.append(alpha_sq)
+    observer = lambda step, batch, sample, alpha_sq, targets: alphas.extend(alpha_sq)
     mconfig = ModelConfig(input_dim=2, hidden=(16,))
     task = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
     config = TrainConfig(objective="stabilized_velocity", noise_scale=0.0, steps=20, seed=9)
@@ -340,8 +338,7 @@ def test_criterion_09_noise_scale_sweep(tmp_path):
 
     # ... and the sampler path is noise-independent: different noise streams
     # produce identical endpoints.
-    pairs = generate_pairs(task, 32, RngStream(seed=9, stream=801))
-    x0 = np.stack([p.x0 for p in pairs])
+    x0 = generate_pairs(task, 32, RngStream(seed=9, stream=801)).x0
     field = velocity_field_from(params, mconfig)
     a = integrate(x0, field, uniform(8), "corrected", 0.0, RngStream(seed=1, stream=1))
     b = integrate(x0, field, uniform(8), "corrected", 0.0, RngStream(seed=2, stream=2))

@@ -198,3 +198,14 @@ class TestEndpointPair:
     def test_identical_endpoints_allowed(self):
         pair = EndpointPair(np.ones(3), np.ones(3))
         assert pair.dimension == 3
+
+    def test_batch_axis(self):
+        batch = EndpointPair(np.zeros((4, 3)), np.ones((4, 3)), context=np.zeros((4, 1)))
+        assert len(batch) == 4
+        assert batch.dimension == 3
+
+    def test_bad_batch_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            EndpointPair(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            EndpointPair(np.zeros((4, 2)), np.zeros((4, 2)), context=np.zeros((3, 1)))

@@ -294,8 +294,8 @@ class TestSampleCommand:
         assert [row["k"] for row in traj] == ["0", "1", "2", "3", "4"]
         assert [traj[-1][c] for c in coords] == [endpoints[0][c] for c in coords]
         spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
-        pair0 = generate_pairs(spec, 8, RngStream(seed=3, stream=700).split(1))[0]
-        assert [traj[0][c] for c in coords] == [repr(float(v)) for v in pair0.x0]
+        x0 = generate_pairs(spec, 8, RngStream(seed=3, stream=700).split(1)).x0[0]
+        assert [traj[0][c] for c in coords] == [repr(float(v)) for v in x0]
 
 
 class TestUsageErrors:
@@ -306,8 +306,37 @@ class TestUsageErrors:
             ["sample", "--oracle", "--gamma", "0.5"],
             ["train", "--task", "grid_colorize", "--grid-size", "9"],
             ["ablate", "--axis", "steps", "--values", "4,0", "--steps", "5"],
+            ["train", "--steps", "0"],
+            ["train", "--hidden", "0"],
+            ["train", "--batch-size", "0"],
+            ["train", "--log-every", "0", "--steps", "5"],
+            ["train", "--s", "nan", "--steps", "5"],
+            ["sample", "--oracle", "--runs", "0"],
+            ["sample", "--oracle", "--s", "-1"],
+            ["ablate", "--axis", "noise_scale", "--values", "0,-1", "--steps", "5"],
+            ["ablate", "--axis", "objective", "--values", "velocity,displacement", "--runs", "1", "--steps", "5"],
+            ["profile", "--dim", "0"],
+            ["profile", "--grid", "0:1:10"],
+            ["profile", "--s", "-1", "--mc", "10"],
         ],
-        ids=["sample-N0", "sample-gamma-below-1", "train-grid-too-large", "ablate-steps0"],
+        ids=[
+            "sample-N0",
+            "sample-gamma-below-1",
+            "train-grid-too-large",
+            "ablate-steps0",
+            "train-steps0",
+            "train-hidden0",
+            "train-batch-size0",
+            "train-log-every0",
+            "train-noise-scale-nan",
+            "sample-runs0",
+            "sample-negative-noise-scale",
+            "ablate-negative-noise-scale",
+            "ablate-runs1",
+            "profile-dim0",
+            "profile-grid-beyond-0.999",
+            "profile-negative-noise-scale",
+        ],
     )
     def test_bad_argument_exits_two_before_any_output(self, tmp_path, capsys, argv):
         out = str(tmp_path / "out")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgelab.bridge import EndpointPair, sample_state, velocity_target
+from bridgelab.bridge import T_CLAMP, EndpointPair, sample_state, velocity_target
 from bridgelab.errors import DomainError
 from bridgelab.numerics import RngStream, gaussian, squared_norm
 from bridgelab.objectives import (
@@ -17,7 +17,7 @@ from bridgelab.objectives import (
     expected_target_sqnorm,
     loss,
     loss_gradient,
-    stabilized_target,
+    raw_target,
     target_profile,
 )
 
@@ -30,26 +30,24 @@ def pair2d():
 class TestAlphaFactor:
     def test_one_at_t_zero(self, pair2d):
         for s in (0.0, 0.5, 1.0, 4.0):
-            assert alpha_factor(pair2d, 0.0, s).alpha_squared == 1.0
+            assert alpha_factor(pair2d, 0.0, s) == 1.0
 
     def test_one_for_zero_noise_scale(self, pair2d):
         for t in (0.0, 0.3, 0.9):
-            assert alpha_factor(pair2d, t, 0.0).alpha_squared == 1.0
+            assert alpha_factor(pair2d, t, 0.0) == 1.0
 
     def test_unit_case(self, unit_pair):
-        factor = alpha_factor(unit_pair, 0.5, 1.0)
-        assert factor.alpha_squared == pytest.approx(2.0, rel=1e-14)
-        assert factor.alpha == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert alpha_factor(unit_pair, 0.5, 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_substitution_with_scale_two(self):
         pair = EndpointPair(np.zeros(4), np.array([2.0, 0.0, 0.0, 0.0]))
-        assert alpha_factor(pair, 0.5, 2.0).alpha_squared == pytest.approx(5.0, rel=1e-14)
+        assert alpha_factor(pair, 0.5, 2.0) == pytest.approx(5.0, rel=1e-14)
 
     def test_identical_endpoints_floored_not_rejected(self):
         pair = EndpointPair(np.ones(3), np.ones(3))
-        factor = alpha_factor(pair, 0.5, 1.0)
-        assert math.isfinite(factor.alpha_squared)
-        assert factor.alpha_squared >= 1.0
+        alpha_sq = alpha_factor(pair, 0.5, 1.0)
+        assert math.isfinite(alpha_sq)
+        assert alpha_sq >= 1.0
 
     def test_rejects_clamped_time(self, pair2d):
         with pytest.raises(DomainError):
@@ -67,9 +65,9 @@ class TestAlphaFactor:
         pair = EndpointPair(np.array([0.3, -1.2]), np.array([1.7, 0.4]))
         lo_t, hi_t = sorted((t1, t2))
         lo_s, hi_s = sorted((s1, s2))
-        assert alpha_factor(pair, lo_t, 1.0).alpha_squared <= alpha_factor(pair, hi_t, 1.0).alpha_squared
-        assert alpha_factor(pair, 0.5, lo_s).alpha_squared <= alpha_factor(pair, 0.5, hi_s).alpha_squared
-        assert alpha_factor(pair, lo_t, lo_s).alpha_squared >= 1.0
+        assert alpha_factor(pair, lo_t, 1.0) <= alpha_factor(pair, hi_t, 1.0)
+        assert alpha_factor(pair, 0.5, lo_s) <= alpha_factor(pair, 0.5, hi_s)
+        assert alpha_factor(pair, lo_t, lo_s) >= 1.0
 
     def test_monte_carlo_normalization_law(self, pair2d):
         """E||u/alpha||^2 is constant in t and equals ||x1-x0||^2 (3-sigma)."""
@@ -80,30 +78,9 @@ class TestAlphaFactor:
             t = float(t)
             eps = gaussian(rng.split(i), (draws, 2))
             u = (pair2d.x1 - pair2d.x0) - math.sqrt(t / (1.0 - t)) * eps
-            stab = np.sum(u * u, axis=1) / alpha_factor(pair2d, t, 1.0).alpha_squared
+            stab = np.sum(u * u, axis=1) / alpha_factor(pair2d, t, 1.0)
             se = float(np.std(stab, ddof=1)) / math.sqrt(draws)
             assert abs(float(np.mean(stab)) - dist_sq) < 3.0 * se
-
-
-class TestStabilizedTarget:
-    def test_chained_substitution(self, unit_pair):
-        sample = sample_state(unit_pair, 0.5, np.array([0.2]), 1.0)
-        np.testing.assert_allclose(
-            stabilized_target(unit_pair, sample, 1.0), [0.8 / math.sqrt(2.0)], rtol=1e-12
-        )
-
-    def test_equals_velocity_target_at_t_zero(self, pair2d):
-        sample = sample_state(pair2d, 0.0, np.array([0.4, -0.2]), 1.0)
-        np.testing.assert_allclose(
-            stabilized_target(pair2d, sample, 1.0), velocity_target(pair2d, sample)
-        )
-
-    def test_zero_noise_scale_gives_rectified_target(self, pair2d):
-        for t in (0.1, 0.5, 0.9):
-            sample = sample_state(pair2d, t, np.array([1.3, -0.8]), 0.0)
-            np.testing.assert_allclose(
-                stabilized_target(pair2d, sample, 0.0), pair2d.x1 - pair2d.x0, atol=1e-12
-            )
 
 
 class TestLoss:
@@ -128,7 +105,7 @@ class TestLoss:
         pred = np.array([0.1, -0.4])
         v_loss = loss(ObjectiveKind.VELOCITY, pred, pair2d, sample, 1.5)
         s_loss = loss(ObjectiveKind.STABILIZED_VELOCITY, pred, pair2d, sample, 1.5)
-        alpha_sq = alpha_factor(pair2d, 0.7, 1.5).alpha_squared
+        alpha_sq = alpha_factor(pair2d, 0.7, 1.5)
         assert s_loss == pytest.approx(v_loss / alpha_sq, rel=1e-12)
 
     def test_positive_when_prediction_differs(self, pair2d):
@@ -173,8 +150,54 @@ class TestLossGradient:
         pred = np.array([0.5, 0.5])
         g_v = loss_gradient(ObjectiveKind.VELOCITY, pred, pair2d, sample, 2.0)
         g_s = loss_gradient(ObjectiveKind.STABILIZED_VELOCITY, pred, pair2d, sample, 2.0)
-        alpha_sq = alpha_factor(pair2d, 0.8, 2.0).alpha_squared
+        alpha_sq = alpha_factor(pair2d, 0.8, 2.0)
         np.testing.assert_allclose(g_s, g_v / alpha_sq, rtol=1e-12)
+
+
+class TestBatchedMatchesPerPair:
+    @given(
+        data=st.data(),
+        b=st.integers(1, 8),
+        d=st.integers(1, 5),
+        s=st.floats(0.0, 3.0),
+        kind=st.sampled_from(list(ObjectiveKind)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_single_pair_calls_bitwise(self, data, b, d, s, kind, seed):
+        """A (B, D) batch gives, row for row, the bits of the 1-D calls; the
+        gradient is 2 (pred - target) (1/alpha^2) / B from those rows."""
+        t = np.array(data.draw(st.lists(st.floats(0.0, 1.0 - T_CLAMP), min_size=b, max_size=b)))
+        coincide = data.draw(st.lists(st.booleans(), min_size=b, max_size=b))
+        rng = RngStream(seed=seed)
+        x0 = gaussian(rng, (b, d))
+        x1 = np.where(np.array(coincide)[:, None], x0, gaussian(rng, (b, d)))
+        eps = gaussian(rng, (b, d))
+        pred = gaussian(rng, (b, d))
+        batch = EndpointPair(x0, x1)
+        assert len(batch) == b and batch.dimension == d
+
+        sample = sample_state(batch, t, eps, s)
+        targets = raw_target(kind, batch, sample)
+        alphas = alpha_factor(batch, t, s)
+        losses = loss(kind, pred, batch, sample, s)
+        grad = loss_gradient(kind, pred, batch, sample, s)
+        assert alphas.shape == losses.shape == (b,)
+        for i in range(b):
+            pair = EndpointPair(x0[i], x1[i])
+            row = sample_state(pair, float(t[i]), eps[i], s)
+            target = raw_target(kind, pair, row)
+            alpha_sq = alpha_factor(pair, float(t[i]), s)
+            np.testing.assert_array_equal(sample.state[i], row.state)
+            np.testing.assert_array_equal(targets[i], target)
+            assert alphas[i] == alpha_sq
+            assert losses[i] == loss(kind, pred[i], pair, row, s)
+            weight = 1.0 / alpha_sq if kind is ObjectiveKind.STABILIZED_VELOCITY else 1.0
+            np.testing.assert_array_equal(grad[i], 2.0 * (pred[i] - target) * (weight / b))
+
+    def test_single_pair_has_length_one(self, pair2d):
+        assert len(pair2d) == 1
+        assert np.ndim(alpha_factor(pair2d, 0.5, 1.0)) == 0
 
 
 class TestClosedFormProfiles:

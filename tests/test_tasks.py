@@ -24,59 +24,57 @@ from bridgelab.trainer import TrainConfig, train
 class TestGaussianShift:
     def test_pairing_is_exact_shift(self):
         spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
-        pairs = generate_pairs(spec, 100, RngStream(seed=1))
-        for p in pairs:
-            np.testing.assert_allclose(p.x1 - p.x0, [2.0, 0.0], atol=1e-12)
+        batch = generate_pairs(spec, 100, RngStream(seed=1))
+        assert len(batch) == 100
+        np.testing.assert_allclose(batch.x1 - batch.x0, np.tile([2.0, 0.0], (100, 1)), atol=1e-12)
 
     def test_displacement_mean_over_many_pairs(self):
         """Sample mean of x1 - x0 over 1e4 pairs lands on the shift vector."""
         spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
-        pairs = generate_pairs(spec, 10_000, RngStream(seed=2))
-        diffs = np.stack([p.x1 - p.x0 for p in pairs])
-        np.testing.assert_allclose(diffs.mean(axis=0), [2.0, 0.0], atol=0.05)
-        x0 = np.stack([p.x0 for p in pairs])
-        np.testing.assert_allclose(x0.mean(axis=0), [0.0, 0.0], atol=0.05)
+        batch = generate_pairs(spec, 10_000, RngStream(seed=2))
+        np.testing.assert_allclose((batch.x1 - batch.x0).mean(axis=0), [2.0, 0.0], atol=0.05)
+        np.testing.assert_allclose(batch.x0.mean(axis=0), [0.0, 0.0], atol=0.05)
 
     def test_same_stream_same_pairs(self):
         spec = TaskSpec(name="gaussian_shift", dimension=3, shift=(1.0, 2.0, 3.0))
         a = generate_pairs(spec, 8, RngStream(seed=5))
         b = generate_pairs(spec, 8, RngStream(seed=5))
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.x0, pb.x0) and np.array_equal(pa.x1, pb.x1)
+        assert np.array_equal(a.x0, b.x0) and np.array_equal(a.x1, b.x1)
 
 
 class TestMoonsRotate:
     def test_rotation_pairing_and_context(self):
         spec = TaskSpec(name="moons_rotate", dimension=2, angle=math.pi / 3)
-        pairs = generate_pairs(spec, 200, RngStream(seed=3))
+        batch = generate_pairs(spec, 200, RngStream(seed=3))
+        assert batch.context.shape == (200, 1)
         signs = set()
-        for p in pairs:
-            angle = float(p.context[0])
+        for x0, x1, context in zip(batch.x0, batch.x1, batch.context):
+            angle = float(context[0])
             signs.add(np.sign(angle))
             assert abs(abs(angle) - math.pi / 3) < 1e-12
             rot = np.array(
                 [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
             )
-            np.testing.assert_allclose(p.x1, rot @ p.x0, atol=1e-12)
+            np.testing.assert_allclose(x1, rot @ x0, atol=1e-12)
         assert signs == {-1.0, 1.0}
 
     def test_zero_context_provider_keeps_pairing(self):
         spec = TaskSpec(name="moons_rotate", dimension=2, angle=0.5)
         plain = pair_provider(spec)(16, RngStream(seed=9))
         zeroed = pair_provider(spec, zero_context=True)(16, RngStream(seed=9))
-        for a, b in zip(plain, zeroed):
-            assert np.array_equal(a.x0, b.x0) and np.array_equal(a.x1, b.x1)
-            assert np.all(b.context == 0.0)
+        assert np.array_equal(plain.x0, zeroed.x0) and np.array_equal(plain.x1, zeroed.x1)
+        assert zeroed.context.shape == plain.context.shape
+        assert np.all(zeroed.context == 0.0)
 
 
 class TestGridColorize:
     def test_source_is_replicated_luminance(self):
         spec = TaskSpec(name="grid_colorize", dimension=48, grid_size=4)
-        pairs = generate_pairs(spec, 10, RngStream(seed=4))
+        batch = generate_pairs(spec, 10, RngStream(seed=4))
         luma = np.array([0.299, 0.587, 0.114])
-        for p in pairs:
-            color = p.x1.reshape(3, 16)
-            gray = p.x0.reshape(3, 16)
+        for x0, x1 in zip(batch.x0, batch.x1):
+            color = x1.reshape(3, 16)
+            gray = x0.reshape(3, 16)
             expected = luma @ color
             for channel in range(3):
                 np.testing.assert_allclose(gray[channel], expected, atol=1e-12)
@@ -90,11 +88,11 @@ class TestSignalRefine:
     def test_source_repeats_kept_values(self):
         """Every kept sample appears k times, matching coarse construction."""
         spec = TaskSpec(name="signal_refine", dimension=16, repeat=4)
-        pairs = generate_pairs(spec, 10, RngStream(seed=5))
-        for p in pairs:
+        batch = generate_pairs(spec, 10, RngStream(seed=5))
+        for x0, x1 in zip(batch.x0, batch.x1):
             for block in range(4):
-                kept = p.x1[4 * block]
-                np.testing.assert_allclose(p.x0[4 * block : 4 * block + 4], kept, atol=1e-12)
+                kept = x1[4 * block]
+                np.testing.assert_allclose(x0[4 * block : 4 * block + 4], kept, atol=1e-12)
 
     def test_length_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -156,7 +154,7 @@ class TestEvaluate:
     def test_oracle_field_is_numerically_exact(self):
         spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
         report = evaluate(
-            lambda pairs: oracle_field(np.stack([p.x1 for p in pairs])), spec, uniform(4), "corrected", 1.0, 256, RngStream(seed=17)
+            lambda batch: oracle_field(batch.x1), spec, uniform(4), "corrected", 1.0, 256, RngStream(seed=17)
         )
         assert report.paired_mse <= 1e-10
         assert report.sample_count == 256
@@ -168,7 +166,7 @@ class TestEvaluate:
         mconfig = ModelConfig(input_dim=2, hidden=(16,))
         params = init(mconfig, RngStream(seed=18, stream=900))
         report = evaluate(
-            lambda pairs: velocity_field_from(params, mconfig),
+            lambda batch: velocity_field_from(params, mconfig),
             spec,
             uniform(16),
             "corrected",
@@ -176,16 +174,14 @@ class TestEvaluate:
             2048,
             RngStream(seed=18),
         )
-        pairs = generate_pairs(spec, 2048, RngStream(seed=18).split(1))
-        sources = np.stack([p.x0 for p in pairs])
-        targets = np.stack([p.x1 for p in pairs])
-        baseline = energy_distance(sources, targets)
+        batch = generate_pairs(spec, 2048, RngStream(seed=18).split(1))
+        baseline = energy_distance(batch.x0, batch.x1)
         assert report.energy_distance == pytest.approx(baseline, rel=0.2)
 
     def test_report_fields_finite_and_nonnegative(self):
         spec = TaskSpec(name="signal_refine", dimension=8, repeat=2)
         report = evaluate(
-            lambda pairs: oracle_field(np.stack([p.x1 for p in pairs])), spec, uniform(8), "standard", 0.5, 64, RngStream(seed=19)
+            lambda batch: oracle_field(batch.x1), spec, uniform(8), "standard", 0.5, 64, RngStream(seed=19)
         )
         data = report.to_dict()
         for key in ("paired_mse", "energy_distance", "mean_displacement_error"):
@@ -212,11 +208,9 @@ class TestConditioningPathway:
                 params, mconfig, pair_provider(spec, zero_context=zero_context), config
             )
 
-            def make_field(pairs):
-                contexts = np.stack([p.context for p in pairs])
-                return velocity_field_from(
-                    params, mconfig, context=np.zeros_like(contexts) if zero_context else contexts
-                )
+            def make_field(batch):
+                context = np.zeros_like(batch.context) if zero_context else batch.context
+                return velocity_field_from(params, mconfig, context=context)
 
             report = evaluate(
                 make_field,
@@ -244,7 +238,7 @@ class TestStepCountTrend:
         eds = {}
         for n in (4, 8, 16, 64):
             report = evaluate(
-                lambda pairs: velocity_field_from(params, mconfig),
+                lambda batch: velocity_field_from(params, mconfig),
                 shift_task,
                 uniform(n),
                 "corrected",
