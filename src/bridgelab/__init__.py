@@ -18,7 +18,6 @@ from .objectives import (
     ObjectiveKind,
     alpha_factor,
     loss,
-    loss_gradient,
     target_profile,
 )
 from .sampler import EndpointStats, SamplerStep, endpoint_statistics, integrate, oracle_field
@@ -51,7 +50,6 @@ __all__ = [
     "integrate",
     "interpolate",
     "loss",
-    "loss_gradient",
     "marginal_variance",
     "oracle_field",
     "sample_state",

@@ -31,7 +31,7 @@ from .model import (
     velocity_field_from,
 )
 from .numerics import RngStream
-from .objectives import ObjectiveKind, target_profile
+from .objectives import DEFAULT_OBJECTIVE, ObjectiveKind, target_profile
 from .sampler import integrate, oracle_field
 from .schedules import Schedule, shifted
 from .tasks import TaskSpec, evaluate, generate_pairs, pair_provider, report_from_endpoints
@@ -206,6 +206,23 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zero-context", action="store_true", help="train/evaluate with conditioning zeroed")
 
 
+def _add_train_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--objective", default="stabilized_velocity", choices=[k.value for k in ObjectiveKind])
+    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
+    p.add_argument("--log-every", type=int, default=50)
+
+
+def _add_sampler_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--N", type=int, default=16)
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--mode", default="corrected", choices=["standard", "corrected"])
+    p.add_argument("--runs", type=int, default=1024)
+
+
 def _contexts(batch: EndpointPair, mconfig: ModelConfig, zero_context: bool):
     """Conditioning for a model field over ``batch``: its context rows, or zeros
     under --zero-context."""
@@ -333,7 +350,7 @@ def cmd_train(args) -> int:
     params, stats = _train_once(args, spec, mconfig, config, observer=audit)
     params_path = os.path.join(out_dir, "params.bin")
     stats_path = os.path.join(out_dir, "stats.csv")
-    save_parameters(params_path, mconfig, params)
+    save_parameters(params_path, mconfig, params, config.objective)
     stats.to_csv(stats_path)
     outputs = [params_path, stats_path]
     if audit is not None:
@@ -352,6 +369,24 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_trained(args) -> tuple[ModelConfig, np.ndarray, ObjectiveKind]:
+    """The --params container and the objective its output is read with.
+
+    A version-2 container records its objective, and an --objective that
+    contradicts it is rejected. A version-1 container records none, so
+    --objective names it (stabilized_velocity when absent).
+    """
+    mconfig, params, recorded = load_parameters(args.params)
+    if recorded is None:
+        return mconfig, params, ObjectiveKind(args.objective or DEFAULT_OBJECTIVE)
+    if args.objective is not None and ObjectiveKind(args.objective) is not recorded:
+        raise ValueError(
+            f"--objective {args.objective} contradicts {args.params}, "
+            f"which was trained with {recorded.value}"
+        )
+    return mconfig, params, recorded
+
+
 def cmd_sample(args) -> int:
     spec = _usage_checked(_task_from_args, args)
     schedule = _usage_checked(shifted, args.N, args.gamma)
@@ -361,15 +396,16 @@ def cmd_sample(args) -> int:
         _usage_error(f"--runs must be >= 1, got {args.runs}")
     if not args.s >= 0.0:
         _usage_error(f"--s must be >= 0, got {args.s}")
+    if not args.oracle:
+        mconfig, params, objective = _usage_checked(_load_trained, args)
     out_dir = _ensure_out_dir(args)
     rng = RngStream(seed=args.seed, stream=700)
     batch = generate_pairs(spec, args.runs, rng.split(1))
     if args.oracle:
         field = oracle_field(batch.x1)
     else:
-        mconfig, params = load_parameters(args.params)
         field = velocity_field_from(
-            params, mconfig, args.objective, _contexts(batch, mconfig, args.zero_context)
+            params, mconfig, objective, _contexts(batch, mconfig, args.zero_context)
         )
     trajectory: list[list] = []
 
@@ -394,6 +430,8 @@ def cmd_sample(args) -> int:
         _write_csv(traj_path, ["k", "t"] + [f"coord_{i}" for i in range(d)], trajectory)
         outputs.append(traj_path)
     resolved = _resolved_config(args)
+    if not args.oracle:
+        resolved["objective"] = objective.value
     resolved["schedule_points"] = [float(t) for t in schedule.points]
     _write_manifest(out_dir, "sample", resolved, outputs)
     print(
@@ -542,13 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a velocity model on a synthetic task")
     _add_task_args(p)
     _add_model_args(p)
-    p.add_argument("--objective", default="stabilized_velocity", choices=[k.value for k in ObjectiveKind])
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
-    p.add_argument("--log-every", type=int, default=50)
+    _add_train_args(p)
     p.add_argument("--debug", action="store_true", help="also write per-step alpha stats (debug.csv)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", default=None)
@@ -558,13 +590,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_args(p)
     p.add_argument("--params", default=None, help="trained parameter container")
     p.add_argument("--oracle", action="store_true", help="use the analytic conditional drift")
-    p.add_argument("--objective", default="stabilized_velocity", choices=[k.value for k in ObjectiveKind])
+    p.add_argument(
+        "--objective",
+        default=None,
+        choices=[k.value for k in ObjectiveKind],
+        help="objective the --params file was trained with; default: the one it records "
+        "(stabilized_velocity for a version-1 file)",
+    )
     p.add_argument("--zero-context", action="store_true")
-    p.add_argument("--N", type=int, default=16)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--mode", default="corrected", choices=["standard", "corrected"])
+    _add_sampler_args(p)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--runs", type=int, default=1024)
     p.add_argument("--trajectories", action="store_true", help="also write run 0's path; its last row is row 0 of endpoints.csv")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", default=None)
@@ -575,17 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--axis", required=True, choices=["objective", "noise_scale", "steps", "gamma"])
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--objective", default="stabilized_velocity", choices=[k.value for k in ObjectiveKind])
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
-    p.add_argument("--log-every", type=int, default=50)
-    p.add_argument("--N", type=int, default=16)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--mode", default="corrected", choices=["standard", "corrected"])
-    p.add_argument("--runs", type=int, default=1024)
+    _add_train_args(p)
+    _add_sampler_args(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_ablate)

@@ -7,10 +7,12 @@ desk-scale stand-in for learned timestep embeddings. The output layer is
 zero-initialized so a freshly initialized model is the zero velocity field,
 which gives training tests a known starting loss.
 
-Parameters live in a single flat float64 vector; the layout (per-layer
-weight and bias blocks) is derived from the config. forward/backward accept
-a single sample (x of shape (D,), scalar t) or a batch (x of shape (B, D),
-t scalar or shape (B,)).
+Parameters live in a single flat float64 vector of per-layer weight and
+bias blocks, laid out from the config's layer widths. ``forward`` predicts;
+``linearize`` predicts and returns a pullback that backpropagates through
+the activations of that same pass, so a training step runs the network
+once. Both accept a single sample (x of shape (D,), scalar t) or a batch
+(x of shape (B, D), t scalar or shape (B,)).
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
 from .numerics import RngStream, Tensor, uniform
+from .objectives import ObjectiveKind
 
 ACTIVATIONS = ("tanh", "smooth_relu")
 
 _PARAMS_FORMAT = "bridgelab-params"
-_PARAMS_VERSION = 1
+_PARAMS_VERSION = 2  # version 1 had no objective field; it is still read
 
 
 @dataclass(frozen=True)
@@ -61,44 +65,22 @@ class ModelConfig:
         return (self.feature_dim, *self.hidden, self.input_dim)
 
 
-@dataclass(frozen=True)
-class LayoutEntry:
-    name: str
-    shape: tuple[int, ...]
-    offset: int
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-
-def parameter_layout(config: ModelConfig) -> list[LayoutEntry]:
-    """Flat-vector layout: alternating weight/bias blocks, input to output."""
-    entries: list[LayoutEntry] = []
-    offset = 0
-    widths = config.layer_widths
-    for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-        entries.append(LayoutEntry(name=f"w{i}", shape=(n_in, n_out), offset=offset))
-        offset += n_in * n_out
-        entries.append(LayoutEntry(name=f"b{i}", shape=(n_out,), offset=offset))
-        offset += n_out
-    return entries
-
-
 def parameter_count(config: ModelConfig) -> int:
-    layout = parameter_layout(config)
-    last = layout[-1]
-    return last.offset + last.size
+    widths = config.layer_widths
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(widths[:-1], widths[1:]))
 
 
 def _views(params: Tensor, config: ModelConfig) -> list[tuple[Tensor, Tensor]]:
-    """(weight, bias) views into the flat vector, one tuple per layer."""
-    layout = parameter_layout(config)
+    """(weight (n_in, n_out), bias (n_out,)) views into the flat vector, one
+    tuple per layer from input to output; each weight block precedes its bias."""
+    widths = config.layer_widths
     out = []
-    for w_entry, b_entry in zip(layout[::2], layout[1::2]):
-        w = params[w_entry.offset : w_entry.offset + w_entry.size].reshape(w_entry.shape)
-        b = params[b_entry.offset : b_entry.offset + b_entry.size]
-        out.append((w, b))
+    offset = 0
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        w = params[offset : offset + n_in * n_out].reshape(n_in, n_out)
+        offset += n_in * n_out
+        out.append((w, params[offset : offset + n_out]))
+        offset += n_out
     return out
 
 
@@ -161,27 +143,56 @@ def _activate(z: Tensor, kind: str) -> Tensor:
     return np.logaddexp(0.0, z)  # smooth_relu (softplus), C-infinity
 
 
-def _activate_grad(z: Tensor, kind: str) -> Tensor:
+def _activate_grad(z: Tensor, h: Tensor, kind: str) -> Tensor:
+    """Derivative of the activation at z, given h = _activate(z, kind)."""
     if kind == "tanh":
-        th = np.tanh(z)
-        return 1.0 - th * th
+        return 1.0 - h * h
     return expit(z)
 
 
-def _forward_pass(
-    params: Tensor, config: ModelConfig, features: Tensor
-) -> tuple[Tensor, list[Tensor], list[Tensor]]:
+def linearize(
+    params: Tensor,
+    config: ModelConfig,
+    x: Tensor,
+    t: "float | Tensor",
+    context: Tensor | None = None,
+) -> tuple[Tensor, Callable[[Tensor], tuple[Tensor, Tensor]]]:
+    """One forward pass that keeps its activations: returns (prediction, pullback).
+
+    The prediction has the shape of x. ``pullback(upstream)`` returns the
+    exact reverse-mode gradients of <prediction, upstream> as
+    (grad_params, grad_x): a flat vector matching the parameter layout, and
+    the gradient with respect to x in x's shape. For batched inputs the
+    parameter gradient sums over the batch and grad_x is per sample.
+    """
+    features, batched = _as_batch(config, x, t, context)
     layers = _views(params, config)
-    h = features
-    hs = [h]  # post-activation inputs to each layer
+    hs = [features]  # post-activation inputs to each layer
     zs = []  # pre-activations of hidden layers
     for w, b in layers[:-1]:
-        z = h @ w + b
-        zs.append(z)
-        h = _activate(z, config.activation)
-        hs.append(h)
+        zs.append(hs[-1] @ w + b)
+        hs.append(_activate(zs[-1], config.activation))
     w_out, b_out = layers[-1]
-    return h @ w_out + b_out, hs, zs
+    out = hs[-1] @ w_out + b_out
+
+    def pullback(upstream: Tensor) -> tuple[Tensor, Tensor]:
+        upstream = np.asarray(upstream, dtype=np.float64)
+        g = upstream if upstream.ndim == 2 else upstream.reshape(1, -1)
+        if g.shape != out.shape:
+            raise ValueError(f"upstream shape {upstream.shape} does not match output")
+        grad_params = np.zeros_like(params)
+        grad_layers = _views(grad_params, config)
+        for i in range(len(layers) - 1, -1, -1):
+            if i < len(zs):
+                g = g * _activate_grad(zs[i], hs[i + 1], config.activation)
+            gw, gb = grad_layers[i]
+            gw[...] = hs[i].T @ g
+            gb[...] = g.sum(axis=0)
+            g = g @ layers[i][0].T
+        grad_x = g[:, : config.input_dim]
+        return grad_params, grad_x if batched else grad_x[0]
+
+    return (out if batched else out[0]), pullback
 
 
 def forward(
@@ -192,59 +203,17 @@ def forward(
     context: Tensor | None = None,
 ) -> Tensor:
     """Velocity prediction with the shape of x; deterministic in all inputs."""
-    features, batched = _as_batch(config, x, t, context)
-    out, _, _ = _forward_pass(params, config, features)
-    return out if batched else out[0]
+    return linearize(params, config, x, t, context)[0]
 
 
-def backward(
-    params: Tensor,
-    config: ModelConfig,
-    x: Tensor,
-    t: "float | Tensor",
-    context: Tensor | None,
-    upstream: Tensor,
-) -> tuple[Tensor, Tensor]:
-    """Exact reverse-mode gradients of <forward(...), upstream>.
+def save_parameters(
+    path: str, config: ModelConfig, params: Tensor, objective: "ObjectiveKind | str"
+) -> None:
+    """Versioned container: one JSON header line, then raw little-endian float64.
 
-    For batched inputs the parameter gradient sums over the batch (the
-    gradient of the summed inner product) and grad_x is per sample.
-
-    Returns:
-        (grad_params, grad_x): flat vector matching the parameter layout,
-        and the gradient with respect to x in x's shape.
+    The header records the objective the parameters were trained with, which
+    fixes how their output reads as a velocity (see velocity_field_from).
     """
-    features, batched = _as_batch(config, x, t, context)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    ub = upstream if upstream.ndim == 2 else upstream.reshape(1, -1)
-    if ub.shape != (features.shape[0], config.input_dim):
-        raise ValueError(f"upstream shape {upstream.shape} does not match output")
-
-    layers = _views(params, config)
-    _, hs, zs = _forward_pass(params, config, features)
-
-    grad_params = np.zeros_like(params)
-    grad_layers = _views(grad_params, config)
-
-    g = ub
-    w_out, _ = layers[-1]
-    gw_out, gb_out = grad_layers[-1]
-    gw_out[...] = hs[-1].T @ g
-    gb_out[...] = g.sum(axis=0)
-    g = g @ w_out.T
-    for i in range(len(zs) - 1, -1, -1):
-        g = g * _activate_grad(zs[i], config.activation)
-        w, _ = layers[i]
-        gw, gb = grad_layers[i]
-        gw[...] = hs[i].T @ g
-        gb[...] = g.sum(axis=0)
-        g = g @ w.T
-    grad_x_b = g[:, : config.input_dim]
-    return grad_params, grad_x_b if batched else grad_x_b[0]
-
-
-def save_parameters(path: str, config: ModelConfig, params: Tensor) -> None:
-    """Versioned container: one JSON header line, then raw little-endian float64."""
     header = {
         "format": _PARAMS_FORMAT,
         "version": _PARAMS_VERSION,
@@ -255,6 +224,7 @@ def save_parameters(path: str, config: ModelConfig, params: Tensor) -> None:
             "context_dim": config.context_dim,
             "activation": config.activation,
         },
+        "objective": ObjectiveKind(objective).value,
         "count": int(params.size),
     }
     payload = np.ascontiguousarray(params, dtype="<f8").tobytes()
@@ -266,14 +236,21 @@ def save_parameters(path: str, config: ModelConfig, params: Tensor) -> None:
         fh.write(buf.getvalue())
 
 
-def load_parameters(path: str) -> tuple[ModelConfig, Tensor]:
+def load_parameters(path: str) -> tuple[ModelConfig, Tensor, ObjectiveKind | None]:
+    """Read a container written by save_parameters: (config, params, objective).
+
+    Version-1 containers predate the objective field; their objective is None.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode("utf-8"))
+    try:
+        newline = raw.index(b"\n")
+        header = json.loads(raw[:newline].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"not a parameter container: {path}") from exc
     if header.get("format") != _PARAMS_FORMAT:
         raise ValueError(f"not a parameter container: {path}")
-    if header.get("version") != _PARAMS_VERSION:
+    if header.get("version") not in (1, _PARAMS_VERSION):
         raise ValueError(f"unsupported parameter container version {header.get('version')}")
     cfg = header["config"]
     config = ModelConfig(
@@ -286,7 +263,8 @@ def load_parameters(path: str) -> tuple[ModelConfig, Tensor]:
     params = np.frombuffer(raw[newline + 1 :], dtype="<f8").astype(np.float64)
     if params.size != header["count"]:
         raise ValueError("parameter payload length does not match header")
-    return config, params
+    version_2 = header["version"] == _PARAMS_VERSION
+    return config, params, ObjectiveKind(header.get("objective")) if version_2 else None
 
 
 def velocity_field_from(

@@ -62,6 +62,19 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key, counter=self.counter << 64))
 
 
+def _draw(rng: RngStream, shape: int | tuple[int, ...] | list[int], method) -> Tensor:
+    """``method(generator, n)`` reshaped to ``shape``; the counter advances by n."""
+    shape = (shape,) if isinstance(shape, int) else tuple(int(d) for d in shape)
+    if any(d < 0 for d in shape):
+        raise ValueError(f"invalid shape {shape}")
+    n = math.prod(shape)
+    if n == 0:
+        return np.empty(shape, dtype=np.float64)
+    out = method(rng._generator(), n).reshape(shape)
+    rng.counter += n
+    return out
+
+
 def gaussian(rng: RngStream, shape: int | tuple[int, ...] | list[int]) -> Tensor:
     """Draw i.i.d. standard normal entries, advancing the stream counter.
 
@@ -72,28 +85,12 @@ def gaussian(rng: RngStream, shape: int | tuple[int, ...] | list[int]) -> Tensor
     Returns:
         float64 array of the requested shape.
     """
-    shape = (shape,) if isinstance(shape, int) else tuple(int(d) for d in shape)
-    if any(d < 0 for d in shape):
-        raise ValueError(f"invalid shape {shape}")
-    n = math.prod(shape)
-    if n == 0:
-        return np.empty(shape, dtype=np.float64)
-    out = rng._generator().standard_normal(n).reshape(shape)
-    rng.counter += n
-    return out
+    return _draw(rng, shape, np.random.Generator.standard_normal)
 
 
 def uniform(rng: RngStream, shape: int | tuple[int, ...] | list[int]) -> Tensor:
     """Draw i.i.d. U[0, 1) entries, advancing the stream counter like gaussian."""
-    shape = (shape,) if isinstance(shape, int) else tuple(int(d) for d in shape)
-    if any(d < 0 for d in shape):
-        raise ValueError(f"invalid shape {shape}")
-    n = math.prod(shape)
-    if n == 0:
-        return np.empty(shape, dtype=np.float64)
-    out = rng._generator().random(n).reshape(shape)
-    rng.counter += n
-    return out
+    return _draw(rng, shape, np.random.Generator.random)
 
 
 def squared_norm(x: Tensor) -> float:

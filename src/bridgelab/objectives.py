@@ -73,54 +73,35 @@ def raw_target(kind: ObjectiveKind, pair: EndpointPair, sample: BridgeSample) ->
     return velocity_target(pair, sample)
 
 
-def _residual_and_weight(
-    kind: ObjectiveKind,
-    prediction: Tensor,
-    pair: EndpointPair,
-    sample: BridgeSample,
-    noise_scale: float,
-) -> tuple[Tensor, "float | Tensor"]:
-    """The residual pred - target and its per-pair weight 1/alpha^2 (1 unless stabilized)."""
-    prediction = np.asarray(prediction, dtype=np.float64)
-    if prediction.shape != pair.x0.shape:
-        raise ValueError(f"prediction shape {prediction.shape} does not match {pair.x0.shape}")
-    alpha_sq = 1.0
-    if kind is ObjectiveKind.STABILIZED_VELOCITY:
-        alpha_sq = alpha_factor(pair, sample.t, noise_scale)
-    return prediction - raw_target(kind, pair, sample), 1.0 / alpha_sq
-
-
 def loss(
     kind: ObjectiveKind,
     prediction: Tensor,
     pair: EndpointPair,
     sample: BridgeSample,
     noise_scale: float,
-) -> "float | Tensor":
-    """Per-pair squared-error loss of the chosen objective: a float, or (B,) for a batch.
+) -> tuple["float | Tensor", Tensor]:
+    """Per-pair squared-error losses of the chosen objective, and the gradient
+    of their batch mean with respect to the prediction.
 
     displacement:        ||pred - (x1 - x_t)||^2
     velocity:            ||pred - u_t||^2
     stabilized velocity: ||(pred - u_t) / alpha||^2
+
+    The losses are a float, or (B,) for a batch. The gradient has the
+    prediction's shape: 2 (pred - target) / (alpha^2 B) for each of the B
+    pairs, and 2 (pred - target) / alpha^2 for a single pair (alpha^2 = 1
+    unless stabilized).
     """
-    residual, weight = _residual_and_weight(kind, prediction, pair, sample, noise_scale)
-    return np.sum(residual * residual, axis=-1) * weight
-
-
-def loss_gradient(
-    kind: ObjectiveKind,
-    prediction: Tensor,
-    pair: EndpointPair,
-    sample: BridgeSample,
-    noise_scale: float,
-) -> Tensor:
-    """Gradient of the batch-mean :func:`loss` with respect to the prediction.
-
-    2 (pred - target) / (alpha^2 B) for each of the B pairs; for a single
-    pair, 2 (pred - target) / alpha^2.
-    """
-    residual, weight = _residual_and_weight(kind, prediction, pair, sample, noise_scale)
-    return 2.0 * residual * np.asarray(weight / len(pair))[..., None]
+    prediction = np.asarray(prediction, dtype=np.float64)
+    if prediction.shape != pair.x0.shape:
+        raise ValueError(f"prediction shape {prediction.shape} does not match {pair.x0.shape}")
+    alpha_sq = 1.0
+    if kind is ObjectiveKind.STABILIZED_VELOCITY:
+        alpha_sq = alpha_factor(pair, sample.t, noise_scale)
+    weight = 1.0 / alpha_sq
+    residual = prediction - raw_target(kind, pair, sample)
+    losses = np.sum(residual * residual, axis=-1) * weight
+    return losses, 2.0 * residual * np.asarray(weight / len(pair))[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ import numpy as np
 
 from .bridge import T_CLAMP, BridgeSample, EndpointPair, sample_state
 from .errors import TrainingError
-from .model import ModelConfig, backward, forward
+from .model import ModelConfig, linearize
 from .numerics import RngStream, Tensor, gaussian, uniform
-from .objectives import ObjectiveKind, alpha_factor, loss, loss_gradient, raw_target
+from .objectives import ObjectiveKind, alpha_factor, loss, raw_target
 
 # Fixed stream ids so data/time/noise draws are independent of each other
 # and of everything else derived from the run seed.
@@ -170,13 +170,13 @@ def train_step(
 
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions = forward(params, model_config, sample.state, t, batch.context)
-        batch_loss = float(np.mean(loss(kind, predictions, batch, sample, config.noise_scale)))
+        predictions, pullback = linearize(params, model_config, sample.state, t, batch.context)
+        losses, upstream = loss(kind, predictions, batch, sample, config.noise_scale)
+        batch_loss = float(np.mean(losses))
     if not np.isfinite(batch_loss):
         raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)
 
-    upstream = loss_gradient(kind, predictions, batch, sample, config.noise_scale)
-    grad_params, _ = backward(params, model_config, sample.state, t, batch.context, upstream)
+    grad_params, _ = pullback(upstream)
     grad_norm = float(np.sqrt(np.sum(grad_params * grad_params)))
     if not np.isfinite(grad_norm):
         raise TrainingError(f"non-finite gradient at step {step_index}", step_index, kind.value)

@@ -24,14 +24,14 @@ from bridgelab.bridge import sample_state
 from bridgelab.cli import main
 from bridgelab.model import (
     ModelConfig,
-    backward,
     forward,
     init,
+    linearize,
     parameter_count,
     velocity_field_from,
 )
 from bridgelab.numerics import RngStream, gaussian, squared_norm
-from bridgelab.objectives import ObjectiveKind, alpha_factor, loss, loss_gradient
+from bridgelab.objectives import ObjectiveKind, alpha_factor, loss
 from bridgelab.sampler import endpoint_statistics, integrate, oracle_field
 from bridgelab.schedules import shifted, uniform
 from bridgelab.tasks import (
@@ -213,13 +213,10 @@ def test_criterion_06_gradient_correctness():
 
                 def objective_value(theta):
                     pred = forward(theta, config, sample.state, sample.t)
-                    return loss(kind, pred, pair, sample, 1.0)
+                    return loss(kind, pred, pair, sample, 1.0)[0]
 
-                pred = forward(params, config, sample.state, sample.t)
-                upstream = loss_gradient(kind, pred, pair, sample, 1.0)
-                grad_params, _ = backward(
-                    params, config, sample.state, sample.t, None, upstream
-                )
+                pred, pullback = linearize(params, config, sample.state, sample.t)
+                grad_params, _ = pullback(loss(kind, pred, pair, sample, 1.0)[1])
                 probes = np.unique(
                     (np.abs(gaussian(rng, (32,))) * params.size * 0.37).astype(int) % params.size
                 )[:16]

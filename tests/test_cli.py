@@ -298,6 +298,46 @@ class TestSampleCommand:
         assert [traj[0][c] for c in coords] == [repr(float(v)) for v in x0]
 
 
+def train_displacement_params(out: str) -> str:
+    argv = ["train", "--objective", "displacement", "--steps", "20", "--seed", "5", "--out-dir", out]
+    assert main(argv) == 0
+    return os.path.join(out, "params.bin")
+
+
+class TestSampleRecordedObjective:
+    def test_recorded_objective_used_without_flag(self, tmp_path):
+        """A displacement-trained file samples as displacement when --objective is absent."""
+        params = train_displacement_params(str(tmp_path / "train"))
+        outs = {name: str(tmp_path / name) for name in ("recorded", "explicit")}
+        argv = ["sample", "--params", params, "--N", "8", "--runs", "16", "--seed", "2"]
+        assert main(argv + ["--out-dir", outs["recorded"]]) == 0
+        assert main(argv + ["--objective", "displacement", "--out-dir", outs["explicit"]]) == 0
+        endpoints = [read(os.path.join(out, "endpoints.csv")) for out in outs.values()]
+        assert endpoints[0] == endpoints[1]
+        manifest = json.loads(read(os.path.join(outs["recorded"], "manifest.json")))
+        assert manifest["config"]["objective"] == "displacement"
+
+    def test_contradicting_objective_exits_two(self, tmp_path, capsys):
+        params = train_displacement_params(str(tmp_path / "train"))
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--params", params, "--objective", "velocity", "--seed", "2", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    def test_foreign_container_exits_two(self, tmp_path, capsys):
+        params = str(tmp_path / "bogus.bin")
+        with open(params, "wb") as fh:
+            fh.write(b"not json\n")
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--params", params, "--seed", "2", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: not a parameter container: {params}\n"
+        assert not os.path.exists(out)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

@@ -5,17 +5,18 @@ import pytest
 
 from bridgelab.model import (
     ModelConfig,
-    backward,
+    _views,
     forward,
     init,
+    linearize,
     load_parameters,
     parameter_count,
-    parameter_layout,
     save_parameters,
     time_feature_matrix,
     velocity_field_from,
 )
 from bridgelab.numerics import RngStream, gaussian
+from bridgelab.objectives import ObjectiveKind
 
 
 def random_params(config: ModelConfig, seed: int) -> np.ndarray:
@@ -59,10 +60,7 @@ class TestForward:
         """Swapping two identical hidden units leaves the output unchanged."""
         config = ModelConfig(input_dim=2, hidden=(4,))
         params = random_params(config, 7).copy()
-        layout = {e.name: e for e in parameter_layout(config)}
-        w0 = params[layout["w0"].offset : layout["w0"].offset + layout["w0"].size].reshape(layout["w0"].shape)
-        b0 = params[layout["b0"].offset : layout["b0"].offset + layout["b0"].size]
-        w1 = params[layout["w1"].offset : layout["w1"].offset + layout["w1"].size].reshape(layout["w1"].shape)
+        (w0, b0), (w1, _) = _views(params, config)
         # make unit 1 a clone of unit 0 (incoming and outgoing weights, bias)
         w0[:, 1] = w0[:, 0]
         b0[1] = b0[0]
@@ -70,11 +68,9 @@ class TestForward:
         x = np.array([0.3, 0.8])
         base = forward(params, config, x, 0.5)
         swapped = params.copy()
-        sw0 = swapped[layout["w0"].offset : layout["w0"].offset + layout["w0"].size].reshape(layout["w0"].shape)
+        (sw0, sb0), (sw1, _) = _views(swapped, config)
         sw0[:, [0, 1]] = sw0[:, [1, 0]]
-        sb0 = swapped[layout["b0"].offset : layout["b0"].offset + layout["b0"].size]
         sb0[[0, 1]] = sb0[[1, 0]]
-        sw1 = swapped[layout["w1"].offset : layout["w1"].offset + layout["w1"].size].reshape(layout["w1"].shape)
         sw1[[0, 1], :] = sw1[[1, 0], :]
         np.testing.assert_allclose(forward(swapped, config, x, 0.5), base, rtol=1e-12)
 
@@ -117,7 +113,9 @@ class TestBackward:
         x = gaussian(rng, (input_dim,))
         upstream = gaussian(rng, (input_dim,))
         t = 0.37
-        grad_params, grad_x = backward(params, config, x, t, None, upstream)
+        prediction, pullback = linearize(params, config, x, t)
+        np.testing.assert_array_equal(prediction, forward(params, config, x, t))
+        grad_params, grad_x = pullback(upstream)
 
         probe_idx = np.unique(
             (np.abs(gaussian(rng, (96,))) * params.size * 0.13).astype(int) % params.size
@@ -146,20 +144,21 @@ class TestBackward:
     def test_zero_upstream_zero_gradients(self):
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 13)
-        grad_params, grad_x = backward(params, config, np.ones(2), 0.5, None, np.zeros(2))
+        grad_params, grad_x = linearize(params, config, np.ones(2), 0.5)[1](np.zeros(2))
         assert np.array_equal(grad_params, np.zeros_like(params))
         assert np.array_equal(grad_x, np.zeros(2))
 
     def test_linearity_in_upstream(self):
-        """backward(a+b) = backward(a) + backward(b) within 1e-12."""
+        """pullback(a+b) = pullback(a) + pullback(b) within 1e-12."""
         config = ModelConfig(input_dim=3, hidden=(8,))
         params = random_params(config, 14)
         rng = RngStream(seed=15)
         x = gaussian(rng, (3,))
         a, b = gaussian(rng, (3,)), gaussian(rng, (3,))
-        ga, _ = backward(params, config, x, 0.4, None, a)
-        gb, _ = backward(params, config, x, 0.4, None, b)
-        gab, _ = backward(params, config, x, 0.4, None, a + b)
+        _, pullback = linearize(params, config, x, 0.4)
+        ga, _ = pullback(a)
+        gb, _ = pullback(b)
+        gab, _ = pullback(a + b)
         np.testing.assert_allclose(gab, ga + gb, atol=1e-12)
 
     def test_batched_gradient_sums_over_batch(self):
@@ -168,10 +167,10 @@ class TestBackward:
         xs = gaussian(RngStream(seed=17), (3, 2))
         ups = gaussian(RngStream(seed=18), (3, 2))
         ts = np.array([0.2, 0.5, 0.8])
-        batch_grad, _ = backward(params, config, xs, ts, None, ups)
+        batch_grad, _ = linearize(params, config, xs, ts)[1](ups)
         total = np.zeros_like(params)
         for i in range(3):
-            gi, _ = backward(params, config, xs[i], float(ts[i]), None, ups[i])
+            gi, _ = linearize(params, config, xs[i], float(ts[i]))[1](ups[i])
             total += gi
         np.testing.assert_allclose(batch_grad, total, rtol=1e-10, atol=1e-12)
 
@@ -186,9 +185,7 @@ class TestInit:
     def test_hidden_layers_nonzero_output_zero(self):
         config = ModelConfig(input_dim=2, hidden=(16,))
         params = init(config, RngStream(seed=21))
-        layout = {e.name: e for e in parameter_layout(config)}
-        w0 = params[layout["w0"].offset : layout["w0"].offset + layout["w0"].size]
-        w1 = params[layout["w1"].offset : layout["w1"].offset + layout["w1"].size]
+        (w0, _), (w1, _) = _views(params, config)
         assert np.any(w0 != 0.0)
         assert np.all(w1 == 0.0)
 
@@ -198,19 +195,36 @@ class TestSerialization:
         config = ModelConfig(input_dim=3, hidden=(8, 4), context_dim=2, activation="smooth_relu")
         params = random_params(config, 22)
         path = str(tmp_path / "params.bin")
-        save_parameters(path, config, params)
-        loaded_config, loaded = load_parameters(path)
+        save_parameters(path, config, params, "displacement")
+        loaded_config, loaded, objective = load_parameters(path)
         assert loaded_config == config
         assert np.array_equal(loaded, params)
+        assert objective is ObjectiveKind.DISPLACEMENT
 
     def test_round_trip_forward_identical(self, tmp_path):
         config = ModelConfig(input_dim=2, hidden=(16,))
         params = random_params(config, 23)
         path = str(tmp_path / "params.bin")
-        save_parameters(path, config, params)
-        _, loaded = load_parameters(path)
+        save_parameters(path, config, params, ObjectiveKind.VELOCITY)
+        _, loaded, _ = load_parameters(path)
         x = gaussian(RngStream(seed=24), (2,))
         assert np.array_equal(forward(params, config, x, 0.7), forward(loaded, config, x, 0.7))
+
+    def test_reads_version_one_without_objective(self, tmp_path):
+        """A container written before the objective field still loads; its objective is None."""
+        config = ModelConfig(input_dim=2, hidden=(4,))
+        params = random_params(config, 28)
+        header = (
+            '{"config": {"activation": "tanh", "context_dim": 0, "hidden": [4], "input_dim": 2, '
+            f'"time_features": 8}}, "count": {params.size}, "format": "bridgelab-params", "version": 1}}'
+        )
+        path = str(tmp_path / "v1.bin")
+        with open(path, "wb") as fh:
+            fh.write(header.encode("utf-8") + b"\n" + params.astype("<f8").tobytes())
+        loaded_config, loaded, objective = load_parameters(path)
+        assert loaded_config == config
+        assert np.array_equal(loaded, params)
+        assert objective is None
 
     def test_rejects_foreign_file(self, tmp_path):
         path = str(tmp_path / "bogus.bin")

@@ -8,6 +8,7 @@ import pytest
 
 from bridgelab.bridge import EndpointPair, interpolate
 from bridgelab.errors import TrainingError
+from bridgelab import model
 from bridgelab.model import ModelConfig, init
 from bridgelab.numerics import RngStream, squared_norm
 from bridgelab.objectives import ObjectiveKind, alpha_factor
@@ -135,6 +136,22 @@ class TestAlgorithmFidelity:
         observer = lambda step, batch, sample, alpha_sq, targets: alphas.extend(alpha_sq)
         run_training(ObjectiveKind.STABILIZED_VELOCITY, steps=20, noise_scale=0.0, observer=observer)
         assert alphas and all(a == 1.0 for a in alphas)
+
+    def test_network_runs_once_per_step(self, monkeypatch):
+        """The gradient reuses the step's forward pass: with two hidden layers,
+        3 steps activate 6 times (a second pass for the gradient would make 12)."""
+        calls = []
+        activate = model._activate
+
+        def counted(z, kind):
+            calls.append(kind)
+            return activate(z, kind)
+
+        monkeypatch.setattr(model, "_activate", counted)
+        mconfig = ModelConfig(input_dim=2, hidden=(8, 8))
+        params = init(mconfig, RngStream(seed=1, stream=900))
+        train(params, mconfig, pair_provider(SHIFT_TASK), TrainConfig(steps=3, batch_size=4, seed=1))
+        assert len(calls) == 6
 
 
 class TestConvergence:
