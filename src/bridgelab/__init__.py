@@ -18,6 +18,8 @@ from .objectives import (
     ObjectiveKind,
     alpha_factor,
     loss,
+    objective_alpha_sq,
+    raw_target,
     target_profile,
 )
 from .sampler import EndpointStats, SamplerStep, endpoint_statistics, integrate, oracle_field
@@ -51,7 +53,9 @@ __all__ = [
     "interpolate",
     "loss",
     "marginal_variance",
+    "objective_alpha_sq",
     "oracle_field",
+    "raw_target",
     "sample_state",
     "shifted",
     "squared_norm",

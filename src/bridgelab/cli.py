@@ -590,13 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_args(p)
     p.add_argument("--params", default=None, help="trained parameter container")
     p.add_argument("--oracle", action="store_true", help="use the analytic conditional drift")
-    p.add_argument(
-        "--objective",
-        default=None,
-        choices=[k.value for k in ObjectiveKind],
-        help="objective the --params file was trained with; default: the one it records "
-        "(stabilized_velocity for a version-1 file)",
-    )
+    p.add_argument("--objective", default=None, choices=[k.value for k in ObjectiveKind],
+                   help="objective the --params file was trained with; default: the one it "
+                   "records (stabilized_velocity for a version-1 file)")
     p.add_argument("--zero-context", action="store_true")
     _add_sampler_args(p)
     p.add_argument("--s", type=float, default=1.0)

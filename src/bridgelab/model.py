@@ -8,16 +8,17 @@ zero-initialized so a freshly initialized model is the zero velocity field,
 which gives training tests a known starting loss.
 
 Parameters live in a single flat float64 vector of per-layer weight and
-bias blocks, laid out from the config's layer widths. ``forward`` predicts;
-``linearize`` predicts and returns a pullback that backpropagates through
-the activations of that same pass, so a training step runs the network
-once. Both accept a single sample (x of shape (D,), scalar t) or a batch
-(x of shape (B, D), t scalar or shape (B,)).
+bias blocks, laid out from the config's layer widths. ``forward`` predicts
+and can keep its activations on a tape; ``backward`` backpropagates through
+a tape without re-running the pass; ``linearize`` pairs the two, returning
+the prediction and a pullback, so a training step runs the network once.
+All accept a single sample (x of shape (D,), scalar t) or a batch (x of
+shape (B, D), t scalar or shape (B,)).
 """
 
 from __future__ import annotations
 
-import io
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -150,6 +151,65 @@ def _activate_grad(z: Tensor, h: Tensor, kind: str) -> Tensor:
     return expit(z)
 
 
+def forward(
+    params: Tensor,
+    config: ModelConfig,
+    x: Tensor,
+    t: "float | Tensor",
+    context: Tensor | None = None,
+    *,
+    tape: list | None = None,
+) -> Tensor:
+    """Velocity prediction with the shape of x; deterministic in all inputs.
+
+    When ``tape`` is a list, the pass appends one (input, pre-activation)
+    pair per layer to it, the pre-activation None for the linear output
+    layer: what ``backward`` needs to differentiate this pass without
+    running it again.
+    """
+    features, batched = _as_batch(config, x, t, context)
+    layers = _views(params, config)
+    h = features
+    for w, b in layers[:-1]:
+        z = h @ w + b
+        if tape is not None:
+            tape.append((h, z))
+        h = _activate(z, config.activation)
+    w_out, b_out = layers[-1]
+    if tape is not None:
+        tape.append((h, None))
+    out = h @ w_out + b_out
+    return out if batched else out[0]
+
+
+def backward(
+    params: Tensor, config: ModelConfig, x: Tensor, tape: list, upstream: Tensor
+) -> tuple[Tensor, Tensor]:
+    """Exact reverse-mode gradients of <forward(...), upstream> for the pass
+    that filled ``tape``: (grad_params, grad_x), a flat vector matching the
+    parameter layout and the gradient with respect to x in x's shape. For
+    batched inputs the parameter gradient sums over the batch and grad_x is
+    per sample.
+    """
+    upstream = np.asarray(upstream, dtype=np.float64)
+    g = upstream if upstream.ndim == 2 else upstream.reshape(1, -1)
+    if g.shape != (tape[0][0].shape[0], config.input_dim):
+        raise ValueError(f"upstream shape {upstream.shape} does not match output")
+    layers = _views(params, config)
+    grad_params = np.zeros_like(params)
+    grad_layers = _views(grad_params, config)
+    for i in range(len(layers) - 1, -1, -1):
+        h, z = tape[i]
+        if z is not None:
+            g = g * _activate_grad(z, tape[i + 1][0], config.activation)
+        gw, gb = grad_layers[i]
+        gw[...] = h.T @ g
+        gb[...] = g.sum(axis=0)
+        g = g @ layers[i][0].T
+    grad_x = g[:, : config.input_dim]
+    return grad_params, grad_x if np.ndim(x) == 2 else grad_x[0]
+
+
 def linearize(
     params: Tensor,
     config: ModelConfig,
@@ -159,51 +219,12 @@ def linearize(
 ) -> tuple[Tensor, Callable[[Tensor], tuple[Tensor, Tensor]]]:
     """One forward pass that keeps its activations: returns (prediction, pullback).
 
-    The prediction has the shape of x. ``pullback(upstream)`` returns the
-    exact reverse-mode gradients of <prediction, upstream> as
-    (grad_params, grad_x): a flat vector matching the parameter layout, and
-    the gradient with respect to x in x's shape. For batched inputs the
-    parameter gradient sums over the batch and grad_x is per sample.
+    ``pullback(upstream)`` is ``backward`` on that pass's tape, so a
+    training step runs the network once.
     """
-    features, batched = _as_batch(config, x, t, context)
-    layers = _views(params, config)
-    hs = [features]  # post-activation inputs to each layer
-    zs = []  # pre-activations of hidden layers
-    for w, b in layers[:-1]:
-        zs.append(hs[-1] @ w + b)
-        hs.append(_activate(zs[-1], config.activation))
-    w_out, b_out = layers[-1]
-    out = hs[-1] @ w_out + b_out
-
-    def pullback(upstream: Tensor) -> tuple[Tensor, Tensor]:
-        upstream = np.asarray(upstream, dtype=np.float64)
-        g = upstream if upstream.ndim == 2 else upstream.reshape(1, -1)
-        if g.shape != out.shape:
-            raise ValueError(f"upstream shape {upstream.shape} does not match output")
-        grad_params = np.zeros_like(params)
-        grad_layers = _views(grad_params, config)
-        for i in range(len(layers) - 1, -1, -1):
-            if i < len(zs):
-                g = g * _activate_grad(zs[i], hs[i + 1], config.activation)
-            gw, gb = grad_layers[i]
-            gw[...] = hs[i].T @ g
-            gb[...] = g.sum(axis=0)
-            g = g @ layers[i][0].T
-        grad_x = g[:, : config.input_dim]
-        return grad_params, grad_x if batched else grad_x[0]
-
-    return (out if batched else out[0]), pullback
-
-
-def forward(
-    params: Tensor,
-    config: ModelConfig,
-    x: Tensor,
-    t: "float | Tensor",
-    context: Tensor | None = None,
-) -> Tensor:
-    """Velocity prediction with the shape of x; deterministic in all inputs."""
-    return linearize(params, config, x, t, context)[0]
+    tape: list = []
+    prediction = forward(params, config, x, t, context, tape=tape)
+    return prediction, lambda upstream: backward(params, config, x, tape, upstream)
 
 
 def save_parameters(
@@ -217,23 +238,13 @@ def save_parameters(
     header = {
         "format": _PARAMS_FORMAT,
         "version": _PARAMS_VERSION,
-        "config": {
-            "input_dim": config.input_dim,
-            "hidden": list(config.hidden),
-            "time_features": config.time_features,
-            "context_dim": config.context_dim,
-            "activation": config.activation,
-        },
+        "config": dataclasses.asdict(config),
         "objective": ObjectiveKind(objective).value,
         "count": int(params.size),
     }
     payload = np.ascontiguousarray(params, dtype="<f8").tobytes()
-    buf = io.BytesIO()
-    buf.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-    buf.write(b"\n")
-    buf.write(payload)
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 
 def load_parameters(path: str) -> tuple[ModelConfig, Tensor, ObjectiveKind | None]:
@@ -248,20 +259,17 @@ def load_parameters(path: str) -> tuple[ModelConfig, Tensor, ObjectiveKind | Non
         header = json.loads(raw[:newline].decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"not a parameter container: {path}") from exc
-    if header.get("format") != _PARAMS_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != _PARAMS_FORMAT:
         raise ValueError(f"not a parameter container: {path}")
     if header.get("version") not in (1, _PARAMS_VERSION):
         raise ValueError(f"unsupported parameter container version {header.get('version')}")
-    cfg = header["config"]
-    config = ModelConfig(
-        input_dim=cfg["input_dim"],
-        hidden=tuple(cfg["hidden"]),
-        time_features=cfg["time_features"],
-        context_dim=cfg["context_dim"],
-        activation=cfg["activation"],
-    )
+    try:
+        config = ModelConfig(**header["config"])
+        count = header["count"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a parameter container: {path}") from exc
     params = np.frombuffer(raw[newline + 1 :], dtype="<f8").astype(np.float64)
-    if params.size != header["count"]:
+    if params.size != count:
         raise ValueError("parameter payload length does not match header")
     version_2 = header["version"] == _PARAMS_VERSION
     return config, params, ObjectiveKind(header.get("objective")) if version_2 else None

@@ -73,15 +73,24 @@ def raw_target(kind: ObjectiveKind, pair: EndpointPair, sample: BridgeSample) ->
     return velocity_target(pair, sample)
 
 
+def objective_alpha_sq(
+    kind: ObjectiveKind, pair: EndpointPair, t: "float | Tensor", noise_scale: float
+) -> Tensor:
+    """The alpha^2 that divides the objective's squared residual: alpha_factor
+    for the stabilized objective, ones for the others; () or (B,)."""
+    if kind is ObjectiveKind.STABILIZED_VELOCITY:
+        return np.asarray(alpha_factor(pair, t, noise_scale))
+    return np.ones(pair.x0.shape[:-1])
+
+
 def loss(
-    kind: ObjectiveKind,
-    prediction: Tensor,
-    pair: EndpointPair,
-    sample: BridgeSample,
-    noise_scale: float,
+    prediction: Tensor, targets: Tensor, alpha_sq: "float | Tensor"
 ) -> tuple["float | Tensor", Tensor]:
-    """Per-pair squared-error losses of the chosen objective, and the gradient
-    of their batch mean with respect to the prediction.
+    """Per-pair squared-error losses ||(pred - target) / alpha||^2, and the
+    gradient of their batch mean with respect to the prediction.
+
+    ``targets`` is ``raw_target`` and ``alpha_sq`` is ``objective_alpha_sq``
+    for the objective, so
 
     displacement:        ||pred - (x1 - x_t)||^2
     velocity:            ||pred - u_t||^2
@@ -89,19 +98,16 @@ def loss(
 
     The losses are a float, or (B,) for a batch. The gradient has the
     prediction's shape: 2 (pred - target) / (alpha^2 B) for each of the B
-    pairs, and 2 (pred - target) / alpha^2 for a single pair (alpha^2 = 1
-    unless stabilized).
+    pairs, and 2 (pred - target) / alpha^2 for a single pair.
     """
     prediction = np.asarray(prediction, dtype=np.float64)
-    if prediction.shape != pair.x0.shape:
-        raise ValueError(f"prediction shape {prediction.shape} does not match {pair.x0.shape}")
-    alpha_sq = 1.0
-    if kind is ObjectiveKind.STABILIZED_VELOCITY:
-        alpha_sq = alpha_factor(pair, sample.t, noise_scale)
-    weight = 1.0 / alpha_sq
-    residual = prediction - raw_target(kind, pair, sample)
+    if prediction.shape != np.shape(targets):
+        raise ValueError(f"prediction shape {prediction.shape} does not match {np.shape(targets)}")
+    weight = 1.0 / np.asarray(alpha_sq, dtype=np.float64)
+    residual = prediction - targets
     losses = np.sum(residual * residual, axis=-1) * weight
-    return losses, 2.0 * residual * np.asarray(weight / len(pair))[..., None]
+    pairs = prediction.shape[0] if prediction.ndim == 2 else 1
+    return losses, 2.0 * residual * (weight / pairs)[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .bridge import T_CLAMP, BridgeSample, EndpointPair, sample_state
 from .errors import TrainingError
 from .model import ModelConfig, linearize
 from .numerics import RngStream, Tensor, gaussian, uniform
-from .objectives import ObjectiveKind, alpha_factor, loss, raw_target
+from .objectives import ObjectiveKind, loss, objective_alpha_sq, raw_target
 
 # Fixed stream ids so data/time/noise draws are independent of each other
 # and of everything else derived from the run seed.
@@ -160,10 +160,8 @@ def train_step(
     sample = sample_state(batch, t, eps, config.noise_scale)
     targets = raw_target(kind, batch, sample)
     max_target_sqnorm = float(np.max(np.sum(targets * targets, axis=-1)))
+    alpha_sq = objective_alpha_sq(kind, batch, t, config.noise_scale)
     if observer is not None:
-        alpha_sq = np.ones(b)
-        if kind is ObjectiveKind.STABILIZED_VELOCITY:
-            alpha_sq = alpha_factor(batch, t, config.noise_scale)
         observer(step_index, batch, sample, alpha_sq, targets)
     if digest is not None:
         digest.update(np.concatenate([batch.x0, batch.x1, t[:, None], eps], axis=1).tobytes())
@@ -171,7 +169,7 @@ def train_step(
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         predictions, pullback = linearize(params, model_config, sample.state, t, batch.context)
-        losses, upstream = loss(kind, predictions, batch, sample, config.noise_scale)
+        losses, upstream = loss(predictions, targets, alpha_sq)
         batch_loss = float(np.mean(losses))
     if not np.isfinite(batch_loss):
         raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)

@@ -31,7 +31,13 @@ from bridgelab.model import (
     velocity_field_from,
 )
 from bridgelab.numerics import RngStream, gaussian, squared_norm
-from bridgelab.objectives import ObjectiveKind, alpha_factor, loss
+from bridgelab.objectives import (
+    ObjectiveKind,
+    alpha_factor,
+    loss,
+    objective_alpha_sq,
+    raw_target,
+)
 from bridgelab.sampler import endpoint_statistics, integrate, oracle_field
 from bridgelab.schedules import shifted, uniform
 from bridgelab.tasks import (
@@ -210,13 +216,15 @@ def test_criterion_06_gradient_correctness():
             pair = EndpointPair(gaussian(rng, (input_dim,)), gaussian(rng, (input_dim,)))
             sample = sample_state(pair, 0.6, gaussian(rng, (input_dim,)), 1.0)
             for kind in ObjectiveKind:
+                targets = raw_target(kind, pair, sample)
+                alpha_sq = objective_alpha_sq(kind, pair, sample.t, 1.0)
 
                 def objective_value(theta):
                     pred = forward(theta, config, sample.state, sample.t)
-                    return loss(kind, pred, pair, sample, 1.0)[0]
+                    return loss(pred, targets, alpha_sq)[0]
 
                 pred, pullback = linearize(params, config, sample.state, sample.t)
-                grad_params, _ = pullback(loss(kind, pred, pair, sample, 1.0)[1])
+                grad_params, _ = pullback(loss(pred, targets, alpha_sq)[1])
                 probes = np.unique(
                     (np.abs(gaussian(rng, (32,))) * params.size * 0.37).astype(int) % params.size
                 )[:16]

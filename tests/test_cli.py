@@ -328,14 +328,16 @@ class TestSampleRecordedObjective:
 
     def test_foreign_container_exits_two(self, tmp_path, capsys):
         params = str(tmp_path / "bogus.bin")
-        with open(params, "wb") as fh:
-            fh.write(b"not json\n")
         out = str(tmp_path / "out")
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", "--params", params, "--seed", "2", "--out-dir", out])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == f"error: not a parameter container: {params}\n"
-        assert not os.path.exists(out)
+        incomplete = b'{"format": "bridgelab-params", "version": 2, "objective": "velocity"}'
+        for header in (b"not json", b"[]", b"5", b"null", b'"bridgelab-params"', incomplete):
+            with open(params, "wb") as fh:
+                fh.write(header + b"\n")
+            with pytest.raises(SystemExit) as exc:
+                main(["sample", "--params", params, "--seed", "2", "--out-dir", out])
+            assert exc.value.code == 2, header
+            assert capsys.readouterr().err == f"error: not a parameter container: {params}\n"
+            assert not os.path.exists(out)
 
 
 class TestUsageErrors:

@@ -16,9 +16,15 @@ from bridgelab.objectives import (
     default_profile_grid,
     expected_target_sqnorm,
     loss,
+    objective_alpha_sq,
     raw_target,
     target_profile,
 )
+
+
+def objective_loss(kind, pred, pair, sample, s):
+    """The objective's loss with its targets and alpha^2 taken as train_step takes them."""
+    return loss(pred, raw_target(kind, pair, sample), objective_alpha_sq(kind, pair, sample.t, s))
 
 
 @pytest.fixture()
@@ -91,38 +97,50 @@ class TestLoss:
                 if kind is ObjectiveKind.DISPLACEMENT
                 else velocity_target(pair2d, sample)
             )
-            assert loss(kind, target, pair2d, sample, 1.0)[0] == 0.0
+            assert objective_loss(kind, target, pair2d, sample, 1.0)[0] == 0.0
 
     def test_stabilized_substitution(self, unit_pair):
         """pred=0 against u=0.8 with alpha^2=2 gives 0.64/2 = 0.32."""
         sample = sample_state(unit_pair, 0.5, np.array([0.2]), 1.0)
-        value, _ = loss(ObjectiveKind.STABILIZED_VELOCITY, np.array([0.0]), unit_pair, sample, 1.0)
+        value, _ = objective_loss(ObjectiveKind.STABILIZED_VELOCITY, np.array([0.0]), unit_pair, sample, 1.0)
         assert value == pytest.approx(0.32, rel=1e-12)
 
     def test_stabilized_is_velocity_over_alpha_squared(self, pair2d):
         sample = sample_state(pair2d, 0.7, np.array([0.3, 0.9]), 1.5)
         pred = np.array([0.1, -0.4])
-        v_loss, _ = loss(ObjectiveKind.VELOCITY, pred, pair2d, sample, 1.5)
-        s_loss, _ = loss(ObjectiveKind.STABILIZED_VELOCITY, pred, pair2d, sample, 1.5)
+        v_loss, _ = objective_loss(ObjectiveKind.VELOCITY, pred, pair2d, sample, 1.5)
+        s_loss, _ = objective_loss(ObjectiveKind.STABILIZED_VELOCITY, pred, pair2d, sample, 1.5)
         alpha_sq = alpha_factor(pair2d, 0.7, 1.5)
         assert s_loss == pytest.approx(v_loss / alpha_sq, rel=1e-12)
 
     def test_positive_when_prediction_differs(self, pair2d):
         sample = sample_state(pair2d, 0.4, np.array([0.5, -1.0]), 1.0)
         target = velocity_target(pair2d, sample)
-        assert loss(ObjectiveKind.VELOCITY, target + 1e-9, pair2d, sample, 1.0)[0] > 0.0
+        assert objective_loss(ObjectiveKind.VELOCITY, target + 1e-9, pair2d, sample, 1.0)[0] > 0.0
 
     def test_shape_mismatch(self, pair2d):
         sample = sample_state(pair2d, 0.4, np.array([0.5, -1.0]), 1.0)
         with pytest.raises(ValueError):
-            loss(ObjectiveKind.VELOCITY, np.zeros(3), pair2d, sample, 1.0)
+            objective_loss(ObjectiveKind.VELOCITY, np.zeros(3), pair2d, sample, 1.0)
+
+    def test_alpha_sq_only_for_stabilized(self, pair2d):
+        batch = EndpointPair(np.tile(pair2d.x0, (3, 1)), np.tile(pair2d.x1, (3, 1)))
+        t = np.array([0.0, 0.5, 0.9])
+        for kind in (ObjectiveKind.DISPLACEMENT, ObjectiveKind.VELOCITY):
+            np.testing.assert_array_equal(objective_alpha_sq(kind, batch, t, 1.5), np.ones(3))
+            assert objective_alpha_sq(kind, pair2d, 0.5, 1.5) == 1.0
+        stabilized = objective_alpha_sq(ObjectiveKind.STABILIZED_VELOCITY, batch, t, 1.5)
+        np.testing.assert_array_equal(stabilized, alpha_factor(batch, t, 1.5))
+        assert objective_alpha_sq(ObjectiveKind.STABILIZED_VELOCITY, pair2d, 0.5, 1.5) == (
+            alpha_factor(pair2d, 0.5, 1.5)
+        )
 
 
 class TestLossGradient:
     def test_zero_at_target(self, pair2d):
         sample = sample_state(pair2d, 0.3, np.array([0.2, 0.1]), 1.0)
         target = velocity_target(pair2d, sample)
-        _, grad = loss(ObjectiveKind.VELOCITY, target, pair2d, sample, 1.0)
+        _, grad = objective_loss(ObjectiveKind.VELOCITY, target, pair2d, sample, 1.0)
         np.testing.assert_array_equal(grad, np.zeros(2))
 
     def test_central_difference_oracle(self):
@@ -133,13 +151,13 @@ class TestLossGradient:
         pred = gaussian(rng, (8,))
         h = 1e-5
         for kind in ObjectiveKind:
-            _, grad = loss(kind, pred, pair, sample, 1.0)
+            _, grad = objective_loss(kind, pred, pair, sample, 1.0)
             for i in range(8):
                 bump = np.zeros(8)
                 bump[i] = h
                 fd = (
-                    loss(kind, pred + bump, pair, sample, 1.0)[0]
-                    - loss(kind, pred - bump, pair, sample, 1.0)[0]
+                    objective_loss(kind, pred + bump, pair, sample, 1.0)[0]
+                    - objective_loss(kind, pred - bump, pair, sample, 1.0)[0]
                 ) / (2.0 * h)
                 denom = max(abs(fd), abs(float(grad[i])), 1e-10)
                 assert abs(float(grad[i]) - fd) / denom < 1e-6
@@ -147,8 +165,8 @@ class TestLossGradient:
     def test_stabilized_is_velocity_over_alpha_squared(self, pair2d):
         sample = sample_state(pair2d, 0.8, np.array([1.1, -0.2]), 2.0)
         pred = np.array([0.5, 0.5])
-        _, g_v = loss(ObjectiveKind.VELOCITY, pred, pair2d, sample, 2.0)
-        _, g_s = loss(ObjectiveKind.STABILIZED_VELOCITY, pred, pair2d, sample, 2.0)
+        _, g_v = objective_loss(ObjectiveKind.VELOCITY, pred, pair2d, sample, 2.0)
+        _, g_s = objective_loss(ObjectiveKind.STABILIZED_VELOCITY, pred, pair2d, sample, 2.0)
         alpha_sq = alpha_factor(pair2d, 0.8, 2.0)
         np.testing.assert_allclose(g_s, g_v / alpha_sq, rtol=1e-12)
 
@@ -179,7 +197,7 @@ class TestBatchedMatchesPerPair:
         sample = sample_state(batch, t, eps, s)
         targets = raw_target(kind, batch, sample)
         alphas = alpha_factor(batch, t, s)
-        losses, grad = loss(kind, pred, batch, sample, s)
+        losses, grad = objective_loss(kind, pred, batch, sample, s)
         assert alphas.shape == losses.shape == (b,)
         for i in range(b):
             pair = EndpointPair(x0[i], x1[i])
@@ -189,7 +207,7 @@ class TestBatchedMatchesPerPair:
             np.testing.assert_array_equal(sample.state[i], row.state)
             np.testing.assert_array_equal(targets[i], target)
             assert alphas[i] == alpha_sq
-            assert losses[i] == loss(kind, pred[i], pair, row, s)[0]
+            assert losses[i] == objective_loss(kind, pred[i], pair, row, s)[0]
             weight = 1.0 / alpha_sq if kind is ObjectiveKind.STABILIZED_VELOCITY else 1.0
             np.testing.assert_array_equal(grad[i], 2.0 * (pred[i] - target) * (weight / b))
 
