@@ -23,17 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClampedTimeError, DomainError
-from .numerics import RngStream, Tensor, gaussian
+from .numerics import Tensor
 
 # Training-time guard band next to t=1: velocity targets reject t beyond
 # 1 - T_CLAMP and uniform time draws stay inside [0, 1 - T_CLAMP).
 T_CLAMP = 1e-5
 
 
-def _check_noise_scale(noise_scale: float) -> float:
+def check_noise_scale(noise_scale: float) -> float:
+    """The noise scale s as a float; it must be finite and >= 0."""
     s = float(noise_scale)
-    if not (s >= 0.0):
-        raise DomainError(f"noise scale must be >= 0, got {noise_scale}")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise DomainError(f"noise scale must be finite and >= 0, got {noise_scale}")
     return s
 
 
@@ -113,7 +114,7 @@ def sample_state(
     endpoints. t=1 is excluded: the state is defined there (it is x1) but
     never sampled for training since the velocity target is singular at t=1.
     """
-    s = _check_noise_scale(noise_scale)
+    s = check_noise_scale(noise_scale)
     tc = _times(t)
     if not np.all((0.0 <= tc) & (tc < 1.0)):
         raise DomainError(f"state construction requires 0 <= t < 1, got {t}")
@@ -147,7 +148,7 @@ def marginal_variance(t: float, noise_scale: float) -> float:
 
     Zero at both endpoints (the process is pinned) and maximal at t=0.5.
     """
-    s = _check_noise_scale(noise_scale)
+    s = check_noise_scale(noise_scale)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"marginal variance requires t in [0, 1], got {t}")
     return s * s * t * (1.0 - t)
@@ -162,43 +163,10 @@ def conditional_variance(t1: float, t2: float, noise_scale: float) -> float:
 
     Reduces to the marginal variance at t1 = 0.
     """
-    s = _check_noise_scale(noise_scale)
+    s = check_noise_scale(noise_scale)
     if not (0.0 <= t1 <= t2 <= 1.0):
         raise DomainError(f"conditional variance requires 0 <= t1 <= t2 <= 1, got ({t1}, {t2})")
     if t1 >= 1.0:
         raise DomainError("conditioning time t1 must be < 1")
     return s * s * (t2 - t1) * (1.0 - t2) / (1.0 - t1)
 
-
-def sample_joint(
-    pair: EndpointPair,
-    t1: float,
-    t2: float,
-    noise_scale: float,
-    rng: RngStream,
-    draws: int,
-) -> tuple[Tensor, Tensor]:
-    """Simulate (X_t1, X_t2) jointly for many bridge paths.
-
-    X_t1 is drawn from its marginal; X_t2 from the conditional Gaussian whose
-    mean X_t1 + (t2-t1)/(1-t1) (x1 - X_t1) and variance s^2 (t2-t1)(1-t2)/(1-t1)
-    follow from the bridge covariance structure. Used as the Monte-Carlo
-    oracle for :func:`conditional_variance`.
-
-    Returns:
-        Arrays of shape (draws, D) for the states at t1 and t2.
-    """
-    s = _check_noise_scale(noise_scale)
-    if not (0.0 <= t1 <= t2 <= 1.0) or t1 >= 1.0:
-        raise DomainError(f"joint simulation requires 0 <= t1 <= t2 <= 1, t1 < 1, got ({t1}, {t2})")
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    d = pair.dimension
-    mean1 = interpolate(pair, t1)
-    std1 = math.sqrt(marginal_variance(t1, s))
-    states1 = mean1 + std1 * gaussian(rng, (draws, d))
-    pull = (t2 - t1) / (1.0 - t1)
-    mean2 = states1 + pull * (pair.x1 - states1)
-    std2 = math.sqrt(conditional_variance(t1, t2, s))
-    states2 = mean2 + std2 * gaussian(rng, (draws, d))
-    return states1, states2

@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bridge import EndpointPair
+from .bridge import EndpointPair, check_noise_scale
 from .errors import IntegrationError, TrainingError
 from .model import (
     ModelConfig,
@@ -281,8 +282,9 @@ def cmd_verify(args) -> int:
 
 def cmd_profile(args) -> int:
     d = args.dim
-    if d < 1 or args.distance2 < 0.0 or args.s < 0.0:
-        _usage_error("profile needs --dim >= 1, --distance2 >= 0 and --s >= 0")
+    if d < 1 or not (math.isfinite(args.distance2) and args.distance2 >= 0.0):
+        _usage_error("profile needs --dim >= 1 and a finite --distance2 >= 0")
+    _usage_checked(check_noise_scale, args.s)
     x1 = np.full(d, np.sqrt(args.distance2 / d))
     pair = EndpointPair(np.zeros(d), x1)
     kind = _usage_checked(ObjectiveKind, args.objective)
@@ -394,8 +396,7 @@ def cmd_sample(args) -> int:
         _usage_error("either --oracle or --params FILE is required")
     if args.runs < 1:
         _usage_error(f"--runs must be >= 1, got {args.runs}")
-    if not args.s >= 0.0:
-        _usage_error(f"--s must be >= 0, got {args.s}")
+    _usage_checked(check_noise_scale, args.s)
     if not args.oracle:
         mconfig, params, objective = _usage_checked(_load_trained, args)
     out_dir = _ensure_out_dir(args)

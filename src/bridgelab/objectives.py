@@ -148,22 +148,24 @@ def expected_target_sqnorm(
     return velocity_sqnorm / alpha_factor(pair, t, s)
 
 
-def _mc_target_sqnorm(
+def _mc_target_sqnorms(
     kind: ObjectiveKind,
     pair: EndpointPair,
     noise_scale: float,
     t: float,
     draws: int,
     rng: RngStream,
-) -> float:
+) -> Tensor:
+    """Per-draw ||raw_target||^2 / alpha^2 for one pair at time t, (draws,).
+
+    Their mean is the Monte-Carlo estimate of S(t); the pair is broadcast
+    over the draws, so each draw runs the batched state, target and alpha^2
+    the trainer uses.
+    """
     eps = gaussian(rng, (draws,) + pair.x0.shape)
-    # The pair broadcast over the draws: one batched state and target per draw.
     drawn = EndpointPair(np.broadcast_to(pair.x0, eps.shape), np.broadcast_to(pair.x1, eps.shape))
     targets = raw_target(kind, drawn, sample_state(drawn, t, eps, noise_scale))
-    alpha_sq = 1.0
-    if kind is ObjectiveKind.STABILIZED_VELOCITY:
-        alpha_sq = alpha_factor(pair, t, noise_scale)
-    return float(np.mean(np.sum(targets * targets, axis=-1))) / alpha_sq
+    return np.sum(targets * targets, axis=-1) / objective_alpha_sq(kind, drawn, t, noise_scale)
 
 
 def target_profile(
@@ -196,7 +198,9 @@ def target_profile(
     if mc_samples > 0:
         s_values = np.array(
             [
-                _mc_target_sqnorm(kind, pair, noise_scale, float(t), mc_samples, rng.split(i))
+                np.mean(
+                    _mc_target_sqnorms(kind, pair, noise_scale, float(t), mc_samples, rng.split(i))
+                )
                 for i, t in enumerate(grid)
             ]
         )

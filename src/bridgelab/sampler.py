@@ -144,15 +144,12 @@ def integrate(
 class EndpointStats:
     """Aggregate endpoint behavior over repeated stochastic runs.
 
-    mean_error: signed bias, averaged over runs then over coordinates.
-    mse:        mean of (endpoint - x1)^2 over runs and coordinates.
-    variance:   per-coordinate variance over runs, averaged over coordinates.
+    mse:      mean of (endpoint - x1)^2 over runs and coordinates.
+    variance: per-coordinate variance over runs, averaged over coordinates.
     """
 
-    mean_error: float
     mse: float
     variance: float
-    runs: int
 
 
 def endpoint_statistics(
@@ -164,14 +161,14 @@ def endpoint_statistics(
     runs: int,
     rng: RngStream,
 ) -> EndpointStats:
-    """Endpoint bias, MSE against x1, and endpoint variance over repeated runs."""
+    """Endpoint MSE against x1 and endpoint variance over repeated runs."""
     if runs < 2:
         raise ValueError("endpoint statistics need at least 2 runs")
     endpoints = integrate(
         np.broadcast_to(pair.x0, (runs, pair.dimension)), field, schedule, mode, noise_scale, rng
     )
     errors = endpoints - pair.x1
-    mean_error = float(np.mean(np.mean(errors, axis=0)))
-    mse = float(np.mean(errors * errors))
-    variance = float(np.mean(np.var(endpoints, axis=0, ddof=1)))
-    return EndpointStats(mean_error=mean_error, mse=mse, variance=variance, runs=runs)
+    return EndpointStats(
+        mse=float(np.mean(errors * errors)),
+        variance=float(np.mean(np.var(endpoints, axis=0, ddof=1))),
+    )

@@ -13,6 +13,7 @@ forced to exactly 0 and 1, which the sampler's final noiseless step relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class Schedule:
             raise ValueError(f"schedule needs {self.n_steps + 1} points, got shape {pts.shape}")
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError("schedule must start at exactly 0 and end at exactly 1")
-        if np.any(np.diff(pts) <= 0.0):
+        if not np.all(np.diff(pts) > 0.0):
             raise ValueError("schedule must be strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -56,8 +57,8 @@ def shifted(n_steps: int, gamma: float) -> Schedule:
     if n_steps < 1:
         raise DomainError(f"step count must be >= 1, got {n_steps}")
     gamma = float(gamma)
-    if gamma < 1.0:
-        raise DomainError(f"shift coefficient must be >= 1, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise DomainError(f"shift coefficient must be finite and >= 1, got {gamma}")
     idx = np.arange(n_steps + 1, dtype=np.float64)
     pts = idx / (gamma * n_steps - (gamma - 1.0) * idx)
     pts[0] = 0.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -76,22 +76,6 @@ class TaskSpec:
     @property
     def context_dim(self) -> int:
         return 1 if self.name == "moons_rotate" else 0
-
-
-def gaussian_shift(shift: tuple[float, ...], seed: int = 0) -> TaskSpec:
-    return TaskSpec(name="gaussian_shift", dimension=len(shift), shift=tuple(shift), seed=seed)
-
-
-def moons_rotate(angle: float, seed: int = 0) -> TaskSpec:
-    return TaskSpec(name="moons_rotate", dimension=2, angle=float(angle), seed=seed)
-
-
-def grid_colorize(grid_size: int, seed: int = 0) -> TaskSpec:
-    return TaskSpec(name="grid_colorize", dimension=3 * grid_size**2, grid_size=grid_size, seed=seed)
-
-
-def signal_refine(length: int, repeat: int, seed: int = 0) -> TaskSpec:
-    return TaskSpec(name="signal_refine", dimension=length, repeat=repeat, seed=seed)
 
 
 def _moons_source(count: int, rng: RngStream) -> Tensor:
@@ -222,12 +206,7 @@ class EvalReport:
     sample_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "paired_mse": self.paired_mse,
-            "energy_distance": self.energy_distance,
-            "mean_displacement_error": self.mean_displacement_error,
-            "sample_count": self.sample_count,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -14,13 +14,14 @@ digest of the consumed stream is recorded for auditing that property.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Protocol
 
 import numpy as np
 
-from .bridge import T_CLAMP, BridgeSample, EndpointPair, sample_state
+from .bridge import T_CLAMP, BridgeSample, EndpointPair, check_noise_scale, sample_state
 from .errors import TrainingError
 from .model import ModelConfig, linearize
 from .numerics import RngStream, Tensor, gaussian, uniform
@@ -60,20 +61,12 @@ class TrainConfig:
             raise ValueError("log_every must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if not self.noise_scale >= 0.0:
-            raise ValueError("noise_scale must be >= 0")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
+        check_noise_scale(self.noise_scale)
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective.value,
-            "noise_scale": self.noise_scale,
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-            "log_every": self.log_every,
-        }
+        return {**asdict(self), "objective": self.objective.value}
 
 
 @dataclass

@@ -5,6 +5,9 @@ measured <= bound). Bounds come from the analytic sampling distribution of
 the estimator (3-sigma Monte-Carlo bands, stated relative tolerances, or
 exact-zero requirements) and can be overridden by name. Given a seed and a
 draw count, every suite is fully deterministic, so reports are byte-stable.
+Measurements run the library's own code paths (state construction, targets,
+alpha^2, the Monte-Carlo profile and the integrator), so a check certifies
+the code that trains and samples, not a re-derivation of it.
 
 Suites: bridge (marginal/conditional moments and target identities),
 objectives (normalization law and loss-contribution profiles), sampler
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -23,23 +25,23 @@ from scipy import stats as scipy_stats
 from .bridge import (
     EndpointPair,
     conditional_variance,
+    displacement_target,
     interpolate,
     marginal_variance,
-    sample_joint,
     sample_state,
     velocity_target,
 )
 from .numerics import RngStream, gaussian, squared_norm, uniform
 from .objectives import (
     ObjectiveKind,
+    _mc_target_sqnorms,
     alpha_factor,
     default_profile_grid,
     expected_target_sqnorm,
-    raw_target,
     target_profile,
 )
 from .sampler import endpoint_statistics, integrate, oracle_field, plan_steps
-from .schedules import shifted, uniform as uniform_schedule
+from .schedules import Schedule, shifted, uniform as uniform_schedule
 
 SUITES = ("bridge", "objectives", "sampler", "schedules", "all")
 
@@ -48,19 +50,8 @@ _X0 = np.array([0.3, -1.2])
 _X1 = np.array([1.7, 0.4])
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    measured: float
-    bound: float
-    passed: bool
-
-
-def _check(suite: str, name: str, measured: float, bound: float, overrides) -> CheckResult:
-    bound = float(overrides.get(name, bound)) if overrides else float(bound)
-    measured = float(measured)
-    return CheckResult(suite=suite, name=name, measured=measured, bound=bound, passed=measured <= bound)
+# A suite's result: (check name, measured, bound); it passes iff measured <= bound.
+Check = tuple[str, float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +59,11 @@ def _check(suite: str, name: str, measured: float, bound: float, overrides) -> C
 # ---------------------------------------------------------------------------
 
 
-def bridge_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) -> list[CheckResult]:
+def bridge_suite(seed: int, mc: int = 100_000) -> list[Check]:
     rng = RngStream(seed=seed).split(1)
     pair = EndpointPair(_X0, _X1)
     d = pair.dimension
-    checks: list[CheckResult] = []
+    checks: list[Check] = []
     # The fixed relative tolerances are calibrated for 1e5 draws; never run
     # the variance laws with less, whatever --mc asks for.
     mc = max(mc, 100_000)
@@ -87,44 +78,36 @@ def bridge_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) ->
         for si, s in enumerate((0.5, 1.0, 2.0)):
             eps = gaussian(rng.split(10 * ti + si), (mc, d))
             states = sample_state(drawn, t, eps, s).state
-            emp_mean = states.mean(axis=0)
-            emp_var = states.var(axis=0, ddof=1)
-            sigma_mean = s * math.sqrt(t * (1.0 - t) / mc)
-            checks.append(
-                _check(
-                    "bridge",
-                    f"marginal_mean_sigma_t{t}_s{s}",
-                    np.max(np.abs(emp_mean - interpolate(pair, t))) / sigma_mean,
-                    4.5,
-                    overrides,
-                )
-            )
             true_var = marginal_variance(t, s)
+            mean_dev = np.max(np.abs(states.mean(axis=0) - interpolate(pair, t)))
             checks.append(
-                _check(
-                    "bridge",
-                    f"marginal_var_t{t}_s{s}",
-                    np.max(np.abs(emp_var / true_var - 1.0)),
-                    0.03,
-                    overrides,
-                )
+                (f"marginal_mean_sigma_t{t}_s{s}", mean_dev / math.sqrt(true_var / mc), 4.5)
             )
+            var_dev = np.max(np.abs(states.var(axis=0, ddof=1) / true_var - 1.0))
+            checks.append((f"marginal_var_t{t}_s{s}", var_dev, 0.03))
 
+    # Conditional variance through the corrected sampler: on the grid
+    # [0, t1, t2, 1] with the oracle drift, the step from t1 to t2 adds
+    # noise whose variance must be Var(X_t2 | X_t1).
+    field = oracle_field(pair.x1)
     for i, (t1, t2) in enumerate(((0.25, 0.5), (0.5, 0.75), (0.1, 0.9))):
         s = 1.0
-        states1, states2 = sample_joint(pair, t1, t2, s, rng.split(100 + i), mc)
-        pull = (t2 - t1) / (1.0 - t1)
-        residual = states2 - (states1 + pull * (pair.x1 - states1))
+        path = []
+        integrate(
+            drawn.x0,
+            field,
+            Schedule(points=[0.0, t1, t2, 1.0], n_steps=3),
+            "corrected",
+            s,
+            rng.split(100 + i),
+            lambda k, states: path.append(states),
+        )
+        _, states1, states2, _ = path
+        residual = states2 - states1 - (t2 - t1) * field(states1, t1)
         emp_cond_var = residual.var(axis=0, ddof=1)
         true_cond = conditional_variance(t1, t2, s)
         checks.append(
-            _check(
-                "bridge",
-                f"conditional_var_{t1}_{t2}",
-                np.max(np.abs(emp_cond_var / true_cond - 1.0)),
-                0.03,
-                overrides,
-            )
+            (f"conditional_var_{t1}_{t2}", np.max(np.abs(emp_cond_var / true_cond - 1.0)), 0.03)
         )
 
     # Deterministic identities on a sweep of random samples.
@@ -137,13 +120,13 @@ def bridge_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) ->
         eps = gaussian(ident_rng, pair.x0.shape)
         sample = sample_state(pair, t, eps, s)
         u = velocity_target(pair, sample)
-        dsp = pair.x1 - sample.state
+        dsp = displacement_target(pair, sample)
         scale = max(1.0, float(np.max(np.abs(dsp))))
         worst_identity = max(worst_identity, float(np.max(np.abs(dsp - (1.0 - t) * u))) / scale)
         expansion = (pair.x1 - pair.x0) - s * math.sqrt(t / (1.0 - t)) * eps
         worst_expansion = max(worst_expansion, float(np.max(np.abs(u - expansion))))
-    checks.append(_check("bridge", "target_identity_rel", worst_identity, 1e-15, overrides))
-    checks.append(_check("bridge", "expansion_identity_abs", worst_expansion, 1e-12, overrides))
+    checks.append(("target_identity_rel", worst_identity, 1e-15))
+    checks.append(("expansion_identity_abs", worst_expansion, 1e-12))
 
     pinning = max(
         marginal_variance(0.0, 1.0),
@@ -151,7 +134,7 @@ def bridge_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) ->
         float(np.max(np.abs(interpolate(pair, 0.0) - pair.x0))),
         float(np.max(np.abs(interpolate(pair, 1.0) - pair.x1))),
     )
-    checks.append(_check("bridge", "endpoint_pinning", pinning, 0.0, overrides))
+    checks.append(("endpoint_pinning", pinning, 0.0))
 
     # Normal-source sanity: chi-square goodness of fit over quantile bins.
     gof_draws = 100_000
@@ -161,7 +144,7 @@ def bridge_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) ->
     expected = gof_draws / 20.0
     chi2_stat = float(np.sum((observed - expected) ** 2 / expected))
     chi2_crit = float(scipy_stats.chi2.ppf(0.999, df=19))
-    checks.append(_check("bridge", "gaussian_chi2_gof", chi2_stat, chi2_crit, overrides))
+    checks.append(("gaussian_chi2_gof", chi2_stat, chi2_crit))
 
     return checks
 
@@ -171,20 +154,20 @@ def bridge_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def objectives_suite(
-    seed: int, mc: int = 100_000, overrides: dict | None = None
-) -> list[CheckResult]:
+def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
     rng = RngStream(seed=seed).split(2)
     pair = EndpointPair(_X0, _X1)
     d = pair.dimension
     dist_sq = squared_norm(pair.x1 - pair.x0)
     s = 1.0
     draws = max(mc // 10, 1000)
-    checks: list[CheckResult] = []
+    checks: list[Check] = []
 
     # Worst per-point deviation in estimator sigmas. The bound of 4.5 sigma
     # keeps the family-wise false-alarm rate ~1e-4 over the 21-point grid
     # (a literal per-point 3-sigma gate would flag ~5% of correct runs).
+    # The target is built inline in its expansion form, on purpose: the law
+    # is checked against a form the library does not use.
     grid = np.concatenate([np.arange(0.05, 0.951, 0.05), [0.995]])
     ratio_draws = max(mc // 4, 25_000)
     worst_z = 0.0
@@ -200,8 +183,8 @@ def objectives_suite(
         worst_z = max(worst_z, abs(float(np.mean(stab_sqnorms)) - dist_sq) / se)
         ratio = float(np.mean(u_sqnorms)) / dist_sq
         worst_ratio = max(worst_ratio, abs(ratio / alpha_sq - 1.0))
-    checks.append(_check("objectives", "alpha_law_stabilized_worst_sigma", worst_z, 4.5, overrides))
-    checks.append(_check("objectives", "alpha_law_velocity_ratio", worst_ratio, 0.03, overrides))
+    checks.append(("alpha_law_stabilized_worst_sigma", worst_z, 4.5))
+    checks.append(("alpha_law_velocity_ratio", worst_ratio, 0.03))
 
     # Loss-contribution profiles against their closed-form landmarks (unit
     # distance in one dimension, unit noise scale).
@@ -209,50 +192,27 @@ def objectives_suite(
     grid_i = default_profile_grid(1000)
     prof_v = target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, grid_i)
     idx09 = int(np.argmin(np.abs(grid_i - 0.9)))
-    checks.append(
-        _check(
-            "objectives",
-            "profile_velocity_c09",
-            abs(prof_v[idx09].c_value - 1.0 / 3.0),
-            0.02,
-            overrides,
-        )
-    )
+    checks.append(("profile_velocity_c09", abs(prof_v[idx09].c_value - 1.0 / 3.0), 0.02))
     prof_d = target_profile(ObjectiveKind.DISPLACEMENT, unit_pair, 1.0, grid_i)
     idx05 = int(np.argmin(np.abs(grid_i - 0.5)))
-    checks.append(
-        _check(
-            "objectives",
-            "profile_displacement_c05",
-            abs(prof_d[idx05].c_value - 0.751),
-            0.02,
-            overrides,
-        )
-    )
+    checks.append(("profile_displacement_c05", abs(prof_d[idx05].c_value - 0.751), 0.02))
     prof_s = target_profile(ObjectiveKind.STABILIZED_VELOCITY, unit_pair, 1.0, grid_i)
     stab_dev = max(abs(p.c_value - p.t / 0.999) for p in prof_s)
-    checks.append(_check("objectives", "profile_stabilized_linear", stab_dev, 0.01, overrides))
+    checks.append(("profile_stabilized_linear", stab_dev, 0.01))
 
     # Monte-Carlo estimates agree with the closed forms for every objective
-    # kind; same family-wise sigma bound, 30 comparisons. The library's
-    # batched state, target and alpha run on the pair broadcast over the draws.
+    # kind; same family-wise sigma bound, 30 comparisons. The per-draw
+    # values come from the Monte-Carlo path that target_profile averages.
     mc_grid = np.linspace(0.05, 0.95, 10)
-    drawn = EndpointPair(np.broadcast_to(_X0, (draws, d)), np.broadcast_to(_X1, (draws, d)))
     worst_mc_z = 0.0
     for ki, kind in enumerate(ObjectiveKind):
         for i, t in enumerate(mc_grid):
             t = float(t)
-            eps = gaussian(rng.split(400 + 20 * ki + i), (draws, d))
-            targets = raw_target(kind, drawn, sample_state(drawn, t, eps, s))
-            sqnorms = np.sum(targets * targets, axis=1)
-            if kind is ObjectiveKind.STABILIZED_VELOCITY:
-                sqnorms = sqnorms / alpha_factor(drawn, t, s)
+            sqnorms = _mc_target_sqnorms(kind, pair, s, t, draws, rng.split(400 + 20 * ki + i))
             closed = expected_target_sqnorm(kind, pair, s, t)
             se = float(np.std(sqnorms, ddof=1)) / math.sqrt(draws)
             worst_mc_z = max(worst_mc_z, abs(float(np.mean(sqnorms)) - closed) / se)
-    checks.append(
-        _check("objectives", "profile_mc_vs_closed_form_worst_sigma", worst_mc_z, 4.5, overrides)
-    )
+    checks.append(("profile_mc_vs_closed_form_worst_sigma", worst_mc_z, 4.5))
 
     # The library's own Monte-Carlo profile path reproduces the constant
     # stabilized magnitude within 2 percent. The draw count is floored so the
@@ -266,7 +226,7 @@ def objectives_suite(
         rng=rng.split(500),
     )
     worst_stab_mc = max(abs(p.s_value / dist_sq - 1.0) for p in prof_mc)
-    checks.append(_check("objectives", "profile_mc_stabilized_flat", worst_stab_mc, 0.02, overrides))
+    checks.append(("profile_mc_stabilized_flat", worst_stab_mc, 0.02))
 
     # alpha monotonicity in t and in s (closed form, fine grids).
     t_grid = np.linspace(0.0, 0.99, 200)
@@ -274,16 +234,9 @@ def objectives_suite(
     s_grid = np.linspace(0.0, 4.0, 200)
     alphas_s = np.array([alpha_factor(pair, 0.7, float(v)) for v in s_grid])
     mono_violations = float(np.sum(np.diff(alphas_t) < 0) + np.sum(np.diff(alphas_s) < 0))
-    checks.append(_check("objectives", "alpha_monotonic", mono_violations, 0.0, overrides))
-    checks.append(
-        _check(
-            "objectives",
-            "alpha_floor_at_one",
-            float(1.0 - min(np.min(alphas_t), np.min(alphas_s))),
-            0.0,
-            overrides,
-        )
-    )
+    checks.append(("alpha_monotonic", mono_violations, 0.0))
+    alpha_floor = float(1.0 - min(np.min(alphas_t), np.min(alphas_s)))
+    checks.append(("alpha_floor_at_one", alpha_floor, 0.0))
 
     return checks
 
@@ -293,10 +246,10 @@ def objectives_suite(
 # ---------------------------------------------------------------------------
 
 
-def sampler_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) -> list[CheckResult]:
+def sampler_suite(seed: int, mc: int = 100_000) -> list[Check]:
     rng = RngStream(seed=seed).split(3)
     pair = EndpointPair(_X0, _X1)
-    checks: list[CheckResult] = []
+    checks: list[Check] = []
     mc = max(mc, 100_000)  # fixed tolerances are calibrated for 1e5 draws
     schedules_grid = [(n, g) for n in (1, 2, 4, 16, 64) for g in (1.0, 5.0)]
 
@@ -307,7 +260,7 @@ def sampler_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) -
                 "corrected", oracle_field(pair.x1), pair, shifted(n, g), s, 8, rng.split(1)
             )
             worst_mse = max(worst_mse, st.mse)
-    checks.append(_check("sampler", "oracle_corrected_mse", worst_mse, 1e-20, overrides))
+    checks.append(("oracle_corrected_mse", worst_mse, 1e-20))
 
     # 5% bound verified at 2e4 runs so it sits at ~5 estimator sigmas even
     # across the 20-combination grid.
@@ -321,18 +274,18 @@ def sampler_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) -
             )
             expected = s * s * float(sch.points[-1] - sch.points[-2])
             worst_var = max(worst_var, abs(st.variance / expected - 1.0))
-    checks.append(_check("sampler", "standard_endpoint_variance", worst_var, 0.05, overrides))
+    checks.append(("standard_endpoint_variance", worst_var, 0.05))
 
     st0 = endpoint_statistics(
         "standard", oracle_field(pair.x1), pair, uniform_schedule(8), 0.0, 16, rng.split(3)
     )
-    checks.append(_check("sampler", "standard_s0_exact", st0.mse, 1e-20, overrides))
+    checks.append(("standard_s0_exact", st0.mse, 1e-20))
 
     # Final corrected step is exactly noiseless for every schedule.
     worst_eta = max(
         abs(plan_steps(shifted(n, g), "corrected", 2.0)[-1].eta) for n, g in schedules_grid
     )
-    checks.append(_check("sampler", "final_step_noiseless", worst_eta, 0.0, overrides))
+    checks.append(("final_step_noiseless", worst_eta, 0.0))
 
     # Driftless accumulation: with a zero field the endpoint variance equals
     # the sum of squared per-step amplitudes (direct check of the
@@ -342,15 +295,7 @@ def sampler_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) -
     origin_pair = EndpointPair(np.zeros(1), np.zeros(1))
     st = endpoint_statistics("corrected", zero_field, origin_pair, sch, 1.0, mc, rng.split(4))
     predicted = sum(p.eta**2 for p in plan_steps(sch, "corrected", 1.0))
-    checks.append(
-        _check(
-            "sampler",
-            "driftless_amplitude_accumulation",
-            abs(st.variance / predicted - 1.0),
-            0.03,
-            overrides,
-        )
-    )
+    checks.append(("driftless_amplitude_accumulation", abs(st.variance / predicted - 1.0), 0.03))
 
     # Marginal tracking: with the conditional drift toward a zero target the
     # corrected sampler's state variance reproduces the bridge marginal
@@ -367,10 +312,8 @@ def sampler_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) -
     states = integrate(
         np.zeros((mc, 1)), oracle_field(np.zeros(1)), sch, "corrected", s, rng.split(5), track
     )
-    worst_track = max(deviations)
-    final_var = float(np.var(states, ddof=1))
-    checks.append(_check("sampler", "bridge_marginal_tracking", worst_track, 0.03, overrides))
-    checks.append(_check("sampler", "bridge_marginal_endpoint_pinned", final_var, 0.0, overrides))
+    checks.append(("bridge_marginal_tracking", max(deviations), 0.03))
+    checks.append(("bridge_marginal_endpoint_pinned", float(np.var(states, ddof=1)), 0.0))
 
     # Determinism: identical (seed, schedule, field) gives identical trajectories.
     def trajectory() -> list:
@@ -387,7 +330,7 @@ def sampler_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) -
         return states
 
     det = max(float(np.max(np.abs(a - b))) for a, b in zip(trajectory(), trajectory()))
-    checks.append(_check("sampler", "trajectory_determinism", det, 0.0, overrides))
+    checks.append(("trajectory_determinism", det, 0.0))
 
     return checks
 
@@ -397,9 +340,8 @@ def sampler_suite(seed: int, mc: int = 100_000, overrides: dict | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def schedules_suite(seed: int, mc: int = 0, overrides: dict | None = None) -> list[CheckResult]:
+def schedules_suite(seed: int, mc: int = 0) -> list[Check]:
     del seed, mc  # deterministic contract checks
-    checks: list[CheckResult] = []
     n_values = (1, 2, 3, 7, 64, 1000, 10_000)
     gamma_values = (1.0, 1.5, 2.0, 5.0, 100.0)
 
@@ -422,12 +364,13 @@ def schedules_suite(seed: int, mc: int = 0, overrides: dict | None = None) -> li
             np.sum(shifted(n, 1.0).points != uniform_schedule(n).points)
         )
 
-    checks.append(_check("schedules", "boundary_exactness", boundary, 0.0, overrides))
-    checks.append(_check("schedules", "strict_monotonicity", monotonic_violations, 0.0, overrides))
-    checks.append(_check("schedules", "step_growth_gamma_gt1", growth_violations, 0.0, overrides))
-    checks.append(_check("schedules", "early_densification", densify_violations, 0.0, overrides))
-    checks.append(_check("schedules", "gamma1_bitwise_uniform", bitwise_mismatch, 0.0, overrides))
-    return checks
+    return [
+        ("boundary_exactness", boundary, 0.0),
+        ("strict_monotonicity", monotonic_violations, 0.0),
+        ("step_growth_gamma_gt1", growth_violations, 0.0),
+        ("early_densification", densify_violations, 0.0),
+        ("gamma1_bitwise_uniform", bitwise_mismatch, 0.0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -445,29 +388,36 @@ _SUITE_FUNCS = {
 def run_suite(
     suite: str, seed: int = 0, mc: int = 100_000, overrides: dict | None = None
 ) -> dict:
-    """Run one named suite (or 'all'); returns a deterministic report dict."""
+    """Run one named suite (or 'all'); returns a deterministic report dict.
+
+    ``overrides`` maps a check name to a bound that replaces the suite's own.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    names = [s for s in ("bridge", "objectives", "sampler", "schedules") if suite in ("all", s)]
-    checks: list[CheckResult] = []
-    for name in names:
-        checks.extend(_SUITE_FUNCS[name](seed=seed, mc=mc, overrides=overrides))
+    overrides = overrides or {}
+    checks = []
+    for name, func in _SUITE_FUNCS.items():
+        if suite not in ("all", name):
+            continue
+        for check, measured, bound in func(seed=seed, mc=mc):
+            measured = float(measured)
+            bound = float(overrides.get(check, bound))
+            checks.append(
+                {
+                    "suite": name,
+                    "name": check,
+                    "measured": measured,
+                    "bound": bound,
+                    "passed": measured <= bound,
+                }
+            )
     return {
         "suite": suite,
         "seed": seed,
         "mc": mc,
-        "checks": [
-            {
-                "suite": c.suite,
-                "name": c.name,
-                "measured": c.measured,
-                "bound": c.bound,
-                "passed": c.passed,
-            }
-            for c in checks
-        ],
-        "failed": [c.name for c in checks if not c.passed],
-        "passed": all(c.passed for c in checks),
+        "checks": checks,
+        "failed": [c["name"] for c in checks if not c["passed"]],
+        "passed": all(c["passed"] for c in checks),
     }
 
 

@@ -18,7 +18,6 @@ from bridgelab.bridge import (
     conditional_variance,
     interpolate,
     marginal_variance,
-    sample_joint,
 )
 from bridgelab.bridge import sample_state
 from bridgelab.cli import main
@@ -39,7 +38,7 @@ from bridgelab.objectives import (
     raw_target,
 )
 from bridgelab.sampler import endpoint_statistics, integrate, oracle_field
-from bridgelab.schedules import shifted, uniform
+from bridgelab.schedules import Schedule, shifted, uniform
 from bridgelab.tasks import (
     TaskSpec,
     energy_distance,
@@ -82,12 +81,23 @@ def test_criterion_01_bridge_statistics():
 
 
 def test_criterion_02_conditional_variance():
-    """Joint two-time simulation matches s^2 (t2-t1)(1-t2)/(1-t1) within 3%."""
+    """The corrected sampler's step from t1 to t2 adds the bridge's conditional
+    variance s^2 (t2-t1)(1-t2)/(1-t1), within 3% over 1e5 paths."""
     worst = 0.0
+    field = oracle_field(PAIR.x1)
     for k, (t1, t2) in enumerate(((0.25, 0.5), (0.5, 0.75), (0.1, 0.9))):
-        states1, states2 = sample_joint(PAIR, t1, t2, 1.0, RngStream(seed=0, stream=50 + k), 10**5)
-        pull = (t2 - t1) / (1.0 - t1)
-        residual = states2 - (states1 + pull * (PAIR.x1 - states1))
+        path = []
+        integrate(
+            np.broadcast_to(PAIR.x0, (10**5, 2)),
+            field,
+            Schedule(points=[0.0, t1, t2, 1.0], n_steps=3),
+            "corrected",
+            1.0,
+            RngStream(seed=0, stream=50 + k),
+            lambda _, states: path.append(states),
+        )
+        _, states1, states2, _ = path
+        residual = states2 - states1 - (t2 - t1) * field(states1, t1)
         dev = float(
             np.max(np.abs(residual.var(axis=0, ddof=1) / conditional_variance(t1, t2, 1.0) - 1.0))
         )

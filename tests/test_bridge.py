@@ -15,12 +15,13 @@ from bridgelab.bridge import (
     displacement_target,
     interpolate,
     marginal_variance,
-    sample_joint,
     sample_state,
     velocity_target,
 )
 from bridgelab.errors import ClampedTimeError, DomainError
 from bridgelab.numerics import RngStream, gaussian, uniform
+from bridgelab.sampler import integrate, oracle_field
+from bridgelab.schedules import Schedule
 
 
 @pytest.fixture()
@@ -178,12 +179,21 @@ class TestConditionalVariance:
             conditional_variance(1.0, 1.0, 1.0)
 
     def test_joint_simulation_matches(self, pair2d):
-        """Empirical Var(X_t2 | X_t1) from 1e5 joint draws within 3%."""
+        """Empirical Var(X_t2 | X_t1) from 1e5 corrected-sampler paths within 3%."""
         t1, t2, s = 0.5, 0.75, 1.0
-        states1, states2 = sample_joint(pair2d, t1, t2, s, RngStream(seed=55), 10**5)
-        pull = (t2 - t1) / (1.0 - t1)
-        cond_mean = states1 + pull * (pair2d.x1 - states1)
-        emp = np.var(states2 - cond_mean, axis=0, ddof=1)
+        field = oracle_field(pair2d.x1)
+        path = []
+        integrate(
+            np.broadcast_to(pair2d.x0, (10**5, 2)),
+            field,
+            Schedule(points=[0.0, t1, t2, 1.0], n_steps=3),
+            "corrected",
+            s,
+            RngStream(seed=55),
+            lambda k, states: path.append(states),
+        )
+        _, states1, states2, _ = path
+        emp = np.var(states2 - states1 - (t2 - t1) * field(states1, t1), axis=0, ddof=1)
         assert np.max(np.abs(emp / conditional_variance(t1, t2, s) - 1.0)) < 0.03
 
 

@@ -360,6 +360,16 @@ class TestUsageErrors:
             ["profile", "--dim", "0"],
             ["profile", "--grid", "0:1:10"],
             ["profile", "--s", "-1", "--mc", "10"],
+            ["profile", "--s", "nan"],
+            ["profile", "--s", "inf"],
+            ["profile", "--distance2", "nan"],
+            ["schedule", "dump", "--N", "4", "--gamma", "nan"],
+            ["sample", "--oracle", "--s", "inf"],
+            ["sample", "--oracle", "--gamma", "nan"],
+            ["sample", "--oracle", "--gamma", "inf"],
+            ["train", "--s", "inf", "--steps", "5"],
+            ["train", "--lr", "nan", "--steps", "5"],
+            ["ablate", "--axis", "noise_scale", "--values", "1,inf", "--steps", "5"],
         ],
         ids=[
             "sample-N0",
@@ -378,6 +388,16 @@ class TestUsageErrors:
             "profile-dim0",
             "profile-grid-beyond-0.999",
             "profile-negative-noise-scale",
+            "profile-noise-scale-nan",
+            "profile-noise-scale-inf",
+            "profile-distance-nan",
+            "schedule-dump-gamma-nan",
+            "sample-noise-scale-inf",
+            "sample-gamma-nan",
+            "sample-gamma-inf",
+            "train-noise-scale-inf",
+            "train-lr-nan",
+            "ablate-noise-scale-inf",
         ],
     )
     def test_bad_argument_exits_two_before_any_output(self, tmp_path, capsys, argv):
