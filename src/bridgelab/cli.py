@@ -163,10 +163,14 @@ def _parse_grid(text: str) -> np.ndarray:
 def _parse_overrides(items: list[str] | None) -> dict:
     overrides = {}
     for item in items or []:
-        name, _, value = item.partition("=")
-        if not _:
-            _usage_error(f"bad override {item!r}, expected name=value")
-        overrides[name] = float(value)
+        name, sep, value = item.partition("=")
+        try:
+            bound = float(value)
+        except ValueError:
+            bound = math.nan
+        if not sep or math.isnan(bound):
+            _usage_error(f"bad override {item!r}, expected name=number")
+        overrides[name] = bound
     return overrides
 
 
@@ -264,7 +268,7 @@ def _resolved_config(args, skip=("config", "func", "command")) -> dict:
 
 def cmd_verify(args) -> int:
     overrides = _parse_overrides(args.override)
-    report = run_suite(args.suite, seed=args.seed, mc=args.mc, overrides=overrides)
+    report = _usage_checked(run_suite, args.suite, args.seed, args.mc, overrides)
     text = report_to_json(report)
     outputs = []
     if args.out_dir is not None or args.out is not None:
@@ -378,7 +382,10 @@ def _load_trained(args) -> tuple[ModelConfig, np.ndarray, ObjectiveKind]:
     contradicts it is rejected. A version-1 container records none, so
     --objective names it (stabilized_velocity when absent).
     """
-    mconfig, params, recorded = load_parameters(args.params)
+    try:
+        mconfig, params, recorded = load_parameters(args.params)
+    except OSError as exc:
+        _usage_error(f"cannot read --params {args.params}: {exc.strerror or exc}")
     if recorded is None:
         return mconfig, params, ObjectiveKind(args.objective or DEFAULT_OBJECTIVE)
     if args.objective is not None and ObjectiveKind(args.objective) is not recorded:
@@ -641,8 +648,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    with open(known.config, "r", encoding="utf-8") as fh:
-        loaded = json.load(fh)
+    try:
+        with open(known.config, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        _usage_error(f"cannot read --config {known.config}: {exc.strerror or exc}")
+    except ValueError as exc:
+        _usage_error(f"--config {known.config} is not a JSON file: {exc}")
+    if not isinstance(loaded, dict):
+        _usage_error(f"--config {known.config} must hold a JSON object")
     defaults = {}
     for key, value in loaded.items():
         defaults[key.replace("-", "_")] = tuple(value) if isinstance(value, list) else value

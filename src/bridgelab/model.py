@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .numerics import RngStream, Tensor, uniform
 from .objectives import ObjectiveKind
@@ -148,7 +147,7 @@ def _activate_grad(z: Tensor, h: Tensor, kind: str) -> Tensor:
     """Derivative of the activation at z, given h = _activate(z, kind)."""
     if kind == "tanh":
         return 1.0 - h * h
-    return expit(z)
+    return 0.5 * (1.0 + np.tanh(0.5 * z))  # the logistic sigmoid, overflow-free
 
 
 def forward(

@@ -192,6 +192,8 @@ def target_profile(
         raise ValueError("profile grid must be strictly increasing")
     if grid[0] < 0.0 or grid[-1] > PROFILE_T_MAX:
         raise DomainError(f"profile grid must lie within [0, {PROFILE_T_MAX}]")
+    if mc_samples < 0:
+        raise ValueError(f"Monte-Carlo draw count must be >= 0, got {mc_samples}")
     if mc_samples > 0 and rng is None:
         raise ValueError("Monte-Carlo profile estimation needs an RngStream")
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bridge import EndpointPair
 from .numerics import RngStream, Tensor, gaussian, uniform
@@ -188,6 +187,8 @@ def energy_distance(a: Tensor, b: Tensor, chunk: int = 512) -> float:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("energy distance needs nonempty sample sets")
+    # Imported here so that only the commands that score samples load scipy.
+    from scipy.spatial.distance import cdist
 
     def mean_cross(x: Tensor, y: Tensor) -> float:
         total = 0.0

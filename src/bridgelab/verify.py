@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .bridge import (
     EndpointPair,
@@ -48,6 +48,14 @@ SUITES = ("bridge", "objectives", "sampler", "schedules", "all")
 # Fixed desk-scale endpoint pair shared by the statistical suites.
 _X0 = np.array([0.3, -1.2])
 _X1 = np.array([1.7, 0.4])
+
+# Chi-square goodness of fit of the Gaussian source: 20 equiprobable bins
+# with standard-normal quantile edges, and the 0.999 quantile of chi-square
+# with 19 degrees of freedom (scipy.stats.chi2.ppf(0.999, 19), bit for bit).
+_GOF_EDGES = np.array(
+    [-math.inf, *map(NormalDist().inv_cdf, np.linspace(0.0, 1.0, 21)[1:-1]), math.inf]
+)
+_CHI2_999_DF19 = 43.82019596451753
 
 
 # A suite's result: (check name, measured, bound); it passes iff measured <= bound.
@@ -139,12 +147,10 @@ def bridge_suite(seed: int, mc: int = 100_000) -> list[Check]:
     # Normal-source sanity: chi-square goodness of fit over quantile bins.
     gof_draws = 100_000
     draws = gaussian(rng.split(300), (gof_draws,))
-    bins = scipy_stats.norm.ppf(np.linspace(0.0, 1.0, 21))
-    observed, _ = np.histogram(draws, bins=bins)
+    observed, _ = np.histogram(draws, bins=_GOF_EDGES)
     expected = gof_draws / 20.0
     chi2_stat = float(np.sum((observed - expected) ** 2 / expected))
-    chi2_crit = float(scipy_stats.chi2.ppf(0.999, df=19))
-    checks.append(("gaussian_chi2_gof", chi2_stat, chi2_crit))
+    checks.append(("gaussian_chi2_gof", chi2_stat, _CHI2_999_DF19))
 
     return checks
 
@@ -390,10 +396,13 @@ def run_suite(
 ) -> dict:
     """Run one named suite (or 'all'); returns a deterministic report dict.
 
-    ``overrides`` maps a check name to a bound that replaces the suite's own.
+    ``overrides`` maps a check name to a bound that replaces the suite's own;
+    a name that the suite does not check is rejected.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if mc < 0:
+        raise ValueError(f"Monte-Carlo draw count must be >= 0, got {mc}")
     overrides = overrides or {}
     checks = []
     for name, func in _SUITE_FUNCS.items():
@@ -411,6 +420,9 @@ def run_suite(
                     "passed": measured <= bound,
                 }
             )
+    unknown = sorted(set(overrides) - {c["name"] for c in checks})
+    if unknown:
+        raise ValueError(f"suite {suite!r} has no check named {', '.join(unknown)}")
     return {
         "suite": suite,
         "seed": seed,

@@ -370,6 +370,10 @@ class TestUsageErrors:
             ["train", "--s", "inf", "--steps", "5"],
             ["train", "--lr", "nan", "--steps", "5"],
             ["ablate", "--axis", "noise_scale", "--values", "1,inf", "--steps", "5"],
+            ["verify", "--suite", "schedules", "--override", "boundary_exactness=abc"],
+            ["verify", "--suite", "schedules", "--override", "boundary_exactness=nan"],
+            ["verify", "--suite", "schedules", "--mc", "-5"],
+            ["profile", "--mc", "-5"],
         ],
         ids=[
             "sample-N0",
@@ -398,6 +402,10 @@ class TestUsageErrors:
             "train-noise-scale-inf",
             "train-lr-nan",
             "ablate-noise-scale-inf",
+            "verify-override-not-a-number",
+            "verify-override-nan",
+            "verify-negative-mc",
+            "profile-negative-mc",
         ],
     )
     def test_bad_argument_exits_two_before_any_output(self, tmp_path, capsys, argv):
@@ -406,6 +414,46 @@ class TestUsageErrors:
             main(argv + ["--seed", "1", "--out-dir", out])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    def test_unknown_override_is_named(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "schedules", "--override", "nosuchcheck=1", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: suite 'schedules' has no check named nosuchcheck\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "directory", "{not json", "[1, 2]"],
+        ids=["missing", "directory", "invalid-json", "json-list"],
+    )
+    def test_bad_config_file_exits_two(self, tmp_path, capsys, content):
+        """A missing file, a directory, invalid JSON and a JSON list."""
+        config = str(tmp_path / "config.json")
+        if content == "directory":
+            os.mkdir(config)
+        elif content is not None:
+            with open(config, "w") as fh:
+                fh.write(content)
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", config, "schedule", "dump", "--N", "4", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_params_exits_two(self, tmp_path, capsys, kind):
+        params = str(tmp_path / "params.bin")
+        if kind == "directory":
+            os.mkdir(params)
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--params", params, "--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read --params {params}")
         assert not os.path.exists(out)
 
 

@@ -1,0 +1,68 @@
+"""Start-up cost: importing bridgelab, training and verifying load no scipy.
+
+scipy is imported only by ``tasks.energy_distance``. Each check runs in a
+fresh interpreter, because the test modules import scipy themselves.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import bridgelab
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(bridgelab.__file__)))
+
+_SCRIPT = """
+import contextlib, io, json, sys, tempfile
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded = {}
+import bridgelab
+loaded["import bridgelab"] = scipy_modules()
+from bridgelab.cli import main
+loaded["import bridgelab.cli"] = scipy_modules()
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    train = main(["train", "--steps", "5", "--batch-size", "4", "--hidden", "4",
+                  "--seed", "0", "--out-dir", out])
+    loaded["train"] = scipy_modules()
+    verify = main(["verify", "--suite", "all", "--mc", "1000"])
+    loaded["verify --suite all"] = scipy_modules()
+import numpy as np
+from bridgelab.tasks import energy_distance
+distance = energy_distance(np.array([[0.0], [1.0]]), np.array([[0.0], [3.0]]))
+print(json.dumps({"loaded": loaded, "exits": [train, verify], "distance": distance,
+                  "scipy_after_energy_distance": "scipy.spatial" in sys.modules}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_process() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "stage", ["import bridgelab", "import bridgelab.cli", "train", "verify --suite all"]
+)
+def test_stage_loads_no_scipy(fresh_process, stage):
+    assert fresh_process["loaded"][stage] == []
+
+
+def test_commands_succeeded(fresh_process):
+    assert fresh_process["exits"] == [0, 0]
+
+
+def test_energy_distance_imports_scipy_on_first_call(fresh_process):
+    """2 E|a-b| - E|a-a'| - E|b-b'| for a = {0, 1}, b = {0, 3}: 2*1.5 - 0.5 - 1.5."""
+    assert fresh_process["distance"] == 1.0
+    assert fresh_process["scipy_after_energy_distance"] is True

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from bridgelab.model import (
     ModelConfig,
+    _activate_grad,
     _views,
     forward,
     init,
@@ -173,6 +175,16 @@ class TestBackward:
             gi, _ = linearize(params, config, xs[i], float(ts[i]))[1](ups[i])
             total += gi
         np.testing.assert_allclose(batch_grad, total, rtol=1e-10, atol=1e-12)
+
+
+class TestActivationGradient:
+    def test_smooth_relu_gradient_is_logistic_sigmoid(self):
+        """The tanh form of the sigmoid matches scipy's expit and never overflows."""
+        z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), np.linspace(-40.0, 40.0, 80_001)])
+        h = np.logaddexp(0.0, z)
+        with np.errstate(all="raise"):
+            grad = _activate_grad(z, h, "smooth_relu")
+        np.testing.assert_allclose(grad, expit(z), rtol=0.0, atol=4.5e-16)
 
 
 class TestInit:

@@ -1,8 +1,9 @@
 """The verify suites measure the library's own code: breaking it fails the check."""
 
 import numpy as np
+from scipy import stats
 
-from bridgelab import objectives, sampler
+from bridgelab import objectives, sampler, verify
 from bridgelab.verify import run_suite
 
 
@@ -32,3 +33,14 @@ class TestChecksDriveLibraryCode:
         assert "profile_mc_vs_closed_form_worst_sigma" in failed(
             run_suite("objectives", seed=0, mc=100_000)
         )
+
+
+class TestChiSquareConstants:
+    """The goodness-of-fit edges and bound are computed without scipy; pin them to it."""
+
+    def test_critical_value_is_scipys_bit_for_bit(self):
+        assert verify._CHI2_999_DF19 == stats.chi2.ppf(0.999, df=19)
+
+    def test_bin_edges_are_normal_quantiles(self):
+        expected = stats.norm.ppf(np.linspace(0.0, 1.0, 21))
+        np.testing.assert_allclose(verify._GOF_EDGES, expected, rtol=0.0, atol=1e-15)
