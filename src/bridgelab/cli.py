@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check or assertion failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -65,22 +66,28 @@ def _usage_checked(build, *args):
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, data: "str | bytes") -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file that appears at ``path`` only once it is completely written."""
     tmp = path + ".tmp"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    kwargs = {} if isinstance(data, bytes) else {"encoding": "utf-8", "newline": "\n"}
-    with open(tmp, mode, **kwargs) as fh:
-        fh.write(data)
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
     os.replace(tmp, path)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _atomic_write(path: str, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``rows``, any iterable of lists, one line at a time."""
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
+            )
 
 
 def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]) -> str:
@@ -133,10 +140,29 @@ def _write_svg(path: str, series: dict[str, list[tuple[float, float]]], title: s
     _atomic_write(path, "\n".join(parts) + "\n")
 
 
+def _out_dir_name(args) -> str:
+    return args.out_dir or os.environ.get(_OUT_DIR_ENV) or "."
+
+
 def _ensure_out_dir(args) -> str:
-    out_dir = args.out_dir or os.environ.get(_OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir_name(args)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        _usage_error(f"cannot make output directory {out_dir}: {exc.strerror or exc}")
     return out_dir
+
+
+def _check_out_file(args) -> None:
+    """Reject, before any output, an --out that is a directory or whose directory
+    neither exists nor is the output directory."""
+    if not args.out:
+        return
+    out = os.path.abspath(args.out)
+    out_dir = os.path.abspath(_out_dir_name(args))
+    parent = os.path.dirname(out)
+    if os.path.isdir(out) or out == out_dir or not (parent == out_dir or os.path.isdir(parent)):
+        _usage_error(f"--out {args.out} must name a file in an existing directory or in --out-dir")
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +265,8 @@ def _contexts(batch: EndpointPair, mconfig: ModelConfig, zero_context: bool):
 
 
 def _model_config(args, spec: TaskSpec) -> ModelConfig:
+    if not args.hidden:
+        raise ValueError("--hidden needs at least one width")
     return ModelConfig(
         input_dim=spec.dimension,
         hidden=args.hidden,
@@ -267,6 +295,7 @@ def _resolved_config(args, skip=("config", "func", "command")) -> dict:
 
 
 def cmd_verify(args) -> int:
+    _check_out_file(args)
     overrides = _parse_overrides(args.override)
     report = _usage_checked(run_suite, args.suite, args.seed, args.mc, overrides)
     text = report_to_json(report)
@@ -418,7 +447,7 @@ def cmd_sample(args) -> int:
     trajectory: list[list] = []
 
     def record(k, states):
-        trajectory.append([k, float(schedule.points[k])] + [float(v) for v in states[0]])
+        trajectory.append([k, float(schedule.points[k])] + states[0].tolist())
 
     recorder = record if args.trajectories else None
     endpoints = integrate(batch.x0, field, schedule, args.mode, args.s, rng.split(2), recorder)
@@ -428,7 +457,7 @@ def cmd_sample(args) -> int:
     _write_csv(
         endpoints_path,
         ["run"] + [f"coord_{i}" for i in range(d)],
-        [[r] + [float(v) for v in endpoints[r]] for r in range(args.runs)],
+        ([r] + endpoints[r].tolist() for r in range(args.runs)),
     )
     eval_path = os.path.join(out_dir, "eval.json")
     _atomic_write(eval_path, report.to_json() + "\n")
@@ -540,6 +569,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_schedule_dump(args) -> int:
+    _check_out_file(args)
     schedule = _usage_checked(shifted, args.N, args.gamma)
     out_dir = _ensure_out_dir(args)
     path = args.out or os.path.join(out_dir, "schedule.csv")
@@ -641,8 +671,39 @@ def _iter_parsers(parser: argparse.ArgumentParser):
                 yield from _iter_parsers(sub)
 
 
+def _config_value(action: argparse.Action, value):
+    """A --config value, read as the parser reads its flag's text; ValueError if it cannot be.
+
+    A flag without an argument takes a JSON bool. Any other option takes a
+    string or a number, a list becomes its comma-separated text (one item per
+    use for a repeatable option), and each text goes through the option's
+    ``type`` and ``choices``.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError("expected true or false")
+        return value
+    repeated = isinstance(action, argparse._AppendAction)  # noqa: SLF001
+    items = value if repeated and isinstance(value, list) else [value]
+    converted = []
+    for item in items:
+        if isinstance(item, list) and not repeated:
+            item = ",".join(map(str, item))
+        if isinstance(item, (bool, list, dict)) or item is None:
+            raise ValueError("expected a string, a number or a list")
+        item = action.type(str(item)) if action.type is not None else str(item)
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"expected one of {', '.join(map(str, action.choices))}")
+        converted.append(item)
+    return converted if repeated else converted[0]
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Seed parser defaults from --config JSON so explicit flags keep precedence."""
+    """Seed parser defaults from --config JSON so explicit flags keep precedence.
+
+    Every key must name an option of some subcommand, and every value must
+    be one its flag would accept; otherwise the run exits 2 before any output.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
@@ -657,12 +718,22 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         _usage_error(f"--config {known.config} is not a JSON file: {exc}")
     if not isinstance(loaded, dict):
         _usage_error(f"--config {known.config} must hold a JSON object")
-    defaults = {}
+    options = [
+        (sub, action)
+        for sub in _iter_parsers(parser)
+        for action in sub._actions  # noqa: SLF001
+        if action.option_strings and not isinstance(action, argparse._HelpAction)  # noqa: SLF001
+    ]
     for key, value in loaded.items():
-        defaults[key.replace("-", "_")] = tuple(value) if isinstance(value, list) else value
-    for sub in _iter_parsers(parser):
-        valid = {action.dest for action in sub._actions}  # noqa: SLF001
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in valid})
+        dest = key.replace("-", "_")
+        matches = [(sub, action) for sub, action in options if action.dest == dest]
+        if not matches:
+            _usage_error(f"--config {known.config}: no option is named {key}")
+        for sub, action in matches:
+            try:
+                sub.set_defaults(**{dest: _config_value(action, value)})
+            except ValueError as exc:
+                _usage_error(f"--config {known.config}: bad value {value!r} for {key}: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:

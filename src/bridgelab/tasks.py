@@ -174,12 +174,52 @@ def pair_provider(spec: TaskSpec, zero_context: bool = False):
 # ---------------------------------------------------------------------------
 
 
+# The Gram form ||x||^2 + ||y||^2 - 2 x.y of a squared distance carries an
+# absolute error of a few ulps of ||x||^2 + ||y||^2. Pairs whose squared
+# distance is within this factor of that scale are recomputed from
+# coordinate differences, so a pair kept in Gram form is off by at most
+# about 1e4 ulps of its squared distance, and only short pairs come near that.
+_GRAM_NEAR = 1e-4
+
+
+def _mean_distance(x: Tensor, y: Tensor, chunk: int) -> float:
+    """Mean of ||x_i - y_j|| over all (i, j), with squared distances in Gram form.
+
+    Rows of ``x`` are taken ``chunk`` at a time. A pair with d^2 <=
+    _GRAM_NEAR * (||x_i||^2 + max_j ||y_j||^2) is recomputed from its
+    coordinate differences, in batches no larger than one Gram block.
+    """
+    xx = np.einsum("ij,ij->i", x, x)
+    yy = np.einsum("ij,ij->i", y, y)
+    neg_2yt = -2.0 * y.T
+    near_scale = _GRAM_NEAR * (xx + np.max(yy))
+    total = 0.0
+    for lo in range(0, x.shape[0], chunk):
+        rows = x[lo : lo + chunk]
+        sq = rows @ neg_2yt
+        sq += xx[lo : lo + chunk, None]
+        sq += yy
+        near = np.flatnonzero(sq <= near_scale[lo : lo + chunk, None])
+        flat = sq.reshape(-1)
+        batch = max(1, sq.size // x.shape[1])
+        for start in range(0, near.size, batch):
+            i, j = np.divmod(near[start : start + batch], y.shape[0])
+            diff = rows[i] - y[j]
+            flat[near[start : start + batch]] = np.einsum("ij,ij->i", diff, diff)
+        total += float(np.sum(np.sqrt(sq, out=sq)))
+    return total / (x.shape[0] * y.shape[0])
+
+
 def energy_distance(a: Tensor, b: Tensor, chunk: int = 512) -> float:
     """V-statistic energy distance 2 E||a-b|| - E||a-a'|| - E||b-b'||.
 
     All expectations run over every index pair including the diagonal, so
-    identical sets give exactly zero. Pairwise distances are computed in row
-    chunks to bound memory at large sample counts.
+    identical sets give exactly zero: with a == b the cross term repeats the
+    self terms' arithmetic. Each self term is centred on its own set's mean
+    and the cross term on a's mean, so a common offset, or one set shifted
+    far from the other, leaves each set's within-set pairs at their own
+    scale. Pairwise distances are computed in row chunks to bound memory at
+    large sample counts.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -187,16 +227,14 @@ def energy_distance(a: Tensor, b: Tensor, chunk: int = 512) -> float:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("energy distance needs nonempty sample sets")
-    # Imported here so that only the commands that score samples load scipy.
-    from scipy.spatial.distance import cdist
-
-    def mean_cross(x: Tensor, y: Tensor) -> float:
-        total = 0.0
-        for lo in range(0, x.shape[0], chunk):
-            total += float(np.sum(cdist(x[lo : lo + chunk], y)))
-        return total / (x.shape[0] * y.shape[0])
-
-    return 2.0 * mean_cross(a, b) - mean_cross(a, a) - mean_cross(b, b)
+    a_mean = np.mean(a, axis=0)
+    a_centred = a - a_mean
+    b_centred = b - np.mean(b, axis=0)
+    return (
+        2.0 * _mean_distance(a_centred, b - a_mean, chunk)
+        - _mean_distance(a_centred, a_centred, chunk)
+        - _mean_distance(b_centred, b_centred, chunk)
+    )
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,10 @@ class TestUsageErrors:
             ["verify", "--suite", "schedules", "--override", "boundary_exactness=nan"],
             ["verify", "--suite", "schedules", "--mc", "-5"],
             ["profile", "--mc", "-5"],
+            ["train", "--hidden", ""],
+            ["ablate", "--axis", "gamma", "--values", "1,2", "--hidden", ",", "--steps", "5"],
+            ["verify", "--suite", "schedules", "--out", "."],
+            ["schedule", "dump", "--N", "4", "--out", "no/such/dir/schedule.csv"],
         ],
         ids=[
             "sample-N0",
@@ -406,6 +410,10 @@ class TestUsageErrors:
             "verify-override-nan",
             "verify-negative-mc",
             "profile-negative-mc",
+            "train-hidden-empty",
+            "ablate-hidden-empty",
+            "verify-out-is-a-directory",
+            "schedule-dump-out-in-missing-directory",
         ],
     )
     def test_bad_argument_exits_two_before_any_output(self, tmp_path, capsys, argv):
@@ -443,6 +451,45 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"steps": 5.5}, {"hidden": 32.5}, {"hidden": []}, {"lr": "fast"}, {"steps": None},
+         {"zero_context": 1}, {"task": "bogus"}, {"optimizer": ["adam", "sgd"]}],
+        ids=["float-steps", "float-hidden", "empty-hidden", "text-lr", "null-steps",
+             "number-for-flag", "unknown-choice", "list-for-choice"],
+    )
+    def test_bad_config_value_exits_two(self, tmp_path, capsys, config):
+        """Config values go through their option's type and choices, like flag text."""
+        path = str(tmp_path / "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", path, "train", "--steps", "3", "--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    def test_unknown_config_key_is_named(self, tmp_path, capsys):
+        path = str(tmp_path / "config.json")
+        with open(path, "w") as fh:
+            json.dump({"stepz": 5}, fh)
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", path, "train", "--steps", "3", "--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: --config {path}: no option is named stepz\n"
+        assert not os.path.exists(out)
+
+    def test_unwritable_out_dir_exits_two(self, tmp_path, capsys):
+        blocker = str(tmp_path / "file")
+        with open(blocker, "w") as fh:
+            fh.write("x")
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", "dump", "--N", "4", "--out-dir", blocker])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot make output directory {blocker}")
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_params_exits_two(self, tmp_path, capsys, kind):
@@ -607,7 +654,7 @@ class TestNumericalFailureExitCode:
                 "--lr",
                 "5.0",
                 "--hidden",
-                "",
+                "4",
                 "--time-features",
                 "2",
                 "--objective",
@@ -644,6 +691,25 @@ class TestConfigPrecedence:
         assert manifest["config"]["gamma"] == 2.0  # config file beats default
         rows = read_csv_rows(os.path.join(out, "schedule.csv"))
         assert len(rows) == 4
+
+    def test_config_values_read_like_flag_text(self, tmp_path):
+        """A number or list in the file means what its text would mean as a flag."""
+        config_path = str(tmp_path / "config.json")
+        with open(config_path, "w") as fh:
+            json.dump({"hidden": 8, "shift": [1, 0], "steps": 3, "zero-context": True}, fh)
+        out = str(tmp_path / "out")
+        assert main(["--config", config_path, "train", "--seed", "1", "--out-dir", out]) == 0
+        config = json.loads(read(os.path.join(out, "manifest.json")))["config"]
+        assert config["hidden"] == [8]
+        assert config["shift"] == [1.0, 0.0]
+        assert config["train_config"]["steps"] == 3
+        assert config["zero_context"] is True
+
+    def test_out_file_in_the_output_directory(self, tmp_path):
+        out = str(tmp_path / "new")
+        target = os.path.join(out, "grid.csv")
+        assert main(["schedule", "dump", "--N", "2", "--out-dir", out, "--out", target]) == 0
+        assert len(read_csv_rows(target)) == 3
 
 
 class TestEnvironmentOutDir:

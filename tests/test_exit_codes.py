@@ -1,0 +1,127 @@
+"""The command line's exit-code contract, fuzzed in-process.
+
+Whatever the argv, ``bridgelab`` exits 0 (success), 1 (a check failed),
+2 (usage error) or 3 (numerical failure), never with a traceback, and an
+exit 2 leaves no output behind. Each example starts from a tiny valid
+command and appends one or two options with hostile values, on the command
+line or in a --config file.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bridgelab.cli import main
+
+# Tiny valid commands, as (command words, options): each runs in milliseconds.
+_BASE = {
+    "train": (["train"], {"--steps": "3", "--batch-size": "4", "--hidden": "4", "--log-every": "1"}),
+    "sample": (["sample", "--oracle"], {"--runs": "4", "--N": "4"}),
+    "ablate": (
+        ["ablate"],
+        {"--axis": "gamma", "--values": "1,2", "--steps": "3", "--batch-size": "4",
+         "--hidden": "4", "--runs": "4", "--N": "4"},
+    ),
+    "profile": (["profile"], {"--grid": "0:0.9:5", "--mc": "4"}),
+    "verify": (["verify"], {"--suite": "schedules", "--mc": "4"}),
+    "schedule": (["schedule", "dump"], {"--N": "4"}),
+}
+
+_TASK_FLAGS = ["--task", "--dim", "--shift", "--angle", "--grid-size", "--repeat", "--task-seed"]
+_FLAGS = {
+    "train": _TASK_FLAGS + [
+        "--hidden", "--time-features", "--activation", "--objective", "--s", "--steps",
+        "--batch-size", "--lr", "--optimizer", "--log-every", "--seed", "--out-dir",
+    ],
+    "sample": _TASK_FLAGS + [
+        "--params", "--objective", "--N", "--gamma", "--mode", "--runs", "--s", "--seed",
+        "--out-dir",
+    ],
+    "ablate": _TASK_FLAGS + [
+        "--hidden", "--axis", "--values", "--s", "--steps", "--lr", "--N", "--gamma", "--runs",
+        "--seed", "--out-dir",
+    ],
+    "profile": ["--objective", "--dim", "--distance2", "--s", "--grid", "--mc", "--seed", "--out-dir"],
+    "verify": ["--suite", "--mc", "--seed", "--override", "--out", "--out-dir"],
+    "schedule": ["--N", "--gamma", "--out", "--seed", "--out-dir"],
+}
+
+# Values that name paths are resolved inside each example's temporary directory.
+_MISSING, _DIRECTORY, _MALFORMED = "<missing>", "<directory>", "<malformed-json>"
+_HOSTILE = ["", "0", "-1", "nan", "inf", "1e308", "abc", _MISSING, _DIRECTORY, _MALFORMED]
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_BASE)))
+    options = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_FLAGS[command]), st.sampled_from(_HOSTILE)),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    in_config = draw(st.booleans())
+    return command, options, in_config
+
+
+def _run(argv: list[str], cwd: str) -> tuple[object, str]:
+    """Exit code and stderr of ``bridgelab argv`` run in ``cwd``, where an empty
+    --out-dir writes. Any exception other than SystemExit propagates: it is
+    the traceback a user would see."""
+    err = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ))
+        os.environ.pop("BRIDGELAB_OUT_DIR", None)
+        stack.callback(os.chdir, os.getcwd())
+        os.chdir(cwd)
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@given(_invocations())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_exit_code_contract(invocation):
+    command, options, in_config = invocation
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = {
+            _MISSING: os.path.join(workdir, "missing", "file"),
+            _DIRECTORY: os.path.join(workdir, "directory"),
+            _MALFORMED: os.path.join(workdir, "malformed.json"),
+        }
+        os.mkdir(paths[_DIRECTORY])
+        with open(paths[_MALFORMED], "w", encoding="utf-8") as fh:
+            fh.write("{not json")
+        words, base = _BASE[command]
+        base = {**base, "--seed": "1", "--out-dir": os.path.join(workdir, "out")}
+        hostile = [(flag, paths.get(value, value)) for flag, value in options]
+        if in_config:
+            # Config values are only defaults, so the base options they set are dropped.
+            config = os.path.join(workdir, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump({flag[2:]: value for flag, value in hostile}, fh)
+            kept = [item for flag, value in base.items() if flag not in dict(hostile)
+                    for item in (flag, value)]
+            argv = ["--config", config, *words, *kept]
+        else:
+            argv = [*words, *(item for option in [*base.items(), *hostile] for item in option)]
+        before = sorted(os.listdir(workdir)) + sorted(os.listdir(paths[_DIRECTORY]))
+
+        code, err = _run(argv, workdir)
+
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if code == 2:
+            after = sorted(os.listdir(workdir)) + sorted(os.listdir(paths[_DIRECTORY]))
+            assert after == before, (argv, err)

@@ -1,7 +1,7 @@
-"""Start-up cost: importing bridgelab, training and verifying load no scipy.
+"""Start-up cost: importing bridgelab, training, verifying and scoring load no scipy.
 
-scipy is imported only by ``tasks.energy_distance``. Each check runs in a
-fresh interpreter, because the test modules import scipy themselves.
+bridgelab needs numpy alone at run time. The checks run in a fresh
+interpreter, because the test modules import scipy themselves.
 """
 
 import json
@@ -32,11 +32,14 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
     loaded["train"] = scipy_modules()
     verify = main(["verify", "--suite", "all", "--mc", "1000"])
     loaded["verify --suite all"] = scipy_modules()
+    sample = main(["sample", "--oracle", "--N", "4", "--runs", "8", "--seed", "0",
+                   "--out-dir", out])
+    loaded["sample"] = scipy_modules()
 import numpy as np
 from bridgelab.tasks import energy_distance
 distance = energy_distance(np.array([[0.0], [1.0]]), np.array([[0.0], [3.0]]))
-print(json.dumps({"loaded": loaded, "exits": [train, verify], "distance": distance,
-                  "scipy_after_energy_distance": "scipy.spatial" in sys.modules}))
+loaded["energy_distance"] = scipy_modules()
+print(json.dumps({"loaded": loaded, "exits": [train, verify, sample], "distance": distance}))
 """
 
 
@@ -52,17 +55,24 @@ def fresh_process() -> dict:
 
 
 @pytest.mark.parametrize(
-    "stage", ["import bridgelab", "import bridgelab.cli", "train", "verify --suite all"]
+    "stage",
+    [
+        "import bridgelab",
+        "import bridgelab.cli",
+        "train",
+        "verify --suite all",
+        "sample",
+        "energy_distance",
+    ],
 )
 def test_stage_loads_no_scipy(fresh_process, stage):
     assert fresh_process["loaded"][stage] == []
 
 
 def test_commands_succeeded(fresh_process):
-    assert fresh_process["exits"] == [0, 0]
+    assert fresh_process["exits"] == [0, 0, 0]
 
 
-def test_energy_distance_imports_scipy_on_first_call(fresh_process):
+def test_energy_distance_exact_without_scipy(fresh_process):
     """2 E|a-b| - E|a-a'| - E|b-b'| for a = {0, 1}, b = {0, 3}: 2*1.5 - 0.5 - 1.5."""
     assert fresh_process["distance"] == 1.0
-    assert fresh_process["scipy_after_energy_distance"] is True

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from bridgelab.model import ModelConfig, init, velocity_field_from
 from bridgelab.numerics import RngStream, gaussian
@@ -148,6 +149,66 @@ class TestEnergyDistance:
         a = gaussian(RngStream(seed=15), (128, 1))
         b = gaussian(RngStream(seed=16), (128, 1)) + shift
         assert energy_distance(a, b) >= -1e-9
+
+
+def _unit_axis(d: int, length: float) -> np.ndarray:
+    axis = np.zeros(d)
+    axis[0] = length
+    return axis
+
+
+def _two_clusters(rng: RngStream, count: int, d: int) -> np.ndarray:
+    """Two clusters 1e-3 wide whose centres are 200 apart."""
+    centre = _unit_axis(d, 100.0)
+    return np.concatenate(
+        [1e-3 * gaussian(rng, (count, d)) + centre, 1e-3 * gaussian(rng, (count, d)) - centre]
+    )
+
+
+def _near_duplicates(rng: RngStream, count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A set and a copy of it with every point moved by ~1e-9."""
+    a = gaussian(rng, (count, d))
+    return a, a + 1e-9 * gaussian(rng, (count, d))
+
+
+# Each case draws (a, b) from a stream and a dimension; every one stresses the
+# Gram form of the squared distances in a different way.
+_ACCURACY_CASES = {
+    "gaussian": lambda rng, d: (gaussian(rng, (150, d)), gaussian(rng, (150, d)) + 0.3),
+    "common-offset-1e8": lambda rng, d: (
+        gaussian(rng, (150, d)) + 1e8,
+        gaussian(rng, (150, d)) + 1e8 + 0.3,
+    ),
+    "shift-1000-one-axis": lambda rng, d: (
+        gaussian(rng, (150, d)),
+        gaussian(rng, (150, d)) + _unit_axis(d, 1000.0),
+    ),
+    "near-duplicates-1e-9": lambda rng, d: _near_duplicates(rng, 150, d),
+    "two-clusters-in-a-set": lambda rng, d: (_two_clusters(rng, 75, d), _two_clusters(rng, 75, d)),
+    "scale-1e150": lambda rng, d: (
+        1e150 * gaussian(rng, (150, d)),
+        1e150 * (gaussian(rng, (150, d)) + 0.3),
+    ),
+    "scale-1e-150": lambda rng, d: (
+        1e-150 * gaussian(rng, (150, d)),
+        1e-150 * (gaussian(rng, (150, d)) + 0.3),
+    ),
+    "unequal-sizes": lambda rng, d: (gaussian(rng, (37, d)), gaussian(rng, (211, d)) + 0.2),
+}
+
+
+class TestEnergyDistanceAccuracy:
+    """Against scipy's cdist, within 1e-12 of the mean cross distance E||a-b||."""
+
+    @pytest.mark.parametrize("case", sorted(_ACCURACY_CASES))
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 192])
+    def test_matches_cdist_reference(self, case, d):
+        a, b = _ACCURACY_CASES[case](RngStream(seed=31, stream=d), d)
+        for x, y in ((a, b), (b, a)):
+            cross = float(np.mean(cdist(x, y)))
+            reference = 2.0 * cross - float(np.mean(cdist(x, x))) - float(np.mean(cdist(y, y)))
+            assert abs(energy_distance(x, y, chunk=64) - reference) <= 1e-12 * cross
+            assert abs(energy_distance(x, y) - reference) <= 1e-12 * cross
 
 
 class TestEvaluate:
