@@ -33,10 +33,10 @@ from .model import (
     velocity_field_from,
 )
 from .numerics import RngStream
-from .objectives import DEFAULT_OBJECTIVE, ObjectiveKind, target_profile
-from .sampler import integrate, oracle_field
+from .objectives import ObjectiveKind, target_profile
+from .sampler import oracle_field
 from .schedules import Schedule, shifted
-from .tasks import TaskSpec, evaluate, generate_pairs, pair_provider, report_from_endpoints
+from .tasks import TaskSpec, evaluate, pair_provider
 from .trainer import TrainConfig, train
 from .verify import SUITES, report_to_json, run_suite
 
@@ -141,7 +141,12 @@ def _write_svg(path: str, series: dict[str, list[tuple[float, float]]], title: s
 
 
 def _out_dir_name(args) -> str:
-    return args.out_dir or os.environ.get(_OUT_DIR_ENV) or "."
+    """--out-dir, else the directory of an --out file, else $BRIDGELAB_OUT_DIR, else '.'."""
+    if args.out_dir:
+        return args.out_dir
+    if getattr(args, "out", None):
+        return os.path.dirname(args.out) or "."
+    return os.environ.get(_OUT_DIR_ENV) or "."
 
 
 def _ensure_out_dir(args) -> str:
@@ -155,11 +160,11 @@ def _ensure_out_dir(args) -> str:
 
 def _check_out_file(args) -> None:
     """Reject, before any output, an --out that is a directory or whose directory
-    neither exists nor is the output directory."""
+    neither exists nor is the --out-dir."""
     if not args.out:
         return
     out = os.path.abspath(args.out)
-    out_dir = os.path.abspath(_out_dir_name(args))
+    out_dir = os.path.abspath(args.out_dir) if args.out_dir else None
     parent = os.path.dirname(out)
     if os.path.isdir(out) or out == out_dir or not (parent == out_dir or os.path.isdir(parent)):
         _usage_error(f"--out {args.out} must name a file in an existing directory or in --out-dir")
@@ -252,16 +257,6 @@ def _add_sampler_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--mode", default="corrected", choices=["standard", "corrected"])
     p.add_argument("--runs", type=int, default=1024)
-
-
-def _contexts(batch: EndpointPair, mconfig: ModelConfig, zero_context: bool):
-    """Conditioning for a model field over ``batch``: its context rows, or zeros
-    under --zero-context."""
-    if mconfig.context_dim == 0:
-        return None
-    if zero_context or batch.context is None:
-        return np.zeros(mconfig.context_dim)
-    return batch.context
 
 
 def _model_config(args, spec: TaskSpec) -> ModelConfig:
@@ -386,7 +381,11 @@ def cmd_train(args) -> int:
     params_path = os.path.join(out_dir, "params.bin")
     stats_path = os.path.join(out_dir, "stats.csv")
     save_parameters(params_path, mconfig, params, config.objective)
-    stats.to_csv(stats_path)
+    _write_csv(
+        stats_path,
+        ["step", "loss", "max_target_sqnorm", "grad_norm", "ms"],
+        ([r.step, r.loss, r.max_target_sqnorm, r.grad_norm, r.ms] for r in stats.rows),
+    )
     outputs = [params_path, stats_path]
     if audit is not None:
         debug_path = os.path.join(out_dir, "debug.csv")
@@ -404,54 +403,53 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_trained(args) -> tuple[ModelConfig, np.ndarray, ObjectiveKind]:
-    """The --params container and the objective its output is read with.
-
-    A version-2 container records its objective, and an --objective that
-    contradicts it is rejected. A version-1 container records none, so
-    --objective names it (stabilized_velocity when absent).
-    """
+def _load_trained(args, spec: TaskSpec) -> tuple[ModelConfig, np.ndarray, ObjectiveKind]:
+    """The --params container and the objective it records, checked against the task:
+    the model's state and context widths must be the task's."""
     try:
-        mconfig, params, recorded = load_parameters(args.params)
+        mconfig, params, objective = load_parameters(args.params)
     except OSError as exc:
         _usage_error(f"cannot read --params {args.params}: {exc.strerror or exc}")
-    if recorded is None:
-        return mconfig, params, ObjectiveKind(args.objective or DEFAULT_OBJECTIVE)
-    if args.objective is not None and ObjectiveKind(args.objective) is not recorded:
+    if (mconfig.input_dim, mconfig.context_dim) != (spec.dimension, spec.context_dim):
         raise ValueError(
-            f"--objective {args.objective} contradicts {args.params}, "
-            f"which was trained with {recorded.value}"
+            f"--params {args.params} holds a model of input_dim {mconfig.input_dim} and "
+            f"context_dim {mconfig.context_dim}, but task {spec.name} has dimension "
+            f"{spec.dimension} and context_dim {spec.context_dim}"
         )
-    return mconfig, params, recorded
+    return mconfig, params, objective
 
 
 def cmd_sample(args) -> int:
     spec = _usage_checked(_task_from_args, args)
     schedule = _usage_checked(shifted, args.N, args.gamma)
-    if not args.oracle and not args.params:
-        _usage_error("either --oracle or --params FILE is required")
+    if args.oracle == (args.params is not None):
+        _usage_error("sample needs exactly one of --oracle and --params FILE")
     if args.runs < 1:
         _usage_error(f"--runs must be >= 1, got {args.runs}")
     _usage_checked(check_noise_scale, args.s)
-    if not args.oracle:
-        mconfig, params, objective = _usage_checked(_load_trained, args)
-    out_dir = _ensure_out_dir(args)
-    rng = RngStream(seed=args.seed, stream=700)
-    batch = generate_pairs(spec, args.runs, rng.split(1))
     if args.oracle:
-        field = oracle_field(batch.x1)
+        make_field = lambda batch: oracle_field(batch.x1)  # noqa: E731
     else:
-        field = velocity_field_from(
-            params, mconfig, objective, _contexts(batch, mconfig, args.zero_context)
+        mconfig, params, objective = _usage_checked(_load_trained, args, spec)
+        make_field = lambda batch: velocity_field_from(  # noqa: E731
+            params, mconfig, objective, batch.context
         )
+    out_dir = _ensure_out_dir(args)
     trajectory: list[list] = []
 
     def record(k, states):
         trajectory.append([k, float(schedule.points[k])] + states[0].tolist())
 
-    recorder = record if args.trajectories else None
-    endpoints = integrate(batch.x0, field, schedule, args.mode, args.s, rng.split(2), recorder)
-    report = report_from_endpoints(endpoints, batch)
+    endpoints, report = evaluate(
+        make_field,
+        pair_provider(spec, zero_context=args.zero_context),
+        schedule,
+        args.mode,
+        args.s,
+        args.runs,
+        RngStream(seed=args.seed, stream=700),
+        record if args.trajectories else None,
+    )
     d = spec.dimension
     endpoints_path = os.path.join(out_dir, "endpoints.csv")
     _write_csv(
@@ -506,11 +504,7 @@ def cmd_ablate(args) -> int:
     mconfig = _usage_checked(_model_config, args, spec)
     cells = _usage_checked(_ablate_cells, args)
     out_dir = _ensure_out_dir(args)
-
-    def eval_rng():
-        # fresh evaluation stream per cell: identical pairs/noise across
-        # cells, so rows are directly comparable
-        return RngStream(seed=args.seed, stream=800)
+    provider = pair_provider(spec, zero_context=args.zero_context)
 
     header = [
         "axis",
@@ -534,16 +528,16 @@ def cmd_ablate(args) -> int:
     for value, config, cell_schedule in cells:
         try:
             params, stats = shared_model or _train_once(args, spec, mconfig, config)
-            report = evaluate(
-                lambda batch: velocity_field_from(
-                    params, mconfig, config.objective, _contexts(batch, mconfig, args.zero_context)
-                ),
-                spec,
+            # a fresh evaluation stream per cell: identical pairs and noise
+            # across cells, so rows are directly comparable
+            _, report = evaluate(
+                lambda batch: velocity_field_from(params, mconfig, config.objective, batch.context),
+                provider,
                 cell_schedule,
                 args.mode,
                 config.noise_scale,
                 args.runs,
-                eval_rng(),
+                RngStream(seed=args.seed, stream=800),
             )
             rows.append(
                 [
@@ -626,11 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample endpoints and evaluate against ground truth")
     _add_task_args(p)
-    p.add_argument("--params", default=None, help="trained parameter container")
-    p.add_argument("--oracle", action="store_true", help="use the analytic conditional drift")
-    p.add_argument("--objective", default=None, choices=[k.value for k in ObjectiveKind],
-                   help="objective the --params file was trained with; default: the one it "
-                   "records (stabilized_velocity for a version-1 file)")
+    field = p.add_mutually_exclusive_group()
+    field.add_argument("--params", default=None, help="trained parameter container for this task")
+    field.add_argument("--oracle", action="store_true", help="use the analytic conditional drift")
     p.add_argument("--zero-context", action="store_true")
     _add_sampler_args(p)
     p.add_argument("--s", type=float, default=1.0)

@@ -32,7 +32,7 @@ from .objectives import ObjectiveKind
 ACTIVATIONS = ("tanh", "smooth_relu")
 
 _PARAMS_FORMAT = "bridgelab-params"
-_PARAMS_VERSION = 2  # version 1 had no objective field; it is still read
+_PARAMS_VERSION = 2  # version 1 had no objective field; it is no longer read
 
 
 @dataclass(frozen=True)
@@ -246,11 +246,8 @@ def save_parameters(
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 
-def load_parameters(path: str) -> tuple[ModelConfig, Tensor, ObjectiveKind | None]:
-    """Read a container written by save_parameters: (config, params, objective).
-
-    Version-1 containers predate the objective field; their objective is None.
-    """
+def load_parameters(path: str) -> tuple[ModelConfig, Tensor, ObjectiveKind]:
+    """Read a container written by save_parameters: (config, params, objective)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -260,24 +257,24 @@ def load_parameters(path: str) -> tuple[ModelConfig, Tensor, ObjectiveKind | Non
         raise ValueError(f"not a parameter container: {path}") from exc
     if not isinstance(header, dict) or header.get("format") != _PARAMS_FORMAT:
         raise ValueError(f"not a parameter container: {path}")
-    if header.get("version") not in (1, _PARAMS_VERSION):
+    if header.get("version") != _PARAMS_VERSION:
         raise ValueError(f"unsupported parameter container version {header.get('version')}")
     try:
         config = ModelConfig(**header["config"])
+        objective = ObjectiveKind(header["objective"])
         count = header["count"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a parameter container: {path}") from exc
     params = np.frombuffer(raw[newline + 1 :], dtype="<f8").astype(np.float64)
     if params.size != count:
         raise ValueError("parameter payload length does not match header")
-    version_2 = header["version"] == _PARAMS_VERSION
-    return config, params, ObjectiveKind(header.get("objective")) if version_2 else None
+    return config, params, objective
 
 
 def velocity_field_from(
     params: Tensor,
     config: ModelConfig,
-    objective: str = "stabilized_velocity",
+    objective: "ObjectiveKind | str",
     context: Tensor | None = None,
 ):
     """Wrap trained parameters as a sampler-ready velocity field over (B, D) states.
@@ -288,8 +285,7 @@ def velocity_field_from(
     velocity by dividing by (1 - t); velocity and stabilized-velocity
     networks already predict raw velocity.
     """
-    objective = str(getattr(objective, "value", objective))
-    predicts_displacement = objective == "displacement"
+    predicts_displacement = ObjectiveKind(objective) is ObjectiveKind.DISPLACEMENT
 
     def field(states: Tensor, t: float) -> Tensor:
         out = forward(params, config, states, t, context)

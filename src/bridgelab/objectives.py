@@ -44,9 +44,6 @@ class ObjectiveKind(str, Enum):
     STABILIZED_VELOCITY = "stabilized_velocity"
 
 
-DEFAULT_OBJECTIVE = ObjectiveKind.STABILIZED_VELOCITY
-
-
 def alpha_factor(pair: EndpointPair, t: "float | Tensor", noise_scale: float) -> "float | Tensor":
     """Per-sample normalization factor alpha^2 of the stabilized objective.
 

@@ -251,39 +251,35 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def report_from_endpoints(endpoints: Tensor, batch: EndpointPair) -> EvalReport:
-    """Score endpoints (B, D) against the targets of the batch of pairs they started from."""
-    errors = endpoints - batch.x1
-    paired_mse = float(np.mean(errors * errors))
-    mean_disp = float(np.sqrt(np.sum(np.mean(errors, axis=0) ** 2)))
-    ed = energy_distance(endpoints, batch.x1)
-    return EvalReport(
-        paired_mse=paired_mse,
-        energy_distance=ed,
-        mean_displacement_error=mean_disp,
-        sample_count=len(batch),
-    )
-
-
 def evaluate(
     make_field,
-    spec: TaskSpec,
+    provider,
     schedule: Schedule,
     mode: str,
     noise_scale: float,
     runs: int,
     rng: RngStream,
-) -> EvalReport:
-    """Generate endpoints for fresh pairs and score them against ground truth.
+    record=None,
+) -> tuple[Tensor, EvalReport]:
+    """Carry fresh pairs to endpoints and score them against their targets.
 
-    ``make_field(batch)`` returns the velocity field over the run states for
-    the batch of evaluation pairs, e.g. ``lambda batch: oracle_field(batch.x1)``.
+    ``provider(runs, stream)`` draws the batch of evaluation pairs, as it
+    draws training batches (see ``pair_provider``). ``make_field(batch)``
+    returns the velocity field over the run states for that batch, e.g.
+    ``lambda batch: oracle_field(batch.x1)``; ``record`` is passed to
+    ``integrate``. Returns the (runs, D) endpoints and their report.
     Evaluation data comes from the provided stream, which callers keep
     disjoint from training streams. Sampler failures propagate.
     """
-    if runs < 2:
-        raise ValueError("evaluation needs at least 2 runs")
-    batch = generate_pairs(spec, runs, rng.split(1))
-    endpoints = integrate(batch.x0, make_field(batch), schedule, mode, noise_scale, rng.split(2))
-    return report_from_endpoints(endpoints, batch)
-
+    batch = provider(runs, rng.split(1))
+    endpoints = integrate(
+        batch.x0, make_field(batch), schedule, mode, noise_scale, rng.split(2), record
+    )
+    errors = endpoints - batch.x1
+    report = EvalReport(
+        paired_mse=float(np.mean(errors * errors)),
+        energy_distance=energy_distance(endpoints, batch.x1),
+        mean_displacement_error=float(np.sqrt(np.sum(np.mean(errors, axis=0) ** 2))),
+        sample_count=len(batch),
+    )
+    return endpoints, report

@@ -85,12 +85,6 @@ class TrainStats:
     # running maximum over every step, not just the logged ones
     max_target_sqnorm_overall: float = 0.0
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("step,loss,max_target_sqnorm,grad_norm,ms\n")
-            for r in self.rows:
-                fh.write(f"{r.step},{r.loss!r},{r.max_target_sqnorm!r},{r.grad_norm!r},{r.ms!r}\n")
-
 
 # Adam with fixed hyperparameters; learning-rate schedules are out of scope.
 _ADAM_BETA1 = 0.9

@@ -281,9 +281,9 @@ def test_criterion_08_objective_ablation(shift_task, trained_shift_models):
 
     ed = {}
     for objective, (params, mconfig, _stats) in models.items():
-        report_obj = evaluate(
+        _, report_obj = evaluate(
             lambda batch: velocity_field_from(params, mconfig, objective),
-            shift_task,
+            pair_provider(shift_task),
             schedule,
             "corrected",
             1.0,
@@ -354,7 +354,7 @@ def test_criterion_09_noise_scale_sweep(tmp_path):
     # ... and the sampler path is noise-independent: different noise streams
     # produce identical endpoints.
     x0 = generate_pairs(task, 32, RngStream(seed=9, stream=801)).x0
-    field = velocity_field_from(params, mconfig)
+    field = velocity_field_from(params, mconfig, config.objective)
     a = integrate(x0, field, uniform(8), "corrected", 0.0, RngStream(seed=1, stream=1))
     b = integrate(x0, field, uniform(8), "corrected", 0.0, RngStream(seed=2, stream=2))
     assert np.array_equal(a, b)

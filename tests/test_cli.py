@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from bridgelab.cli import main
+from bridgelab.model import ModelConfig, init, load_parameters, velocity_field_from
 from bridgelab.numerics import RngStream
-from bridgelab.tasks import TaskSpec, generate_pairs
+from bridgelab.schedules import shifted
+from bridgelab.tasks import TaskSpec, evaluate, generate_pairs, pair_provider
+from bridgelab.trainer import TrainConfig, train
 
 
 def read(path: str) -> str:
@@ -33,6 +36,18 @@ class TestScheduleDump:
         assert manifest["command"] == "schedule_dump"
         assert "schedule.csv" in manifest["outputs"]
 
+    def test_manifest_written_beside_out_file(self, tmp_path, monkeypatch):
+        """Without --out-dir, the manifest goes next to --out FILE, not into the
+        current directory."""
+        cwd, elsewhere = tmp_path / "cwd", tmp_path / "elsewhere"
+        cwd.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("BRIDGELAB_OUT_DIR", raising=False)
+        assert main(["schedule", "dump", "--N", "4", "--out", str(elsewhere / "grid.csv")]) == 0
+        assert sorted(os.listdir(elsewhere)) == ["grid.csv", "manifest.json"]
+        assert os.listdir(cwd) == []
+
 
 class TestVerifyCommand:
     def test_passing_suite_exits_zero(self, tmp_path):
@@ -43,6 +58,21 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(read(os.path.join(out, "verify_report.json")))
         assert report["passed"] is True
+
+    def test_manifest_written_beside_out_file(self, tmp_path, monkeypatch):
+        """Without --out-dir, the manifest goes next to --out FILE; --out-dir still
+        wins when given."""
+        cwd, elsewhere, named = tmp_path / "cwd", tmp_path / "elsewhere", tmp_path / "named"
+        cwd.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("BRIDGELAB_OUT_DIR", raising=False)
+        argv = ["verify", "--suite", "schedules", "--mc", "4", "--out", str(elsewhere / "report.json")]
+        assert main(argv) == 0
+        assert sorted(os.listdir(elsewhere)) == ["manifest.json", "report.json"]
+        assert os.listdir(cwd) == []
+        assert main(argv + ["--out-dir", str(named)]) == 0
+        assert os.listdir(named) == ["manifest.json"]
 
     def test_impossible_override_exits_one(self, tmp_path):
         code = main(
@@ -142,6 +172,19 @@ class TestTrainCommand:
         assert manifest["seed"] == 7
         assert manifest["config"]["train_config"]["objective"] == "stabilized_velocity"
         assert "sample_stream_digest" in manifest["config"]
+
+    def test_stats_csv_schema(self, tmp_path):
+        """stats.csv holds the logged steps of the library's training run, floats as repr."""
+        out = str(tmp_path)
+        assert main(["train", "--steps", "100", "--seed", "7", "--out-dir", out]) == 0
+        lines = read(os.path.join(out, "stats.csv")).splitlines()
+        assert lines[0] == "step,loss,max_target_sqnorm,grad_norm,ms"
+        spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
+        mconfig = ModelConfig(input_dim=2)
+        params = init(mconfig, RngStream(seed=7, stream=900))
+        _, stats = train(params, mconfig, pair_provider(spec), TrainConfig(steps=100, seed=7))
+        expected = [f"{r.step},{r.loss!r},{r.max_target_sqnorm!r},{r.grad_norm!r}" for r in stats.rows]
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == expected
 
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -280,6 +323,28 @@ class TestSampleCommand:
             main(["sample", "--N", "4", "--runs", "8", "--seed", "1", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "config,argv",
+        [
+            (None, ["--oracle", "--params", "/nonexistent/params.bin"]),
+            ({"params": "/nonexistent/params.bin"}, ["--oracle"]),
+            ({"oracle": True}, ["--params", "/nonexistent/params.bin"]),
+        ],
+        ids=["flags", "params-in-config", "oracle-in-config"],
+    )
+    def test_oracle_and_params_exclude_each_other(self, tmp_path, config, argv):
+        prefix = []
+        if config is not None:
+            path = str(tmp_path / "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            prefix = ["--config", path]
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main([*prefix, "sample", *argv, "--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        assert not os.path.exists(out)
+
     def test_trajectory_is_run_zero(self, tmp_path):
         """trajectory.csv follows run 0 of the batch: it starts at pair 0's x0
         and its last row is row 0 of endpoints.csv, bit for bit. Standard mode
@@ -306,24 +371,44 @@ def train_displacement_params(out: str) -> str:
 
 class TestSampleRecordedObjective:
     def test_recorded_objective_used_without_flag(self, tmp_path):
-        """A displacement-trained file samples as displacement when --objective is absent."""
-        params = train_displacement_params(str(tmp_path / "train"))
-        outs = {name: str(tmp_path / name) for name in ("recorded", "explicit")}
-        argv = ["sample", "--params", params, "--N", "8", "--runs", "16", "--seed", "2"]
-        assert main(argv + ["--out-dir", outs["recorded"]]) == 0
-        assert main(argv + ["--objective", "displacement", "--out-dir", outs["explicit"]]) == 0
-        endpoints = [read(os.path.join(out, "endpoints.csv")) for out in outs.values()]
-        assert endpoints[0] == endpoints[1]
-        manifest = json.loads(read(os.path.join(outs["recorded"], "manifest.json")))
+        """A displacement-trained file samples as displacement: its endpoints are
+        the library's, through the displacement reading of the same network."""
+        params_path = train_displacement_params(str(tmp_path / "train"))
+        out = str(tmp_path / "out")
+        argv = ["sample", "--params", params_path, "--N", "8", "--runs", "16", "--seed", "2"]
+        assert main(argv + ["--out-dir", out]) == 0
+        mconfig, params, _ = load_parameters(params_path)
+        expected, _ = evaluate(
+            lambda batch: velocity_field_from(params, mconfig, "displacement"),
+            pair_provider(TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))),
+            shifted(8, 1.0),
+            "corrected",
+            1.0,
+            16,
+            RngStream(seed=2, stream=700),
+        )
+        rows = read_csv_rows(os.path.join(out, "endpoints.csv"))
+        endpoints = np.array([[float(r["coord_0"]), float(r["coord_1"])] for r in rows])
+        assert np.array_equal(endpoints, expected)
+        manifest = json.loads(read(os.path.join(out, "manifest.json")))
         assert manifest["config"]["objective"] == "displacement"
 
-    def test_contradicting_objective_exits_two(self, tmp_path, capsys):
-        params = train_displacement_params(str(tmp_path / "train"))
+    def test_version_one_container_exits_two(self, tmp_path, capsys):
+        """A container written before the objective field is rejected, not guessed at."""
+        config = ModelConfig(input_dim=2, hidden=(4,))
+        params = init(config, RngStream(seed=28))
+        header = (
+            '{"config": {"activation": "tanh", "context_dim": 0, "hidden": [4], "input_dim": 2, '
+            f'"time_features": 8}}, "count": {params.size}, "format": "bridgelab-params", "version": 1}}'
+        )
+        path = str(tmp_path / "v1.bin")
+        with open(path, "wb") as fh:
+            fh.write(header.encode("utf-8") + b"\n" + params.astype("<f8").tobytes())
         out = str(tmp_path / "out")
         with pytest.raises(SystemExit) as exc:
-            main(["sample", "--params", params, "--objective", "velocity", "--seed", "2", "--out-dir", out])
+            main(["sample", "--params", path, "--seed", "2", "--out-dir", out])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == "error: unsupported parameter container version 1\n"
         assert not os.path.exists(out)
 
     def test_foreign_container_exits_two(self, tmp_path, capsys):
@@ -422,6 +507,30 @@ class TestUsageErrors:
             main(argv + ["--seed", "1", "--out-dir", out])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "trained,sampled",
+        [
+            (["--task", "grid_colorize", "--grid-size", "2"], ["--task", "gaussian_shift"]),
+            (["--task", "moons_rotate"], ["--task", "gaussian_shift"]),
+            (["--task", "gaussian_shift"], ["--task", "moons_rotate"]),
+        ],
+        ids=["grid-model-on-gaussian-shift", "moons-model-on-gaussian-shift",
+             "gaussian-shift-model-on-moons"],
+    )
+    def test_params_for_another_task_exits_two(self, tmp_path, capsys, trained, sampled):
+        """A model whose state or context width is not the task's is rejected."""
+        train_dir = str(tmp_path / "train")
+        argv = ["train", *trained, "--hidden", "4", "--steps", "2", "--seed", "1"]
+        assert main(argv + ["--out-dir", train_dir]) == 0
+        capsys.readouterr()
+        params = os.path.join(train_dir, "params.bin")
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", *sampled, "--params", params, "--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: --params {params} holds a model")
         assert not os.path.exists(out)
 
     def test_unknown_override_is_named(self, tmp_path, capsys):

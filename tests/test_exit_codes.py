@@ -14,15 +14,25 @@ import os
 import tempfile
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgelab.cli import main
+from bridgelab.model import ModelConfig, init, save_parameters
+from bridgelab.numerics import RngStream
+
+# Values that name paths are resolved inside each example's temporary directory.
+# <params> holds a tiny model for the default gaussian_shift task (D=2);
+# <wrong-width> is a valid params file whose model has D=3.
+_PARAMS, _WRONG_WIDTH = "<params>", "<wrong-width>"
+_MISSING, _DIRECTORY, _MALFORMED = "<missing>", "<directory>", "<malformed-json>"
+_HOSTILE = ["", "0", "-1", "nan", "inf", "1e308", "abc", _MISSING, _DIRECTORY, _MALFORMED,
+            _WRONG_WIDTH]
 
 # Tiny valid commands, as (command words, options): each runs in milliseconds.
 _BASE = {
     "train": (["train"], {"--steps": "3", "--batch-size": "4", "--hidden": "4", "--log-every": "1"}),
-    "sample": (["sample", "--oracle"], {"--runs": "4", "--N": "4"}),
+    "sample": (["sample"], {"--params": _PARAMS, "--runs": "4", "--N": "4"}),
     "ablate": (
         ["ablate"],
         {"--axis": "gamma", "--values": "1,2", "--steps": "3", "--batch-size": "4",
@@ -40,8 +50,7 @@ _FLAGS = {
         "--batch-size", "--lr", "--optimizer", "--log-every", "--seed", "--out-dir",
     ],
     "sample": _TASK_FLAGS + [
-        "--params", "--objective", "--N", "--gamma", "--mode", "--runs", "--s", "--seed",
-        "--out-dir",
+        "--params", "--N", "--gamma", "--mode", "--runs", "--s", "--seed", "--out-dir",
     ],
     "ablate": _TASK_FLAGS + [
         "--hidden", "--axis", "--values", "--s", "--steps", "--lr", "--N", "--gamma", "--runs",
@@ -52,9 +61,10 @@ _FLAGS = {
     "schedule": ["--N", "--gamma", "--out", "--seed", "--out-dir"],
 }
 
-# Values that name paths are resolved inside each example's temporary directory.
-_MISSING, _DIRECTORY, _MALFORMED = "<missing>", "<directory>", "<malformed-json>"
-_HOSTILE = ["", "0", "-1", "nan", "inf", "1e308", "abc", _MISSING, _DIRECTORY, _MALFORMED]
+
+def _write_params(path: str, input_dim: int) -> None:
+    config = ModelConfig(input_dim=input_dim, hidden=(4,))
+    save_parameters(path, config, init(config, RngStream(seed=0)), "velocity")
 
 
 @st.composite
@@ -91,6 +101,8 @@ def _run(argv: list[str], cwd: str) -> tuple[object, str]:
 
 
 @given(_invocations())
+@example(("sample", [("--params", _WRONG_WIDTH)], False))
+@example(("sample", [("--params", _WRONG_WIDTH)], True))
 @settings(max_examples=250, deadline=None, derandomize=True)
 def test_exit_code_contract(invocation):
     command, options, in_config = invocation
@@ -99,11 +111,16 @@ def test_exit_code_contract(invocation):
             _MISSING: os.path.join(workdir, "missing", "file"),
             _DIRECTORY: os.path.join(workdir, "directory"),
             _MALFORMED: os.path.join(workdir, "malformed.json"),
+            _PARAMS: os.path.join(workdir, "params.bin"),
+            _WRONG_WIDTH: os.path.join(workdir, "wrong-width.bin"),
         }
         os.mkdir(paths[_DIRECTORY])
+        _write_params(paths[_PARAMS], 2)
+        _write_params(paths[_WRONG_WIDTH], 3)
         with open(paths[_MALFORMED], "w", encoding="utf-8") as fh:
             fh.write("{not json")
         words, base = _BASE[command]
+        base = {flag: paths.get(value, value) for flag, value in base.items()}
         base = {**base, "--seed": "1", "--out-dir": os.path.join(workdir, "out")}
         hostile = [(flag, paths.get(value, value)) for flag, value in options]
         if in_config:

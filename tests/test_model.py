@@ -222,22 +222,6 @@ class TestSerialization:
         x = gaussian(RngStream(seed=24), (2,))
         assert np.array_equal(forward(params, config, x, 0.7), forward(loaded, config, x, 0.7))
 
-    def test_reads_version_one_without_objective(self, tmp_path):
-        """A container written before the objective field still loads; its objective is None."""
-        config = ModelConfig(input_dim=2, hidden=(4,))
-        params = random_params(config, 28)
-        header = (
-            '{"config": {"activation": "tanh", "context_dim": 0, "hidden": [4], "input_dim": 2, '
-            f'"time_features": 8}}, "count": {params.size}, "format": "bridgelab-params", "version": 1}}'
-        )
-        path = str(tmp_path / "v1.bin")
-        with open(path, "wb") as fh:
-            fh.write(header.encode("utf-8") + b"\n" + params.astype("<f8").tobytes())
-        loaded_config, loaded, objective = load_parameters(path)
-        assert loaded_config == config
-        assert np.array_equal(loaded, params)
-        assert objective is None
-
     def test_rejects_foreign_file(self, tmp_path):
         path = str(tmp_path / "bogus.bin")
         with open(path, "wb") as fh:
@@ -270,10 +254,10 @@ class TestVelocityFieldAdapter:
         config = ModelConfig(input_dim=2, hidden=(8,), context_dim=1)
         params = random_params(config, 27)
         states = np.array([[0.2, -0.5], [1.0, 0.3]])
-        shared = velocity_field_from(params, config, context=np.array([0.7]))
-        per_run = velocity_field_from(params, config, context=np.array([[0.7], [0.7]]))
+        shared = velocity_field_from(params, config, "velocity", np.array([0.7]))
+        per_run = velocity_field_from(params, config, "velocity", np.array([[0.7], [0.7]]))
         np.testing.assert_array_equal(shared(states, 0.4), per_run(states, 0.4))
-        rows = velocity_field_from(params, config, context=np.array([[0.7], [-0.7]]))
+        rows = velocity_field_from(params, config, "velocity", np.array([[0.7], [-0.7]]))
         np.testing.assert_allclose(
             rows(states, 0.4)[1],
             forward(params, config, states[1], 0.4, np.array([-0.7])),

@@ -214,11 +214,18 @@ class TestEnergyDistanceAccuracy:
 class TestEvaluate:
     def test_oracle_field_is_numerically_exact(self):
         spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
-        report = evaluate(
-            lambda batch: oracle_field(batch.x1), spec, uniform(4), "corrected", 1.0, 256, RngStream(seed=17)
+        endpoints, report = evaluate(
+            lambda batch: oracle_field(batch.x1),
+            pair_provider(spec),
+            uniform(4),
+            "corrected",
+            1.0,
+            256,
+            RngStream(seed=17),
         )
         assert report.paired_mse <= 1e-10
         assert report.sample_count == 256
+        assert endpoints.shape == (256, 2)
 
     def test_untrained_model_stays_near_source_marginal(self):
         """Zero velocity field: generated set resembles the source, so its
@@ -226,9 +233,9 @@ class TestEvaluate:
         spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
         mconfig = ModelConfig(input_dim=2, hidden=(16,))
         params = init(mconfig, RngStream(seed=18, stream=900))
-        report = evaluate(
-            lambda batch: velocity_field_from(params, mconfig),
-            spec,
+        _, report = evaluate(
+            lambda batch: velocity_field_from(params, mconfig, "stabilized_velocity"),
+            pair_provider(spec),
             uniform(16),
             "corrected",
             1.0,
@@ -241,8 +248,14 @@ class TestEvaluate:
 
     def test_report_fields_finite_and_nonnegative(self):
         spec = TaskSpec(name="signal_refine", dimension=8, repeat=2)
-        report = evaluate(
-            lambda batch: oracle_field(batch.x1), spec, uniform(8), "standard", 0.5, 64, RngStream(seed=19)
+        _, report = evaluate(
+            lambda batch: oracle_field(batch.x1),
+            pair_provider(spec),
+            uniform(8),
+            "standard",
+            0.5,
+            64,
+            RngStream(seed=19),
         )
         data = report.to_dict()
         for key in ("paired_mse", "energy_distance", "mean_displacement_error"):
@@ -265,17 +278,11 @@ class TestConditioningPathway:
                 objective="stabilized_velocity", noise_scale=0.0, steps=1500, seed=0
             )
             params = init(mconfig, RngStream(seed=0, stream=900))
-            params, _ = train(
-                params, mconfig, pair_provider(spec, zero_context=zero_context), config
-            )
-
-            def make_field(batch):
-                context = np.zeros_like(batch.context) if zero_context else batch.context
-                return velocity_field_from(params, mconfig, context=context)
-
-            report = evaluate(
-                make_field,
-                spec,
+            provider = pair_provider(spec, zero_context=zero_context)
+            params, _ = train(params, mconfig, provider, config)
+            _, report = evaluate(
+                lambda batch: velocity_field_from(params, mconfig, config.objective, batch.context),
+                provider,
                 uniform(16),
                 "corrected",
                 0.0,
@@ -298,9 +305,9 @@ class TestStepCountTrend:
         params, mconfig, _stats = models[ObjectiveKind.STABILIZED_VELOCITY]
         eds = {}
         for n in (4, 8, 16, 64):
-            report = evaluate(
-                lambda batch: velocity_field_from(params, mconfig),
-                shift_task,
+            _, report = evaluate(
+                lambda batch: velocity_field_from(params, mconfig, "stabilized_velocity"),
+                pair_provider(shift_task),
                 uniform(n),
                 "corrected",
                 1.0,

@@ -274,13 +274,3 @@ class TestConfigValidation:
     def test_objective_coerced_from_string(self):
         config = TrainConfig(objective="velocity")
         assert config.objective is ObjectiveKind.VELOCITY
-
-    def test_stats_csv_schema(self, tmp_path):
-        _, stats = run_training(ObjectiveKind.STABILIZED_VELOCITY, steps=100)
-        path = str(tmp_path / "stats.csv")
-        stats.to_csv(path)
-        with open(path) as fh:
-            header = fh.readline().strip()
-            rows = fh.readlines()
-        assert header == "step,loss,max_target_sqnorm,grad_norm,ms"
-        assert len(rows) == len(stats.rows)
