@@ -26,6 +26,7 @@ from .bridge import (
     T_CLAMP,
     BridgeSample,
     EndpointPair,
+    _holds,
     displacement_target,
     sample_state,
     velocity_target,
@@ -51,7 +52,7 @@ def alpha_factor(pair: EndpointPair, t: "float | Tensor", noise_scale: float) ->
     equality iff t=0 or s=0. Computed per pair, never batch-pooled: a float
     for one pair at one time, (B,) for a batch of pairs or of times.
     """
-    if not np.all((0.0 <= t) & (t <= 1.0 - T_CLAMP)):
+    if not _holds((0.0 <= t) & (t <= 1.0 - T_CLAMP)):
         raise DomainError(f"alpha factor requires 0 <= t <= {1.0 - T_CLAMP!r}, got {t}")
     s = float(noise_scale)
     diff = pair.x1 - pair.x0

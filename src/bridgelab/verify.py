@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
@@ -252,15 +253,46 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 
-def sampler_suite(seed: int, mc: int = 100_000) -> list[Check]:
+# (n_steps, gamma) of the shifted schedules the sampler suite sweeps.
+_SCHEDULES_GRID = [(n, g) for n in (1, 2, 4, 16, 64) for g in (1.0, 5.0)]
+
+
+def _endpoint_variance_sweep(seed: int) -> float:
+    """Worst relative deviation of the standard sampler's endpoint variance
+    from s^2 dt_{N-1}, over the schedule grid and s in (1, 2).
+
+    The 5% bound is verified at 2e4 runs, so it sits at ~5 estimator sigmas
+    even across the 20-combination grid. Each combination draws its own
+    substream of the sampler suite's stream, so the 20 variance estimates are
+    independent. The work is Philox draws and ufuncs on (20000, 2) blocks,
+    which release the GIL, so ``run_suite`` runs this on a worker thread.
+    """
+    pair = EndpointPair(_X0, _X1)
+    variance_rng = RngStream(seed=seed).split(3).split(2)
+    runs = 20_000
+    worst_var = 0.0
+    for k, (n, g, s) in enumerate((n, g, s) for n, g in _SCHEDULES_GRID for s in (1.0, 2.0)):
+        sch = shifted(n, g)
+        st = endpoint_statistics(
+            "standard", oracle_field(pair.x1), pair, sch, s, runs, variance_rng.split(k)
+        )
+        expected = s * s * float(sch.points[-1] - sch.points[-2])
+        worst_var = max(worst_var, abs(st.variance / expected - 1.0))
+    return worst_var
+
+
+def sampler_suite(
+    seed: int, mc: int = 100_000, *, endpoint_variance: Callable[[], float]
+) -> list[Check]:
+    """``endpoint_variance`` returns ``_endpoint_variance_sweep(seed)``: it is
+    the ``result`` of the future that ``run_suite`` runs the sweep in."""
     rng = RngStream(seed=seed).split(3)
     pair = EndpointPair(_X0, _X1)
     checks: list[Check] = []
     mc = max(mc, 100_000)  # fixed tolerances are calibrated for 1e5 draws
-    schedules_grid = [(n, g) for n in (1, 2, 4, 16, 64) for g in (1.0, 5.0)]
 
     worst_mse = 0.0
-    for n, g in schedules_grid:
+    for n, g in _SCHEDULES_GRID:
         for s in (0.0, 1.0, 2.0):
             st = endpoint_statistics(
                 "corrected", oracle_field(pair.x1), pair, shifted(n, g), s, 8, rng.split(1)
@@ -268,20 +300,7 @@ def sampler_suite(seed: int, mc: int = 100_000) -> list[Check]:
             worst_mse = max(worst_mse, st.mse)
     checks.append(("oracle_corrected_mse", worst_mse, 1e-20))
 
-    # 5% bound verified at 2e4 runs so it sits at ~5 estimator sigmas even
-    # across the 20-combination grid. Each combination draws its own
-    # substream, so the 20 variance estimates are independent.
-    runs = 20_000
-    worst_var = 0.0
-    variance_rng = rng.split(2)
-    for k, (n, g, s) in enumerate((n, g, s) for n, g in schedules_grid for s in (1.0, 2.0)):
-        sch = shifted(n, g)
-        st = endpoint_statistics(
-            "standard", oracle_field(pair.x1), pair, sch, s, runs, variance_rng.split(k)
-        )
-        expected = s * s * float(sch.points[-1] - sch.points[-2])
-        worst_var = max(worst_var, abs(st.variance / expected - 1.0))
-    checks.append(("standard_endpoint_variance", worst_var, 0.05))
+    checks.append(("standard_endpoint_variance", endpoint_variance(), 0.05))
 
     st0 = endpoint_statistics(
         "standard", oracle_field(pair.x1), pair, uniform_schedule(8), 0.0, 16, rng.split(3)
@@ -290,7 +309,7 @@ def sampler_suite(seed: int, mc: int = 100_000) -> list[Check]:
 
     # Final corrected step is exactly noiseless for every schedule.
     worst_eta = max(
-        abs(plan_steps(shifted(n, g), "corrected", 2.0)[-1].eta) for n, g in schedules_grid
+        abs(plan_steps(shifted(n, g), "corrected", 2.0)[-1].eta) for n, g in _SCHEDULES_GRID
     )
     checks.append(("final_step_noiseless", worst_eta, 0.0))
 
@@ -405,22 +424,35 @@ def run_suite(
     if mc < 0:
         raise ValueError(f"Monte-Carlo draw count must be >= 0, got {mc}")
     overrides = overrides or {}
+    # The sampler suite's endpoint-variance sweep runs on one worker thread
+    # while the selected suites run here. Whole suites stay on this thread:
+    # a worker's malloc arena keeps the freed (mc, D) blocks of the bridge
+    # and sampler suites, which would raise peak memory. Leaving the block
+    # joins the worker, and the future re-raises a sweep's exception where
+    # the sampler suite reads it. Imported here so that importing the CLI
+    # does not load concurrent.futures, and logging with it.
+    from concurrent.futures import ThreadPoolExecutor
+
     checks = []
-    for name, func in _SUITE_FUNCS.items():
-        if suite not in ("all", name):
-            continue
-        for check, measured, bound in func(seed=seed, mc=mc):
-            measured = float(measured)
-            bound = float(overrides.get(check, bound))
-            checks.append(
-                {
-                    "suite": name,
-                    "name": check,
-                    "measured": measured,
-                    "bound": bound,
-                    "passed": measured <= bound,
-                }
-            )
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        if suite in ("all", "sampler"):
+            sweep = worker.submit(_endpoint_variance_sweep, seed)
+        for name, func in _SUITE_FUNCS.items():
+            if suite not in ("all", name):
+                continue
+            kwargs = {"endpoint_variance": sweep.result} if name == "sampler" else {}
+            for check, measured, bound in func(seed=seed, mc=mc, **kwargs):
+                measured = float(measured)
+                bound = float(overrides.get(check, bound))
+                checks.append(
+                    {
+                        "suite": name,
+                        "name": check,
+                        "measured": measured,
+                        "bound": bound,
+                        "passed": measured <= bound,
+                    }
+                )
     unknown = sorted(set(overrides) - {c["name"] for c in checks})
     if unknown:
         raise ValueError(f"suite {suite!r} has no check named {', '.join(unknown)}")

@@ -20,6 +20,7 @@ from bridgelab.bridge import (
 )
 from bridgelab.errors import ClampedTimeError, DomainError
 from bridgelab.numerics import RngStream, gaussian, uniform
+from bridgelab.objectives import alpha_factor
 from bridgelab.sampler import integrate, oracle_field
 from bridgelab.schedules import Schedule
 
@@ -219,3 +220,50 @@ class TestEndpointPair:
             EndpointPair(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             EndpointPair(np.zeros((4, 2)), np.zeros((4, 2)), context=np.zeros((3, 1)))
+
+
+class TestRangeChecksOnEveryTimeForm:
+    """The time range checks read a plain bool without numpy dispatch and a
+    numpy result through .all(); every form of t is checked the same way."""
+
+    FORMS = {
+        "float": lambda t: t,
+        "np_float64": np.float64,
+        "array": lambda t: np.array([0.25, t, 0.5]),
+    }
+    # function -> (exception type, message pattern)
+    REJECTS = {
+        "interpolate": (DomainError, r"interpolation time must be in \[0, 1\]"),
+        "sample_state": (DomainError, r"state construction requires 0 <= t < 1"),
+        "velocity_target": (ClampedTimeError, r"velocity target undefined for t > "),
+        "alpha_factor": (DomainError, r"alpha factor requires 0 <= t <= "),
+    }
+
+    @staticmethod
+    def call(name: str, t):
+        shape = (3, 2) if np.ndim(t) == 1 else (2,)
+        pair = EndpointPair(np.zeros(shape), np.ones(shape))
+        if name == "interpolate":
+            return interpolate(pair, t)
+        if name == "sample_state":
+            return sample_state(pair, t, np.full(shape, 0.5), 1.0).state
+        if name == "velocity_target":
+            sample = BridgeSample(t=t, epsilon=np.zeros(shape), state=np.full(shape, 0.5))
+            return velocity_target(pair, sample)
+        return alpha_factor(pair, t, 1.0)
+
+    @pytest.mark.parametrize("name", list(REJECTS))
+    @pytest.mark.parametrize("form", list(FORMS))
+    @pytest.mark.parametrize("bad", [1.5, math.nan], ids=["out-of-range", "nan"])
+    def test_bad_time_rejected(self, name, form, bad):
+        error, message = self.REJECTS[name]
+        with pytest.raises(error, match=message) as caught:
+            self.call(name, self.FORMS[form](bad))
+        assert type(caught.value) is error
+
+    @pytest.mark.parametrize("name", list(REJECTS))
+    @pytest.mark.parametrize("form", ["np_float64", "array"])
+    def test_good_time_matches_the_float_form(self, name, form):
+        expected = self.call(name, 0.25)
+        got = self.call(name, self.FORMS[form](0.25))
+        assert np.array_equal(got[1] if form == "array" else got, expected)

@@ -1,9 +1,14 @@
 """The verify suites measure the library's own code: breaking it fails the check."""
 
+import threading
+
 import numpy as np
+import pytest
 from scipy import stats
 
 from bridgelab import objectives, sampler, verify
+from bridgelab.cli import main
+from bridgelab.errors import IntegrationError
 from bridgelab.verify import run_suite
 
 
@@ -44,3 +49,50 @@ class TestChiSquareConstants:
     def test_bin_edges_are_normal_quantiles(self):
         expected = stats.norm.ppf(np.linspace(0.0, 1.0, 21))
         np.testing.assert_allclose(verify._GOF_EDGES, expected, rtol=0.0, atol=1e-15)
+
+
+class TestEndpointVarianceSweep:
+    """run_suite runs the sampler suite's endpoint-variance sweep on a worker
+    thread; the report must read as if every check ran in order on one."""
+
+    def test_all_is_the_four_suites_in_order(self):
+        singles = [
+            check
+            for name in ("bridge", "objectives", "sampler", "schedules")
+            for check in run_suite(name, seed=0)["checks"]
+        ]
+        assert run_suite("all", seed=0)["checks"] == singles
+
+    @pytest.mark.parametrize(
+        "seed, expected", [(0, 0.010981475582586109), (7, 0.012203157840211976)]
+    )
+    def test_substreams_are_pinned(self, seed, expected):
+        report = run_suite("sampler", seed=seed)
+        measured = {c["name"]: c["measured"] for c in report["checks"]}
+        assert measured["standard_endpoint_variance"] == expected
+
+    @pytest.mark.parametrize("worker_only", [False, True], ids=["everywhere", "worker-only"])
+    def test_sweep_error_reaches_caller_and_worker_is_joined(
+        self, monkeypatch, tmp_path, worker_only
+    ):
+        """An IntegrationError keeps its type (and, from the worker, its
+        identity), `verify` exits 3, and no thread outlives the call."""
+        statistics = verify.endpoint_statistics
+        raised = []
+
+        def failing(*args, **kwargs):
+            if worker_only and threading.current_thread() is threading.main_thread():
+                return statistics(*args, **kwargs)
+            raised.append(IntegrationError("state became non-finite at step 0", step_index=0))
+            raise raised[-1]
+
+        monkeypatch.setattr(verify, "endpoint_statistics", failing)
+        before = threading.active_count()
+        with pytest.raises(IntegrationError) as caught:
+            run_suite("sampler", seed=0)
+        assert threading.active_count() == before
+        if worker_only:
+            assert caught.value is raised[0]
+        assert main(["verify", "--suite", "all", "--out-dir", str(tmp_path)]) == 3
+        assert threading.active_count() == before
+        assert not (tmp_path / "verify_report.json").exists()
