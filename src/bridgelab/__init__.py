@@ -22,7 +22,7 @@ from .objectives import (
     raw_target,
     target_profile,
 )
-from .sampler import EndpointStats, SamplerStep, endpoint_statistics, integrate, oracle_field
+from .sampler import EndpointStats, endpoint_statistics, integrate, oracle_field
 from .schedules import Schedule, shifted, uniform as uniform_schedule
 from .tasks import EvalReport, TaskSpec, energy_distance, evaluate, generate_pairs
 from .trainer import TrainConfig, TrainStats, train, train_step
@@ -35,7 +35,6 @@ __all__ = [
     "EvalReport",
     "ObjectiveKind",
     "RngStream",
-    "SamplerStep",
     "Schedule",
     "TaskSpec",
     "Tensor",

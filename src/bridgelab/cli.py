@@ -271,17 +271,12 @@ def _model_config(args, spec: TaskSpec) -> ModelConfig:
     )
 
 
-def _resolved_config(args, skip=("config", "func", "command")) -> dict:
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, np.ndarray):
-            value = [float(v) for v in value]
-        config[key] = value
-    return config
+def _resolved_config(args) -> dict:
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in sorted(vars(args).items())
+        if key not in ("config", "func", "command")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -315,27 +310,28 @@ def cmd_profile(args) -> int:
     _usage_checked(check_noise_scale, args.s)
     x1 = np.full(d, np.sqrt(args.distance2 / d))
     pair = EndpointPair(np.zeros(d), x1)
-    kind = _usage_checked(ObjectiveKind, args.objective)
+    kind = ObjectiveKind(args.objective)
     grid = _usage_checked(_parse_grid, args.grid)
     rng = RngStream(seed=args.seed, stream=600) if args.mc > 0 else None
-    points = _usage_checked(target_profile, kind, pair, args.s, grid, args.mc, rng)
+    s_values, c_values = _usage_checked(target_profile, kind, pair, args.s, grid, args.mc, rng)
+    t_values = grid.tolist()
     out_dir = _ensure_out_dir(args)
     csv_path = os.path.join(out_dir, f"profile_{kind.value}.csv")
-    _write_csv(csv_path, ["t", "S", "C"], [[p.t, p.s_value, p.c_value] for p in points])
+    _write_csv(csv_path, ["t", "S", "C"], zip(t_values, s_values.tolist(), c_values.tolist()))
     outputs = [csv_path]
     if args.svg:
         svg_path = os.path.join(out_dir, f"profile_{kind.value}.svg")
         _write_svg(
             svg_path,
             {
-                "S(t)": [(p.t, p.s_value) for p in points],
-                "C(t)": [(p.t, p.c_value) for p in points],
+                "S(t)": list(zip(t_values, s_values.tolist())),
+                "C(t)": list(zip(t_values, c_values.tolist())),
             },
             f"target contributions: {kind.value}",
         )
         outputs.append(svg_path)
     _write_manifest(out_dir, "profile", _resolved_config(args), outputs)
-    print(f"wrote {csv_path} ({len(points)} grid points)")
+    print(f"wrote {csv_path} ({len(t_values)} grid points)")
     return EXIT_OK
 
 

@@ -35,6 +35,13 @@ _PARAMS_FORMAT = "bridgelab-params"
 _PARAMS_VERSION = 2  # version 1 had no objective field; it is no longer read
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; floats and bools are rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     input_dim: int
@@ -44,7 +51,9 @@ class ModelConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
+        for name in ("input_dim", "time_features", "context_dim"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "hidden", tuple(_integer("hidden width", w) for w in self.hidden))
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if any(w < 1 for w in self.hidden):

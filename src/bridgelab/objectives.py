@@ -17,7 +17,6 @@ velocity; only the loss residual is rescaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -116,13 +115,6 @@ def loss(
 PROFILE_T_MAX = 0.999
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
-    t: float
-    s_value: float  # instantaneous contribution S(t) = E ||target||^2
-    c_value: float  # cumulative share C(t) = int_0^t S / int_0^0.999 S
-
-
 def expected_target_sqnorm(
     kind: ObjectiveKind, pair: EndpointPair, noise_scale: float, t: float
 ) -> float:
@@ -173,15 +165,19 @@ def target_profile(
     t_grid: "np.ndarray | list[float]",
     mc_samples: int = 0,
     rng: RngStream | None = None,
-) -> list[ProfilePoint]:
-    """Evaluate S(t) on a grid and accumulate C(t) by trapezoidal integration.
+) -> tuple[Tensor, Tensor]:
+    """S(t) and C(t) on a grid, each shaped like the grid.
+
+    S(t) = E ||target_t||^2 is the instantaneous contribution, and C(t) its
+    cumulative share, accumulated by trapezoidal integration.
 
     With ``mc_samples == 0`` the closed forms above are used; otherwise S is
     estimated by Monte-Carlo over the noise draw with ``mc_samples`` draws
     per grid point on independent substreams (the closed form remains the
     cross-check oracle either way). C is normalized by the trapezoidal
     integral over the full grid, so the grid should extend to 0.999 for the
-    canonical normalization.
+    canonical normalization. An S value or normalization integral that
+    overflows float64 raises ValueError.
     """
     grid = np.asarray(t_grid, dtype=np.float64)
     if grid.size == 0:
@@ -195,30 +191,26 @@ def target_profile(
     if mc_samples > 0 and rng is None:
         raise ValueError("Monte-Carlo profile estimation needs an RngStream")
 
-    if mc_samples > 0:
-        s_values = np.array(
-            [
-                np.mean(
-                    _mc_target_sqnorms(kind, pair, noise_scale, float(t), mc_samples, rng.split(i))
-                )
-                for i, t in enumerate(grid)
-            ]
+    # Overflow shows up as a non-finite integral, which is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mc_samples > 0:
+            sqnorms = (
+                _mc_target_sqnorms(kind, pair, noise_scale, t, mc_samples, rng.split(i))
+                for i, t in enumerate(grid.tolist())
+            )
+            s_values = np.array([np.mean(v) for v in sqnorms])
+        else:
+            s_values = np.array(
+                [expected_target_sqnorm(kind, pair, noise_scale, t) for t in grid.tolist()]
+            )
+        cumulative = np.concatenate(
+            ([0.0], np.cumsum(np.diff(grid) * (s_values[1:] + s_values[:-1]) / 2.0))
         )
-    else:
-        s_values = np.array(
-            [expected_target_sqnorm(kind, pair, noise_scale, float(t)) for t in grid]
-        )
-
-    cumulative = np.concatenate(
-        ([0.0], np.cumsum(np.diff(grid) * (s_values[1:] + s_values[:-1]) / 2.0))
-    )
+    # Every S value is >= 0, so one that is not finite makes the integral so too.
     total = cumulative[-1]
-    if total <= 0.0:
-        raise ValueError("profile normalization integral is not positive")
-    return [
-        ProfilePoint(t=float(t), s_value=float(s), c_value=float(c / total))
-        for t, s, c in zip(grid, s_values, cumulative)
-    ]
+    if not (np.isfinite(total) and total > 0.0):
+        raise ValueError("profile S(t) or its normalization integral is not finite and positive")
+    return s_values, cumulative / total
 
 
 def default_profile_grid(points: int = 1000) -> np.ndarray:

@@ -18,20 +18,15 @@ variance s^2 * dt_{N-1}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
 
 from .bridge import EndpointPair
-from .errors import DomainError, IntegrationError
+from .errors import IntegrationError
 from .numerics import RngStream, Tensor, gaussian
 from .schedules import Schedule
-
-MODE_STANDARD = "standard"
-MODE_CORRECTED = "corrected"
-_MODES = (MODE_STANDARD, MODE_CORRECTED)
 
 
 class VelocityField(Protocol):
@@ -59,43 +54,16 @@ def oracle_field(x1: Tensor) -> VelocityField:
     return field
 
 
-@dataclass(frozen=True)
-class SamplerStep:
-    """One planned transition: index, interval, step size, and noise amplitude."""
-
-    k: int
-    t_start: float
-    t_end: float
-    dt: float
-    eta: float
-
-
-def noise_amplitude(mode: str, t_start: float, t_end: float, noise_scale: float) -> float:
-    """Per-step noise amplitude eta for the given mode."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown sampler mode {mode!r}")
-    dt = t_end - t_start
-    if dt <= 0.0 or t_start >= 1.0:
-        raise DomainError(f"invalid step interval [{t_start}, {t_end}]")
+def plan_steps(schedule: Schedule, mode: str, noise_scale: float) -> tuple[Tensor, Tensor]:
+    """Step sizes dt and noise amplitudes eta of the schedule's N transitions, (N,) each."""
+    t = schedule.points
+    dt = np.diff(t)
     s = float(noise_scale)
-    if mode == MODE_STANDARD:
-        return s * math.sqrt(dt)
-    return s * math.sqrt(dt * (1.0 - t_end) / (1.0 - t_start))
-
-
-def plan_steps(schedule: Schedule, mode: str, noise_scale: float) -> list[SamplerStep]:
-    """Expand a schedule into per-step transitions with precomputed amplitudes."""
-    pts = schedule.points
-    return [
-        SamplerStep(
-            k=k,
-            t_start=float(pts[k]),
-            t_end=float(pts[k + 1]),
-            dt=float(pts[k + 1] - pts[k]),
-            eta=noise_amplitude(mode, float(pts[k]), float(pts[k + 1]), noise_scale),
-        )
-        for k in range(schedule.n_steps)
-    ]
+    if mode == "standard":
+        return dt, s * np.sqrt(dt)
+    if mode == "corrected":
+        return dt, s * np.sqrt(dt * (1.0 - t[1:]) / (1.0 - t[:-1]))
+    raise ValueError(f"unknown sampler mode {mode!r}")
 
 
 def integrate(
@@ -121,22 +89,20 @@ def integrate(
         raise ValueError(f"x0 must be a (B, D) block, got shape {states.shape}")
     if record is not None:
         record(0, states)
-    for planned in plan_steps(schedule, mode, noise_scale):
-        drift = np.asarray(field(states, planned.t_start), dtype=np.float64)
+    dt, eta = plan_steps(schedule, mode, noise_scale)
+    for k, t in enumerate(schedule.points[:-1].tolist()):
+        drift = np.asarray(field(states, t), dtype=np.float64)
         if not np.all(np.isfinite(drift)):
             raise IntegrationError(
-                f"velocity field returned non-finite values at step {planned.k}",
-                step_index=planned.k,
+                f"velocity field returned non-finite values at step {k}", step_index=k
             )
-        states = states + planned.dt * drift
-        if planned.eta != 0.0:
-            states += planned.eta * gaussian(rng, states.shape)
+        states = states + dt[k] * drift
+        if eta[k] != 0.0:
+            states += eta[k] * gaussian(rng, states.shape)
         if not np.all(np.isfinite(states)):
-            raise IntegrationError(
-                f"state became non-finite at step {planned.k}", step_index=planned.k
-            )
+            raise IntegrationError(f"state became non-finite at step {k}", step_index=k)
         if record is not None:
-            record(planned.k + 1, states)
+            record(k + 1, states)
     return states
 
 

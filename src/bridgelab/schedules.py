@@ -23,22 +23,24 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Schedule:
-    """Strictly increasing grid 0 = t_0 < ... < t_N = 1 with its generation parameters."""
+    """Strictly increasing grid 0 = t_0 < ... < t_N = 1 of N >= 1 steps, read-only."""
 
     points: np.ndarray
-    n_steps: int
-    gamma: float = 1.0
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64)  # own an immutable copy
-        if pts.ndim != 1 or pts.size != self.n_steps + 1:
-            raise ValueError(f"schedule needs {self.n_steps + 1} points, got shape {pts.shape}")
+        if pts.ndim != 1 or pts.size < 2:
+            raise ValueError(f"schedule needs a 1-d grid of 2 or more points, got {pts.shape}")
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError("schedule must start at exactly 0 and end at exactly 1")
         if not np.all(np.diff(pts) > 0.0):
             raise ValueError("schedule must be strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+
+    @property
+    def n_steps(self) -> int:
+        return self.points.size - 1
 
 
 def uniform(n_steps: int) -> Schedule:
@@ -49,7 +51,7 @@ def uniform(n_steps: int) -> Schedule:
     pts = idx / float(n_steps)
     pts[0] = 0.0
     pts[-1] = 1.0
-    return Schedule(points=pts, n_steps=n_steps, gamma=1.0)
+    return Schedule(pts)
 
 
 def shifted(n_steps: int, gamma: float) -> Schedule:
@@ -63,4 +65,4 @@ def shifted(n_steps: int, gamma: float) -> Schedule:
     pts = idx / (gamma * n_steps - (gamma - 1.0) * idx)
     pts[0] = 0.0
     pts[-1] = 1.0
-    return Schedule(points=pts, n_steps=n_steps, gamma=gamma)
+    return Schedule(pts)

@@ -90,7 +90,7 @@ def test_criterion_02_conditional_variance():
         integrate(
             np.broadcast_to(PAIR.x0, (10**5, 2)),
             field,
-            Schedule(points=[0.0, t1, t2, 1.0], n_steps=3),
+            Schedule([0.0, t1, t2, 1.0]),
             "corrected",
             1.0,
             RngStream(seed=0, stream=50 + k),

@@ -187,7 +187,7 @@ class TestConditionalVariance:
         integrate(
             np.broadcast_to(pair2d.x0, (10**5, 2)),
             field,
-            Schedule(points=[0.0, t1, t2, 1.0], n_steps=3),
+            Schedule([0.0, t1, t2, 1.0]),
             "corrected",
             s,
             RngStream(seed=55),

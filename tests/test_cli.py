@@ -411,6 +411,28 @@ class TestSampleRecordedObjective:
         assert capsys.readouterr().err == "error: unsupported parameter container version 1\n"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("input_dim", 2.0), ("time_features", 8.0), ("context_dim", 0.0), ("hidden", [4.0]),
+         ("input_dim", True)],
+    )
+    def test_non_integer_config_field_exits_two(self, tmp_path, capsys, key, value):
+        """A header whose integer fields are floats or bools is rejected before any output."""
+        config = {"activation": "tanh", "context_dim": 0, "hidden": [4], "input_dim": 2,
+                  "time_features": 8, key: value}
+        params = init(ModelConfig(input_dim=2, hidden=(4,)), RngStream(seed=28))
+        header = {"config": config, "count": int(params.size), "format": "bridgelab-params",
+                  "objective": "velocity", "version": 2}
+        path = str(tmp_path / "floats.bin")
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode("utf-8") + b"\n" + params.astype("<f8").tobytes())
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--params", path, "--seed", "2", "--out-dir", out])
+        assert exc.value.code == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_foreign_container_exits_two(self, tmp_path, capsys):
         params = str(tmp_path / "bogus.bin")
         out = str(tmp_path / "out")
@@ -507,6 +529,22 @@ class TestUsageErrors:
             main(argv + ["--seed", "1", "--out-dir", out])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("objective", ["displacement", "velocity", "stabilized_velocity"])
+    @pytest.mark.parametrize(
+        "mc", [[], ["--mc", "100", "--grid", "0.1:0.9:5"]], ids=["closed", "mc"]
+    )
+    @pytest.mark.parametrize(
+        "overflow", [["--s", "1e200"], ["--distance2", "1e308"]], ids=["s", "distance2"]
+    )
+    def test_overflowing_profile_exits_two(self, tmp_path, capsys, objective, mc, overflow):
+        """Finite inputs whose S(t) or its integral overflow float64 write no NaN profile."""
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--objective", objective, *mc, *overflow, "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: profile ")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(

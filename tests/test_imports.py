@@ -2,7 +2,8 @@
 
 bridgelab needs numpy alone at run time, and importing its CLI leaves the
 thread-pool machinery that only `verify` uses unloaded. The checks run in a
-fresh interpreter, because the test modules import scipy themselves.
+fresh interpreter, because the test modules import scipy themselves. Every
+name in `bridgelab.__all__` must also be bound on the package.
 """
 
 import json
@@ -84,3 +85,9 @@ def test_commands_succeeded(fresh_process):
 def test_energy_distance_exact_without_scipy(fresh_process):
     """2 E|a-b| - E|a-a'| - E|b-b'| for a = {0, 1}, b = {0, 3}: 2*1.5 - 0.5 - 1.5."""
     assert fresh_process["distance"] == 1.0
+
+
+@pytest.mark.parametrize("name", bridgelab.__all__)
+def test_public_name_resolves(name):
+    """Every exported name is bound on the package, so a stale export fails here."""
+    assert hasattr(bridgelab, name)

@@ -102,6 +102,35 @@ class TestTimeFeatures:
             ModelConfig(input_dim=2, time_features=7)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"input_dim": 2.0},
+            {"input_dim": True},
+            {"context_dim": 0.0},
+            {"context_dim": False},
+            {"time_features": 8.0},
+            {"hidden": (2.5,)},
+            {"hidden": (4.0,)},
+            {"hidden": (True,)},
+            {"hidden": ("4",)},
+        ],
+    )
+    def test_integer_fields_reject_non_integers(self, fields):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ModelConfig(**{"input_dim": 2, **fields})
+
+    def test_numpy_integers_become_ints(self, tmp_path):
+        """Integer fields are stored as int, so the parameter header stays JSON."""
+        config = ModelConfig(input_dim=np.int64(2), hidden=[np.int32(4)], context_dim=np.int8(1))
+        assert config == ModelConfig(input_dim=2, hidden=(4,), context_dim=1)
+        assert all(type(v) is int for v in (config.input_dim, config.context_dim, *config.hidden))
+        path = str(tmp_path / "params.bin")
+        save_parameters(path, config, init(config, RngStream(seed=1)), "velocity")
+        assert load_parameters(path)[0] == config
+
+
 class TestBackward:
     @pytest.mark.parametrize("hidden", [(16,), (32, 32)])
     @pytest.mark.parametrize("input_dim", [1, 2, 8])

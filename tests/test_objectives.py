@@ -258,31 +258,30 @@ class TestClosedFormProfiles:
 
 class TestTargetProfile:
     def test_stabilized_cumulative_is_linear(self, unit_pair):
-        points = target_profile(
-            ObjectiveKind.STABILIZED_VELOCITY, unit_pair, 1.0, default_profile_grid(500)
-        )
-        for p in points:
-            assert p.c_value == pytest.approx(p.t / 0.999, abs=1e-9)
+        grid = default_profile_grid(500)
+        s_values, c_values = target_profile(ObjectiveKind.STABILIZED_VELOCITY, unit_pair, 1.0, grid)
+        assert s_values.shape == c_values.shape == grid.shape
+        np.testing.assert_allclose(c_values, grid / 0.999, rtol=0.0, atol=1e-9)
 
     def test_velocity_cumulative_at_09(self, unit_pair):
         """C(0.9) = ln(10)/ln(1000) = 1/3 within the grid's trapezoid error."""
         grid = default_profile_grid(1000)
-        points = target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, grid)
+        _, c_values = target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, grid)
         idx = int(np.argmin(np.abs(grid - 0.9)))
-        assert points[idx].c_value == pytest.approx(1.0 / 3.0, abs=0.02)
+        assert c_values[idx] == pytest.approx(1.0 / 3.0, abs=0.02)
 
     def test_displacement_cumulative_at_05(self, unit_pair):
         """C(0.5) = (0.5 - 0.125) / (0.999 - 0.999^2/2) ~ 0.75."""
         grid = default_profile_grid(1000)
-        points = target_profile(ObjectiveKind.DISPLACEMENT, unit_pair, 1.0, grid)
+        _, c_values = target_profile(ObjectiveKind.DISPLACEMENT, unit_pair, 1.0, grid)
         idx = int(np.argmin(np.abs(grid - 0.5)))
         exact = 0.375 / (0.999 - 0.999**2 / 2.0)
-        assert points[idx].c_value == pytest.approx(exact, abs=1e-6)
-        assert points[idx].c_value == pytest.approx(0.751, abs=0.02)
+        assert c_values[idx] == pytest.approx(exact, abs=1e-6)
+        assert c_values[idx] == pytest.approx(0.751, abs=0.02)
 
     def test_monte_carlo_matches_closed_form(self, pair2d):
         grid = np.linspace(0.05, 0.9, 8)
-        mc = target_profile(
+        s_values, _ = target_profile(
             ObjectiveKind.STABILIZED_VELOCITY,
             pair2d,
             1.0,
@@ -290,9 +289,9 @@ class TestTargetProfile:
             mc_samples=20_000,
             rng=RngStream(seed=3),
         )
-        for p in mc:
-            closed = expected_target_sqnorm(ObjectiveKind.STABILIZED_VELOCITY, pair2d, 1.0, p.t)
-            assert p.s_value == pytest.approx(closed, rel=0.02)
+        for t, s_value in zip(grid, s_values):
+            closed = expected_target_sqnorm(ObjectiveKind.STABILIZED_VELOCITY, pair2d, 1.0, t)
+            assert s_value == pytest.approx(closed, rel=0.02)
 
     def test_grid_validation(self, unit_pair):
         with pytest.raises(ValueError):
@@ -311,11 +310,24 @@ class TestTargetProfile:
         prefix of the grid reproduces the same S values (the property that
         lets grid points run in parallel without ordering effects)."""
         grid = np.linspace(0.1, 0.9, 5)
-        full = target_profile(
+        full, _ = target_profile(
             ObjectiveKind.VELOCITY, pair2d, 1.0, grid, mc_samples=500, rng=RngStream(seed=6)
         )
-        prefix = target_profile(
+        prefix, _ = target_profile(
             ObjectiveKind.VELOCITY, pair2d, 1.0, grid[:3], mc_samples=500, rng=RngStream(seed=6)
         )
-        for a, b in zip(prefix, full[:3]):
-            assert a.s_value == b.s_value
+        np.testing.assert_array_equal(prefix, full[:3])
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    @pytest.mark.parametrize("mc_samples", [0, 100])
+    @pytest.mark.parametrize(
+        "x1,noise_scale",
+        [([1.0], 1e200), ([1e154], 1.0)],
+        ids=["noise-scale-overflows", "distance-overflows"],
+    )
+    def test_overflow_raises(self, kind, mc_samples, x1, noise_scale):
+        """S(t) or its integral past float64's range is an error, never a NaN profile."""
+        pair = EndpointPair(np.array([0.0]), np.array(x1))
+        grid = default_profile_grid(1000) if mc_samples == 0 else np.linspace(0.1, 0.9, 5)
+        with pytest.raises(ValueError, match="not finite"):
+            target_profile(kind, pair, noise_scale, grid, mc_samples, RngStream(seed=1))

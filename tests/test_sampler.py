@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgelab.bridge import EndpointPair
-from bridgelab.errors import DomainError, IntegrationError
+from bridgelab.errors import IntegrationError
 from bridgelab.numerics import RngStream, gaussian
 from bridgelab.sampler import (
     endpoint_statistics,
     integrate,
-    noise_amplitude,
     oracle_field,
     plan_steps,
 )
-from bridgelab.schedules import shifted, uniform
+from bridgelab.schedules import Schedule, shifted, uniform
 
 
 @pytest.fixture()
@@ -26,38 +25,58 @@ def pair2d():
 
 
 class TestNoiseAmplitude:
+    """plan_steps gives each transition's dt and noise amplitude eta as (N,) arrays."""
+
     def test_corrected_interior_step(self):
         """Uniform N=4, step 0.5 -> 0.75, s=1: sqrt(0.25 * 0.25/0.5)."""
-        assert noise_amplitude("corrected", 0.5, 0.75, 1.0) == pytest.approx(
-            math.sqrt(0.125), rel=1e-15
-        )
+        dt, eta = plan_steps(uniform(4), "corrected", 1.0)
+        np.testing.assert_array_equal(dt, np.diff(uniform(4).points))
+        assert eta[2] == pytest.approx(math.sqrt(0.125), rel=1e-15)
+
+    def test_corrected_formula(self):
+        sch = shifted(16, 5.0)
+        t = sch.points
+        _, eta = plan_steps(sch, "corrected", 1.5)
+        for k in range(16):
+            dt = t[k + 1] - t[k]
+            assert eta[k] == 1.5 * math.sqrt(dt * (1.0 - t[k + 1]) / (1.0 - t[k]))
+
+    def test_standard_formula(self):
+        sch = shifted(16, 5.0)
+        _, eta = plan_steps(sch, "standard", 1.5)
+        for k in range(16):
+            assert eta[k] == 1.5 * math.sqrt(sch.points[k + 1] - sch.points[k])
 
     def test_corrected_final_step_is_zero(self):
-        assert noise_amplitude("corrected", 0.75, 1.0, 1.0) == 0.0
+        for n in (1, 4, 64):
+            for gamma in (1.0, 5.0):
+                assert plan_steps(shifted(n, gamma), "corrected", 2.0)[1][-1] == 0.0
 
     def test_standard_final_step_keeps_noise(self):
         """The residual endpoint noise of the uncorrected scheme: sqrt(1/4)."""
-        assert noise_amplitude("standard", 0.75, 1.0, 1.0) == 0.5
+        assert plan_steps(uniform(4), "standard", 1.0)[1][-1] == 0.5
 
     def test_scales_linearly_with_noise_scale(self):
-        base = noise_amplitude("corrected", 0.25, 0.5, 1.0)
-        assert noise_amplitude("corrected", 0.25, 0.5, 2.0) == pytest.approx(2.0 * base)
+        for mode in ("standard", "corrected"):
+            _, base = plan_steps(shifted(8, 2.0), mode, 1.0)
+            _, doubled = plan_steps(shifted(8, 2.0), mode, 2.0)
+            np.testing.assert_array_equal(doubled, 2.0 * base)
 
     def test_modes_agree_as_steps_shrink(self):
         """Corrected/standard ratio sqrt((1-t2)/(1-t1)) -> 1 as dt -> 0."""
         for dt in (1e-3, 1e-6):
-            ratio = noise_amplitude("corrected", 0.5, 0.5 + dt, 1.0) / noise_amplitude(
-                "standard", 0.5, 0.5 + dt, 1.0
-            )
+            sch = Schedule([0.0, 0.5, 0.5 + dt, 1.0])
+            ratio = plan_steps(sch, "corrected", 1.0)[1][1] / plan_steps(sch, "standard", 1.0)[1][1]
             assert abs(ratio - 1.0) < 2.0 * dt
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            noise_amplitude("euler", 0.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="euler"):
+            plan_steps(uniform(4), "euler", 1.0)
 
     def test_bad_interval_rejected(self):
-        with pytest.raises(DomainError):
-            noise_amplitude("standard", 0.5, 0.5, 1.0)
+        """A zero-length step cannot reach plan_steps: the schedule rejects it."""
+        with pytest.raises(ValueError):
+            Schedule([0.0, 0.5, 0.5, 1.0])
 
 
 def run(mode, x0, field, schedule, s, rng):
@@ -75,13 +94,12 @@ class TestStep:
         rng = RngStream(seed=4)
         states = run("corrected", x0, field, uniform(4), 1.0, rng)
         replay = RngStream(seed=4)
-        for planned, before, after in zip(
-            plan_steps(uniform(4), "corrected", 1.0), states, states[1:]
-        ):
-            expected = before + planned.dt * field(before, planned.t_start)
-            if planned.eta != 0.0:
-                expected += planned.eta * gaussian(replay, before.shape)
-            np.testing.assert_array_equal(after, expected)
+        dt, eta = plan_steps(uniform(4), "corrected", 1.0)
+        for k, t in enumerate(uniform(4).points[:-1]):
+            expected = states[k] + dt[k] * field(states[k], t)
+            if eta[k] != 0.0:
+                expected += eta[k] * gaussian(replay, x0.shape)
+            np.testing.assert_array_equal(states[k + 1], expected)
         assert rng.counter == replay.counter == 3 * x0.size  # the noiseless final step draws nothing
 
     def test_non_finite_field_reports_step_index(self):
@@ -193,7 +211,7 @@ class TestEndpointStatistics:
         sch = uniform(8)
         field = lambda x, t: np.zeros_like(x)
         st = endpoint_statistics("corrected", field, pair, sch, 1.0, 50_000, RngStream(seed=8))
-        predicted = sum(p.eta**2 for p in plan_steps(sch, "corrected", 1.0))
+        predicted = float(np.sum(plan_steps(sch, "corrected", 1.0)[1] ** 2))
         assert st.variance == pytest.approx(predicted, rel=0.03)
 
     def test_corrected_tracks_bridge_marginal(self):

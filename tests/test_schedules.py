@@ -80,11 +80,23 @@ class TestShifted:
 class TestScheduleType:
     def test_validates_boundaries(self):
         with pytest.raises(ValueError):
-            Schedule(points=np.array([0.0, 0.5, 0.9]), n_steps=2)
+            Schedule(np.array([0.0, 0.5, 0.9]))
 
     def test_validates_monotonicity(self):
         with pytest.raises(ValueError):
-            Schedule(points=np.array([0.0, 0.6, 0.5, 1.0]), n_steps=3)
+            Schedule(np.array([0.0, 0.6, 0.5, 1.0]))
+
+    def test_needs_two_points(self):
+        for points in ([], [1.0], [[0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                Schedule(points)
+
+    def test_step_count_is_points_minus_one(self):
+        assert Schedule([0.0, 1.0]).n_steps == 1
+        assert Schedule([0.0, 0.25, 0.75, 1.0]).n_steps == 3
+        for n in (1, 7, 64):
+            assert uniform(n).n_steps == shifted(n, 5.0).n_steps == n
+            assert shifted(n, 5.0).points.size == n + 1
 
     def test_points_are_immutable(self):
         sch = uniform(4)

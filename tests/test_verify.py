@@ -19,10 +19,13 @@ def failed(report: dict) -> set[str]:
 class TestChecksDriveLibraryCode:
     def test_conditional_variance_runs_corrected_sampler(self, monkeypatch):
         """A corrected amplitude 10% too large fails every conditional_var check."""
-        amplitude = sampler.noise_amplitude
-        monkeypatch.setattr(
-            sampler, "noise_amplitude", lambda *args: 1.1 * amplitude(*args)
-        )
+        plan = sampler.plan_steps
+
+        def loud_plan(*args):
+            dt, eta = plan(*args)
+            return dt, 1.1 * eta
+
+        monkeypatch.setattr(sampler, "plan_steps", loud_plan)
         names = failed(run_suite("bridge", seed=0, mc=100_000))
         assert {n for n in names if n.startswith("conditional_var_")} == {
             "conditional_var_0.25_0.5",
