@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, manifests, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -107,6 +108,49 @@ class TestVerifyCommand:
         assert read(os.path.join(a, "verify_report.json")) == read(
             os.path.join(b, "verify_report.json")
         )
+
+
+# SHA-256 of the artifacts that `verify` and `profile` write for fixed
+# arguments. Like tests/test_trainer.py::PINNED_RUNS they hold for the numpy
+# they were recorded with (2.4.6); another numpy may change the normal draws
+# or the ufunc rounding, and so every digest.
+PINNED_VERIFY_REPORTS = {
+    0: "90a390a9d36a0708fbbdd8bf0292bd9d44a407bcfe4f508db91af54d39b2e5d8",
+    7: "51a0cd6e982b0027b009b166c70afbbd272a726556cbde4d6487660cb271c13d",
+}
+PINNED_PROFILES = {
+    ("displacement",): "d1199b112d57ed36d9fff1056669b3ef66a6941018d1ba85407fbb9000c4a18c",
+    ("velocity",): "60b546437c0486341509aa4f106544c67c8d5c9eb6786d490c09f8a4729ebc4c",
+    ("stabilized_velocity",): "39188a3422082e29f67735ceebb53426392d68da6070275d56b7e2bf85545d26",
+    (
+        "stabilized_velocity",
+        "--mc",
+        "1000",
+        "--grid",
+        "0:0.99:50",
+        "--seed",
+        "3",
+    ): "23111813df9b91cceee5f386d4ae328864eede02d89dbd6aefd163bffc441675",
+}
+
+
+def sha256_of(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("seed", sorted(PINNED_VERIFY_REPORTS))
+    def test_verify_report_unchanged(self, tmp_path, seed):
+        out = str(tmp_path / "report.json")
+        main(["verify", "--suite", "all", "--mc", "100000", "--seed", str(seed), "--out", out])
+        assert sha256_of(out) == PINNED_VERIFY_REPORTS[seed]
+
+    @pytest.mark.parametrize("argv", sorted(PINNED_PROFILES))
+    def test_profile_csv_unchanged(self, tmp_path, argv):
+        objective, *flags = argv
+        assert main(["profile", "--objective", objective, *flags, "--out-dir", str(tmp_path)]) == 0
+        assert sha256_of(str(tmp_path / f"profile_{objective}.csv")) == PINNED_PROFILES[argv]
 
 
 class TestProfileCommand:
