@@ -40,13 +40,11 @@ def check_noise_scale(noise_scale: float) -> float:
 
 @dataclass(frozen=True)
 class EndpointPair:
-    """Source latent x0 and target latent x1 of identical shape.
+    """A batch of B source latents x0 and target latents x1, each (B, D).
 
-    One pair has endpoints of shape (D,); a batch of B pairs is one
-    ``EndpointPair`` with a leading batch axis, (B, D). ``context``
-    optionally carries conditioning (e.g. a task parameter the pairing
-    depends on): None, (C,) for one pair or (B, C) for a batch. It is opaque
-    to the bridge math.
+    A single pair is a (1, D) batch. ``context`` optionally carries
+    conditioning (e.g. a task parameter the pairing depends on): None, or
+    one (B, C) row per pair. It is opaque to the bridge math.
     """
 
     x0: Tensor
@@ -58,8 +56,8 @@ class EndpointPair:
         x1 = np.asarray(self.x1, dtype=np.float64)
         if x0.shape != x1.shape:
             raise ValueError(f"endpoint shapes differ: {x0.shape} vs {x1.shape}")
-        if x0.ndim not in (1, 2):
-            raise ValueError(f"endpoints must be (D,) or (B, D), got shape {x0.shape}")
+        if x0.ndim != 2:
+            raise ValueError(f"endpoints must be a (B, D) batch, got shape {x0.shape}")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "x1", x1)
         if self.context is not None:
@@ -72,43 +70,34 @@ class EndpointPair:
 
     @property
     def dimension(self) -> int:
-        return self.x0.shape[-1]
+        return self.x0.shape[1]
 
     def __len__(self) -> int:
-        """Number of pairs: 1 for a single pair, B for a batch."""
-        return 1 if self.x0.ndim == 1 else self.x0.shape[0]
+        """Number of pairs B."""
+        return self.x0.shape[0]
 
 
 @dataclass(frozen=True)
 class BridgeSample:
     """Training-time tuple: time t, the noise draw, and the constructed state.
 
-    ``t`` is a float, or one time per pair (B,) for a batch.
+    ``t`` is an ndarray: shape () for one time shared by the batch, or (B,)
+    for one time per pair.
     """
 
-    t: "float | Tensor"
+    t: Tensor
     epsilon: Tensor
     state: Tensor
 
 
-def _times(t: "float | Tensor") -> "float | Tensor":
-    """t as a float, or as a (B, 1) column that broadcasts over the coordinates."""
-    t = np.asarray(t, dtype=np.float64)
-    return t[:, None] if t.ndim else float(t)
-
-
-def _holds(ok: "bool | np.bool_ | Tensor") -> bool:
-    """Whether a range comparison holds everywhere. A comparison of floats is
-    a plain bool and is read as is; a numpy result goes through ``.all()``,
-    which skips the ~6 us dispatch of ``np.all`` on a scalar."""
-    return ok if ok.__class__ is bool else bool(ok.all())
-
-
 def interpolate(pair: EndpointPair, t: "float | Tensor") -> Tensor:
-    """Deterministic linear interpolation (1-t) x0 + t x1 for t in [0, 1]."""
-    tc = _times(t)
-    if not _holds((0.0 <= tc) & (tc <= 1.0)):
+    """Linear interpolation (1-t) x0 + t x1 at a time in [0, 1] of shape () or (B,)."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape not in ((), (len(pair),)):
+        raise ValueError(f"time shape {t.shape} is neither () nor ({len(pair)},)")
+    if not ((0.0 <= t) & (t <= 1.0)).all():
         raise DomainError(f"interpolation time must be in [0, 1], got {t}")
+    tc = t[..., None]
     return (1.0 - tc) * pair.x0 + tc * pair.x1
 
 
@@ -117,19 +106,20 @@ def sample_state(
 ) -> BridgeSample:
     """Construct the intermediate bridge state at time t from a noise draw.
 
-    ``t`` is a float or one time per pair (B,); ``eps`` has the shape of the
-    endpoints. t=1 is excluded: the state is defined there (it is x1) but
-    never sampled for training since the velocity target is singular at t=1.
+    ``t`` has shape () or (B,); ``eps`` has the shape of the endpoints. t=1
+    is excluded: the state is defined there (it is x1) but never sampled for
+    training since the velocity target is singular at t=1.
     """
     s = check_noise_scale(noise_scale)
-    tc = _times(t)
-    if not _holds((0.0 <= tc) & (tc < 1.0)):
+    t = np.asarray(t, dtype=np.float64)
+    if not ((0.0 <= t) & (t < 1.0)).all():
         raise DomainError(f"state construction requires 0 <= t < 1, got {t}")
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != pair.x0.shape:
         raise ValueError(f"noise shape {eps.shape} does not match endpoints {pair.x0.shape}")
+    tc = t[..., None]
     state = interpolate(pair, t) + s * np.sqrt(tc * (1.0 - tc)) * eps
-    return BridgeSample(t=tc if isinstance(tc, float) else tc[:, 0], epsilon=eps, state=state)
+    return BridgeSample(t=t, epsilon=eps, state=state)
 
 
 def velocity_target(pair: EndpointPair, sample: BridgeSample) -> Tensor:
@@ -138,11 +128,12 @@ def velocity_target(pair: EndpointPair, sample: BridgeSample) -> Tensor:
     Rejects t beyond the clamp band, where the target is numerically
     unbounded, and a NaN t.
     """
-    if not _holds(sample.t <= 1.0 - T_CLAMP):
+    tc = np.asarray(sample.t, dtype=np.float64)[..., None]
+    if not (tc <= 1.0 - T_CLAMP).all():
         raise ClampedTimeError(
             f"velocity target undefined for t > {1.0 - T_CLAMP!r}, got t={sample.t}"
         )
-    return (pair.x1 - sample.state) / (1.0 - _times(sample.t))
+    return (pair.x1 - sample.state) / (1.0 - tc)
 
 
 def displacement_target(pair: EndpointPair, sample: BridgeSample) -> Tensor:
@@ -150,30 +141,32 @@ def displacement_target(pair: EndpointPair, sample: BridgeSample) -> Tensor:
     return pair.x1 - sample.state
 
 
-def marginal_variance(t: float, noise_scale: float) -> float:
-    """Per-coordinate variance of the bridge state: s^2 t (1-t).
+def marginal_variance(t: "float | Tensor", noise_scale: float) -> "float | Tensor":
+    """Per-coordinate variance of the bridge state: s^2 t (1-t), elementwise in t.
 
     Zero at both endpoints (the process is pinned) and maximal at t=0.5.
     """
     s = check_noise_scale(noise_scale)
-    if not 0.0 <= t <= 1.0:
+    t = np.asarray(t, dtype=np.float64)
+    if not ((0.0 <= t) & (t <= 1.0)).all():
         raise DomainError(f"marginal variance requires t in [0, 1], got {t}")
     return s * s * t * (1.0 - t)
 
 
-def conditional_variance(t1: float, t2: float, noise_scale: float) -> float:
+def conditional_variance(
+    t1: "float | Tensor", t2: "float | Tensor", noise_scale: float
+) -> "float | Tensor":
     """Per-coordinate variance of the state at t2 given the state at t1.
 
     From the bridge covariance Cov(B_t1, B_t2) = t1 (1-t2):
 
         Var(X_t2 | X_t1) = s^2 (t2 - t1)(1 - t2) / (1 - t1).
 
-    Reduces to the marginal variance at t1 = 0.
+    Reduces to the marginal variance at t1 = 0. Elementwise in (t1, t2).
     """
     s = check_noise_scale(noise_scale)
-    if not (0.0 <= t1 <= t2 <= 1.0):
-        raise DomainError(f"conditional variance requires 0 <= t1 <= t2 <= 1, got ({t1}, {t2})")
-    if t1 >= 1.0:
-        raise DomainError("conditioning time t1 must be < 1")
+    t1 = np.asarray(t1, dtype=np.float64)
+    t2 = np.asarray(t2, dtype=np.float64)
+    if not ((0.0 <= t1) & (t1 <= t2) & (t2 <= 1.0) & (t1 < 1.0)).all():
+        raise DomainError(f"conditional variance requires 0 <= t1 <= t2 <= 1, t1 < 1: {t1}, {t2}")
     return s * s * (t2 - t1) * (1.0 - t2) / (1.0 - t1)
-

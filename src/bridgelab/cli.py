@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bridge import EndpointPair, check_noise_scale
-from .errors import IntegrationError, TrainingError
+from .errors import EvaluationError, IntegrationError, TrainingError
 from .model import (
     ModelConfig,
     init,
@@ -308,8 +308,8 @@ def cmd_profile(args) -> int:
     if d < 1 or not (math.isfinite(args.distance2) and args.distance2 >= 0.0):
         _usage_error("profile needs --dim >= 1 and a finite --distance2 >= 0")
     _usage_checked(check_noise_scale, args.s)
-    x1 = np.full(d, np.sqrt(args.distance2 / d))
-    pair = EndpointPair(np.zeros(d), x1)
+    x1 = np.full((1, d), np.sqrt(args.distance2 / d))
+    pair = EndpointPair(np.zeros((1, d)), x1)
     kind = ObjectiveKind(args.objective)
     grid = _usage_checked(_parse_grid, args.grid)
     rng = RngStream(seed=args.seed, stream=600) if args.mc > 0 else None
@@ -548,7 +548,7 @@ def cmd_ablate(args) -> int:
                     stats.max_target_sqnorm_overall,
                 ]
             )
-        except (TrainingError, IntegrationError) as exc:
+        except (TrainingError, IntegrationError, EvaluationError) as exc:
             rows.append([args.axis, value, f"error:{exc}", "", "", "", "", "", ""])
 
     summary_path = os.path.join(out_dir, f"ablate_{args.axis}.csv")
@@ -731,7 +731,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IntegrationError, TrainingError) as exc:
+    except (IntegrationError, TrainingError, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

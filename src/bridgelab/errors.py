@@ -26,3 +26,7 @@ class TrainingError(RuntimeError):
         super().__init__(message)
         self.step_index = step_index
         self.objective = objective
+
+
+class EvaluationError(RuntimeError):
+    """A score of sampled endpoints (paired MSE, energy distance, ...) is not finite."""

@@ -12,8 +12,8 @@ bias blocks, laid out from the config's layer widths. ``forward`` predicts
 and can keep its activations on a tape; ``backward`` backpropagates through
 a tape without re-running the pass; ``linearize`` pairs the two, returning
 the prediction and a pullback, so a training step runs the network once.
-All accept a single sample (x of shape (D,), scalar t) or a batch (x of
-shape (B, D), t scalar or shape (B,)).
+All take a (B, D) batch of states x, a single state being a (1, D) batch,
+with a time t of shape () shared by the batch or (B,), one per state.
 """
 
 from __future__ import annotations
@@ -106,44 +106,39 @@ def init(config: ModelConfig, rng: RngStream) -> Tensor:
 
 
 def time_feature_matrix(t: "float | Tensor", count: int) -> Tensor:
-    """Sinusoidal features [sin(w_j t), cos(w_j t)] with w_j = pi 2^j, shape (B, count)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    """Sinusoidal features [sin(w_j t), cos(w_j t)] with w_j = pi 2^j.
+
+    A () time gives (count,) features and a (B,) time gives (B, count).
+    """
     freqs = math.pi * (2.0 ** np.arange(count // 2))
-    angles = np.outer(t_arr, freqs)
-    feats = np.empty((t_arr.size, count), dtype=np.float64)
-    feats[:, 0::2] = np.sin(angles)
-    feats[:, 1::2] = np.cos(angles)
+    angles = np.asarray(t, dtype=np.float64)[..., None] * freqs
+    feats = np.empty(angles.shape[:-1] + (count,), dtype=np.float64)
+    feats[..., 0::2] = np.sin(angles)
+    feats[..., 1::2] = np.cos(angles)
     return feats
 
 
 def _as_batch(
     config: ModelConfig, x: Tensor, t: "float | Tensor", context: Tensor | None
-) -> tuple[Tensor, bool]:
-    """Assemble the (B, feature_dim) input block; reports whether input was batched."""
+) -> Tensor:
+    """Assemble the (B, feature_dim) input block from (B, D) states."""
     x = np.asarray(x, dtype=np.float64)
-    batched = x.ndim == 2
-    xb = x if batched else x.reshape(1, -1)
-    if xb.shape[1] != config.input_dim:
-        raise ValueError(f"state dimension {xb.shape[1]} does not match config {config.input_dim}")
+    if x.ndim != 2 or x.shape[1] != config.input_dim:
+        raise ValueError(f"states {x.shape} are not a (B, {config.input_dim}) batch")
     feats = time_feature_matrix(t, config.time_features)
-    if feats.shape[0] == 1 and xb.shape[0] > 1:
-        feats = np.broadcast_to(feats, (xb.shape[0], feats.shape[1]))
-    if feats.shape[0] != xb.shape[0]:
-        raise ValueError(f"time batch {feats.shape[0]} does not match state batch {xb.shape[0]}")
-    blocks = [xb, feats]
+    if feats.shape[:-1] not in ((), (len(x),)):
+        raise ValueError(f"time shape {feats.shape[:-1]} is neither () nor ({len(x)},)")
+    blocks = [x, np.broadcast_to(feats, (len(x), config.time_features))]
     if config.context_dim > 0:
         if context is None:
             raise ValueError("model expects conditioning context but none was given")
         ctx = np.asarray(context, dtype=np.float64)
-        ctxb = ctx.reshape(1, -1) if ctx.ndim == 1 else ctx
-        if ctxb.shape[0] == 1 and xb.shape[0] > 1:
-            ctxb = np.broadcast_to(ctxb, (xb.shape[0], ctxb.shape[1]))
-        if ctxb.shape != (xb.shape[0], config.context_dim):
-            raise ValueError(f"context shape {ctx.shape} does not match config")
-        blocks.append(ctxb)
+        if ctx.shape != (len(x), config.context_dim):
+            raise ValueError(f"context shape {ctx.shape} is not ({len(x)}, {config.context_dim})")
+        blocks.append(ctx)
     elif context is not None and np.asarray(context).size > 0:
         raise ValueError("model has context_dim=0 but a context was given")
-    return np.concatenate(blocks, axis=1), batched
+    return np.concatenate(blocks, axis=1)
 
 
 def _activate(z: Tensor, kind: str) -> Tensor:
@@ -168,14 +163,14 @@ def forward(
     *,
     tape: list | None = None,
 ) -> Tensor:
-    """Velocity prediction with the shape of x; deterministic in all inputs.
+    """Velocity prediction (B, D) for (B, D) states x; deterministic in all inputs.
 
     When ``tape`` is a list, the pass appends one (input, pre-activation)
     pair per layer to it, the pre-activation None for the linear output
     layer: what ``backward`` needs to differentiate this pass without
     running it again.
     """
-    features, batched = _as_batch(config, x, t, context)
+    features = _as_batch(config, x, t, context)
     layers = _views(params, config)
     h = features
     for w, b in layers[:-1]:
@@ -186,8 +181,7 @@ def forward(
     w_out, b_out = layers[-1]
     if tape is not None:
         tape.append((h, None))
-    out = h @ w_out + b_out
-    return out if batched else out[0]
+    return h @ w_out + b_out
 
 
 def backward(
@@ -195,14 +189,12 @@ def backward(
 ) -> tuple[Tensor, Tensor]:
     """Exact reverse-mode gradients of <forward(...), upstream> for the pass
     that filled ``tape``: (grad_params, grad_x), a flat vector matching the
-    parameter layout and the gradient with respect to x in x's shape. For
-    batched inputs the parameter gradient sums over the batch and grad_x is
-    per sample.
+    parameter layout and the (B, D) gradient with respect to the states x.
+    The parameter gradient sums over the batch; grad_x is per state.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    g = upstream if upstream.ndim == 2 else upstream.reshape(1, -1)
-    if g.shape != (tape[0][0].shape[0], config.input_dim):
-        raise ValueError(f"upstream shape {upstream.shape} does not match output")
+    g = np.asarray(upstream, dtype=np.float64)
+    if g.shape != np.shape(x):
+        raise ValueError(f"upstream shape {g.shape} does not match states {np.shape(x)}")
     layers = _views(params, config)
     grad_params = np.zeros_like(params)
     grad_layers = _views(grad_params, config)
@@ -214,8 +206,7 @@ def backward(
         gw[...] = h.T @ g
         gb[...] = g.sum(axis=0)
         g = g @ layers[i][0].T
-    grad_x = g[:, : config.input_dim]
-    return grad_params, grad_x if np.ndim(x) == 2 else grad_x[0]
+    return grad_params, g[:, : config.input_dim]
 
 
 def linearize(
@@ -288,11 +279,10 @@ def velocity_field_from(
 ):
     """Wrap trained parameters as a sampler-ready velocity field over (B, D) states.
 
-    ``context`` is None for unconditioned models, one (C,) vector shared by
-    every run, or one (B, C) row per run. Displacement-trained networks
-    predict the remaining displacement, so their output is converted to a
-    velocity by dividing by (1 - t); velocity and stabilized-velocity
-    networks already predict raw velocity.
+    ``context`` is None for unconditioned models, or one (B, C) row per run.
+    Displacement-trained networks predict the remaining displacement, so
+    their output is converted to a velocity by dividing by (1 - t); velocity
+    and stabilized-velocity networks already predict raw velocity.
     """
     predicts_displacement = ObjectiveKind(objective) is ObjectiveKind.DISPLACEMENT
 

@@ -25,13 +25,12 @@ from .bridge import (
     T_CLAMP,
     BridgeSample,
     EndpointPair,
-    _holds,
     displacement_target,
     sample_state,
     velocity_target,
 )
 from .errors import DomainError
-from .numerics import RngStream, Tensor, gaussian, squared_norm
+from .numerics import RngStream, Tensor, gaussian
 
 # Guard for coincident endpoints (legal in translation data: unchanged
 # regions give x0 == x1). Keeps alpha finite instead of rejecting the pair.
@@ -44,14 +43,16 @@ class ObjectiveKind(str, Enum):
     STABILIZED_VELOCITY = "stabilized_velocity"
 
 
-def alpha_factor(pair: EndpointPair, t: "float | Tensor", noise_scale: float) -> "float | Tensor":
+def alpha_factor(pair: EndpointPair, t: "float | Tensor", noise_scale: float) -> Tensor:
     """Per-sample normalization factor alpha^2 of the stabilized objective.
 
     alpha^2 = 1 + s^2 t D / ((1-t) max(||x1-x0||^2, floor)) >= 1, with
-    equality iff t=0 or s=0. Computed per pair, never batch-pooled: a float
-    for one pair at one time, (B,) for a batch of pairs or of times.
+    equality iff t=0 or s=0. Computed per pair, never batch-pooled, and
+    elementwise over the pairs (B,) broadcast against t: a () or (B,) t
+    gives (B,); a (1, D) pair and a (G,) grid of times give (G,).
     """
-    if not _holds((0.0 <= t) & (t <= 1.0 - T_CLAMP)):
+    t = np.asarray(t, dtype=np.float64)
+    if not ((0.0 <= t) & (t <= 1.0 - T_CLAMP)).all():
         raise DomainError(f"alpha factor requires 0 <= t <= {1.0 - T_CLAMP!r}, got {t}")
     s = float(noise_scale)
     diff = pair.x1 - pair.x0
@@ -73,18 +74,17 @@ def raw_target(kind: ObjectiveKind, pair: EndpointPair, sample: BridgeSample) ->
 def objective_alpha_sq(
     kind: ObjectiveKind, pair: EndpointPair, t: "float | Tensor", noise_scale: float
 ) -> Tensor:
-    """The alpha^2 that divides the objective's squared residual: alpha_factor
-    for the stabilized objective, ones for the others; () or (B,)."""
+    """The alpha^2 that divides the objective's squared residual, (B,):
+    alpha_factor for the stabilized objective, ones for the others."""
     if kind is ObjectiveKind.STABILIZED_VELOCITY:
-        return np.asarray(alpha_factor(pair, t, noise_scale))
-    return np.ones(pair.x0.shape[:-1])
+        return alpha_factor(pair, t, noise_scale)
+    return np.ones(len(pair))
 
 
-def loss(
-    prediction: Tensor, targets: Tensor, alpha_sq: "float | Tensor"
-) -> tuple["float | Tensor", Tensor]:
-    """Per-pair squared-error losses ||(pred - target) / alpha||^2, and the
-    gradient of their batch mean with respect to the prediction.
+def loss(prediction: Tensor, targets: Tensor, alpha_sq: Tensor) -> tuple[Tensor, Tensor]:
+    """Per-pair squared-error losses ||(pred - target) / alpha||^2 over a
+    (B, D) batch, and the gradient of their batch mean with respect to the
+    prediction.
 
     ``targets`` is ``raw_target`` and ``alpha_sq`` is ``objective_alpha_sq``
     for the objective, so
@@ -93,18 +93,16 @@ def loss(
     velocity:            ||pred - u_t||^2
     stabilized velocity: ||(pred - u_t) / alpha||^2
 
-    The losses are a float, or (B,) for a batch. The gradient has the
-    prediction's shape: 2 (pred - target) / (alpha^2 B) for each of the B
-    pairs, and 2 (pred - target) / alpha^2 for a single pair.
+    The losses are (B,). The gradient has the prediction's shape:
+    2 (pred - target) / (alpha^2 B) for each of the B pairs.
     """
     prediction = np.asarray(prediction, dtype=np.float64)
-    if prediction.shape != np.shape(targets):
-        raise ValueError(f"prediction shape {prediction.shape} does not match {np.shape(targets)}")
+    if prediction.ndim != 2 or prediction.shape != np.shape(targets):
+        raise ValueError(f"prediction shape {prediction.shape} is not the targets' (B, D) shape")
     weight = 1.0 / np.asarray(alpha_sq, dtype=np.float64)
     residual = prediction - targets
     losses = np.sum(residual * residual, axis=-1) * weight
-    pairs = prediction.shape[0] if prediction.ndim == 2 else 1
-    return losses, 2.0 * residual * (weight / pairs)[..., None]
+    return losses, 2.0 * residual * (weight / len(prediction))[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +114,23 @@ PROFILE_T_MAX = 0.999
 
 
 def expected_target_sqnorm(
-    kind: ObjectiveKind, pair: EndpointPair, noise_scale: float, t: float
-) -> float:
+    kind: ObjectiveKind, pair: EndpointPair, noise_scale: float, t: "float | Tensor"
+) -> Tensor:
     """Closed-form S(t) = E ||target_t||^2 over the noise draw, endpoints fixed.
 
     velocity:     ||x1-x0||^2 + s^2 t D / (1-t)
     displacement: (1-t)^2 ||x1-x0||^2 + s^2 t (1-t) D
     stabilized:   velocity form divided by alpha^2 (constant ||x1-x0||^2
                   whenever the endpoint distance is above the degeneracy floor)
+
+    Elementwise over the pairs broadcast against t, as for ``alpha_factor``.
     """
-    if not 0.0 <= t <= 1.0 - T_CLAMP:
+    t = np.asarray(t, dtype=np.float64)
+    if not ((0.0 <= t) & (t <= 1.0 - T_CLAMP)).all():
         raise DomainError(f"profile time must be in [0, {1.0 - T_CLAMP!r}], got {t}")
     s = float(noise_scale)
-    dist_sq = squared_norm(pair.x1 - pair.x0)
+    diff = pair.x1 - pair.x0
+    dist_sq = np.sum(diff * diff, axis=-1)
     d = pair.dimension
     if kind is ObjectiveKind.VELOCITY:
         return dist_sq + s * s * t * d / (1.0 - t)
@@ -146,13 +148,13 @@ def _mc_target_sqnorms(
     draws: int,
     rng: RngStream,
 ) -> Tensor:
-    """Per-draw ||raw_target||^2 / alpha^2 for one pair at time t, (draws,).
+    """Per-draw ||raw_target||^2 / alpha^2 for one (1, D) pair at time t, (draws,).
 
     Their mean is the Monte-Carlo estimate of S(t); the pair is broadcast
-    over the draws, so each draw runs the batched state, target and alpha^2
-    the trainer uses.
+    over the draws, so each draw runs the (B, D) state, target and alpha^2
+    code the trainer uses.
     """
-    eps = gaussian(rng, (draws,) + pair.x0.shape)
+    eps = gaussian(rng, (draws, pair.dimension))
     drawn = EndpointPair(np.broadcast_to(pair.x0, eps.shape), np.broadcast_to(pair.x1, eps.shape))
     targets = raw_target(kind, drawn, sample_state(drawn, t, eps, noise_scale))
     return np.sum(targets * targets, axis=-1) / objective_alpha_sq(kind, drawn, t, noise_scale)
@@ -166,7 +168,7 @@ def target_profile(
     mc_samples: int = 0,
     rng: RngStream | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """S(t) and C(t) on a grid, each shaped like the grid.
+    """S(t) and C(t) for one (1, D) pair on a grid, each shaped like the grid.
 
     S(t) = E ||target_t||^2 is the instantaneous contribution, and C(t) its
     cumulative share, accumulated by trapezoidal integration.
@@ -179,6 +181,8 @@ def target_profile(
     canonical normalization. An S value or normalization integral that
     overflows float64 raises ValueError.
     """
+    if len(pair) != 1:
+        raise ValueError(f"a profile is of one pair, got {len(pair)}")
     grid = np.asarray(t_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("profile grid must be nonempty")
@@ -200,9 +204,7 @@ def target_profile(
             )
             s_values = np.array([np.mean(v) for v in sqnorms])
         else:
-            s_values = np.array(
-                [expected_target_sqnorm(kind, pair, noise_scale, t) for t in grid.tolist()]
-            )
+            s_values = expected_target_sqnorm(kind, pair, noise_scale, grid)
         cumulative = np.concatenate(
             ([0.0], np.cumsum(np.diff(grid) * (s_values[1:] + s_values[:-1]) / 2.0))
         )

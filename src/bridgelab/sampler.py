@@ -42,7 +42,7 @@ class VelocityField(Protocol):
 def oracle_field(x1: Tensor) -> VelocityField:
     """Analytic conditional drift (x1 - x) / (1 - t), available when x1 is known.
 
-    ``x1`` is one target (D,) shared by every run or one target row per run
+    ``x1`` is one (1, D) target shared by every run or one target row per run
     (B, D). Ground-truth field for sampler verification; undefined at t = 1
     (the sampler only ever evaluates fields at t_k < 1).
     """
@@ -90,19 +90,21 @@ def integrate(
     if record is not None:
         record(0, states)
     dt, eta = plan_steps(schedule, mode, noise_scale)
-    for k, t in enumerate(schedule.points[:-1].tolist()):
-        drift = np.asarray(field(states, t), dtype=np.float64)
-        if not np.all(np.isfinite(drift)):
-            raise IntegrationError(
-                f"velocity field returned non-finite values at step {k}", step_index=k
-            )
-        states = states + dt[k] * drift
-        if eta[k] != 0.0:
-            states += eta[k] * gaussian(rng, states.shape)
-        if not np.all(np.isfinite(states)):
-            raise IntegrationError(f"state became non-finite at step {k}", step_index=k)
-        if record is not None:
-            record(k + 1, states)
+    # overflow here is diagnosed by the finiteness checks below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(schedule.points[:-1].tolist()):
+            drift = np.asarray(field(states, t), dtype=np.float64)
+            if not np.all(np.isfinite(drift)):
+                raise IntegrationError(
+                    f"velocity field returned non-finite values at step {k}", step_index=k
+                )
+            states = states + dt[k] * drift
+            if eta[k] != 0.0:
+                states += eta[k] * gaussian(rng, states.shape)
+            if not np.all(np.isfinite(states)):
+                raise IntegrationError(f"state became non-finite at step {k}", step_index=k)
+            if record is not None:
+                record(k + 1, states)
     return states
 
 
@@ -127,7 +129,7 @@ def endpoint_statistics(
     runs: int,
     rng: RngStream,
 ) -> EndpointStats:
-    """Endpoint MSE against x1 and endpoint variance over repeated runs."""
+    """Endpoint MSE against x1 and endpoint variance over repeated runs of one (1, D) pair."""
     if runs < 2:
         raise ValueError("endpoint statistics need at least 2 runs")
     endpoints = integrate(

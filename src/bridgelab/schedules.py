@@ -21,9 +21,12 @@ import numpy as np
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """Strictly increasing grid 0 = t_0 < ... < t_N = 1 of N >= 1 steps, read-only."""
+    """Strictly increasing grid 0 = t_0 < ... < t_N = 1 of N >= 1 steps, read-only.
+
+    Schedules compare and hash by identity; compare ``points`` for equal grids.
+    """
 
     points: np.ndarray
 
@@ -62,7 +65,9 @@ def shifted(n_steps: int, gamma: float) -> Schedule:
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise DomainError(f"shift coefficient must be finite and >= 1, got {gamma}")
     idx = np.arange(n_steps + 1, dtype=np.float64)
-    pts = idx / (gamma * n_steps - (gamma - 1.0) * idx)
+    # An extreme gamma overflows here; Schedule rejects the non-finite grid.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pts = idx / (gamma * n_steps - (gamma - 1.0) * idx)
     pts[0] = 0.0
     pts[-1] = 1.0
     return Schedule(pts)

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .bridge import EndpointPair
+from .errors import EvaluationError
 from .numerics import RngStream, Tensor, gaussian, uniform
 from .sampler import integrate
 from .schedules import Schedule
@@ -269,17 +270,24 @@ def evaluate(
     ``lambda batch: oracle_field(batch.x1)``; ``record`` is passed to
     ``integrate``. Returns the (runs, D) endpoints and their report.
     Evaluation data comes from the provided stream, which callers keep
-    disjoint from training streams. Sampler failures propagate.
+    disjoint from training streams. Sampler failures propagate, and a score
+    that is not finite (finite endpoints far enough apart overflow float64)
+    raises :class:`EvaluationError`.
     """
     batch = provider(runs, rng.split(1))
     endpoints = integrate(
         batch.x0, make_field(batch), schedule, mode, noise_scale, rng.split(2), record
     )
-    errors = endpoints - batch.x1
-    report = EvalReport(
-        paired_mse=float(np.mean(errors * errors)),
-        energy_distance=energy_distance(endpoints, batch.x1),
-        mean_displacement_error=float(np.sqrt(np.sum(np.mean(errors, axis=0) ** 2))),
-        sample_count=len(batch),
-    )
+    # overflow here is diagnosed by the finiteness check below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = endpoints - batch.x1
+        report = EvalReport(
+            paired_mse=float(np.mean(errors * errors)),
+            energy_distance=energy_distance(endpoints, batch.x1),
+            mean_displacement_error=float(np.sqrt(np.sum(np.mean(errors, axis=0) ** 2))),
+            sample_count=len(batch),
+        )
+    non_finite = [name for name, value in report.to_dict().items() if not math.isfinite(value)]
+    if non_finite:
+        raise EvaluationError(f"non-finite {' and '.join(non_finite)} of the sampled endpoints")
     return endpoints, report

@@ -136,8 +136,8 @@ def train_step(
     digest: "hashlib._Hash | None" = None,
 ) -> tuple[Tensor, StepStats]:
     """One update on a batch of pairs (B, D); returns new parameters and the step's statistics."""
-    if batch.x0.ndim != 2 or len(batch) == 0:
-        raise ValueError("batch must be a nonempty (B, D) batch of pairs")
+    if len(batch) == 0:
+        raise ValueError("batch must hold at least one pair")
     t0 = time.perf_counter()
     b = len(batch)
     kind = config.objective
@@ -146,7 +146,6 @@ def train_step(
     eps = gaussian(noise_rng, (b, model_config.input_dim))
     sample = sample_state(batch, t, eps, config.noise_scale)
     targets = raw_target(kind, batch, sample)
-    max_target_sqnorm = float(np.max(np.sum(targets * targets, axis=-1)))
     alpha_sq = objective_alpha_sq(kind, batch, t, config.noise_scale)
     if observer is not None:
         observer(step_index, batch, sample, alpha_sq, targets)
@@ -155,14 +154,14 @@ def train_step(
 
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
+        max_target_sqnorm = float(np.max(np.sum(targets * targets, axis=-1)))
         predictions, pullback = linearize(params, model_config, sample.state, t, batch.context)
         losses, upstream = loss(predictions, targets, alpha_sq)
         batch_loss = float(np.mean(losses))
-    if not np.isfinite(batch_loss):
-        raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)
-
-    grad_params, _ = pullback(upstream)
-    grad_norm = float(np.sqrt(np.sum(grad_params * grad_params)))
+        if not np.isfinite(batch_loss):
+            raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)
+        grad_params, _ = pullback(upstream)
+        grad_norm = float(np.sqrt(np.sum(grad_params * grad_params)))
     if not np.isfinite(grad_norm):
         raise TrainingError(f"non-finite gradient at step {step_index}", step_index, kind.value)
 

@@ -46,9 +46,9 @@ from .schedules import Schedule, shifted, uniform as uniform_schedule
 
 SUITES = ("bridge", "objectives", "sampler", "schedules", "all")
 
-# Fixed desk-scale endpoint pair shared by the statistical suites.
-_X0 = np.array([0.3, -1.2])
-_X1 = np.array([1.7, 0.4])
+# Fixed desk-scale endpoint pair, a (1, D) batch, shared by the statistical suites.
+_X0 = np.array([[0.3, -1.2]])
+_X1 = np.array([[1.7, 0.4]])
 
 # Chi-square goodness of fit of the Gaussian source: 20 equiprobable bins
 # with standard-normal quantile edges, and the 0.999 quantile of chi-square
@@ -80,7 +80,7 @@ def bridge_suite(seed: int, mc: int = 100_000) -> list[Check]:
     # Mean deviations are reported in estimator sigmas with a family-wise
     # bound of 4.5 (18 coordinate comparisons; a literal 3-sigma gate flags
     # ~5% of correct runs). Variance bounds are the stated 3% relative, which
-    # is ~6.7 sigma at 1e5 draws. States come from the library's batched
+    # is ~6.7 sigma at 1e5 draws. States come from the library's (B, D)
     # sample_state on the pair broadcast over the draws.
     drawn = EndpointPair(np.broadcast_to(_X0, (mc, d)), np.broadcast_to(_X1, (mc, d)))
     for ti, t in enumerate((0.1, 0.5, 0.9)):
@@ -119,23 +119,22 @@ def bridge_suite(seed: int, mc: int = 100_000) -> list[Check]:
             (f"conditional_var_{t1}_{t2}", np.max(np.abs(emp_cond_var / true_cond - 1.0)), 0.03)
         )
 
-    # Deterministic identities on a sweep of random samples.
-    ident_rng = rng.split(200)
-    worst_identity = 0.0
-    worst_expansion = 0.0
-    for i in range(200):
-        t = float(uniform(ident_rng, ())) * 0.99
-        s = float(uniform(ident_rng, ())) * 3.0
-        eps = gaussian(ident_rng, pair.x0.shape)
-        sample = sample_state(pair, t, eps, s)
-        u = velocity_target(pair, sample)
-        dsp = displacement_target(pair, sample)
-        scale = max(1.0, float(np.max(np.abs(dsp))))
-        worst_identity = max(worst_identity, float(np.max(np.abs(dsp - (1.0 - t) * u))) / scale)
-        expansion = (pair.x1 - pair.x0) - s * math.sqrt(t / (1.0 - t)) * eps
-        worst_expansion = max(worst_expansion, float(np.max(np.abs(u - expansion))))
-    checks.append(("target_identity_rel", worst_identity, 1e-15))
-    checks.append(("expansion_identity_abs", worst_expansion, 1e-12))
+    # Deterministic identities on a sweep of 200 random samples. Each (t, s,
+    # eps) is drawn in turn from the stream; the sweep then runs as one batch
+    # with one time per row, each row's noise scale folded into its eps.
+    ident = rng.split(200)
+    draws = [(uniform(ident, ()), uniform(ident, ()), gaussian(ident, d)) for _ in range(200)]
+    t, s, eps = (np.array(column) for column in zip(*draws))
+    t, s = t * 0.99, s * 3.0
+    swept = EndpointPair(np.broadcast_to(_X0, eps.shape), np.broadcast_to(_X1, eps.shape))
+    sample = sample_state(swept, t, s[:, None] * eps, 1.0)
+    u = velocity_target(swept, sample)
+    dsp = displacement_target(swept, sample)
+    scale = np.maximum(1.0, np.max(np.abs(dsp), axis=1))
+    identity = np.max(np.abs(dsp - (1.0 - t)[:, None] * u), axis=1) / scale
+    expansion = (swept.x1 - swept.x0) - (s * np.sqrt(t / (1.0 - t)))[:, None] * eps
+    checks.append(("target_identity_rel", np.max(identity), 1e-15))
+    checks.append(("expansion_identity_abs", np.max(np.abs(u - expansion)), 1e-12))
 
     pinning = max(
         marginal_variance(0.0, 1.0),
@@ -179,12 +178,10 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
     ratio_draws = max(mc // 4, 25_000)
     worst_z = 0.0
     worst_ratio = 0.0
-    for i, t in enumerate(grid):
-        t = float(t)
+    for i, (t, alpha_sq) in enumerate(zip(grid.tolist(), alpha_factor(pair, grid, s))):
         eps = gaussian(rng.split(10 + i), (ratio_draws, d))
         u = (pair.x1 - pair.x0) - s * math.sqrt(t / (1.0 - t)) * eps
         u_sqnorms = np.sum(u * u, axis=1)
-        alpha_sq = alpha_factor(pair, t, s)
         stab_sqnorms = u_sqnorms / alpha_sq
         se = float(np.std(stab_sqnorms, ddof=1)) / math.sqrt(ratio_draws)
         worst_z = max(worst_z, abs(float(np.mean(stab_sqnorms)) - dist_sq) / se)
@@ -195,7 +192,7 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
 
     # Loss-contribution profiles against their closed-form landmarks (unit
     # distance in one dimension, unit noise scale).
-    unit_pair = EndpointPair(np.array([0.0]), np.array([1.0]))
+    unit_pair = EndpointPair(np.array([[0.0]]), np.array([[1.0]]))
     grid_i = default_profile_grid(1000)
     _, c_v = target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, grid_i)
     idx09 = int(np.argmin(np.abs(grid_i - 0.9)))
@@ -212,10 +209,9 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
     mc_grid = np.linspace(0.05, 0.95, 10)
     worst_mc_z = 0.0
     for ki, kind in enumerate(ObjectiveKind):
-        for i, t in enumerate(mc_grid):
-            t = float(t)
+        closed_forms = expected_target_sqnorm(kind, pair, s, mc_grid)
+        for i, (t, closed) in enumerate(zip(mc_grid.tolist(), closed_forms)):
             sqnorms = _mc_target_sqnorms(kind, pair, s, t, draws, rng.split(400 + 20 * ki + i))
-            closed = expected_target_sqnorm(kind, pair, s, t)
             se = float(np.std(sqnorms, ddof=1)) / math.sqrt(draws)
             worst_mc_z = max(worst_mc_z, abs(float(np.mean(sqnorms)) - closed) / se)
     checks.append(("profile_mc_vs_closed_form_worst_sigma", worst_mc_z, 4.5))
@@ -237,7 +233,7 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
     t_grid = np.linspace(0.0, 0.99, 200)
     alphas_t = alpha_factor(pair, t_grid, 1.5)
     s_grid = np.linspace(0.0, 4.0, 200)
-    alphas_s = np.array([alpha_factor(pair, 0.7, float(v)) for v in s_grid])
+    alphas_s = np.concatenate([alpha_factor(pair, 0.7, v) for v in s_grid.tolist()])
     mono_violations = float(np.sum(np.diff(alphas_t) < 0) + np.sum(np.diff(alphas_s) < 0))
     checks.append(("alpha_monotonic", mono_violations, 0.0))
     alpha_floor = float(1.0 - min(np.min(alphas_t), np.min(alphas_s)))
@@ -316,7 +312,7 @@ def sampler_suite(
     # variance-corrected noise schedule).
     sch = uniform_schedule(16)
     zero_field = lambda x, t: np.zeros_like(x)
-    origin_pair = EndpointPair(np.zeros(1), np.zeros(1))
+    origin_pair = EndpointPair(np.zeros((1, 1)), np.zeros((1, 1)))
     st = endpoint_statistics("corrected", zero_field, origin_pair, sch, 1.0, mc, rng.split(4))
     _, eta = plan_steps(sch, "corrected", 1.0)
     predicted = sum(e**2 for e in eta.tolist())  # left to right, not numpy's pairwise order
@@ -335,7 +331,7 @@ def sampler_suite(
             deviations.append(abs(float(np.var(states, ddof=1)) / expected - 1.0))
 
     states = integrate(
-        np.zeros((mc, 1)), oracle_field(np.zeros(1)), sch, "corrected", s, rng.split(5), track
+        np.zeros((mc, 1)), oracle_field(np.zeros((1, 1))), sch, "corrected", s, rng.split(5), track
     )
     checks.append(("bridge_marginal_tracking", max(deviations), 0.03))
     checks.append(("bridge_marginal_endpoint_pinned", float(np.var(states, ddof=1)), 0.0))
@@ -344,7 +340,7 @@ def sampler_suite(
     def trajectory() -> list:
         states = []
         integrate(
-            pair.x0[None, :],
+            pair.x0,
             oracle_field(pair.x1),
             shifted(8, 5.0),
             "corrected",

@@ -57,4 +57,4 @@ def rng() -> RngStream:
 def unit_pair():
     from bridgelab.bridge import EndpointPair
 
-    return EndpointPair(np.array([0.0]), np.array([1.0]))
+    return EndpointPair(np.array([[0.0]]), np.array([[1.0]]))

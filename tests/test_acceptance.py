@@ -50,7 +50,7 @@ from bridgelab.trainer import TrainConfig, train
 
 from conftest import ABLATION_SEED
 
-PAIR = EndpointPair(np.array([0.3, -1.2]), np.array([1.7, 0.4]))
+PAIR = EndpointPair(np.array([[0.3, -1.2]]), np.array([[1.7, 0.4]]))
 
 
 def report(criterion: int, detail: str) -> None:
@@ -113,12 +113,10 @@ def test_criterion_03_alpha_law():
     grid = np.concatenate([np.arange(0.05, 0.951, 0.05), [0.995]])
     draws = 25_000
     worst_z, worst_ratio = 0.0, 0.0
-    for i, t in enumerate(grid):
-        t = float(t)
+    for i, (t, alpha_sq) in enumerate(zip(grid.tolist(), alpha_factor(PAIR, grid, 1.0))):
         eps = gaussian(RngStream(seed=4, stream=60).split(i), (draws, 2))
         u = (PAIR.x1 - PAIR.x0) - math.sqrt(t / (1.0 - t)) * eps
         u_sqnorms = np.sum(u * u, axis=1)
-        alpha_sq = alpha_factor(PAIR, t, 1.0)
         stabilized = u_sqnorms / alpha_sq
         se = float(np.std(stabilized, ddof=1)) / math.sqrt(draws)
         assert abs(float(np.mean(stabilized)) - dist_sq) < 3.0 * se
@@ -223,15 +221,15 @@ def test_criterion_06_gradient_correctness():
             config = ModelConfig(input_dim=input_dim, hidden=hidden)
             rng = RngStream(seed=6, stream=input_dim * 10 + len(hidden))
             params = gaussian(rng, (parameter_count(config),)) * 0.3
-            pair = EndpointPair(gaussian(rng, (input_dim,)), gaussian(rng, (input_dim,)))
-            sample = sample_state(pair, 0.6, gaussian(rng, (input_dim,)), 1.0)
+            pair = EndpointPair(gaussian(rng, (1, input_dim)), gaussian(rng, (1, input_dim)))
+            sample = sample_state(pair, 0.6, gaussian(rng, (1, input_dim)), 1.0)
             for kind in ObjectiveKind:
                 targets = raw_target(kind, pair, sample)
                 alpha_sq = objective_alpha_sq(kind, pair, sample.t, 1.0)
 
                 def objective_value(theta):
                     pred = forward(theta, config, sample.state, sample.t)
-                    return loss(pred, targets, alpha_sq)[0]
+                    return float(np.mean(loss(pred, targets, alpha_sq)[0]))
 
                 pred, pullback = linearize(params, config, sample.state, sample.t)
                 grad_params, _ = pullback(loss(pred, targets, alpha_sq)[1])

@@ -27,20 +27,20 @@ from bridgelab.schedules import Schedule
 
 @pytest.fixture()
 def pair2d():
-    return EndpointPair(np.array([0.3, -1.2]), np.array([1.7, 0.4]))
+    return EndpointPair(np.array([[0.3, -1.2]]), np.array([[1.7, 0.4]]))
 
 
 class TestInterpolate:
     def test_midpoint(self, unit_pair):
-        np.testing.assert_allclose(interpolate(unit_pair, 0.5), [0.5])
+        np.testing.assert_allclose(interpolate(unit_pair, 0.5), [[0.5]])
 
     def test_endpoint_identity(self, unit_pair):
         assert np.array_equal(interpolate(unit_pair, 0.0), unit_pair.x0)
         assert np.array_equal(interpolate(unit_pair, 1.0), unit_pair.x1)
 
     def test_direct_substitution(self):
-        pair = EndpointPair(np.array([1.0, 2.0]), np.array([3.0, 6.0]))
-        np.testing.assert_allclose(interpolate(pair, 0.25), [1.5, 3.0])
+        pair = EndpointPair(np.array([[1.0, 2.0]]), np.array([[3.0, 6.0]]))
+        np.testing.assert_allclose(interpolate(pair, 0.25), [[1.5, 3.0]])
 
     def test_domain_error_outside_unit_interval(self, unit_pair):
         with pytest.raises(DomainError):
@@ -51,64 +51,72 @@ class TestInterpolate:
 
 class TestSampleState:
     def test_explicit_value(self, unit_pair):
-        sample = sample_state(unit_pair, 0.5, np.array([0.2]), 1.0)
-        np.testing.assert_allclose(sample.state, [0.6])
+        sample = sample_state(unit_pair, 0.5, np.array([[0.2]]), 1.0)
+        np.testing.assert_allclose(sample.state, [[0.6]])
 
     def test_zero_noise_scale_degenerates_to_interpolation(self, pair2d):
-        eps = np.array([3.0, -2.0])
+        eps = np.array([[3.0, -2.0]])
         sample = sample_state(pair2d, 0.37, eps, 0.0)
         assert np.array_equal(sample.state, interpolate(pair2d, 0.37))
 
     def test_t_one_rejected(self, unit_pair):
         with pytest.raises(DomainError):
-            sample_state(unit_pair, 1.0, np.array([0.0]), 1.0)
+            sample_state(unit_pair, 1.0, np.array([[0.0]]), 1.0)
 
     def test_shape_mismatch_rejected(self, unit_pair):
         with pytest.raises(ValueError):
-            sample_state(unit_pair, 0.5, np.zeros(2), 1.0)
+            sample_state(unit_pair, 0.5, np.zeros((1, 2)), 1.0)
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 1), (1, 4), (3,)])
+    def test_time_shape_neither_shared_nor_per_pair_rejected(self, shape):
+        """A time is () for the whole batch or (B,) per pair; a (B, 1) column
+        or a length-1 vector would broadcast the batch into the wrong shape."""
+        batch = EndpointPair(np.zeros((4, 2)), np.ones((4, 2)))
+        with pytest.raises(ValueError, match=r"time shape .* is neither \(\) nor \(4,\)"):
+            sample_state(batch, np.full(shape, 0.5), np.zeros((4, 2)), 1.0)
 
     def test_empirical_variance_matches_marginal(self):
         """Degenerate pair x0 = x1 = 0: Var(state at 0.5) = 0.25 within 2%."""
-        pair = EndpointPair(np.zeros(1), np.zeros(1))
+        pair = EndpointPair(np.zeros((1, 1)), np.zeros((1, 1)))
         eps = gaussian(RngStream(seed=31), (10**5, 1))
         states = math.sqrt(0.5 * 0.5) * eps[:, 0]
         for i in (0, 17, 999):  # vectorized construction agrees with sample_state
-            assert sample_state(pair, 0.5, eps[i], 1.0).state[0] == states[i]
+            assert sample_state(pair, 0.5, eps[i : i + 1], 1.0).state[0, 0] == states[i]
         emp = float(np.var(states, ddof=1))
         assert abs(emp / 0.25 - 1.0) < 0.02
 
 
 class TestVelocityTarget:
     def test_explicit_value(self, unit_pair):
-        sample = sample_state(unit_pair, 0.5, np.array([0.2]), 1.0)
-        np.testing.assert_allclose(velocity_target(unit_pair, sample), [0.8])
+        sample = sample_state(unit_pair, 0.5, np.array([[0.2]]), 1.0)
+        np.testing.assert_allclose(velocity_target(unit_pair, sample), [[0.8]])
 
     def test_zero_noise_gives_constant_velocity(self, pair2d):
         for t in (0.0, 0.25, 0.7, 0.99):
-            sample = sample_state(pair2d, t, np.zeros(2), 1.0)
+            sample = sample_state(pair2d, t, np.zeros((1, 2)), 1.0)
             np.testing.assert_allclose(
                 velocity_target(pair2d, sample), pair2d.x1 - pair2d.x0, atol=1e-12
             )
 
     def test_expansion_substitution(self, unit_pair):
         """t=0.9, unit noise: (x1-x0) - sqrt(t/(1-t)) = 1 - 3 = -2."""
-        sample = sample_state(unit_pair, 0.9, np.array([1.0]), 1.0)
-        np.testing.assert_allclose(velocity_target(unit_pair, sample), [-2.0], rtol=1e-12)
+        sample = sample_state(unit_pair, 0.9, np.array([[1.0]]), 1.0)
+        np.testing.assert_allclose(velocity_target(unit_pair, sample), [[-2.0]], rtol=1e-12)
 
     def test_clamped_time_rejected(self, unit_pair):
-        bad = sample_state(unit_pair, 1.0 - T_CLAMP / 2.0, np.array([0.1]), 1.0)
+        bad = sample_state(unit_pair, 1.0 - T_CLAMP / 2.0, np.array([[0.1]]), 1.0)
         with pytest.raises(ClampedTimeError):
             velocity_target(unit_pair, bad)
 
 
 class TestDisplacementTarget:
     def test_explicit_value(self, unit_pair):
-        sample = sample_state(unit_pair, 0.5, np.array([0.2]), 1.0)
-        np.testing.assert_allclose(displacement_target(unit_pair, sample), [0.4])
+        sample = sample_state(unit_pair, 0.5, np.array([[0.2]]), 1.0)
+        np.testing.assert_allclose(displacement_target(unit_pair, sample), [[0.4]])
 
     def test_zero_at_target(self, unit_pair):
-        sample = BridgeSample(t=0.3, epsilon=np.zeros(1), state=unit_pair.x1.copy())
-        assert np.array_equal(displacement_target(unit_pair, sample), np.zeros(1))
+        sample = BridgeSample(t=np.array(0.3), epsilon=np.zeros((1, 1)), state=unit_pair.x1.copy())
+        assert np.array_equal(displacement_target(unit_pair, sample), np.zeros((1, 1)))
 
     @given(
         t=st.floats(0.0, 0.99),
@@ -119,8 +127,8 @@ class TestDisplacementTarget:
     @settings(max_examples=100, deadline=None)
     def test_displacement_is_one_minus_t_times_velocity(self, t, s, e0, e1):
         """d = (1-t) u holds to one-ulp scale for every valid sample."""
-        pair = EndpointPair(np.array([0.3, -1.2]), np.array([1.7, 0.4]))
-        sample = sample_state(pair, t, np.array([e0, e1]), s)
+        pair = EndpointPair(np.array([[0.3, -1.2]]), np.array([[1.7, 0.4]]))
+        sample = sample_state(pair, t, np.array([[e0, e1]]), s)
         d = displacement_target(pair, sample)
         u = velocity_target(pair, sample)
         np.testing.assert_allclose(d, (1.0 - t) * u, rtol=1e-15, atol=1e-15)
@@ -133,7 +141,7 @@ class TestExpansionIdentity:
         for _ in range(200):
             t = float(uniform(rng, ())) * 0.99
             s = float(uniform(rng, ())) * 3.0
-            eps = gaussian(rng, (2,))
+            eps = gaussian(rng, (1, 2))
             sample = sample_state(pair2d, t, eps, s)
             u = velocity_target(pair2d, sample)
             expanded = (pair2d.x1 - pair2d.x0) - s * math.sqrt(t / (1.0 - t)) * eps
@@ -201,13 +209,19 @@ class TestConditionalVariance:
 class TestEndpointPair:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            EndpointPair(np.zeros(2), np.zeros(3))
+            EndpointPair(np.zeros((1, 2)), np.zeros((1, 3)))
+
+    def test_single_pair_is_a_one_row_batch(self):
+        """(D,) endpoints are rejected: one pair is a (1, D) batch."""
+        with pytest.raises(ValueError, match=r"endpoints must be a \(B, D\) batch"):
+            EndpointPair(np.zeros(2), np.ones(2))
+        assert len(EndpointPair(np.zeros((1, 2)), np.ones((1, 2)))) == 1
 
     def test_dimension(self, pair2d):
         assert pair2d.dimension == 2
 
     def test_identical_endpoints_allowed(self):
-        pair = EndpointPair(np.ones(3), np.ones(3))
+        pair = EndpointPair(np.ones((1, 3)), np.ones((1, 3)))
         assert pair.dimension == 3
 
     def test_batch_axis(self):
@@ -220,11 +234,13 @@ class TestEndpointPair:
             EndpointPair(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             EndpointPair(np.zeros((4, 2)), np.zeros((4, 2)), context=np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            EndpointPair(np.zeros((4, 2)), np.zeros((4, 2)), context=np.zeros(1))
 
 
 class TestRangeChecksOnEveryTimeForm:
-    """The time range checks read a plain bool without numpy dispatch and a
-    numpy result through .all(); every form of t is checked the same way."""
+    """Every time a caller passes, a float, a numpy scalar or one time per
+    pair, is read as one ndarray and range-checked the same way."""
 
     FORMS = {
         "float": lambda t: t,
@@ -241,7 +257,7 @@ class TestRangeChecksOnEveryTimeForm:
 
     @staticmethod
     def call(name: str, t):
-        shape = (3, 2) if np.ndim(t) == 1 else (2,)
+        shape = (3, 2) if np.ndim(t) == 1 else (1, 2)
         pair = EndpointPair(np.zeros(shape), np.ones(shape))
         if name == "interpolate":
             return interpolate(pair, t)
@@ -266,4 +282,4 @@ class TestRangeChecksOnEveryTimeForm:
     def test_good_time_matches_the_float_form(self, name, form):
         expected = self.call(name, 0.25)
         got = self.call(name, self.FORMS[form](0.25))
-        assert np.array_equal(got[1] if form == "array" else got, expected)
+        assert np.array_equal(got[1:2] if form == "array" else got, expected)

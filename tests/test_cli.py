@@ -696,6 +696,21 @@ class TestUsageErrors:
 
 
 class TestAblateCommand:
+    def test_non_finite_score_is_an_error_row(self, tmp_path):
+        """Pairs 1.4e154 apart: seed 2's one training step draws t = 0.68, so
+        its displacement target (1 - t)(x1 - x0) and gradient stay finite,
+        but the scores of the endpoints overflow. Each cell is an error row."""
+        out = str(tmp_path)
+        argv = ["ablate", "--shift", "1e154,1e154", "--objective", "displacement", "--s", "0",
+                "--axis", "steps", "--values", "2,4", "--steps", "1", "--batch-size", "1",
+                "--hidden", "1", "--time-features", "2", "--runs", "4", "--seed", "2"]
+        assert main([*argv, "--out-dir", out]) == 0
+        rows = read_csv_rows(os.path.join(out, "ablate_steps.csv"))
+        assert [r["value"] for r in rows] == ["2", "4"]
+        for row in rows:
+            assert row["status"].startswith("error:non-finite paired_mse")
+            assert row["energy_distance"] == ""
+
     def test_noise_scale_axis_produces_all_rows(self, tmp_path):
         out = str(tmp_path)
         code = main(
@@ -857,6 +872,35 @@ class TestNumericalFailureExitCode:
             ]
         )
         assert code == 3
+
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["train", "--s", "1e200", "--steps", "5", "--seed", "1"], 3),
+            (["sample", "--oracle", "--s", "1e308", "--runs", "4", "--seed", "1"], 3),
+            (["sample", "--oracle", "--N", "3", "--gamma", "1e300", "--runs", "4", "--seed", "1"], 0),
+            (["schedule", "dump", "--N", "1000000", "--gamma", "1e308"], 2),
+        ],
+        ids=["train-overflow", "sample-overflow", "sample-extreme-gamma", "schedule-overflow"],
+    )
+    def test_overflow_exits_without_a_warning(self, tmp_path, capsys, argv, code):
+        """Overflow is reported by the exit code and its error line alone; tier-1
+        turns a RuntimeWarning on the way into a test failure."""
+        try:
+            assert main([*argv, "--out-dir", str(tmp_path)]) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_non_finite_score_exits_three(self, tmp_path, capsys):
+        """Endpoints 1e200 from the origin are finite, but their squared
+        distances overflow: the energy distance is an error, not a NaN score."""
+        out = str(tmp_path)
+        argv = ["sample", "--oracle", "--shift", "1e200,0", "--runs", "64", "--seed", "1"]
+        assert main([*argv, "--out-dir", out]) == 3
+        assert "non-finite energy_distance" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "eval.json"))
 
 
 class TestConfigPrecedence:

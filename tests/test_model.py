@@ -31,22 +31,22 @@ class TestForward:
         config = ModelConfig(input_dim=3, hidden=(16,))
         params = init(config, RngStream(seed=1))
         for t in (0.0, 0.5, 0.99):
-            out = forward(params, config, gaussian(RngStream(seed=2), (3,)), t)
-            np.testing.assert_array_equal(out, np.zeros(3))
+            out = forward(params, config, gaussian(RngStream(seed=2), (1, 3)), t)
+            np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_output_shape_matches_input(self):
         config = ModelConfig(input_dim=4, hidden=(8, 8))
         params = random_params(config, 3)
-        single = forward(params, config, np.ones(4), 0.3)
+        single = forward(params, config, np.ones((1, 4)), 0.3)
         batch = forward(params, config, np.ones((5, 4)), 0.3)
-        assert single.shape == (4,)
+        assert single.shape == (1, 4)
         assert batch.shape == (5, 4)
 
     def test_time_sensitivity(self):
         """Nonzero random parameters distinguish t=0 from t=0.9."""
         config = ModelConfig(input_dim=2, hidden=(16,))
         params = random_params(config, 4)
-        x = np.array([0.4, -0.2])
+        x = np.array([[0.4, -0.2]])
         assert not np.allclose(forward(params, config, x, 0.0), forward(params, config, x, 0.9))
 
     def test_batched_matches_single(self):
@@ -56,7 +56,8 @@ class TestForward:
         ts = np.array([0.1, 0.4, 0.7, 0.9])
         batch = forward(params, config, xs, ts)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], forward(params, config, xs[i], float(ts[i])), rtol=1e-12)
+            row = forward(params, config, xs[i : i + 1], ts[i])
+            np.testing.assert_allclose(batch[i : i + 1], row, rtol=1e-12)
 
     def test_hidden_unit_permutation_symmetry(self):
         """Swapping two identical hidden units leaves the output unchanged."""
@@ -67,7 +68,7 @@ class TestForward:
         w0[:, 1] = w0[:, 0]
         b0[1] = b0[0]
         w1[1, :] = w1[0, :]
-        x = np.array([0.3, 0.8])
+        x = np.array([[0.3, 0.8]])
         base = forward(params, config, x, 0.5)
         swapped = params.copy()
         (sw0, sb0), (sw1, _) = _views(swapped, config)
@@ -80,15 +81,19 @@ class TestForward:
         config = ModelConfig(input_dim=2, hidden=(8,), context_dim=2)
         params = random_params(config, 8)
         with pytest.raises(ValueError):
-            forward(params, config, np.zeros(2), 0.5)
-        out = forward(params, config, np.zeros(2), 0.5, context=np.array([1.0, -1.0]))
-        assert out.shape == (2,)
+            forward(params, config, np.zeros((1, 2)), 0.5)
+        out = forward(params, config, np.zeros((1, 2)), 0.5, context=np.array([[1.0, -1.0]]))
+        assert out.shape == (1, 2)
 
     def test_shape_mismatch_rejected(self):
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 9)
         with pytest.raises(ValueError):
-            forward(params, config, np.zeros(3), 0.5)
+            forward(params, config, np.zeros((1, 3)), 0.5)
+        with pytest.raises(ValueError, match=r"not a \(B, 2\) batch"):
+            forward(params, config, np.zeros(2), 0.5)
+        with pytest.raises(ValueError, match=r"time shape \(3,\) is neither"):
+            forward(params, config, np.zeros((2, 2)), np.array([0.1, 0.2, 0.3]))
 
 
 class TestTimeFeatures:
@@ -96,6 +101,7 @@ class TestTimeFeatures:
         feats = time_feature_matrix(np.array([0.0, 0.5, 1.0]), 8)
         assert feats.shape == (3, 8)
         assert np.all(np.abs(feats) <= 1.0)
+        np.testing.assert_array_equal(time_feature_matrix(0.5, 8), feats[1])
 
     def test_even_count_required(self):
         with pytest.raises(ValueError):
@@ -141,8 +147,8 @@ class TestBackward:
         config = ModelConfig(input_dim=input_dim, hidden=hidden, activation=activation)
         params = random_params(config, 11)
         rng = RngStream(seed=12)
-        x = gaussian(rng, (input_dim,))
-        upstream = gaussian(rng, (input_dim,))
+        x = gaussian(rng, (1, input_dim))
+        upstream = gaussian(rng, (1, input_dim))
         t = 0.37
         prediction, pullback = linearize(params, config, x, t)
         np.testing.assert_array_equal(prediction, forward(params, config, x, t))
@@ -155,37 +161,40 @@ class TestBackward:
         for idx in probe_idx:
             bumped = params.copy()
             bumped[idx] += h
-            up = float(np.dot(forward(bumped, config, x, t), upstream))
+            up = float(np.sum(forward(bumped, config, x, t) * upstream))
             bumped[idx] -= 2 * h
-            down = float(np.dot(forward(bumped, config, x, t), upstream))
+            down = float(np.sum(forward(bumped, config, x, t) * upstream))
             fd = (up - down) / (2.0 * h)
             denom = max(abs(fd), abs(float(grad_params[idx])), 1e-8)
             assert abs(float(grad_params[idx]) - fd) / denom < 1e-6
 
         for i in range(input_dim):
             bumped = x.copy()
-            bumped[i] += h
-            up = float(np.dot(forward(params, config, bumped, t), upstream))
-            bumped[i] -= 2 * h
-            down = float(np.dot(forward(params, config, bumped, t), upstream))
+            bumped[0, i] += h
+            up = float(np.sum(forward(params, config, bumped, t) * upstream))
+            bumped[0, i] -= 2 * h
+            down = float(np.sum(forward(params, config, bumped, t) * upstream))
             fd = (up - down) / (2.0 * h)
-            denom = max(abs(fd), abs(float(grad_x[i])), 1e-8)
-            assert abs(float(grad_x[i]) - fd) / denom < 1e-6
+            denom = max(abs(fd), abs(float(grad_x[0, i])), 1e-8)
+            assert abs(float(grad_x[0, i]) - fd) / denom < 1e-6
 
     def test_zero_upstream_zero_gradients(self):
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 13)
-        grad_params, grad_x = linearize(params, config, np.ones(2), 0.5)[1](np.zeros(2))
+        pullback = linearize(params, config, np.ones((1, 2)), 0.5)[1]
+        grad_params, grad_x = pullback(np.zeros((1, 2)))
         assert np.array_equal(grad_params, np.zeros_like(params))
-        assert np.array_equal(grad_x, np.zeros(2))
+        assert np.array_equal(grad_x, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="does not match states"):
+            pullback(np.zeros(2))
 
     def test_linearity_in_upstream(self):
         """pullback(a+b) = pullback(a) + pullback(b) within 1e-12."""
         config = ModelConfig(input_dim=3, hidden=(8,))
         params = random_params(config, 14)
         rng = RngStream(seed=15)
-        x = gaussian(rng, (3,))
-        a, b = gaussian(rng, (3,)), gaussian(rng, (3,))
+        x = gaussian(rng, (1, 3))
+        a, b = gaussian(rng, (1, 3)), gaussian(rng, (1, 3))
         _, pullback = linearize(params, config, x, 0.4)
         ga, _ = pullback(a)
         gb, _ = pullback(b)
@@ -201,7 +210,7 @@ class TestBackward:
         batch_grad, _ = linearize(params, config, xs, ts)[1](ups)
         total = np.zeros_like(params)
         for i in range(3):
-            gi, _ = linearize(params, config, xs[i], float(ts[i]))[1](ups[i])
+            gi, _ = linearize(params, config, xs[i : i + 1], ts[i])[1](ups[i : i + 1])
             total += gi
         np.testing.assert_allclose(batch_grad, total, rtol=1e-10, atol=1e-12)
 
@@ -248,7 +257,7 @@ class TestSerialization:
         path = str(tmp_path / "params.bin")
         save_parameters(path, config, params, ObjectiveKind.VELOCITY)
         _, loaded, _ = load_parameters(path)
-        x = gaussian(RngStream(seed=24), (2,))
+        x = gaussian(RngStream(seed=24), (1, 2))
         assert np.array_equal(forward(params, config, x, 0.7), forward(loaded, config, x, 0.7))
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -264,7 +273,7 @@ class TestVelocityFieldAdapter:
         """Displacement-trained nets are divided by (1-t) to yield velocity."""
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 25)
-        x = np.array([0.2, -0.5])
+        x = np.array([[0.2, -0.5]])
         t = 0.75
         raw = forward(params, config, x, t)
         field = velocity_field_from(params, config, "displacement")
@@ -273,22 +282,22 @@ class TestVelocityFieldAdapter:
     def test_velocity_objectives_pass_through(self):
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 26)
-        x = np.array([0.2, -0.5])
+        x = np.array([[0.2, -0.5]])
         for objective in ("velocity", "stabilized_velocity"):
             field = velocity_field_from(params, config, objective)
             np.testing.assert_array_equal(field(x, 0.4), forward(params, config, x, 0.4))
 
-    def test_context_shared_or_per_run(self):
-        """A (C,) context conditions every run alike; a (B, C) block one row per run."""
+    def test_context_is_one_row_per_run(self):
+        """A (B, C) context conditions run i by row i; a shared (C,) vector is rejected."""
         config = ModelConfig(input_dim=2, hidden=(8,), context_dim=1)
         params = random_params(config, 27)
         states = np.array([[0.2, -0.5], [1.0, 0.3]])
-        shared = velocity_field_from(params, config, "velocity", np.array([0.7]))
-        per_run = velocity_field_from(params, config, "velocity", np.array([[0.7], [0.7]]))
-        np.testing.assert_array_equal(shared(states, 0.4), per_run(states, 0.4))
         rows = velocity_field_from(params, config, "velocity", np.array([[0.7], [-0.7]]))
         np.testing.assert_allclose(
-            rows(states, 0.4)[1],
-            forward(params, config, states[1], 0.4, np.array([-0.7])),
+            rows(states, 0.4)[1:],
+            forward(params, config, states[1:], 0.4, np.array([[-0.7]])),
             rtol=1e-14,
         )
+        shared = velocity_field_from(params, config, "velocity", np.array([0.7]))
+        with pytest.raises(ValueError, match=r"context shape \(1,\) is not \(2, 1\)"):
+            shared(states, 0.4)

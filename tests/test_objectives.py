@@ -29,7 +29,7 @@ def objective_loss(kind, pred, pair, sample, s):
 
 @pytest.fixture()
 def pair2d():
-    return EndpointPair(np.array([0.3, -1.2]), np.array([1.7, 0.4]))
+    return EndpointPair(np.array([[0.3, -1.2]]), np.array([[1.7, 0.4]]))
 
 
 class TestAlphaFactor:
@@ -45,12 +45,12 @@ class TestAlphaFactor:
         assert alpha_factor(unit_pair, 0.5, 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_substitution_with_scale_two(self):
-        pair = EndpointPair(np.zeros(4), np.array([2.0, 0.0, 0.0, 0.0]))
+        pair = EndpointPair(np.zeros((1, 4)), np.array([[2.0, 0.0, 0.0, 0.0]]))
         assert alpha_factor(pair, 0.5, 2.0) == pytest.approx(5.0, rel=1e-14)
 
     def test_identical_endpoints_floored_not_rejected(self):
-        pair = EndpointPair(np.ones(3), np.ones(3))
-        alpha_sq = alpha_factor(pair, 0.5, 1.0)
+        pair = EndpointPair(np.ones((1, 3)), np.ones((1, 3)))
+        (alpha_sq,) = alpha_factor(pair, 0.5, 1.0)
         assert math.isfinite(alpha_sq)
         assert alpha_sq >= 1.0
 
@@ -67,7 +67,7 @@ class TestAlphaFactor:
     @settings(max_examples=150, deadline=None)
     def test_monotone_in_time_and_scale(self, t1, t2, s1, s2):
         """alpha^2 never decreases when t or s grows, and never drops below 1."""
-        pair = EndpointPair(np.array([0.3, -1.2]), np.array([1.7, 0.4]))
+        pair = EndpointPair(np.array([[0.3, -1.2]]), np.array([[1.7, 0.4]]))
         lo_t, hi_t = sorted((t1, t2))
         lo_s, hi_s = sorted((s1, s2))
         assert alpha_factor(pair, lo_t, 1.0) <= alpha_factor(pair, hi_t, 1.0)
@@ -90,7 +90,7 @@ class TestAlphaFactor:
 
 class TestLoss:
     def test_zero_at_exact_target(self, pair2d):
-        sample = sample_state(pair2d, 0.4, np.array([0.5, -1.0]), 1.0)
+        sample = sample_state(pair2d, 0.4, np.array([[0.5, -1.0]]), 1.0)
         for kind in ObjectiveKind:
             target = (
                 pair2d.x1 - sample.state
@@ -101,27 +101,30 @@ class TestLoss:
 
     def test_stabilized_substitution(self, unit_pair):
         """pred=0 against u=0.8 with alpha^2=2 gives 0.64/2 = 0.32."""
-        sample = sample_state(unit_pair, 0.5, np.array([0.2]), 1.0)
-        value, _ = objective_loss(ObjectiveKind.STABILIZED_VELOCITY, np.array([0.0]), unit_pair, sample, 1.0)
+        sample = sample_state(unit_pair, 0.5, np.array([[0.2]]), 1.0)
+        pred = np.array([[0.0]])
+        value, _ = objective_loss(ObjectiveKind.STABILIZED_VELOCITY, pred, unit_pair, sample, 1.0)
         assert value == pytest.approx(0.32, rel=1e-12)
 
     def test_stabilized_is_velocity_over_alpha_squared(self, pair2d):
-        sample = sample_state(pair2d, 0.7, np.array([0.3, 0.9]), 1.5)
-        pred = np.array([0.1, -0.4])
+        sample = sample_state(pair2d, 0.7, np.array([[0.3, 0.9]]), 1.5)
+        pred = np.array([[0.1, -0.4]])
         v_loss, _ = objective_loss(ObjectiveKind.VELOCITY, pred, pair2d, sample, 1.5)
         s_loss, _ = objective_loss(ObjectiveKind.STABILIZED_VELOCITY, pred, pair2d, sample, 1.5)
         alpha_sq = alpha_factor(pair2d, 0.7, 1.5)
         assert s_loss == pytest.approx(v_loss / alpha_sq, rel=1e-12)
 
     def test_positive_when_prediction_differs(self, pair2d):
-        sample = sample_state(pair2d, 0.4, np.array([0.5, -1.0]), 1.0)
+        sample = sample_state(pair2d, 0.4, np.array([[0.5, -1.0]]), 1.0)
         target = velocity_target(pair2d, sample)
         assert objective_loss(ObjectiveKind.VELOCITY, target + 1e-9, pair2d, sample, 1.0)[0] > 0.0
 
     def test_shape_mismatch(self, pair2d):
-        sample = sample_state(pair2d, 0.4, np.array([0.5, -1.0]), 1.0)
+        sample = sample_state(pair2d, 0.4, np.array([[0.5, -1.0]]), 1.0)
         with pytest.raises(ValueError):
-            objective_loss(ObjectiveKind.VELOCITY, np.zeros(3), pair2d, sample, 1.0)
+            objective_loss(ObjectiveKind.VELOCITY, np.zeros((1, 3)), pair2d, sample, 1.0)
+        with pytest.raises(ValueError, match=r"\(2,\) is not the targets' \(B, D\) shape"):
+            loss(np.zeros(2), np.zeros(2), 1.0)
 
     def test_alpha_sq_only_for_stabilized(self, pair2d):
         batch = EndpointPair(np.tile(pair2d.x0, (3, 1)), np.tile(pair2d.x1, (3, 1)))
@@ -138,33 +141,33 @@ class TestLoss:
 
 class TestLossGradient:
     def test_zero_at_target(self, pair2d):
-        sample = sample_state(pair2d, 0.3, np.array([0.2, 0.1]), 1.0)
+        sample = sample_state(pair2d, 0.3, np.array([[0.2, 0.1]]), 1.0)
         target = velocity_target(pair2d, sample)
         _, grad = objective_loss(ObjectiveKind.VELOCITY, target, pair2d, sample, 1.0)
-        np.testing.assert_array_equal(grad, np.zeros(2))
+        np.testing.assert_array_equal(grad, np.zeros((1, 2)))
 
     def test_central_difference_oracle(self):
         """Analytic gradient matches central differences at 1e-6 relative."""
         rng = RngStream(seed=5)
-        pair = EndpointPair(gaussian(rng, (8,)), gaussian(rng, (8,)))
-        sample = sample_state(pair, 0.6, gaussian(rng, (8,)), 1.0)
-        pred = gaussian(rng, (8,))
+        pair = EndpointPair(gaussian(rng, (1, 8)), gaussian(rng, (1, 8)))
+        sample = sample_state(pair, 0.6, gaussian(rng, (1, 8)), 1.0)
+        pred = gaussian(rng, (1, 8))
         h = 1e-5
         for kind in ObjectiveKind:
             _, grad = objective_loss(kind, pred, pair, sample, 1.0)
             for i in range(8):
-                bump = np.zeros(8)
-                bump[i] = h
+                bump = np.zeros((1, 8))
+                bump[0, i] = h
                 fd = (
-                    objective_loss(kind, pred + bump, pair, sample, 1.0)[0]
-                    - objective_loss(kind, pred - bump, pair, sample, 1.0)[0]
+                    objective_loss(kind, pred + bump, pair, sample, 1.0)[0][0]
+                    - objective_loss(kind, pred - bump, pair, sample, 1.0)[0][0]
                 ) / (2.0 * h)
-                denom = max(abs(fd), abs(float(grad[i])), 1e-10)
-                assert abs(float(grad[i]) - fd) / denom < 1e-6
+                denom = max(abs(fd), abs(float(grad[0, i])), 1e-10)
+                assert abs(float(grad[0, i]) - fd) / denom < 1e-6
 
     def test_stabilized_is_velocity_over_alpha_squared(self, pair2d):
-        sample = sample_state(pair2d, 0.8, np.array([1.1, -0.2]), 2.0)
-        pred = np.array([0.5, 0.5])
+        sample = sample_state(pair2d, 0.8, np.array([[1.1, -0.2]]), 2.0)
+        pred = np.array([[0.5, 0.5]])
         _, g_v = objective_loss(ObjectiveKind.VELOCITY, pred, pair2d, sample, 2.0)
         _, g_s = objective_loss(ObjectiveKind.STABILIZED_VELOCITY, pred, pair2d, sample, 2.0)
         alpha_sq = alpha_factor(pair2d, 0.8, 2.0)
@@ -182,8 +185,9 @@ class TestBatchedMatchesPerPair:
     )
     @settings(max_examples=200, deadline=None)
     def test_rows_equal_single_pair_calls_bitwise(self, data, b, d, s, kind, seed):
-        """A (B, D) batch gives, row for row, the bits of the 1-D calls; the
-        gradient is 2 (pred - target) (1/alpha^2) / B from those rows."""
+        """A (B, D) batch gives, row for row, the bits of the (1, D) calls at
+        that row's time; the gradient is 2 (pred - target) (1/alpha^2) / B
+        from those rows."""
         t = np.array(data.draw(st.lists(st.floats(0.0, 1.0 - T_CLAMP), min_size=b, max_size=b)))
         coincide = data.draw(st.lists(st.booleans(), min_size=b, max_size=b))
         rng = RngStream(seed=seed)
@@ -200,20 +204,21 @@ class TestBatchedMatchesPerPair:
         losses, grad = objective_loss(kind, pred, batch, sample, s)
         assert alphas.shape == losses.shape == (b,)
         for i in range(b):
-            pair = EndpointPair(x0[i], x1[i])
-            row = sample_state(pair, float(t[i]), eps[i], s)
+            rows = slice(i, i + 1)
+            pair = EndpointPair(x0[rows], x1[rows])
+            row = sample_state(pair, t[i], eps[rows], s)
             target = raw_target(kind, pair, row)
-            alpha_sq = alpha_factor(pair, float(t[i]), s)
-            np.testing.assert_array_equal(sample.state[i], row.state)
-            np.testing.assert_array_equal(targets[i], target)
+            (alpha_sq,) = alpha_factor(pair, t[i], s)
+            np.testing.assert_array_equal(sample.state[rows], row.state)
+            np.testing.assert_array_equal(targets[rows], target)
             assert alphas[i] == alpha_sq
-            assert losses[i] == objective_loss(kind, pred[i], pair, row, s)[0]
+            assert losses[rows] == objective_loss(kind, pred[rows], pair, row, s)[0]
             weight = 1.0 / alpha_sq if kind is ObjectiveKind.STABILIZED_VELOCITY else 1.0
-            np.testing.assert_array_equal(grad[i], 2.0 * (pred[i] - target) * (weight / b))
+            np.testing.assert_array_equal(grad[rows], 2.0 * (pred[rows] - target) * (weight / b))
 
     def test_single_pair_has_length_one(self, pair2d):
         assert len(pair2d) == 1
-        assert np.ndim(alpha_factor(pair2d, 0.5, 1.0)) == 0
+        assert alpha_factor(pair2d, 0.5, 1.0).shape == (1,)
 
 
 class TestClosedFormProfiles:
@@ -301,6 +306,21 @@ class TestTargetProfile:
         with pytest.raises(DomainError):
             target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, [0.5, 0.9995])
 
+    def test_profile_is_of_one_pair(self):
+        batch = EndpointPair(np.zeros((2, 1)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="one pair"):
+            target_profile(ObjectiveKind.VELOCITY, batch, 1.0, [0.1, 0.2])
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_closed_form_over_the_grid_matches_each_time(self, kind):
+        """S on the whole grid in one call has the bits of one call per time."""
+        rng = RngStream(seed=8)
+        pair = EndpointPair(gaussian(rng, (1, 5)), gaussian(rng, (1, 5)))
+        grid = default_profile_grid(1000)
+        s_values, _ = target_profile(kind, pair, 1.3, grid)
+        per_time = [expected_target_sqnorm(kind, pair, 1.3, t)[0] for t in grid.tolist()]
+        np.testing.assert_array_equal(s_values, per_time)
+
     def test_mc_requires_stream(self, unit_pair):
         with pytest.raises(ValueError):
             target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, [0.1, 0.2], mc_samples=10)
@@ -327,7 +347,7 @@ class TestTargetProfile:
     )
     def test_overflow_raises(self, kind, mc_samples, x1, noise_scale):
         """S(t) or its integral past float64's range is an error, never a NaN profile."""
-        pair = EndpointPair(np.array([0.0]), np.array(x1))
+        pair = EndpointPair(np.array([[0.0]]), np.array([x1]))
         grid = default_profile_grid(1000) if mc_samples == 0 else np.linspace(0.1, 0.9, 5)
         with pytest.raises(ValueError, match="not finite"):
             target_profile(kind, pair, noise_scale, grid, mc_samples, RngStream(seed=1))

@@ -21,7 +21,7 @@ from bridgelab.schedules import Schedule, shifted, uniform
 
 @pytest.fixture()
 def pair2d():
-    return EndpointPair(np.array([0.3, -1.2]), np.array([1.7, 0.4]))
+    return EndpointPair(np.array([[0.3, -1.2]]), np.array([[1.7, 0.4]]))
 
 
 class TestNoiseAmplitude:
@@ -82,7 +82,7 @@ class TestNoiseAmplitude:
 def run(mode, x0, field, schedule, s, rng):
     """Integrate a (B, D) block; returns every recorded state [x_{t_0}, ..., x_{t_N}]."""
     states = []
-    integrate(np.atleast_2d(x0), field, schedule, mode, s, rng, lambda k, x: states.append(x))
+    integrate(x0, field, schedule, mode, s, rng, lambda k, x: states.append(x))
     return states
 
 
@@ -124,7 +124,7 @@ class TestSample:
                         RngStream(seed=3, stream=n),
                     )
                     assert len(traj) == n + 1
-                    np.testing.assert_allclose(traj[-1][0], pair2d.x1, atol=1e-10)
+                    np.testing.assert_allclose(traj[-1], pair2d.x1, atol=1e-10)
 
     def test_zero_scale_constant_field_is_linear_path(self, pair2d):
         """s=0 with the constant displacement field reproduces interpolation."""
@@ -133,7 +133,7 @@ class TestSample:
         sch = uniform(8)
         traj = run("corrected", pair2d.x0, field, sch, 0.0, RngStream(seed=5))
         for t, state in zip(sch.points, traj):
-            np.testing.assert_allclose(state[0], pair2d.x0 + t * shift, atol=1e-12)
+            np.testing.assert_allclose(state, pair2d.x0 + t * shift, atol=1e-12)
 
     def test_trajectory_determinism(self, pair2d):
         a = run("standard", pair2d.x0, oracle_field(pair2d.x1), uniform(8), 1.0, RngStream(seed=9))
@@ -145,7 +145,7 @@ class TestSample:
         """Without a recorder only the endpoint block comes back; it is the last recorded state."""
         full = run("corrected", pair2d.x0, oracle_field(pair2d.x1), uniform(16), 1.0, RngStream(seed=2))
         lean = integrate(
-            pair2d.x0[None, :], oracle_field(pair2d.x1), uniform(16), "corrected", 1.0, RngStream(seed=2)
+            pair2d.x0, oracle_field(pair2d.x1), uniform(16), "corrected", 1.0, RngStream(seed=2)
         )
         assert len(full) == 17
         np.testing.assert_array_equal(lean, full[-1])
@@ -161,7 +161,7 @@ class TestSample:
 
     def test_rejects_unbatched_start(self, pair2d):
         with pytest.raises(ValueError):
-            integrate(pair2d.x0, oracle_field(pair2d.x1), uniform(4), "corrected", 1.0, RngStream(seed=1))
+            integrate(pair2d.x0[0], oracle_field(pair2d.x1), uniform(4), "corrected", 1.0, RngStream(seed=1))
 
     @given(
         b=st.integers(1, 8),
@@ -207,7 +207,7 @@ class TestEndpointStatistics:
 
     def test_driftless_accumulates_step_amplitudes(self):
         """field = 0: endpoint variance is the sum of squared amplitudes."""
-        pair = EndpointPair(np.zeros(1), np.zeros(1))
+        pair = EndpointPair(np.zeros((1, 1)), np.zeros((1, 1)))
         sch = uniform(8)
         field = lambda x, t: np.zeros_like(x)
         st = endpoint_statistics("corrected", field, pair, sch, 1.0, 50_000, RngStream(seed=8))

@@ -98,6 +98,12 @@ class TestScheduleType:
             assert uniform(n).n_steps == shifted(n, 5.0).n_steps == n
             assert shifted(n, 5.0).points.size == n + 1
 
+    def test_compares_and_hashes_by_identity(self):
+        """An ndarray field must not reach the generated __eq__ and __hash__."""
+        a, b = uniform(4), uniform(4)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_points_are_immutable(self):
         sch = uniform(4)
         with pytest.raises(ValueError):

@@ -101,12 +101,12 @@ class TestAlgorithmFidelity:
         seen = []
         observer = lambda step, batch, sample, alpha_sq, targets: seen.extend(
             (
-                EndpointPair(batch.x0[i], batch.x1[i]),
+                EndpointPair(batch.x0[i : i + 1], batch.x1[i : i + 1]),
                 float(sample.t[i]),
-                sample.epsilon[i].copy(),
-                sample.state[i].copy(),
+                sample.epsilon[i : i + 1].copy(),
+                sample.state[i : i + 1].copy(),
                 float(alpha_sq[i]),
-                targets[i].copy(),
+                targets[i : i + 1].copy(),
             )
             for i in range(len(batch))
         )
