@@ -1,9 +1,13 @@
 """Tensor reductions and the counter-based random source."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from bridgelab.numerics import RngStream, gaussian, squared_norm, uniform
@@ -84,6 +88,78 @@ class TestUniform:
     def test_mean_near_half(self):
         draws = uniform(RngStream(seed=8), (10**5,))
         assert abs(float(draws.mean()) - 0.5) < 0.005
+
+
+_U64 = st.integers(0, 2**64 - 1)
+# A draw: (seed, stream, counter, shape, method). Counters reach past 2**64,
+# where the Philox counter's third word starts to carry.
+_DRAWS = st.tuples(
+    _U64,
+    _U64,
+    st.one_of(st.integers(0, 2**66), st.integers(0, 2**192 - 2**20)),
+    st.lists(st.integers(0, 5), max_size=3),
+    st.sampled_from(["gaussian", "uniform"]),
+)
+
+
+def _fresh_generator_draw(seed, stream, counter, shape, method):
+    """The same draw from a Generator(Philox) built for it alone."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=counter << 64))
+    n = math.prod(shape)
+    draw = gen.standard_normal if method == "gaussian" else gen.random
+    return draw(n).reshape(shape)
+
+
+def _stream_draw(seed, stream, counter, shape, method):
+    rng = RngStream(seed=seed, stream=stream, counter=counter)
+    out = {"gaussian": gaussian, "uniform": uniform}[method](rng, shape)
+    assert rng.counter == counter + math.prod(shape)
+    return out
+
+
+class TestGeneratorReuse:
+    """Draws come from one generator per thread whose state is set before
+    each draw; they must be the bits of a generator built for that draw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_DRAWS, min_size=1, max_size=6))
+    @example([(0, 0, 2**64 - 1, [3], "gaussian"), (0, 0, 2**64, [3], "gaussian")])
+    @example([(2**64 - 1, 2**64 - 1, 2**128 + 7, [2, 3], "uniform"), (1, 2, 0, [1], "gaussian")])
+    def test_draws_equal_a_fresh_generator(self, draws):
+        for seed, stream, counter, shape, method in draws:
+            got = _stream_draw(seed, stream, counter, shape, method)
+            want = _fresh_generator_draw(seed, stream, counter, shape, method)
+            assert got.shape == tuple(shape)
+            assert np.array_equal(got, want)
+
+    def test_two_threads_equal_the_same_draws_in_sequence(self):
+        plans = [
+            [(seed, 40 + i, 7 * i, [17], "gaussian" if i % 2 else "uniform") for i in range(1000)]
+            for seed in (1, 2)
+        ]
+        expected = [[_stream_draw(*draw) for draw in plan] for plan in plans]
+        results: list = [None, None]
+        start = threading.Barrier(2)
+
+        def run(k):
+            start.wait()
+            results[k] = [_stream_draw(*draw) for draw in plans[k]]
+
+        # switch threads often, so that their draws interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestSquaredNorm:

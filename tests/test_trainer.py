@@ -46,8 +46,23 @@ class TestDeterminism:
         assert len(digests) == 1
 
 
-# SHA-256 of the trained parameters' bytes and the sample-stream digest of a
-# 50-step run per (task, objective). The values were recorded with a training
+MOONS_TASK = TaskSpec(name="moons_rotate", dimension=2, angle=0.7853981633974483)
+
+# (task, steps, batch size) of each pinned run. "shift" and "moons" run 50
+# steps of 16 pairs. The other three are sized so that a trainer that builds
+# the data of several steps at once must cross step-group boundaries:
+# "shift_blocks" is 70 steps of 256 2-d pairs, "moons_blocks" 150 steps of
+# 128 pairs with context, and "grid" 3 steps of 400 48-d pairs.
+PINNED_TASKS = {
+    "shift": (SHIFT_TASK, 50, 16),
+    "moons": (MOONS_TASK, 50, 16),
+    "shift_blocks": (SHIFT_TASK, 70, 256),
+    "moons_blocks": (MOONS_TASK, 150, 128),
+    "grid": (TaskSpec(name="grid_colorize", dimension=48, grid_size=4), 3, 400),
+}
+
+# SHA-256 of the trained parameters' bytes and the sample-stream digest of the
+# run per (task, objective). The 50-step values were recorded with a training
 # loop that handled one pair at a time; the batched step must keep every bit.
 PINNED_RUNS = {
     ("shift", "displacement"): (
@@ -74,18 +89,29 @@ PINNED_RUNS = {
         "e16467d341108ad8bc1c60eac0ad7507da65d1e73cc5f54e8f61c079158ee2de",
         "5866adb8311ca8c06305e78c73ef3abc433f10f8685e66699ac14287fe00d1a6",
     ),
+    ("shift_blocks", "stabilized_velocity"): (
+        "f421b2a74ae0aa3906a83d0a8ef7406a528026f99632d8669a0be40dee56d89e",
+        "459ecfff5bd2ce319dd927a0b58a80e860f4b546fbf87f14cffc1236be6161f8",
+    ),
+    ("moons_blocks", "velocity"): (
+        "112c9f3166e77921af7bddf3e34f55746e48d7a23eba0ddff33414762d99fe50",
+        "823b3e757ffe768f7d0df365c7bc3527135dc96731798eaa90d0f0c40b1331ef",
+    ),
+    ("grid", "stabilized_velocity"): (
+        "ee2f35c0aa1e9217e9f8342d04ae963f615457a923124bfd5408a05b66625a3e",
+        "fa175c47bc4a4927b75300bf7bc8acb5906df76f5e5965d22563b0348f0fa6ac",
+    ),
 }
 
 
 class TestPinnedRegression:
     @pytest.mark.parametrize("task,objective", sorted(PINNED_RUNS))
     def test_params_and_stream_digest_unchanged(self, task, objective):
-        spec = {
-            "shift": SHIFT_TASK,
-            "moons": TaskSpec(name="moons_rotate", dimension=2, angle=0.7853981633974483),
-        }[task]
-        mconfig = ModelConfig(input_dim=2, hidden=(16, 16), context_dim=spec.context_dim)
-        config = TrainConfig(objective=objective, steps=50, batch_size=16, seed=11)
+        spec, steps, batch_size = PINNED_TASKS[task]
+        mconfig = ModelConfig(
+            input_dim=spec.dimension, hidden=(16, 16), context_dim=spec.context_dim
+        )
+        config = TrainConfig(objective=objective, steps=steps, batch_size=batch_size, seed=11)
         params = init(mconfig, RngStream(seed=11, stream=900))
         params, stats = train(params, mconfig, pair_provider(spec), config)
         assert (hashlib.sha256(params.tobytes()).hexdigest(), stats.sample_stream_digest) == (
