@@ -515,15 +515,18 @@ def cmd_ablate(args) -> int:
     ]
     rows: list[list] = []
 
+    # Sampling-time axes share one training configuration, so one trained
+    # model serves all cells. It is trained inside a cell, so that a training
+    # failure is an error row there too (and in each later cell, which
+    # retrains and fails the same way).
     shared_model = None
-    if args.axis in ("steps", "gamma"):
-        # Sampling-time axes share one training configuration, so one trained
-        # model serves all cells.
-        shared_model = _train_once(args, spec, mconfig, cells[0][1])
-
     for value, config, cell_schedule in cells:
         try:
-            params, stats = shared_model or _train_once(args, spec, mconfig, config)
+            if args.axis in ("steps", "gamma"):
+                shared_model = shared_model or _train_once(args, spec, mconfig, config)
+                params, stats = shared_model
+            else:
+                params, stats = _train_once(args, spec, mconfig, config)
             # a fresh evaluation stream per cell: identical pairs and noise
             # across cells, so rows are directly comparable
             _, report = evaluate(

@@ -7,6 +7,13 @@ key is (seed, stream) and each draw starts at block ``counter << 64``, so
 identical triples always reproduce identical output and distinct stream ids
 give statistically independent sequences.
 
+Each thread keeps one ``Generator(Philox)`` and sets its key, counter and
+empty output buffer before every draw. That gives the bits of a generator
+built for the draw, without the constructor's cost: ``Philox(key=...)``
+first builds a SeedSequence from OS entropy and then discards it. The
+generator is per thread because draws run on more than one thread (the
+sampler suite of ``verify`` sweeps on a worker).
+
 Normal variates use numpy's ziggurat sampler on the Philox keystream; this
 fixes the bitwise-reproducibility contract of this implementation (a pinned
 numpy provides stable streams, no reproducibility is claimed across
@@ -16,6 +23,7 @@ different normal-sampling algorithms).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +34,9 @@ Tensor = np.ndarray
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+_THREAD = threading.local()  # .generator: this thread's Generator(Philox)
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 
 def _splitmix64(z: int) -> int:
@@ -58,8 +69,24 @@ class RngStream:
         return RngStream(seed=self.seed, stream=mixed, counter=0)
 
     def _generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=self.counter << 64))
+        """This thread's generator, set to draw from key (seed, stream) at block counter << 64."""
+        gen = getattr(_THREAD, "generator", None)
+        if gen is None:
+            gen = _THREAD.generator = np.random.Generator(np.random.Philox(key=0))
+        c = self.counter
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            # the 256-bit counter's words, low first, of counter << 64
+            "state": {
+                "counter": [0, c & _MASK64, (c >> 64) & _MASK64, c >> 128],
+                "key": [self.seed & _MASK64, self.stream & _MASK64],
+            },
+            "buffer": _EMPTY_BUFFER,
+            "buffer_pos": 4,  # the buffer is spent: the next draw starts a block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
 
 def _draw(rng: RngStream, shape: int | tuple[int, ...] | list[int], method) -> Tensor:

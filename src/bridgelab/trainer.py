@@ -5,10 +5,21 @@ noise draw eps ~ N(0, I) per pair, constructs the states x_t, computes the
 configured objective's targets and per-pair loss, backpropagates the
 batch-mean loss through the network, and applies one optimizer update.
 
+None of the draws, states, targets or alpha^2 depend on the parameters, so
+``train`` builds them for a block of K = max(1, 2**14 // (B D)) steps at a
+time: it calls the provider and draws each step's times and noise on their
+own streams in step order, so every draw keeps its counter, then runs the
+state, target and alpha^2 code once on the stacked (K B, D) block. Every
+operation there is per row, so a block gives each step the bits it would
+get alone. ``train_step`` then runs one step on its rows: the network, the
+loss, the gradient and the update. A batch of 2**14 values or more is a
+block of one step.
+
 The (pair, t, eps) streams are derived only from the seed, never from the
 objective, so runs that differ only in objective consume identical sample
 streams and their outcomes are attributable to the target alone. A SHA-256
-digest of the consumed stream is recorded for auditing that property.
+digest of the consumed stream, the row-major [x0 | x1 | t | eps] rows of
+every step in order, is recorded for auditing that property.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ import hashlib
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -32,6 +43,11 @@ from .objectives import ObjectiveKind, loss, objective_alpha_sq, raw_target
 _STREAM_DATA = 101
 _STREAM_TIME = 102
 _STREAM_NOISE = 103
+
+# Values per (K B, D) array of a block: enough steps to spread numpy's
+# per-call cost over many steps, few enough that a block's arrays stay in
+# cache.
+_BLOCK_VALUES = 2**14
 
 
 class PairProvider(Protocol):
@@ -123,54 +139,107 @@ def _optimizer_update(
 BatchObserver = Callable[[int, EndpointPair, BridgeSample, Tensor, Tensor], None]
 
 
+@dataclass(frozen=True)
+class StepData:
+    """One step's parameter-independent inputs: its batch of pairs (B, D)
+    and its rows of the block's sample, targets (B, D), alpha^2 (B,) and
+    target squared norms (B,)."""
+
+    batch: EndpointPair
+    sample: BridgeSample
+    targets: Tensor
+    alpha_sq: Tensor
+    target_sqnorms: Tensor
+
+
+def _step_data(
+    provider: PairProvider, config: TrainConfig, input_dim: int, digest: "hashlib._Hash"
+) -> Iterator[StepData]:
+    """Each step's StepData in order, built one block of steps at a time."""
+    root = RngStream(seed=config.seed)
+    data_rng = root.split(_STREAM_DATA)
+    time_rng = root.split(_STREAM_TIME)
+    noise_rng = root.split(_STREAM_NOISE)
+    kind = config.objective
+    block_steps = max(1, _BLOCK_VALUES // (config.batch_size * input_dim))
+
+    for first in range(0, config.steps, block_steps):
+        batches, times, noises = [], [], []
+        for _ in range(min(block_steps, config.steps - first)):
+            batch = provider(config.batch_size, data_rng)
+            batches.append(batch)
+            times.append(uniform(time_rng, (len(batch),)))
+            noises.append(gaussian(noise_rng, (len(batch), input_dim)))
+        pair = EndpointPair(
+            np.concatenate([b.x0 for b in batches]), np.concatenate([b.x1 for b in batches])
+        )
+        t = np.concatenate(times) * (1.0 - T_CLAMP)
+        eps = np.concatenate(noises)
+        # Overflow here is diagnosed by the steps' finiteness checks, not
+        # warned: a non-finite state or target makes that step's loss so.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample = sample_state(pair, t, eps, config.noise_scale)
+            targets = raw_target(kind, pair, sample)
+            alpha_sq = objective_alpha_sq(kind, pair, t, config.noise_scale)
+            target_sqnorms = np.sum(targets * targets, axis=-1)
+        digest.update(np.concatenate([pair.x0, pair.x1, t[:, None], eps], axis=1))
+
+        lo = 0
+        for batch in batches:
+            rows = slice(lo, lo + len(batch))
+            lo = rows.stop
+            yield StepData(
+                batch,
+                BridgeSample(t=t[rows], epsilon=eps[rows], state=sample.state[rows]),
+                targets[rows],
+                alpha_sq[rows],
+                target_sqnorms[rows],
+            )
+
+
 def train_step(
     params: Tensor,
     model_config: ModelConfig,
     opt_state: OptimizerState,
-    batch: EndpointPair,
+    data: StepData,
     config: TrainConfig,
-    time_rng: RngStream,
-    noise_rng: RngStream,
     step_index: int,
     observer: BatchObserver | None = None,
-    digest: "hashlib._Hash | None" = None,
 ) -> tuple[Tensor, StepStats]:
-    """One update on a batch of pairs (B, D); returns new parameters and the step's statistics."""
+    """One update on a step's data; returns new parameters and the step's statistics.
+
+    Non-finite losses, gradients or updated parameters raise TrainingError
+    with the step index.
+    """
+    batch, sample = data.batch, data.sample
     if len(batch) == 0:
         raise ValueError("batch must hold at least one pair")
     t0 = time.perf_counter()
-    b = len(batch)
     kind = config.objective
-
-    t = uniform(time_rng, (b,)) * (1.0 - T_CLAMP)
-    eps = gaussian(noise_rng, (b, model_config.input_dim))
-    sample = sample_state(batch, t, eps, config.noise_scale)
-    targets = raw_target(kind, batch, sample)
-    alpha_sq = objective_alpha_sq(kind, batch, t, config.noise_scale)
     if observer is not None:
-        observer(step_index, batch, sample, alpha_sq, targets)
-    if digest is not None:
-        digest.update(np.concatenate([batch.x0, batch.x1, t[:, None], eps], axis=1).tobytes())
+        observer(step_index, batch, sample, data.alpha_sq, data.targets)
 
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        max_target_sqnorm = float(np.max(np.sum(targets * targets, axis=-1)))
-        predictions, pullback = linearize(params, model_config, sample.state, t, batch.context)
-        losses, upstream = loss(predictions, targets, alpha_sq)
+        predictions, pullback = linearize(params, model_config, sample.state, sample.t, batch.context)
+        losses, upstream = loss(predictions, data.targets, data.alpha_sq)
         batch_loss = float(np.mean(losses))
         if not np.isfinite(batch_loss):
             raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)
         grad_params, _ = pullback(upstream)
         grad_norm = float(np.sqrt(np.sum(grad_params * grad_params)))
-    if not np.isfinite(grad_norm):
-        raise TrainingError(f"non-finite gradient at step {step_index}", step_index, kind.value)
-
-    new_params = _optimizer_update(opt_state, params, grad_params, config.learning_rate)
+        if not np.isfinite(grad_norm):
+            raise TrainingError(f"non-finite gradient at step {step_index}", step_index, kind.value)
+        new_params = _optimizer_update(opt_state, params, grad_params, config.learning_rate)
+    if not np.isfinite(new_params).all():
+        raise TrainingError(
+            f"non-finite parameters after the update at step {step_index}", step_index, kind.value
+        )
     ms = (time.perf_counter() - t0) * 1e3
     stats = StepStats(
         step=step_index,
         loss=batch_loss,
-        max_target_sqnorm=max_target_sqnorm,
+        max_target_sqnorm=float(np.max(data.target_sqnorms)),
         grad_norm=grad_norm,
         ms=ms,
     )
@@ -186,30 +255,16 @@ def train(
 ) -> tuple[Tensor, TrainStats]:
     """Run the configured number of steps; logs every ``log_every`` steps plus the last.
 
-    Non-finite losses or gradients abort with the failing step index; they
-    are never swallowed.
+    Non-finite losses, gradients or parameters abort with the failing step
+    index; they are never swallowed.
     """
-    root = RngStream(seed=config.seed)
-    data_rng = root.split(_STREAM_DATA)
-    time_rng = root.split(_STREAM_TIME)
-    noise_rng = root.split(_STREAM_NOISE)
-
     digest = hashlib.sha256()
     opt_state = OptimizerState(kind=config.optimizer)
     stats = TrainStats()
-    for step_index in range(1, config.steps + 1):
-        batch = provider(config.batch_size, data_rng)
+    step_data = _step_data(provider, config, model_config.input_dim, digest)
+    for step_index, data in enumerate(step_data, start=1):
         params, row = train_step(
-            params,
-            model_config,
-            opt_state,
-            batch,
-            config,
-            time_rng,
-            noise_rng,
-            step_index,
-            observer=observer,
-            digest=digest,
+            params, model_config, opt_state, data, config, step_index, observer=observer
         )
         stats.max_target_sqnorm_overall = max(
             stats.max_target_sqnorm_overall, row.max_target_sqnorm

@@ -711,6 +711,21 @@ class TestAblateCommand:
             assert row["status"].startswith("error:non-finite paired_mse")
             assert row["energy_distance"] == ""
 
+    def test_failed_shared_training_is_an_error_row(self, tmp_path):
+        """Seed 1's one training step overflows the gradient. On the steps
+        axis the shared model is trained inside each cell, so each cell is an
+        error row, as on the objective axis."""
+        out = str(tmp_path)
+        argv = ["ablate", "--shift", "1e154,1e154", "--objective", "displacement", "--s", "0",
+                "--axis", "steps", "--values", "2,4", "--steps", "1", "--batch-size", "1",
+                "--hidden", "1", "--time-features", "2", "--runs", "4", "--seed", "1"]
+        assert main([*argv, "--out-dir", out]) == 0
+        rows = read_csv_rows(os.path.join(out, "ablate_steps.csv"))
+        assert [r["value"] for r in rows] == ["2", "4"]
+        for row in rows:
+            assert row["status"] == "error:non-finite gradient at step 1"
+            assert row["final_loss"] == ""
+
     def test_noise_scale_axis_produces_all_rows(self, tmp_path):
         out = str(tmp_path)
         code = main(
@@ -878,11 +893,15 @@ class TestNumericalFailureExitCode:
         "argv,code",
         [
             (["train", "--s", "1e200", "--steps", "5", "--seed", "1"], 3),
+            (["train", "--s", "1e308", "--steps", "3", "--batch-size", "4", "--seed", "2"], 3),
+            (["train", "--s", "1e308", "--objective", "velocity", "--steps", "3",
+              "--batch-size", "4", "--seed", "1"], 3),
             (["sample", "--oracle", "--s", "1e308", "--runs", "4", "--seed", "1"], 3),
             (["sample", "--oracle", "--N", "3", "--gamma", "1e300", "--runs", "4", "--seed", "1"], 0),
             (["schedule", "dump", "--N", "1000000", "--gamma", "1e308"], 2),
         ],
-        ids=["train-overflow", "sample-overflow", "sample-extreme-gamma", "schedule-overflow"],
+        ids=["train-overflow", "train-target-overflow", "train-later-step-overflow",
+             "sample-overflow", "sample-extreme-gamma", "schedule-overflow"],
     )
     def test_overflow_exits_without_a_warning(self, tmp_path, capsys, argv, code):
         """Overflow is reported by the exit code and its error line alone; tier-1
@@ -892,6 +911,17 @@ class TestNumericalFailureExitCode:
         except SystemExit as exc:
             assert exc.code == code
         assert "Warning" not in capsys.readouterr().err
+
+    def test_overflowing_update_exits_three(self, tmp_path, capsys):
+        """An SGD step of 1e308 times the gradient overflows the parameters:
+        the step is a numerical failure, and no params.bin is written."""
+        out = str(tmp_path)
+        argv = ["train", "--optimizer", "sgd", "--lr", "1e308", "--steps", "1", "--seed", "1"]
+        assert main([*argv, "--out-dir", out]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite parameters after the update at step 1" in err
+        assert "Warning" not in err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
 
     def test_non_finite_score_exits_three(self, tmp_path, capsys):
         """Endpoints 1e200 from the origin are finite, but their squared

@@ -143,7 +143,7 @@ class TestGeneratorReuse:
         start = threading.Barrier(2)
 
         def run(k):
-            start.wait()
+            start.wait(timeout=60)
             results[k] = [_stream_draw(*draw) for draw in plans[k]]
 
         # switch threads often, so that their draws interleave
@@ -154,9 +154,10 @@ class TestGeneratorReuse:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         for got, want in zip(results, expected):
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))

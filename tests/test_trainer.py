@@ -266,6 +266,18 @@ class TestInstabilityEvidence:
         assert err.value.objective == "velocity"
 
 
+    def test_non_finite_update_raises_with_step_and_objective(self):
+        """An update that overflows the parameters aborts at its own step,
+        so no non-finite parameters are returned."""
+        config = TrainConfig(steps=3, batch_size=4, learning_rate=1e308, optimizer="sgd", seed=1)
+        mconfig = ModelConfig(input_dim=2, hidden=(4,))
+        params = init(mconfig, RngStream(seed=1, stream=900))
+        with pytest.raises(TrainingError, match="non-finite parameters") as err:
+            train(params, mconfig, pair_provider(SHIFT_TASK), config)
+        assert err.value.step_index == 1
+        assert err.value.objective == "stabilized_velocity"
+
+
 class TestOtherTasks:
     @pytest.mark.parametrize(
         "spec",
