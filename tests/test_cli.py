@@ -134,6 +134,17 @@ PINNED_PROFILES = {
 }
 
 
+# SHA-256 of the endpoints.csv that `sample --params` writes for a model that
+# `train` wrote, per (task, activation): a tanh model on an unconditioned task
+# and a smooth_relu model on a task with context.
+PINNED_SAMPLED_ENDPOINTS = {
+    ("gaussian_shift", "tanh"):
+        "13128618e166c6654ae4652da6f626cf0c47c4f9fa58b19e8b4fe4d66d5fab6d",
+    ("moons_rotate", "smooth_relu"):
+        "720862a3a86e73e31b9f54b0fd0d77e283caf228f54f119059181b3cec014963",
+}
+
+
 def sha256_of(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -151,6 +162,19 @@ class TestPinnedArtifacts:
         objective, *flags = argv
         assert main(["profile", "--objective", objective, *flags, "--out-dir", str(tmp_path)]) == 0
         assert sha256_of(str(tmp_path / f"profile_{objective}.csv")) == PINNED_PROFILES[argv]
+
+    @pytest.mark.parametrize("task,activation", sorted(PINNED_SAMPLED_ENDPOINTS))
+    def test_sampled_endpoints_unchanged(self, tmp_path, task, activation):
+        train_dir, out = str(tmp_path / "train"), str(tmp_path / "sample")
+        argv = ["train", "--task", task, "--activation", activation, "--hidden", "16,16",
+                "--steps", "40", "--seed", "4", "--out-dir", train_dir]
+        assert main(argv) == 0
+        params = os.path.join(train_dir, "params.bin")
+        argv = ["sample", "--task", task, "--params", params, "--N", "16", "--runs", "64",
+                "--seed", "4", "--out-dir", out]
+        assert main(argv) == 0
+        digest = sha256_of(os.path.join(out, "endpoints.csv"))
+        assert digest == PINNED_SAMPLED_ENDPOINTS[task, activation]
 
 
 class TestProfileCommand:

@@ -48,17 +48,20 @@ class TestDeterminism:
 
 MOONS_TASK = TaskSpec(name="moons_rotate", dimension=2, angle=0.7853981633974483)
 
-# (task, steps, batch size) of each pinned run. "shift" and "moons" run 50
-# steps of 16 pairs. The other three are sized so that a trainer that builds
-# the data of several steps at once must cross step-group boundaries:
-# "shift_blocks" is 70 steps of 256 2-d pairs, "moons_blocks" 150 steps of
-# 128 pairs with context, and "grid" 3 steps of 400 48-d pairs.
+# (task, steps, batch size, hidden widths) of each pinned run. "shift" and
+# "moons" run 50 steps of 16 pairs. The next three are sized so that a trainer
+# that builds the data of several steps at once must cross step-group
+# boundaries: "shift_blocks" is 70 steps of 256 2-d pairs, "moons_blocks" 150
+# steps of 128 pairs with context, and "grid" 3 steps of 400 48-d pairs.
+# "shift_bench" is the CLI's default shift run, 1000 steps of 32 2-d pairs
+# through (32, 32) hidden layers: several groups and a shorter tail.
 PINNED_TASKS = {
-    "shift": (SHIFT_TASK, 50, 16),
-    "moons": (MOONS_TASK, 50, 16),
-    "shift_blocks": (SHIFT_TASK, 70, 256),
-    "moons_blocks": (MOONS_TASK, 150, 128),
-    "grid": (TaskSpec(name="grid_colorize", dimension=48, grid_size=4), 3, 400),
+    "shift": (SHIFT_TASK, 50, 16, (16, 16)),
+    "moons": (MOONS_TASK, 50, 16, (16, 16)),
+    "shift_blocks": (SHIFT_TASK, 70, 256, (16, 16)),
+    "moons_blocks": (MOONS_TASK, 150, 128, (16, 16)),
+    "grid": (TaskSpec(name="grid_colorize", dimension=48, grid_size=4), 3, 400, (16, 16)),
+    "shift_bench": (SHIFT_TASK, 1000, 32, (32, 32)),
 }
 
 # SHA-256 of the trained parameters' bytes and the sample-stream digest of the
@@ -101,16 +104,18 @@ PINNED_RUNS = {
         "ee2f35c0aa1e9217e9f8342d04ae963f615457a923124bfd5408a05b66625a3e",
         "fa175c47bc4a4927b75300bf7bc8acb5906df76f5e5965d22563b0348f0fa6ac",
     ),
+    ("shift_bench", "stabilized_velocity"): (
+        "d86cdb917ebd638b4bb467691b554c2dfc45b68e841a6e9514fafd6ad854d853",
+        "6ad719382e89f089a016ff67e18d7a8a9c0a19163ba4c349d6f12bc14a2a8d1c",
+    ),
 }
 
 
 class TestPinnedRegression:
     @pytest.mark.parametrize("task,objective", sorted(PINNED_RUNS))
     def test_params_and_stream_digest_unchanged(self, task, objective):
-        spec, steps, batch_size = PINNED_TASKS[task]
-        mconfig = ModelConfig(
-            input_dim=spec.dimension, hidden=(16, 16), context_dim=spec.context_dim
-        )
+        spec, steps, batch_size, hidden = PINNED_TASKS[task]
+        mconfig = ModelConfig(input_dim=spec.dimension, hidden=hidden, context_dim=spec.context_dim)
         config = TrainConfig(objective=objective, steps=steps, batch_size=batch_size, seed=11)
         params = init(mconfig, RngStream(seed=11, stream=900))
         params, stats = train(params, mconfig, pair_provider(spec), config)
