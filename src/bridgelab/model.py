@@ -8,17 +8,20 @@ zero-initialized so a freshly initialized model is the zero velocity field,
 which gives training tests a known starting loss.
 
 Parameters live in a single flat float64 vector of per-layer weight and
-bias blocks, laid out from the config's layer widths. ``forward`` predicts
-and can keep its activations on a tape; ``backward`` backpropagates through
-a tape without re-running the pass; ``linearize`` pairs the two, returning
-the prediction and a pullback, so a training step runs the network once.
-All take a (B, D) batch of states x, a single state being a (1, D) batch,
-with a time t of shape () shared by the batch or (B,), one per state.
+bias blocks, laid out from the config's layer widths. The network runs on
+input rows [x | time features | context], one (B, feature_dim) row per
+state, and ``input_rows`` is the one place that builds them from (B, D)
+states x, a time t of shape () shared by the batch or (B,), one per state,
+and the context. ``forward`` predicts and can keep its activations on a
+tape; ``backward`` backpropagates through a tape without re-running the
+pass; ``linearize`` pairs the two, returning the prediction and a pullback,
+so a training step runs the network once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -30,6 +33,10 @@ from .numerics import RngStream, Tensor, uniform
 from .objectives import ObjectiveKind
 
 ACTIVATIONS = ("tanh", "smooth_relu")
+
+# The top time frequency pi 2^(T/2 - 1) of T features overflows float64 from
+# T = 2048 on.
+_MAX_TIME_FEATURES = 2046
 
 _PARAMS_FORMAT = "bridgelab-params"
 _PARAMS_VERSION = 2  # version 1 had no objective field; it is no longer read
@@ -60,6 +67,11 @@ class ModelConfig:
             raise ValueError("all hidden widths must be >= 1")
         if self.time_features < 2 or self.time_features % 2 != 0:
             raise ValueError("time_features must be an even count >= 2")
+        if self.time_features > _MAX_TIME_FEATURES:
+            raise ValueError(
+                f"time_features must be <= {_MAX_TIME_FEATURES}: the top frequency "
+                f"pi 2^(T/2 - 1) of {self.time_features} features overflows float64"
+            )
         if self.context_dim < 0:
             raise ValueError("context_dim must be >= 0")
         if self.activation not in ACTIVATIONS:
@@ -73,24 +85,30 @@ class ModelConfig:
     def layer_widths(self) -> tuple[int, ...]:
         return (self.feature_dim, *self.hidden, self.input_dim)
 
+    @functools.cached_property
+    def _layout(self) -> tuple[tuple[int, int, int, tuple[int, int]], ...]:
+        """(weight start, bias start, bias stop, weight shape) of each layer in
+        the flat parameter vector, from input to output."""
+        widths = self.layer_widths
+        layout = []
+        offset = 0
+        for n_in, n_out in zip(widths[:-1], widths[1:]):
+            bias = offset + n_in * n_out
+            layout.append((offset, bias, bias + n_out, (n_in, n_out)))
+            offset = bias + n_out
+        return tuple(layout)
+
 
 def parameter_count(config: ModelConfig) -> int:
-    widths = config.layer_widths
-    return sum((n_in + 1) * n_out for n_in, n_out in zip(widths[:-1], widths[1:]))
+    return config._layout[-1][2]
 
 
 def _views(params: Tensor, config: ModelConfig) -> list[tuple[Tensor, Tensor]]:
     """(weight (n_in, n_out), bias (n_out,)) views into the flat vector, one
     tuple per layer from input to output; each weight block precedes its bias."""
-    widths = config.layer_widths
-    out = []
-    offset = 0
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        w = params[offset : offset + n_in * n_out].reshape(n_in, n_out)
-        offset += n_in * n_out
-        out.append((w, params[offset : offset + n_out]))
-        offset += n_out
-    return out
+    return [
+        (params[w:b].reshape(shape), params[b:stop]) for w, b, stop, shape in config._layout
+    ]
 
 
 def init(config: ModelConfig, rng: RngStream) -> Tensor:
@@ -118,10 +136,11 @@ def time_feature_matrix(t: "float | Tensor", count: int) -> Tensor:
     return feats
 
 
-def _as_batch(
-    config: ModelConfig, x: Tensor, t: "float | Tensor", context: Tensor | None
+def input_rows(
+    config: ModelConfig, x: Tensor, t: "float | Tensor", context: Tensor | None = None
 ) -> Tensor:
-    """Assemble the (B, feature_dim) input block from (B, D) states."""
+    """The network's (B, feature_dim) input rows [x | time features | context]
+    for (B, D) states x at a () or (B,) time t."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ValueError(f"states {x.shape} are not a (B, {config.input_dim}) batch")
@@ -154,75 +173,73 @@ def _activate_grad(z: Tensor, h: Tensor, kind: str) -> Tensor:
     return 0.5 * (1.0 + np.tanh(0.5 * z))  # the logistic sigmoid, overflow-free
 
 
-def forward(
-    params: Tensor,
-    config: ModelConfig,
-    x: Tensor,
-    t: "float | Tensor",
-    context: Tensor | None = None,
-    *,
-    tape: list | None = None,
-) -> Tensor:
-    """Velocity prediction (B, D) for (B, D) states x; deterministic in all inputs.
+def forward(params: Tensor, config: ModelConfig, x: Tensor, *, tape: list | None = None) -> Tensor:
+    """Velocity prediction (B, D) for (B, feature_dim) input rows x; deterministic.
 
     When ``tape`` is a list, the pass appends one (input, pre-activation)
     pair per layer to it, the pre-activation None for the linear output
     layer: what ``backward`` needs to differentiate this pass without
     running it again.
     """
-    features = _as_batch(config, x, t, context)
+    if x.ndim != 2 or x.shape[1] != config.feature_dim:
+        raise ValueError(f"input rows {x.shape} are not a (B, {config.feature_dim}) batch")
     layers = _views(params, config)
-    h = features
+    h = x
     for w, b in layers[:-1]:
-        z = h @ w + b
+        z = h @ w
+        z += b
         if tape is not None:
             tape.append((h, z))
         h = _activate(z, config.activation)
     w_out, b_out = layers[-1]
     if tape is not None:
         tape.append((h, None))
-    return h @ w_out + b_out
+    out = h @ w_out
+    out += b_out
+    return out
 
 
 def backward(
     params: Tensor, config: ModelConfig, x: Tensor, tape: list, upstream: Tensor
 ) -> tuple[Tensor, Tensor]:
     """Exact reverse-mode gradients of <forward(...), upstream> for the pass
-    that filled ``tape``: (grad_params, grad_x), a flat vector matching the
-    parameter layout and the (B, D) gradient with respect to the states x.
-    The parameter gradient sums over the batch; grad_x is per state.
+    over input rows x that filled ``tape``: (grad_params, grad_x), a flat
+    vector matching the parameter layout and the (B, D) gradient with respect
+    to the states in those rows. The parameter gradient sums over the batch;
+    grad_x is per state.
     """
     g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != np.shape(x):
-        raise ValueError(f"upstream shape {g.shape} does not match states {np.shape(x)}")
+    states = (len(x), config.input_dim)
+    if g.shape != states:
+        raise ValueError(f"upstream shape {g.shape} does not match states {states}")
     layers = _views(params, config)
-    grad_params = np.zeros_like(params)
+    grad_params = np.empty_like(params)
     grad_layers = _views(grad_params, config)
     for i in range(len(layers) - 1, -1, -1):
         h, z = tape[i]
         if z is not None:
-            g = g * _activate_grad(z, tape[i + 1][0], config.activation)
+            # g is the product of the layer above, so it is scaled in place
+            g *= _activate_grad(z, tape[i + 1][0], config.activation)
         gw, gb = grad_layers[i]
-        gw[...] = h.T @ g
-        gb[...] = g.sum(axis=0)
-        g = g @ layers[i][0].T
-    return grad_params, g[:, : config.input_dim]
+        np.matmul(h.T, g, out=gw)
+        np.add.reduce(g, axis=0, out=gb)
+        w = layers[i][0]
+        # below the first layer only the states' columns of the rows are wanted
+        g = g @ (w if i else w[: config.input_dim]).T
+    return grad_params, g
 
 
 def linearize(
-    params: Tensor,
-    config: ModelConfig,
-    x: Tensor,
-    t: "float | Tensor",
-    context: Tensor | None = None,
+    params: Tensor, config: ModelConfig, x: Tensor
 ) -> tuple[Tensor, Callable[[Tensor], tuple[Tensor, Tensor]]]:
-    """One forward pass that keeps its activations: returns (prediction, pullback).
+    """One forward pass over input rows x that keeps its activations: returns
+    (prediction, pullback).
 
     ``pullback(upstream)`` is ``backward`` on that pass's tape, so a
     training step runs the network once.
     """
     tape: list = []
-    prediction = forward(params, config, x, t, context, tape=tape)
+    prediction = forward(params, config, x, tape=tape)
     return prediction, lambda upstream: backward(params, config, x, tape, upstream)
 
 
@@ -287,9 +304,9 @@ def velocity_field_from(
     predicts_displacement = ObjectiveKind(objective) is ObjectiveKind.DISPLACEMENT
 
     def field(states: Tensor, t: float) -> Tensor:
-        out = forward(params, config, states, t, context)
+        out = forward(params, config, input_rows(config, states, t, context))
         if predicts_displacement:
-            out = out / (1.0 - t)
+            out /= 1.0 - t
         return out
 
     return field

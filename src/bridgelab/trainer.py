@@ -5,15 +5,16 @@ noise draw eps ~ N(0, I) per pair, constructs the states x_t, computes the
 configured objective's targets and per-pair loss, backpropagates the
 batch-mean loss through the network, and applies one optimizer update.
 
-None of the draws, states, targets or alpha^2 depend on the parameters, so
-``train`` builds them for a block of K = max(1, 2**14 // (B D)) steps at a
-time: it calls the provider and draws each step's times and noise on their
+None of the draws, states, targets, alpha^2 or the network's input rows
+depend on the parameters, so ``train`` builds them for a block of
+K = max(1, 2**14 // (B F)) steps at a time, F being the width of an input
+row: it calls the provider and draws each step's times and noise on their
 own streams in step order, so every draw keeps its counter, then runs the
-state, target and alpha^2 code once on the stacked (K B, D) block. Every
-operation there is per row, so a block gives each step the bits it would
-get alone. ``train_step`` then runs one step on its rows: the network, the
-loss, the gradient and the update. A batch of 2**14 values or more is a
-block of one step.
+state, target, alpha^2 and input-row code once on the stacked (K B, ·)
+block. Every operation there is per row, so a block gives each step the bits
+it would get alone. ``train_step`` then runs one step on its rows: the
+network, the loss, the gradient and the update. A batch of 2**14 input-row
+values or more is a block of one step.
 
 The (pair, t, eps) streams are derived only from the seed, never from the
 objective, so runs that differ only in objective consume identical sample
@@ -34,7 +35,7 @@ import numpy as np
 
 from .bridge import T_CLAMP, BridgeSample, EndpointPair, check_noise_scale, sample_state
 from .errors import TrainingError
-from .model import ModelConfig, linearize
+from .model import ModelConfig, input_rows, linearize
 from .numerics import RngStream, Tensor, gaussian, uniform
 from .objectives import ObjectiveKind, loss, objective_alpha_sq, raw_target
 
@@ -44,9 +45,9 @@ _STREAM_DATA = 101
 _STREAM_TIME = 102
 _STREAM_NOISE = 103
 
-# Values per (K B, D) array of a block: enough steps to spread numpy's
-# per-call cost over many steps, few enough that a block's arrays stay in
-# cache.
+# Values in a block's widest array, its (K B, F) input rows: enough steps to
+# spread numpy's per-call cost over many steps, few enough that a block's
+# arrays stay in cache.
 _BLOCK_VALUES = 2**14
 
 
@@ -79,6 +80,8 @@ class TrainConfig:
             raise ValueError("optimizer must be 'sgd' or 'adam'")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
+        if self.learning_rate < 0.0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         check_noise_scale(self.noise_scale)
 
     def to_dict(self) -> dict:
@@ -125,11 +128,22 @@ def _optimizer_update(
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     state.step += 1
-    state.m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grad
-    state.v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grad * grad
-    m_hat = state.m / (1.0 - _ADAM_BETA1**state.step)
-    v_hat = state.v / (1.0 - _ADAM_BETA2**state.step)
-    return params - learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    # In place, but with the operations of m = b1 m + (1 - b1) g,
+    # v = b2 v + (1 - b2) g g and params - lr m_hat / (sqrt(v_hat) + eps) in
+    # their order, so every bit is theirs.
+    state.m *= _ADAM_BETA1
+    state.m += (1.0 - _ADAM_BETA1) * grad
+    grad_sq = (1.0 - _ADAM_BETA2) * grad
+    grad_sq *= grad
+    state.v *= _ADAM_BETA2
+    state.v += grad_sq
+    update = state.m / (1.0 - _ADAM_BETA1**state.step)
+    update *= learning_rate
+    denom = state.v / (1.0 - _ADAM_BETA2**state.step)
+    np.sqrt(denom, out=denom)
+    denom += _ADAM_EPS
+    update /= denom
+    return params - update
 
 
 # Test/debug instrumentation: called once per step with
@@ -142,26 +156,31 @@ BatchObserver = Callable[[int, EndpointPair, BridgeSample, Tensor, Tensor], None
 @dataclass(frozen=True)
 class StepData:
     """One step's parameter-independent inputs: its batch of pairs (B, D)
-    and its rows of the block's sample, targets (B, D), alpha^2 (B,) and
-    target squared norms (B,)."""
+    and its rows of the block's sample, network input rows (B, feature_dim),
+    targets (B, D), alpha^2 (B,) and target squared norms (B,)."""
 
     batch: EndpointPair
     sample: BridgeSample
+    rows: Tensor
     targets: Tensor
     alpha_sq: Tensor
     target_sqnorms: Tensor
 
 
-def _step_data(
-    provider: PairProvider, config: TrainConfig, input_dim: int, digest: "hashlib._Hash"
-) -> Iterator[StepData]:
-    """Each step's StepData in order, built one block of steps at a time."""
+def _step_blocks(
+    provider: PairProvider,
+    config: TrainConfig,
+    model_config: ModelConfig,
+    digest: "hashlib._Hash",
+) -> Iterator[tuple[list[StepData], float]]:
+    """Each block's StepData in step order, with the largest target squared
+    norm over the block."""
     root = RngStream(seed=config.seed)
     data_rng = root.split(_STREAM_DATA)
     time_rng = root.split(_STREAM_TIME)
     noise_rng = root.split(_STREAM_NOISE)
     kind = config.objective
-    block_steps = max(1, _BLOCK_VALUES // (config.batch_size * input_dim))
+    block_steps = max(1, _BLOCK_VALUES // (config.batch_size * model_config.feature_dim))
 
     for first in range(0, config.steps, block_steps):
         batches, times, noises = [], [], []
@@ -169,12 +188,15 @@ def _step_data(
             batch = provider(config.batch_size, data_rng)
             batches.append(batch)
             times.append(uniform(time_rng, (len(batch),)))
-            noises.append(gaussian(noise_rng, (len(batch), input_dim)))
+            noises.append(gaussian(noise_rng, (len(batch), model_config.input_dim)))
         pair = EndpointPair(
             np.concatenate([b.x0 for b in batches]), np.concatenate([b.x1 for b in batches])
         )
         t = np.concatenate(times) * (1.0 - T_CLAMP)
         eps = np.concatenate(noises)
+        context = None
+        if batches[0].context is not None:
+            context = np.concatenate([b.context for b in batches])
         # Overflow here is diagnosed by the steps' finiteness checks, not
         # warned: a non-finite state or target makes that step's loss so.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -182,19 +204,25 @@ def _step_data(
             targets = raw_target(kind, pair, sample)
             alpha_sq = objective_alpha_sq(kind, pair, t, config.noise_scale)
             target_sqnorms = np.sum(targets * targets, axis=-1)
+            rows = input_rows(model_config, sample.state, t, context)
         digest.update(np.concatenate([pair.x0, pair.x1, t[:, None], eps], axis=1))
 
+        steps = []
         lo = 0
         for batch in batches:
-            rows = slice(lo, lo + len(batch))
-            lo = rows.stop
-            yield StepData(
-                batch,
-                BridgeSample(t=t[rows], epsilon=eps[rows], state=sample.state[rows]),
-                targets[rows],
-                alpha_sq[rows],
-                target_sqnorms[rows],
+            step = slice(lo, lo + len(batch))
+            lo = step.stop
+            steps.append(
+                StepData(
+                    batch,
+                    BridgeSample(t=t[step], epsilon=eps[step], state=sample.state[step]),
+                    rows[step],
+                    targets[step],
+                    alpha_sq[step],
+                    target_sqnorms[step],
+                )
             )
+        yield steps, float(np.max(target_sqnorms))
 
 
 def train_step(
@@ -205,45 +233,36 @@ def train_step(
     config: TrainConfig,
     step_index: int,
     observer: BatchObserver | None = None,
-) -> tuple[Tensor, StepStats]:
-    """One update on a step's data; returns new parameters and the step's statistics.
+) -> tuple[Tensor, float, float]:
+    """One update on a step's data: (new parameters, batch loss, gradient norm).
 
     Non-finite losses, gradients or updated parameters raise TrainingError
     with the step index.
     """
-    batch, sample = data.batch, data.sample
+    batch = data.batch
     if len(batch) == 0:
         raise ValueError("batch must hold at least one pair")
-    t0 = time.perf_counter()
     kind = config.objective
     if observer is not None:
-        observer(step_index, batch, sample, data.alpha_sq, data.targets)
+        observer(step_index, batch, data.sample, data.alpha_sq, data.targets)
 
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions, pullback = linearize(params, model_config, sample.state, sample.t, batch.context)
+        predictions, pullback = linearize(params, model_config, data.rows)
         losses, upstream = loss(predictions, data.targets, data.alpha_sq)
-        batch_loss = float(np.mean(losses))
-        if not np.isfinite(batch_loss):
+        batch_loss = float(np.add.reduce(losses)) / len(losses)
+        if not math.isfinite(batch_loss):
             raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)
         grad_params, _ = pullback(upstream)
-        grad_norm = float(np.sqrt(np.sum(grad_params * grad_params)))
-        if not np.isfinite(grad_norm):
+        grad_norm = math.sqrt(float(np.add.reduce(grad_params * grad_params)))
+        if not math.isfinite(grad_norm):
             raise TrainingError(f"non-finite gradient at step {step_index}", step_index, kind.value)
         new_params = _optimizer_update(opt_state, params, grad_params, config.learning_rate)
     if not np.isfinite(new_params).all():
         raise TrainingError(
             f"non-finite parameters after the update at step {step_index}", step_index, kind.value
         )
-    ms = (time.perf_counter() - t0) * 1e3
-    stats = StepStats(
-        step=step_index,
-        loss=batch_loss,
-        max_target_sqnorm=float(np.max(data.target_sqnorms)),
-        grad_norm=grad_norm,
-        ms=ms,
-    )
-    return new_params, stats
+    return new_params, batch_loss, grad_norm
 
 
 def train(
@@ -261,15 +280,18 @@ def train(
     digest = hashlib.sha256()
     opt_state = OptimizerState(kind=config.optimizer)
     stats = TrainStats()
-    step_data = _step_data(provider, config, model_config.input_dim, digest)
-    for step_index, data in enumerate(step_data, start=1):
-        params, row = train_step(
-            params, model_config, opt_state, data, config, step_index, observer=observer
-        )
-        stats.max_target_sqnorm_overall = max(
-            stats.max_target_sqnorm_overall, row.max_target_sqnorm
-        )
-        if step_index % config.log_every == 0 or step_index == config.steps:
-            stats.rows.append(row)
+    step_index = 0
+    for block, block_max in _step_blocks(provider, config, model_config, digest):
+        stats.max_target_sqnorm_overall = max(stats.max_target_sqnorm_overall, block_max)
+        for data in block:
+            step_index += 1
+            t0 = time.perf_counter()
+            params, batch_loss, grad_norm = train_step(
+                params, model_config, opt_state, data, config, step_index, observer=observer
+            )
+            if step_index % config.log_every == 0 or step_index == config.steps:
+                ms = (time.perf_counter() - t0) * 1e3
+                max_sqnorm = float(np.max(data.target_sqnorms))
+                stats.rows.append(StepStats(step_index, batch_loss, max_sqnorm, grad_norm, ms))
     stats.sample_stream_digest = digest.hexdigest()
     return params, stats

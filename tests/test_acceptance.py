@@ -25,6 +25,7 @@ from bridgelab.model import (
     ModelConfig,
     forward,
     init,
+    input_rows,
     linearize,
     parameter_count,
     velocity_field_from,
@@ -227,11 +228,13 @@ def test_criterion_06_gradient_correctness():
                 targets = raw_target(kind, pair, sample)
                 alpha_sq = objective_alpha_sq(kind, pair, sample.t, 1.0)
 
+                rows = input_rows(config, sample.state, sample.t)
+
                 def objective_value(theta):
-                    pred = forward(theta, config, sample.state, sample.t)
+                    pred = forward(theta, config, rows)
                     return float(np.mean(loss(pred, targets, alpha_sq)[0]))
 
-                pred, pullback = linearize(params, config, sample.state, sample.t)
+                pred, pullback = linearize(params, config, rows)
                 grad_params, _ = pullback(loss(pred, targets, alpha_sq)[1])
                 probes = np.unique(
                     (np.abs(gaussian(rng, (32,))) * params.size * 0.37).astype(int) % params.size

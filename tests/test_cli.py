@@ -501,6 +501,23 @@ class TestSampleRecordedObjective:
         assert "must be an integer" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_overflowing_time_features_exit_two(self, tmp_path, capsys):
+        """A header whose top time frequency overflows float64 is rejected before any output."""
+        config = {"activation": "tanh", "context_dim": 0, "hidden": [4], "input_dim": 2,
+                  "time_features": 2048}
+        count = (2 + 2048 + 1) * 4 + (4 + 1) * 2
+        header = {"config": config, "count": count, "format": "bridgelab-params",
+                  "objective": "velocity", "version": 2}
+        path = str(tmp_path / "wide.bin")
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode("utf-8") + b"\n" + bytes(8 * count))
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--params", path, "--seed", "2", "--out-dir", out])
+        assert exc.value.code == 2
+        assert "overflows float64" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_foreign_container_exits_two(self, tmp_path, capsys):
         params = str(tmp_path / "bogus.bin")
         out = str(tmp_path / "out")
@@ -544,6 +561,8 @@ class TestUsageErrors:
             ["sample", "--oracle", "--gamma", "inf"],
             ["train", "--s", "inf", "--steps", "5"],
             ["train", "--lr", "nan", "--steps", "5"],
+            ["train", "--lr", "-1", "--steps", "2"],
+            ["train", "--time-features", "2048", "--steps", "2", "--batch-size", "4", "--hidden", "4"],
             ["ablate", "--axis", "noise_scale", "--values", "1,inf", "--steps", "5"],
             ["verify", "--suite", "schedules", "--override", "boundary_exactness=abc"],
             ["verify", "--suite", "schedules", "--override", "boundary_exactness=nan"],
@@ -580,6 +599,8 @@ class TestUsageErrors:
             "sample-gamma-inf",
             "train-noise-scale-inf",
             "train-lr-nan",
+            "train-lr-negative",
+            "train-time-features-overflow",
             "ablate-noise-scale-inf",
             "verify-override-not-a-number",
             "verify-override-nan",

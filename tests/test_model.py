@@ -10,6 +10,7 @@ from bridgelab.model import (
     _views,
     forward,
     init,
+    input_rows,
     linearize,
     load_parameters,
     parameter_count,
@@ -17,7 +18,7 @@ from bridgelab.model import (
     time_feature_matrix,
     velocity_field_from,
 )
-from bridgelab.numerics import RngStream, gaussian
+from bridgelab.numerics import RngStream, gaussian, uniform
 from bridgelab.objectives import ObjectiveKind
 
 
@@ -26,19 +27,24 @@ def random_params(config: ModelConfig, seed: int) -> np.ndarray:
     return gaussian(RngStream(seed=seed), (parameter_count(config),)) * 0.3
 
 
+def predict(params, config, x, t, context=None) -> np.ndarray:
+    """The network's prediction for (B, D) states at time t."""
+    return forward(params, config, input_rows(config, x, t, context))
+
+
 class TestForward:
     def test_zero_init_predicts_zero_everywhere(self):
         config = ModelConfig(input_dim=3, hidden=(16,))
         params = init(config, RngStream(seed=1))
         for t in (0.0, 0.5, 0.99):
-            out = forward(params, config, gaussian(RngStream(seed=2), (1, 3)), t)
+            out = predict(params, config, gaussian(RngStream(seed=2), (1, 3)), t)
             np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_output_shape_matches_input(self):
         config = ModelConfig(input_dim=4, hidden=(8, 8))
         params = random_params(config, 3)
-        single = forward(params, config, np.ones((1, 4)), 0.3)
-        batch = forward(params, config, np.ones((5, 4)), 0.3)
+        single = predict(params, config, np.ones((1, 4)), 0.3)
+        batch = predict(params, config, np.ones((5, 4)), 0.3)
         assert single.shape == (1, 4)
         assert batch.shape == (5, 4)
 
@@ -47,16 +53,16 @@ class TestForward:
         config = ModelConfig(input_dim=2, hidden=(16,))
         params = random_params(config, 4)
         x = np.array([[0.4, -0.2]])
-        assert not np.allclose(forward(params, config, x, 0.0), forward(params, config, x, 0.9))
+        assert not np.allclose(predict(params, config, x, 0.0), predict(params, config, x, 0.9))
 
     def test_batched_matches_single(self):
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 5)
         xs = gaussian(RngStream(seed=6), (4, 2))
         ts = np.array([0.1, 0.4, 0.7, 0.9])
-        batch = forward(params, config, xs, ts)
+        batch = predict(params, config, xs, ts)
         for i in range(4):
-            row = forward(params, config, xs[i : i + 1], ts[i])
+            row = predict(params, config, xs[i : i + 1], ts[i])
             np.testing.assert_allclose(batch[i : i + 1], row, rtol=1e-12)
 
     def test_hidden_unit_permutation_symmetry(self):
@@ -69,31 +75,58 @@ class TestForward:
         b0[1] = b0[0]
         w1[1, :] = w1[0, :]
         x = np.array([[0.3, 0.8]])
-        base = forward(params, config, x, 0.5)
+        base = predict(params, config, x, 0.5)
         swapped = params.copy()
         (sw0, sb0), (sw1, _) = _views(swapped, config)
         sw0[:, [0, 1]] = sw0[:, [1, 0]]
         sb0[[0, 1]] = sb0[[1, 0]]
         sw1[[0, 1], :] = sw1[[1, 0], :]
-        np.testing.assert_allclose(forward(swapped, config, x, 0.5), base, rtol=1e-12)
+        np.testing.assert_allclose(predict(swapped, config, x, 0.5), base, rtol=1e-12)
 
     def test_context_required_when_configured(self):
         config = ModelConfig(input_dim=2, hidden=(8,), context_dim=2)
         params = random_params(config, 8)
         with pytest.raises(ValueError):
-            forward(params, config, np.zeros((1, 2)), 0.5)
-        out = forward(params, config, np.zeros((1, 2)), 0.5, context=np.array([[1.0, -1.0]]))
+            predict(params, config, np.zeros((1, 2)), 0.5)
+        out = predict(params, config, np.zeros((1, 2)), 0.5, context=np.array([[1.0, -1.0]]))
         assert out.shape == (1, 2)
 
     def test_shape_mismatch_rejected(self):
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 9)
         with pytest.raises(ValueError):
-            forward(params, config, np.zeros((1, 3)), 0.5)
+            predict(params, config, np.zeros((1, 3)), 0.5)
         with pytest.raises(ValueError, match=r"not a \(B, 2\) batch"):
-            forward(params, config, np.zeros(2), 0.5)
+            predict(params, config, np.zeros(2), 0.5)
         with pytest.raises(ValueError, match=r"time shape \(3,\) is neither"):
-            forward(params, config, np.zeros((2, 2)), np.array([0.1, 0.2, 0.3]))
+            predict(params, config, np.zeros((2, 2)), np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(ValueError, match=r"input rows \(1, 2\) are not a \(B, 10\) batch"):
+            forward(params, config, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("context_dim", [0, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "smooth_relu"])
+    def test_untaped_pass_is_the_taped_pass(self, activation, context_dim):
+        """forward without a tape gives the bits of the taped pass, changes
+        none of its inputs, and leaves an earlier pass's tape intact: its
+        pullback gives the same gradient after a second pass."""
+        config = ModelConfig(
+            input_dim=3, hidden=(8, 8), context_dim=context_dim, activation=activation
+        )
+        params = random_params(config, 10)
+        rng = RngStream(seed=11)
+        context = gaussian(rng, (5, context_dim)) if context_dim else None
+        rows = input_rows(config, gaussian(rng, (5, 3)), uniform(rng, (5,)), context)
+        upstream = gaussian(rng, (5, 3))
+        inputs = [a.copy() for a in (params, rows, context) if a is not None]
+
+        prediction, pullback = linearize(params, config, rows)
+        grad_params, grad_x = pullback(upstream)
+        np.testing.assert_array_equal(forward(params, config, rows), prediction)
+        again_params, again_x = pullback(upstream)
+        np.testing.assert_array_equal(again_params, grad_params)
+        np.testing.assert_array_equal(again_x, grad_x)
+        for before, after in zip(inputs, (params, rows, context)):
+            np.testing.assert_array_equal(after, before)
 
 
 class TestTimeFeatures:
@@ -106,6 +139,16 @@ class TestTimeFeatures:
     def test_even_count_required(self):
         with pytest.raises(ValueError):
             ModelConfig(input_dim=2, time_features=7)
+
+    def test_overflowing_top_frequency_rejected(self):
+        """pi 2^(T/2 - 1) is finite up to T = 2046 and overflows from T = 2048."""
+        for count in (2048, 2050, 4096):
+            with pytest.raises(ValueError, match="overflows float64"):
+                ModelConfig(input_dim=2, time_features=count)
+        config = ModelConfig(input_dim=2, time_features=2046)
+        with np.errstate(all="raise"):
+            feats = time_feature_matrix(np.array([0.0, 0.3, 0.99]), config.time_features)
+        assert np.all(np.isfinite(feats))
 
 
 class TestConfigValidation:
@@ -150,8 +193,8 @@ class TestBackward:
         x = gaussian(rng, (1, input_dim))
         upstream = gaussian(rng, (1, input_dim))
         t = 0.37
-        prediction, pullback = linearize(params, config, x, t)
-        np.testing.assert_array_equal(prediction, forward(params, config, x, t))
+        prediction, pullback = linearize(params, config, input_rows(config, x, t))
+        np.testing.assert_array_equal(prediction, predict(params, config, x, t))
         grad_params, grad_x = pullback(upstream)
 
         probe_idx = np.unique(
@@ -161,9 +204,9 @@ class TestBackward:
         for idx in probe_idx:
             bumped = params.copy()
             bumped[idx] += h
-            up = float(np.sum(forward(bumped, config, x, t) * upstream))
+            up = float(np.sum(predict(bumped, config, x, t) * upstream))
             bumped[idx] -= 2 * h
-            down = float(np.sum(forward(bumped, config, x, t) * upstream))
+            down = float(np.sum(predict(bumped, config, x, t) * upstream))
             fd = (up - down) / (2.0 * h)
             denom = max(abs(fd), abs(float(grad_params[idx])), 1e-8)
             assert abs(float(grad_params[idx]) - fd) / denom < 1e-6
@@ -171,9 +214,9 @@ class TestBackward:
         for i in range(input_dim):
             bumped = x.copy()
             bumped[0, i] += h
-            up = float(np.sum(forward(params, config, bumped, t) * upstream))
+            up = float(np.sum(predict(params, config, bumped, t) * upstream))
             bumped[0, i] -= 2 * h
-            down = float(np.sum(forward(params, config, bumped, t) * upstream))
+            down = float(np.sum(predict(params, config, bumped, t) * upstream))
             fd = (up - down) / (2.0 * h)
             denom = max(abs(fd), abs(float(grad_x[0, i])), 1e-8)
             assert abs(float(grad_x[0, i]) - fd) / denom < 1e-6
@@ -181,7 +224,7 @@ class TestBackward:
     def test_zero_upstream_zero_gradients(self):
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 13)
-        pullback = linearize(params, config, np.ones((1, 2)), 0.5)[1]
+        pullback = linearize(params, config, input_rows(config, np.ones((1, 2)), 0.5))[1]
         grad_params, grad_x = pullback(np.zeros((1, 2)))
         assert np.array_equal(grad_params, np.zeros_like(params))
         assert np.array_equal(grad_x, np.zeros((1, 2)))
@@ -195,7 +238,7 @@ class TestBackward:
         rng = RngStream(seed=15)
         x = gaussian(rng, (1, 3))
         a, b = gaussian(rng, (1, 3)), gaussian(rng, (1, 3))
-        _, pullback = linearize(params, config, x, 0.4)
+        _, pullback = linearize(params, config, input_rows(config, x, 0.4))
         ga, _ = pullback(a)
         gb, _ = pullback(b)
         gab, _ = pullback(a + b)
@@ -207,10 +250,11 @@ class TestBackward:
         xs = gaussian(RngStream(seed=17), (3, 2))
         ups = gaussian(RngStream(seed=18), (3, 2))
         ts = np.array([0.2, 0.5, 0.8])
-        batch_grad, _ = linearize(params, config, xs, ts)[1](ups)
+        batch_grad, _ = linearize(params, config, input_rows(config, xs, ts))[1](ups)
         total = np.zeros_like(params)
         for i in range(3):
-            gi, _ = linearize(params, config, xs[i : i + 1], ts[i])[1](ups[i : i + 1])
+            rows = input_rows(config, xs[i : i + 1], ts[i])
+            gi, _ = linearize(params, config, rows)[1](ups[i : i + 1])
             total += gi
         np.testing.assert_allclose(batch_grad, total, rtol=1e-10, atol=1e-12)
 
@@ -258,7 +302,7 @@ class TestSerialization:
         save_parameters(path, config, params, ObjectiveKind.VELOCITY)
         _, loaded, _ = load_parameters(path)
         x = gaussian(RngStream(seed=24), (1, 2))
-        assert np.array_equal(forward(params, config, x, 0.7), forward(loaded, config, x, 0.7))
+        assert np.array_equal(predict(params, config, x, 0.7), predict(loaded, config, x, 0.7))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = str(tmp_path / "bogus.bin")
@@ -275,7 +319,7 @@ class TestVelocityFieldAdapter:
         params = random_params(config, 25)
         x = np.array([[0.2, -0.5]])
         t = 0.75
-        raw = forward(params, config, x, t)
+        raw = predict(params, config, x, t)
         field = velocity_field_from(params, config, "displacement")
         np.testing.assert_allclose(field(x, t), raw / (1.0 - t), rtol=1e-14)
 
@@ -285,7 +329,7 @@ class TestVelocityFieldAdapter:
         x = np.array([[0.2, -0.5]])
         for objective in ("velocity", "stabilized_velocity"):
             field = velocity_field_from(params, config, objective)
-            np.testing.assert_array_equal(field(x, 0.4), forward(params, config, x, 0.4))
+            np.testing.assert_array_equal(field(x, 0.4), predict(params, config, x, 0.4))
 
     def test_context_is_one_row_per_run(self):
         """A (B, C) context conditions run i by row i; a shared (C,) vector is rejected."""
@@ -295,7 +339,7 @@ class TestVelocityFieldAdapter:
         rows = velocity_field_from(params, config, "velocity", np.array([[0.7], [-0.7]]))
         np.testing.assert_allclose(
             rows(states, 0.4)[1:],
-            forward(params, config, states[1:], 0.4, np.array([[-0.7]])),
+            predict(params, config, states[1:], 0.4, np.array([[-0.7]])),
             rtol=1e-14,
         )
         shared = velocity_field_from(params, config, "velocity", np.array([0.7]))

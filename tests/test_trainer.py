@@ -313,6 +313,9 @@ class TestConfigValidation:
             TrainConfig(optimizer="prodigy")
         with pytest.raises(ValueError):
             TrainConfig(noise_scale=-1.0)
+        with pytest.raises(ValueError, match="learning_rate must be >= 0"):
+            TrainConfig(learning_rate=-1.0)
+        assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
 
     def test_objective_coerced_from_string(self):
         config = TrainConfig(objective="velocity")
