@@ -144,6 +144,10 @@ PINNED_SAMPLED_ENDPOINTS = {
         "720862a3a86e73e31b9f54b0fd0d77e283caf228f54f119059181b3cec014963",
 }
 
+# SHA-256 of the debug.csv that `train --debug` writes for a run whose 130
+# steps of 32 pairs span blocks of 51, 51 and 28 steps.
+PINNED_DEBUG_CSV = "35b5957a9411964bc197891e330567636a82c4c11002ba7a4b9a0aee1476855b"
+
 
 def sha256_of(path: str) -> str:
     with open(path, "rb") as fh:
@@ -175,6 +179,12 @@ class TestPinnedArtifacts:
         assert main(argv) == 0
         digest = sha256_of(os.path.join(out, "endpoints.csv"))
         assert digest == PINNED_SAMPLED_ENDPOINTS[task, activation]
+
+    def test_debug_csv_unchanged(self, tmp_path):
+        argv = ["train", "--steps", "130", "--batch-size", "32", "--debug", "--seed", "3",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert sha256_of(str(tmp_path / "debug.csv")) == PINNED_DEBUG_CSV
 
 
 class TestProfileCommand:
