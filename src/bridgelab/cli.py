@@ -26,6 +26,7 @@ from . import __version__
 from .bridge import EndpointPair, check_noise_scale
 from .errors import EvaluationError, IntegrationError, TrainingError
 from .model import (
+    ACTIVATIONS,
     ModelConfig,
     init,
     load_parameters,
@@ -36,8 +37,8 @@ from .numerics import RngStream
 from .objectives import ObjectiveKind, target_profile
 from .sampler import oracle_field
 from .schedules import Schedule, shifted
-from .tasks import TaskSpec, evaluate, pair_provider
-from .trainer import TrainConfig, train
+from .tasks import TASK_NAMES, TaskSpec, evaluate, pair_provider
+from .trainer import OPTIMIZERS, TrainConfig, train
 from .verify import SUITES, report_to_json, run_suite
 
 EXIT_OK = 0
@@ -206,7 +207,7 @@ def _parse_overrides(items: list[str] | None) -> dict:
 
 
 def _add_task_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--task", default="gaussian_shift", choices=["gaussian_shift", "moons_rotate", "grid_colorize", "signal_refine"])
+    p.add_argument("--task", default="gaussian_shift", choices=TASK_NAMES)
     p.add_argument("--dim", type=int, default=2, help="task dimension (gaussian_shift, signal_refine)")
     p.add_argument("--shift", type=_parse_floats, default=(2.0, 0.0), help="shift vector, comma separated")
     p.add_argument("--angle", type=float, default=0.7853981633974483, help="rotation angle (moons_rotate)")
@@ -238,7 +239,7 @@ def _task_from_args(args) -> TaskSpec:
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=_parse_ints, default=(32, 32), help="hidden widths, comma separated")
     p.add_argument("--time-features", type=int, default=8)
-    p.add_argument("--activation", default="tanh", choices=["tanh", "smooth_relu"])
+    p.add_argument("--activation", default="tanh", choices=ACTIVATIONS)
     p.add_argument("--zero-context", action="store_true", help="train/evaluate with conditioning zeroed")
 
 
@@ -248,7 +249,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
+    p.add_argument("--optimizer", default="adam", choices=OPTIMIZERS)
     p.add_argument("--log-every", type=int, default=50)
 
 
@@ -357,11 +358,14 @@ def _train_once(args, spec: TaskSpec, mconfig: ModelConfig, config: TrainConfig,
 class _AlphaAudit:
     """Per-step normalization-factor statistics, written as debug CSV."""
 
-    def __init__(self):
+    def __init__(self, batch_size: int):
+        self.batch_size = batch_size
         self.rows = []
 
-    def __call__(self, step, batch, sample, alpha_sq, targets):
-        self.rows.append([step, float(np.mean(alpha_sq)), float(np.max(alpha_sq))])
+    def __call__(self, first, batch, sample, alpha_sq, targets):
+        for step, lo in enumerate(range(0, len(alpha_sq), self.batch_size), first):
+            rows = alpha_sq[lo : lo + self.batch_size]
+            self.rows.append([step, float(np.mean(rows)), float(np.max(rows))])
 
     def write(self, path: str) -> None:
         _write_csv(path, ["step", "mean_alpha_sq", "max_alpha_sq"], self.rows)
@@ -372,7 +376,7 @@ def cmd_train(args) -> int:
     mconfig = _usage_checked(_model_config, args, spec)
     config = _usage_checked(_train_config, args, args.objective, args.s)
     out_dir = _ensure_out_dir(args)
-    audit = _AlphaAudit() if args.debug else None
+    audit = _AlphaAudit(config.batch_size) if args.debug else None
     params, stats = _train_once(args, spec, mconfig, config, observer=audit)
     params_path = os.path.join(out_dir, "params.bin")
     stats_path = os.path.join(out_dir, "stats.csv")

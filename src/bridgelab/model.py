@@ -176,9 +176,9 @@ def _activate_grad(z: Tensor, h: Tensor, kind: str) -> Tensor:
 def forward(params: Tensor, config: ModelConfig, x: Tensor, *, tape: list | None = None) -> Tensor:
     """Velocity prediction (B, D) for (B, feature_dim) input rows x; deterministic.
 
-    When ``tape`` is a list, the pass appends one (input, pre-activation)
-    pair per layer to it, the pre-activation None for the linear output
-    layer: what ``backward`` needs to differentiate this pass without
+    When ``tape`` is a list, the pass appends one (input, pre-activation,
+    weight) triple per layer to it, the pre-activation None for the linear
+    output layer: what ``backward`` needs to differentiate this pass without
     running it again.
     """
     if x.ndim != 2 or x.shape[1] != config.feature_dim:
@@ -189,11 +189,11 @@ def forward(params: Tensor, config: ModelConfig, x: Tensor, *, tape: list | None
         z = h @ w
         z += b
         if tape is not None:
-            tape.append((h, z))
+            tape.append((h, z, w))
         h = _activate(z, config.activation)
     w_out, b_out = layers[-1]
     if tape is not None:
-        tape.append((h, None))
+        tape.append((h, None, w_out))
     out = h @ w_out
     out += b_out
     return out
@@ -212,18 +212,16 @@ def backward(
     states = (len(x), config.input_dim)
     if g.shape != states:
         raise ValueError(f"upstream shape {g.shape} does not match states {states}")
-    layers = _views(params, config)
     grad_params = np.empty_like(params)
     grad_layers = _views(grad_params, config)
-    for i in range(len(layers) - 1, -1, -1):
-        h, z = tape[i]
+    for i in range(len(tape) - 1, -1, -1):
+        h, z, w = tape[i]
         if z is not None:
             # g is the product of the layer above, so it is scaled in place
             g *= _activate_grad(z, tape[i + 1][0], config.activation)
         gw, gb = grad_layers[i]
         np.matmul(h.T, g, out=gw)
         np.add.reduce(g, axis=0, out=gb)
-        w = layers[i][0]
         # below the first layer only the states' columns of the rows are wanted
         g = g @ (w if i else w[: config.input_dim]).T
     return grad_params, g

@@ -57,11 +57,15 @@ class TaskSpec:
         if self.name == "gaussian_shift":
             if self.shift is None or len(self.shift) != self.dimension:
                 raise ValueError("gaussian_shift needs a shift vector of length dimension")
+            if not all(math.isfinite(c) for c in self.shift):
+                raise ValueError(f"shift components must be finite, got {self.shift}")
         elif self.name == "moons_rotate":
             if self.dimension != 2:
                 raise ValueError("moons_rotate is a 2D task")
             if self.angle is None:
                 raise ValueError("moons_rotate needs a rotation angle")
+            if not math.isfinite(self.angle):
+                raise ValueError(f"angle must be finite, got {self.angle}")
         elif self.name == "grid_colorize":
             if self.grid_size is None or not 2 <= self.grid_size <= _MAX_GRID:
                 raise ValueError(f"grid_colorize needs grid_size in [2, {_MAX_GRID}]")

@@ -8,13 +8,14 @@ batch-mean loss through the network, and applies one optimizer update.
 None of the draws, states, targets, alpha^2 or the network's input rows
 depend on the parameters, so ``train`` builds them for a block of
 K = max(1, 2**14 // (B F)) steps at a time, F being the width of an input
-row: it calls the provider and draws each step's times and noise on their
-own streams in step order, so every draw keeps its counter, then runs the
-state, target, alpha^2 and input-row code once on the stacked (K B, ·)
-block. Every operation there is per row, so a block gives each step the bits
-it would get alone. ``train_step`` then runs one step on its rows: the
-network, the loss, the gradient and the update. A batch of 2**14 input-row
-values or more is a block of one step.
+row: it calls the provider, which must return exactly B pairs, and draws
+each step's times and noise on their own streams in step order, so every
+draw keeps its counter, then runs the state, target, alpha^2 and input-row
+code once on the stacked (K B, ·) block. Every operation there is per row,
+so a block gives each step the bits it would get alone. ``train_step`` then
+runs one step on its slice of B rows of the block's arrays: the network, the
+loss, the gradient and the update. A batch of 2**14 input-row values or more
+is a block of one step.
 
 The (pair, t, eps) streams are derived only from the seed, never from the
 objective, so runs that differ only in objective consume identical sample
@@ -50,6 +51,8 @@ _STREAM_NOISE = 103
 # arrays stay in cache.
 _BLOCK_VALUES = 2**14
 
+OPTIMIZERS = ("sgd", "adam")
+
 
 class PairProvider(Protocol):
     """Pull-based dataset contract: (batch size, stream) -> one batch of pairs (B, D)."""
@@ -64,7 +67,7 @@ class TrainConfig:
     steps: int = 2000
     batch_size: int = 32
     learning_rate: float = 1e-3
-    optimizer: str = "adam"  # {"sgd", "adam"}
+    optimizer: str = "adam"  # one of OPTIMIZERS
     seed: int = 0
     log_every: int = 50
 
@@ -76,8 +79,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0.0:
@@ -146,25 +149,12 @@ def _optimizer_update(
     return params - update
 
 
-# Test/debug instrumentation: called once per step with
-# (step, batch, sample, alpha_squared (B,), targets (B, D)), the exact
-# quantities entering the update; alpha_squared is all ones unless the
-# objective is stabilized. Observers must not mutate their arguments.
+# Test/debug instrumentation: called once per block, before its first update,
+# with (first step, the block's stacked pairs (K B, D) with their context, its
+# sample, alpha_squared (K B,), targets (K B, D)): rows [j B, (j + 1) B) are
+# the exact quantities entering step first + j; alpha_squared is all ones
+# unless the objective is stabilized. Observers must not mutate their arguments.
 BatchObserver = Callable[[int, EndpointPair, BridgeSample, Tensor, Tensor], None]
-
-
-@dataclass(frozen=True)
-class StepData:
-    """One step's parameter-independent inputs: its batch of pairs (B, D)
-    and its rows of the block's sample, network input rows (B, feature_dim),
-    targets (B, D), alpha^2 (B,) and target squared norms (B,)."""
-
-    batch: EndpointPair
-    sample: BridgeSample
-    rows: Tensor
-    targets: Tensor
-    alpha_sq: Tensor
-    target_sqnorms: Tensor
 
 
 def _step_blocks(
@@ -172,31 +162,37 @@ def _step_blocks(
     config: TrainConfig,
     model_config: ModelConfig,
     digest: "hashlib._Hash",
-) -> Iterator[tuple[list[StepData], float]]:
-    """Each block's StepData in step order, with the largest target squared
-    norm over the block."""
+    observer: BatchObserver | None,
+) -> Iterator[tuple[Tensor, Tensor, Tensor, Tensor]]:
+    """Each block's stacked (rows, targets, alpha^2, target squared norms),
+    B rows a step in step order."""
     root = RngStream(seed=config.seed)
     data_rng = root.split(_STREAM_DATA)
     time_rng = root.split(_STREAM_TIME)
     noise_rng = root.split(_STREAM_NOISE)
     kind = config.objective
-    block_steps = max(1, _BLOCK_VALUES // (config.batch_size * model_config.feature_dim))
+    size = config.batch_size
+    block_steps = max(1, _BLOCK_VALUES // (size * model_config.feature_dim))
 
     for first in range(0, config.steps, block_steps):
         batches, times, noises = [], [], []
         for _ in range(min(block_steps, config.steps - first)):
-            batch = provider(config.batch_size, data_rng)
+            batch = provider(size, data_rng)
+            if len(batch) != size:
+                raise ValueError(f"provider returned {len(batch)} pairs for a batch of {size}")
             batches.append(batch)
-            times.append(uniform(time_rng, (len(batch),)))
-            noises.append(gaussian(noise_rng, (len(batch), model_config.input_dim)))
-        pair = EndpointPair(
-            np.concatenate([b.x0 for b in batches]), np.concatenate([b.x1 for b in batches])
-        )
-        t = np.concatenate(times) * (1.0 - T_CLAMP)
-        eps = np.concatenate(noises)
+            times.append(uniform(time_rng, (size,)))
+            noises.append(gaussian(noise_rng, (size, model_config.input_dim)))
         context = None
         if batches[0].context is not None:
             context = np.concatenate([b.context for b in batches])
+        pair = EndpointPair(
+            np.concatenate([b.x0 for b in batches]),
+            np.concatenate([b.x1 for b in batches]),
+            context,
+        )
+        t = np.concatenate(times) * (1.0 - T_CLAMP)
+        eps = np.concatenate(noises)
         # Overflow here is diagnosed by the steps' finiteness checks, not
         # warned: a non-finite state or target makes that step's loss so.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -206,50 +202,32 @@ def _step_blocks(
             target_sqnorms = np.sum(targets * targets, axis=-1)
             rows = input_rows(model_config, sample.state, t, context)
         digest.update(np.concatenate([pair.x0, pair.x1, t[:, None], eps], axis=1))
-
-        steps = []
-        lo = 0
-        for batch in batches:
-            step = slice(lo, lo + len(batch))
-            lo = step.stop
-            steps.append(
-                StepData(
-                    batch,
-                    BridgeSample(t=t[step], epsilon=eps[step], state=sample.state[step]),
-                    rows[step],
-                    targets[step],
-                    alpha_sq[step],
-                    target_sqnorms[step],
-                )
-            )
-        yield steps, float(np.max(target_sqnorms))
+        if observer is not None:
+            observer(first + 1, pair, sample, alpha_sq, targets)
+        yield rows, targets, alpha_sq, target_sqnorms
 
 
 def train_step(
     params: Tensor,
     model_config: ModelConfig,
     opt_state: OptimizerState,
-    data: StepData,
+    rows: Tensor,
+    targets: Tensor,
+    alpha_sq: Tensor,
     config: TrainConfig,
     step_index: int,
-    observer: BatchObserver | None = None,
 ) -> tuple[Tensor, float, float]:
-    """One update on a step's data: (new parameters, batch loss, gradient norm).
+    """One update on a step's input rows (B, feature_dim), targets (B, D) and
+    alpha^2 (B,): (new parameters, batch loss, gradient norm).
 
     Non-finite losses, gradients or updated parameters raise TrainingError
     with the step index.
     """
-    batch = data.batch
-    if len(batch) == 0:
-        raise ValueError("batch must hold at least one pair")
     kind = config.objective
-    if observer is not None:
-        observer(step_index, batch, data.sample, data.alpha_sq, data.targets)
-
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions, pullback = linearize(params, model_config, data.rows)
-        losses, upstream = loss(predictions, data.targets, data.alpha_sq)
+        predictions, pullback = linearize(params, model_config, rows)
+        losses, upstream = loss(predictions, targets, alpha_sq)
         batch_loss = float(np.add.reduce(losses)) / len(losses)
         if not math.isfinite(batch_loss):
             raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)
@@ -281,17 +259,21 @@ def train(
     opt_state = OptimizerState(kind=config.optimizer)
     stats = TrainStats()
     step_index = 0
-    for block, block_max in _step_blocks(provider, config, model_config, digest):
+    blocks = _step_blocks(provider, config, model_config, digest, observer)
+    for rows, targets, alpha_sq, target_sqnorms in blocks:
+        block_max = float(np.max(target_sqnorms))
         stats.max_target_sqnorm_overall = max(stats.max_target_sqnorm_overall, block_max)
-        for data in block:
+        for lo in range(0, len(rows), config.batch_size):
+            step = slice(lo, lo + config.batch_size)
             step_index += 1
             t0 = time.perf_counter()
             params, batch_loss, grad_norm = train_step(
-                params, model_config, opt_state, data, config, step_index, observer=observer
+                params, model_config, opt_state, rows[step], targets[step], alpha_sq[step],
+                config, step_index,
             )
             if step_index % config.log_every == 0 or step_index == config.steps:
                 ms = (time.perf_counter() - t0) * 1e3
-                max_sqnorm = float(np.max(data.target_sqnorms))
+                max_sqnorm = float(np.max(target_sqnorms[step]))
                 stats.rows.append(StepStats(step_index, batch_loss, max_sqnorm, grad_norm, ms))
     stats.sample_stream_digest = digest.hexdigest()
     return params, stats

@@ -582,6 +582,10 @@ class TestUsageErrors:
             ["ablate", "--axis", "gamma", "--values", "1,2", "--hidden", ",", "--steps", "5"],
             ["verify", "--suite", "schedules", "--out", "."],
             ["schedule", "dump", "--N", "4", "--out", "no/such/dir/schedule.csv"],
+            ["train", "--shift", "nan,0"],
+            ["sample", "--oracle", "--shift", "inf,0"],
+            ["train", "--task", "moons_rotate", "--angle", "nan"],
+            ["sample", "--oracle", "--task", "moons_rotate", "--angle", "inf"],
         ],
         ids=[
             "sample-N0",
@@ -620,6 +624,10 @@ class TestUsageErrors:
             "ablate-hidden-empty",
             "verify-out-is-a-directory",
             "schedule-dump-out-in-missing-directory",
+            "train-shift-nan",
+            "sample-shift-inf",
+            "train-angle-nan",
+            "sample-angle-inf",
         ],
     )
     def test_bad_argument_exits_two_before_any_output(self, tmp_path, capsys, argv):

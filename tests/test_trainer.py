@@ -168,6 +168,17 @@ class TestAlgorithmFidelity:
         run_training(ObjectiveKind.STABILIZED_VELOCITY, steps=20, noise_scale=0.0, observer=observer)
         assert alphas and all(a == 1.0 for a in alphas)
 
+    def test_observer_sees_each_block_once(self):
+        """130 steps of 32 pairs with 10-wide input rows run in blocks of 51,
+        51 and 28 steps; the observer gets each block's first step and rows."""
+        calls = []
+        observer = lambda step, batch, sample, alpha_sq, targets: calls.append(
+            (step, len(batch), len(sample.t), len(alpha_sq), len(targets))
+        )
+        run_training(ObjectiveKind.STABILIZED_VELOCITY, steps=130, batch_size=32, observer=observer)
+        assert calls == [(1, 1632, 1632, 1632, 1632), (52, 1632, 1632, 1632, 1632),
+                         (103, 896, 896, 896, 896)]
+
     def test_network_runs_once_per_step(self, monkeypatch):
         """The gradient reuses the step's forward pass: with two hidden layers,
         3 steps activate 6 times (a second pass for the gradient would make 12)."""
@@ -316,6 +327,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="learning_rate must be >= 0"):
             TrainConfig(learning_rate=-1.0)
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
+
+    def test_provider_batch_of_wrong_size_rejected(self):
+        """A provider batch that is not batch_size pairs is an error, not a
+        silently smaller step."""
+        provider = pair_provider(SHIFT_TASK)
+        short = lambda batch_size, rng: provider(batch_size - 1, rng)
+        mconfig = ModelConfig(input_dim=2, hidden=(4,))
+        params = init(mconfig, RngStream(seed=1, stream=900))
+        with pytest.raises(ValueError, match="7 pairs for a batch of 8"):
+            train(params, mconfig, short, TrainConfig(steps=3, batch_size=8, seed=1))
 
     def test_objective_coerced_from_string(self):
         config = TrainConfig(objective="velocity")
