@@ -364,8 +364,8 @@ class _AlphaAudit:
 
     def __call__(self, first, batch, sample, alpha_sq, targets):
         for step, lo in enumerate(range(0, len(alpha_sq), self.batch_size), first):
-            rows = alpha_sq[lo : lo + self.batch_size]
-            self.rows.append([step, float(np.mean(rows)), float(np.max(rows))])
+            step_alpha_sq = alpha_sq[lo : lo + self.batch_size]
+            self.rows.append([step, float(np.mean(step_alpha_sq)), float(np.max(step_alpha_sq))])
 
     def write(self, path: str) -> None:
         _write_csv(path, ["step", "mean_alpha_sq", "max_alpha_sq"], self.rows)
