@@ -160,10 +160,10 @@ def input_rows(
     return np.concatenate(blocks, axis=1)
 
 
-def _activate(z: Tensor, kind: str) -> Tensor:
+def _activate(z: Tensor, kind: str, out: Tensor | None = None) -> Tensor:
     if kind == "tanh":
-        return np.tanh(z)
-    return np.logaddexp(0.0, z)  # smooth_relu (softplus), C-infinity
+        return np.tanh(z, out=out)
+    return np.logaddexp(0.0, z, out=out)  # smooth_relu (softplus), C-infinity
 
 
 def _activate_grad(z: Tensor, h: Tensor, kind: str) -> Tensor:
@@ -190,7 +190,9 @@ def forward(params: Tensor, config: ModelConfig, x: Tensor, *, tape: list | None
         z += b
         if tape is not None:
             tape.append((h, z, w))
-        h = _activate(z, config.activation)
+            h = _activate(z, config.activation)
+        else:
+            h = _activate(z, config.activation, out=z)  # nothing else reads z
     w_out, b_out = layers[-1]
     if tape is not None:
         tape.append((h, None, w_out))

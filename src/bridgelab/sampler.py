@@ -81,6 +81,9 @@ def integrate(
     on noiseless steps (eta = 0), so results are reproducible and independent
     of any run ordering. ``record(k, states)`` sees the block at every grid
     point t_k, k = 0..N; the returned block is the one recorded at k = N.
+    Each step builds a fresh array, so a recorder may keep what it is given:
+    no later step writes into it, and ``x0`` (the block at k = 0) is never
+    written.
     Non-finite drifts or states raise :class:`IntegrationError` carrying the
     failing step index.
     """
@@ -98,9 +101,18 @@ def integrate(
                 raise IntegrationError(
                     f"velocity field returned non-finite values at step {k}", step_index=k
                 )
-            states = states + dt[k] * drift
+            # one fresh array per step; addition commutes, so these are the
+            # bits of states + dt[k] * drift. The drift and the noise are
+            # released here, not held through the next step's field call.
+            step = dt[k] * drift
+            del drift
+            step += states
+            states = step
             if eta[k] != 0.0:
-                states += eta[k] * gaussian(rng, states.shape)
+                noise = gaussian(rng, states.shape)
+                noise *= eta[k]
+                states += noise
+                del noise
             if not np.all(np.isfinite(states)):
                 raise IntegrationError(f"state became non-finite at step {k}", step_index=k)
             if record is not None:

@@ -187,21 +187,23 @@ def pair_provider(spec: TaskSpec, zero_context: bool = False):
 _GRAM_NEAR = 1e-4
 
 
-def _mean_distance(x: Tensor, y: Tensor, chunk: int) -> float:
+def _mean_distance(x: Tensor, y: Tensor, chunk: int, buffer: Tensor) -> float:
     """Mean of ||x_i - y_j|| over all (i, j), with squared distances in Gram form.
 
-    Rows of ``x`` are taken ``chunk`` at a time. A pair with d^2 <=
-    _GRAM_NEAR * (||x_i||^2 + max_j ||y_j||^2) is recomputed from its
-    coordinate differences, in batches no larger than one Gram block.
+    Rows of ``x`` are taken ``chunk`` at a time into one Gram block, a view of
+    ``buffer``, which holds at least min(chunk, len(x)) * len(y) floats. A pair
+    with d^2 <= _GRAM_NEAR * (||x_i||^2 + max_j ||y_j||^2) is recomputed from
+    its coordinate differences, in batches no larger than one Gram block.
     """
     xx = np.einsum("ij,ij->i", x, x)
     yy = np.einsum("ij,ij->i", y, y)
     neg_2yt = -2.0 * y.T
     near_scale = _GRAM_NEAR * (xx + np.max(yy))
+    block = buffer[: min(chunk, x.shape[0]) * y.shape[0]].reshape(-1, y.shape[0])
     total = 0.0
     for lo in range(0, x.shape[0], chunk):
         rows = x[lo : lo + chunk]
-        sq = rows @ neg_2yt
+        sq = np.matmul(rows, neg_2yt, out=block[: rows.shape[0]])
         sq += xx[lo : lo + chunk, None]
         sq += yy
         near = np.flatnonzero(sq <= near_scale[lo : lo + chunk, None])
@@ -223,23 +225,28 @@ def energy_distance(a: Tensor, b: Tensor, chunk: int = 512) -> float:
     self terms' arithmetic. Each self term is centred on its own set's mean
     and the cross term on a's mean, so a common offset, or one set shifted
     far from the other, leaves each set's within-set pairs at their own
-    scale. Pairwise distances are computed in row chunks to bound memory at
-    large sample counts.
+    scale. Pairwise squared distances are formed ``chunk`` rows at a time in
+    one Gram block of at most chunk x n floats, n = max(len(a), len(b)). The
+    block is allocated once per call and reused across chunks and all three
+    terms, so memory is bounded by it and grows with the set sizes, not their
+    product. ``chunk`` must be an int >= 1.
     """
+    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"chunk must be an int >= 1, got {chunk!r}")
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("energy distance needs nonempty sample sets")
+    n = max(a.shape[0], b.shape[0])
+    buffer = np.empty(min(chunk, n) * n)
     a_mean = np.mean(a, axis=0)
     a_centred = a - a_mean
+    cross = _mean_distance(a_centred, b - a_mean, chunk, buffer)
+    within_a = _mean_distance(a_centred, a_centred, chunk, buffer)
     b_centred = b - np.mean(b, axis=0)
-    return (
-        2.0 * _mean_distance(a_centred, b - a_mean, chunk)
-        - _mean_distance(a_centred, a_centred, chunk)
-        - _mean_distance(b_centred, b_centred, chunk)
-    )
+    return 2.0 * cross - within_a - _mean_distance(b_centred, b_centred, chunk, buffer)
 
 
 @dataclass(frozen=True)
@@ -284,10 +291,12 @@ def evaluate(
     )
     # overflow here is diagnosed by the finiteness check below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
+        # scored before the errors exist, so its Gram block and they never coexist
+        distance = energy_distance(endpoints, batch.x1)
         errors = endpoints - batch.x1
         report = EvalReport(
             paired_mse=float(np.mean(errors * errors)),
-            energy_distance=energy_distance(endpoints, batch.x1),
+            energy_distance=distance,
             mean_displacement_error=float(np.sqrt(np.sum(np.mean(errors, axis=0) ** 2))),
             sample_count=len(batch),
         )

@@ -94,6 +94,7 @@ def bridge_suite(seed: int, mc: int = 100_000) -> list[Check]:
             )
             var_dev = np.max(np.abs(states.var(axis=0, ddof=1) / true_var - 1.0))
             checks.append((f"marginal_var_t{t}_s{s}", var_dev, 0.03))
+            del eps, states  # before the next check draws its own (mc, D) arrays
 
     # Conditional variance through the corrected sampler: on the grid
     # [0, t1, t2, 1] with the oracle drift, the step from t1 to t2 adds
@@ -118,6 +119,7 @@ def bridge_suite(seed: int, mc: int = 100_000) -> list[Check]:
         checks.append(
             (f"conditional_var_{t1}_{t2}", np.max(np.abs(emp_cond_var / true_cond - 1.0)), 0.03)
         )
+        del path, states1, states2, residual
 
     # Deterministic identities on a sweep of 200 random samples. Each (t, s,
     # eps) is drawn in turn from the stream; the sweep then runs as one batch
@@ -187,6 +189,7 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
         worst_z = max(worst_z, abs(float(np.mean(stab_sqnorms)) - dist_sq) / se)
         ratio = float(np.mean(u_sqnorms)) / dist_sq
         worst_ratio = max(worst_ratio, abs(ratio / alpha_sq - 1.0))
+        del eps, u, u_sqnorms, stab_sqnorms
     checks.append(("alpha_law_stabilized_worst_sigma", worst_z, 4.5))
     checks.append(("alpha_law_velocity_ratio", worst_ratio, 0.03))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,25 @@ from bridgelab.trainer import TrainConfig, train
 ABLATION_SEED = 2
 ABLATION_STEPS = 2000
 ABLATION_LR = 1e-2
+
+
+def traced_peak(func, *args, **kwargs):
+    """(result, peak) of ``func(*args, **kwargs)``: peak is the most bytes that
+    tracemalloc saw allocated during the call beyond what was live when it
+    began. numpy registers its array buffers with tracemalloc, so the figure
+    counts them, and it does not depend on the allocator's thresholds."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        result = func(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

@@ -129,6 +129,20 @@ class TestForward:
             np.testing.assert_array_equal(after, before)
 
 
+    @pytest.mark.parametrize("activation", ["tanh", "smooth_relu"])
+    def test_in_place_activation_is_bitwise(self, activation):
+        """Without a tape each layer is activated in place on its
+        pre-activation, with the bits of the taped pass. The layers are wide
+        enough for the activations' vector loops and their remainders, and the
+        pre-activations reach far into both tails."""
+        config = ModelConfig(input_dim=4, hidden=(64, 48), activation=activation)
+        params = random_params(config, 12) * 10.0
+        rng = RngStream(seed=13)
+        rows = input_rows(config, gaussian(rng, (257, 4)), uniform(rng, (257,)))
+        taped = forward(params, config, rows, tape=[])
+        np.testing.assert_array_equal(forward(params, config, rows, tape=None), taped)
+
+
 class TestTimeFeatures:
     def test_shape_and_range(self):
         feats = time_feature_matrix(np.array([0.0, 0.5, 1.0]), 8)

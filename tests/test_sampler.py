@@ -109,6 +109,31 @@ class TestStep:
         assert err.value.step_index == 1
 
 
+class TestArrayOwnership:
+    """integrate writes only arrays it made: never x0, never a recorded block."""
+
+    def test_writable_x0_unchanged(self, pair2d):
+        x0 = np.array([[0.5, 0.5], [-1.0, 2.0], [0.0, 0.0]])
+        before = x0.copy()
+        integrate(x0, oracle_field(pair2d.x1), uniform(8), "standard", 1.0, RngStream(seed=3))
+        np.testing.assert_array_equal(x0, before)
+
+    @pytest.mark.parametrize("mode", ["standard", "corrected"])
+    def test_each_recorded_block_is_fresh_and_kept(self, pair2d, mode):
+        x0 = np.array([[0.5, 0.5], [-1.0, 2.0], [0.0, 0.0]])
+        seen, copies = [], []
+
+        def record(k, states):
+            seen.append(states)
+            copies.append(states.copy())
+
+        integrate(x0, oracle_field(pair2d.x1), uniform(8), mode, 1.0, RngStream(seed=3), record)
+        assert len(seen) == 9
+        assert len({id(states) for states in seen}) == len(seen)
+        for states, copy in zip(seen, copies):
+            np.testing.assert_array_equal(states, copy)
+
+
 class TestSample:
     def test_oracle_corrected_hits_target_exactly(self, pair2d):
         """Final step is noiseless and analytically forced onto x1."""

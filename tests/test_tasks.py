@@ -20,6 +20,7 @@ from bridgelab.tasks import (
     pair_provider,
 )
 from bridgelab.trainer import TrainConfig, train
+from conftest import traced_peak
 
 
 class TestGaussianShift:
@@ -142,6 +143,29 @@ class TestEnergyDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             energy_distance(np.zeros((4, 2)), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("chunk", [0, -1, 1.5, 512.0, "512", None, True])
+    def test_chunk_must_be_a_positive_int(self, chunk):
+        """chunk=-1 used to score every pair as absent and return 0.0."""
+        a = gaussian(RngStream(seed=17), (50, 2))
+        b = gaussian(RngStream(seed=18), (50, 2)) + 1.0
+        with pytest.raises(ValueError, match=r"chunk must be an int >= 1, got"):
+            energy_distance(a, b, chunk=chunk)
+
+    def test_numpy_integer_chunk_accepted(self):
+        a = gaussian(RngStream(seed=17), (50, 2))
+        b = gaussian(RngStream(seed=18), (50, 2)) + 1.0
+        assert energy_distance(a, b, chunk=np.int64(7)) == energy_distance(a, b, chunk=7)
+
+    def test_memory_is_one_gram_block(self):
+        """Every chunk of all three terms fills one (512, 1024) block, so the
+        peak stays under that block plus 1 MiB: a second block alive while
+        the next chunk's product is formed would take it to 8 MiB."""
+        a = gaussian(RngStream(seed=19), (1024, 2))
+        b = gaussian(RngStream(seed=20), (1024, 2)) + 0.5
+        distance, peak = traced_peak(energy_distance, a, b)
+        assert distance == energy_distance(a, b)
+        assert peak <= 512 * 1024 * 8 + 2**20
 
     @given(shift=st.floats(-5.0, 5.0))
     @settings(max_examples=30, deadline=None)

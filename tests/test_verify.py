@@ -10,6 +10,7 @@ from bridgelab import objectives, sampler, verify
 from bridgelab.cli import main
 from bridgelab.errors import IntegrationError
 from bridgelab.verify import run_suite
+from conftest import traced_peak
 
 
 def failed(report: dict) -> set[str]:
@@ -41,6 +42,15 @@ class TestChecksDriveLibraryCode:
         assert "profile_mc_vs_closed_form_worst_sigma" in failed(
             run_suite("objectives", seed=0, mc=100_000)
         )
+
+
+def test_bridge_suite_releases_each_checks_arrays():
+    """Each Monte-Carlo check's (1e5, 2) arrays are gone before the next
+    check draws its own, so the suite peaks under 10 MB (16.7 MB when they
+    were carried into the next check)."""
+    checks, peak = traced_peak(verify.bridge_suite, 0)
+    assert all(measured <= bound for _, measured, bound in checks)
+    assert peak <= 10_000_000
 
 
 class TestChiSquareConstants:
