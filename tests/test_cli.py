@@ -187,6 +187,72 @@ class TestPinnedArtifacts:
         assert sha256_of(str(tmp_path / "debug.csv")) == PINNED_DEBUG_CSV
 
 
+# One run of each artifact-producing command, from an empty working directory
+# with relative paths, as (set-up argv or None, argv writing into "out", SHA-256
+# of json.dumps(manifest without created_utc, sort_keys=True)). No manifest
+# value comes from the network: the train digest is of the sample stream, and
+# the sample run records its schedule and its model's objective.
+_TINY_TRAIN = ["train", "--steps", "3", "--batch-size", "4", "--hidden", "4", "--seed", "1"]
+PINNED_MANIFESTS = {
+    "verify": (
+        None,
+        ["verify", "--suite", "schedules", "--mc", "4", "--out-dir", "out"],
+        "6e017d50fbf08b34e2165da0801e20704027c9c8fea12c58222d448b6c9908ab",
+    ),
+    "profile": (
+        None,
+        ["profile", "--grid", "0:0.9:5", "--svg", "--out-dir", "out"],
+        "2edd890369cfbdd3a682515ed26f922bd2347556cbd0da6a736824cb85e1c149",
+    ),
+    "train": (
+        None,
+        [*_TINY_TRAIN, "--debug", "--out-dir", "out"],
+        "e757ca9c9f81960f5120291dfe039519621c514157e00688adc2370bd65b0da1",
+    ),
+    "sample": (
+        [*_TINY_TRAIN, "--out-dir", "model"],
+        ["sample", "--params", "model/params.bin", "--runs", "4", "--N", "4",
+         "--trajectories", "--seed", "1", "--out-dir", "out"],
+        "6ccb9347da290350ccac59ac5e91f386d9fd0d835db26bbe0b31d2af0fb49b95",
+    ),
+    "ablate": (
+        None,
+        ["ablate", "--axis", "gamma", "--values", "1,2", "--steps", "3", "--batch-size", "4",
+         "--hidden", "4", "--runs", "4", "--N", "4", "--seed", "1", "--out-dir", "out"],
+        "e4a4eb57a4063454e8dd20f5060b613886eed84c72023d9dc4ac07c996440b26",
+    ),
+    "schedule_dump": (
+        None,
+        ["schedule", "dump", "--N", "4", "--out-dir", "out"],
+        "508ba5880b008ba25d488c987c22a8d7c5fe7f53ce9c69d3ab00d6733be97677",
+    ),
+}
+
+
+class TestManifests:
+    @pytest.fixture(params=sorted(PINNED_MANIFESTS))
+    def run(self, request, tmp_path, monkeypatch):
+        """(name, manifest) of one PINNED_MANIFESTS run, made in ``tmp_path``."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BRIDGELAB_OUT_DIR", raising=False)
+        setup, argv, _ = PINNED_MANIFESTS[request.param]
+        if setup is not None:
+            assert main(setup) == 0
+        assert main(argv) == 0
+        return request.param, json.loads(read(os.path.join("out", "manifest.json")))
+
+    def test_manifest_unchanged(self, run):
+        name, manifest = run
+        assert manifest.pop("created_utc")
+        digest = hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+        assert digest == PINNED_MANIFESTS[name][2]
+
+    def test_outputs_are_the_files_written(self, run):
+        """``outputs`` names every file in the out dir but the manifest, and no other."""
+        _, manifest = run
+        assert set(manifest["outputs"]) == set(os.listdir("out")) - {"manifest.json"}
+
+
 class TestProfileCommand:
     def test_velocity_profile_values(self, tmp_path):
         out = str(tmp_path)
