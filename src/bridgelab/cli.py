@@ -1,10 +1,14 @@
 """Command-line surface: verify, profile, train, sample, ablate, schedule dump.
 
-Every artifact-producing command writes a run manifest next to its outputs
-capturing the resolved configuration, seed, library version, output paths,
-and a timestamp; all numerical artifacts (CSV/JSON) are byte-deterministic
-given the seed. Configuration precedence is CLI flags > JSON config file >
-built-in defaults, and the resolved union is echoed into the manifest.
+Every artifact-producing command writes through one run record, which puts
+its outputs in one directory and then, only on success, a ``manifest.json``
+holding the resolved configuration, seed, library version, output names and
+a timestamp. Two fields hold wall-clock time: the ``ms`` column of
+``stats.csv`` and the manifest's ``created_utc``. Every other byte of every
+artifact is deterministic given the seed (for outputs of a trained network,
+on the same CPU kernels; see README). Configuration precedence is CLI flags >
+JSON config file > built-in defaults, and the resolved union is echoed into
+the manifest.
 
 Exit codes: 0 success, 1 check or assertion failure, 2 usage error,
 3 numerical failure.
@@ -55,10 +59,12 @@ def _usage_error(message: str):
 
 
 def _usage_checked(build, *args):
-    """Resolve configuration up front: a ValueError (or DomainError) from ``build`` exits 2."""
+    """Resolve configuration up front: a ValueError (or DomainError) from ``build``
+    exits 2, and so does a MemoryError, which numpy raises at once for a size
+    beyond any address space."""
     try:
         return build(*args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         _usage_error(str(exc))
 
 
@@ -89,20 +95,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(
                 ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
             )
-
-
-def _write_manifest(out_dir: str, command: str, config: dict, outputs: list[str]) -> str:
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": config.get("seed"),
-        "version": __version__,
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
 
 
 def _write_svg(path: str, series: dict[str, list[tuple[float, float]]], title: str) -> None:
@@ -141,22 +133,57 @@ def _write_svg(path: str, series: dict[str, list[tuple[float, float]]], title: s
     _atomic_write(path, "\n".join(parts) + "\n")
 
 
-def _out_dir_name(args) -> str:
-    """--out-dir, else the directory of an --out file, else $BRIDGELAB_OUT_DIR, else '.'."""
-    if args.out_dir:
-        return args.out_dir
-    if getattr(args, "out", None):
-        return os.path.dirname(args.out) or "."
-    return os.environ.get(_OUT_DIR_ENV) or "."
+class _Run:
+    """One command's outputs: makes the out dir, hands out and registers each
+    output's path, and ``close`` writes ``manifest.json`` last.
 
+    The out dir is --out-dir, else the directory of an --out FILE, else
+    $BRIDGELAB_OUT_DIR, else '.'. Make the record only once every usage check
+    has passed, so that an exit 2 leaves nothing behind; a run that fails
+    later leaves its outputs but no manifest.
+    """
 
-def _ensure_out_dir(args) -> str:
-    out_dir = _out_dir_name(args)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        _usage_error(f"cannot make output directory {out_dir}: {exc.strerror or exc}")
-    return out_dir
+    def __init__(self, args, command: str):
+        self.args, self.command, self.outputs = args, command, []
+        self.out = getattr(args, "out", None)
+        if self.out and not args.out_dir:
+            self.dir = os.path.dirname(self.out) or "."
+        else:
+            self.dir = args.out_dir or os.environ.get(_OUT_DIR_ENV) or "."
+        try:
+            os.makedirs(self.dir, exist_ok=True)
+        except OSError as exc:
+            _usage_error(f"cannot make output directory {self.dir}: {exc.strerror or exc}")
+
+    def path(self, name: str) -> str:
+        """Where output ``name`` goes: the out dir, or the --out FILE that names
+        the one output of ``verify`` and ``schedule dump``."""
+        path = self.out or os.path.join(self.dir, name)
+        self.outputs.append(path)
+        return path
+
+    def csv(self, name: str, header: list[str], rows) -> str:
+        path = self.path(name)
+        _write_csv(path, header, rows)
+        return path
+
+    def text(self, name: str, text: str) -> None:
+        _atomic_write(self.path(name), text)
+
+    def close(self, **extra_config) -> None:
+        """Write the manifest: the resolved configuration, with ``extra_config``
+        (values the run computed) added, and the outputs' file names."""
+        config = {**_resolved_config(self.args), **extra_config}
+        manifest = {
+            "command": self.command,
+            "config": config,
+            "seed": config.get("seed"),
+            "version": __version__,
+            "outputs": sorted(os.path.basename(p) for p in self.outputs),
+            "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        }
+        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        _atomic_write(os.path.join(self.dir, "manifest.json"), text)
 
 
 def _check_out_file(args) -> None:
@@ -289,14 +316,10 @@ def cmd_verify(args) -> int:
     _check_out_file(args)
     overrides = _parse_overrides(args.override)
     report = _usage_checked(run_suite, args.suite, args.seed, args.mc, overrides)
-    text = report_to_json(report)
-    outputs = []
     if args.out_dir is not None or args.out is not None:
-        out_dir = _ensure_out_dir(args)
-        out_path = args.out or os.path.join(out_dir, "verify_report.json")
-        _atomic_write(out_path, text)
-        outputs.append(out_path)
-        _write_manifest(out_dir, "verify", _resolved_config(args), outputs)
+        run = _Run(args, "verify")
+        run.text("verify_report.json", report_to_json(report))
+        run.close()
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status} {check['suite']}.{check['name']}: measured={check['measured']:.6g} bound={check['bound']:.6g}")
@@ -316,22 +339,20 @@ def cmd_profile(args) -> int:
     rng = RngStream(seed=args.seed, stream=600) if args.mc > 0 else None
     s_values, c_values = _usage_checked(target_profile, kind, pair, args.s, grid, args.mc, rng)
     t_values = grid.tolist()
-    out_dir = _ensure_out_dir(args)
-    csv_path = os.path.join(out_dir, f"profile_{kind.value}.csv")
-    _write_csv(csv_path, ["t", "S", "C"], zip(t_values, s_values.tolist(), c_values.tolist()))
-    outputs = [csv_path]
+    run = _Run(args, "profile")
+    csv_path = run.csv(
+        f"profile_{kind.value}.csv", ["t", "S", "C"], zip(t_values, s_values.tolist(), c_values.tolist())
+    )
     if args.svg:
-        svg_path = os.path.join(out_dir, f"profile_{kind.value}.svg")
         _write_svg(
-            svg_path,
+            run.path(f"profile_{kind.value}.svg"),
             {
                 "S(t)": list(zip(t_values, s_values.tolist())),
                 "C(t)": list(zip(t_values, c_values.tolist())),
             },
             f"target contributions: {kind.value}",
         )
-        outputs.append(svg_path)
-    _write_manifest(out_dir, "profile", _resolved_config(args), outputs)
+    run.close()
     print(f"wrote {csv_path} ({len(t_values)} grid points)")
     return EXIT_OK
 
@@ -367,34 +388,24 @@ class _AlphaAudit:
             step_alpha_sq = alpha_sq[lo : lo + self.batch_size]
             self.rows.append([step, float(np.mean(step_alpha_sq)), float(np.max(step_alpha_sq))])
 
-    def write(self, path: str) -> None:
-        _write_csv(path, ["step", "mean_alpha_sq", "max_alpha_sq"], self.rows)
-
 
 def cmd_train(args) -> int:
     spec = _usage_checked(_task_from_args, args)
     mconfig = _usage_checked(_model_config, args, spec)
     config = _usage_checked(_train_config, args, args.objective, args.s)
-    out_dir = _ensure_out_dir(args)
+    run = _Run(args, "train")
     audit = _AlphaAudit(config.batch_size) if args.debug else None
     params, stats = _train_once(args, spec, mconfig, config, observer=audit)
-    params_path = os.path.join(out_dir, "params.bin")
-    stats_path = os.path.join(out_dir, "stats.csv")
+    params_path = run.path("params.bin")
     save_parameters(params_path, mconfig, params, config.objective)
-    _write_csv(
-        stats_path,
+    run.csv(
+        "stats.csv",
         ["step", "loss", "max_target_sqnorm", "grad_norm", "ms"],
         ([r.step, r.loss, r.max_target_sqnorm, r.grad_norm, r.ms] for r in stats.rows),
     )
-    outputs = [params_path, stats_path]
     if audit is not None:
-        debug_path = os.path.join(out_dir, "debug.csv")
-        audit.write(debug_path)
-        outputs.append(debug_path)
-    resolved = _resolved_config(args)
-    resolved["train_config"] = config.to_dict()
-    resolved["sample_stream_digest"] = stats.sample_stream_digest
-    _write_manifest(out_dir, "train", resolved, outputs)
+        run.csv("debug.csv", ["step", "mean_alpha_sq", "max_alpha_sq"], audit.rows)
+    run.close(train_config=config.to_dict(), sample_stream_digest=stats.sample_stream_digest)
     final = stats.rows[-1]
     print(
         f"trained {args.steps} steps: final loss={final.loss:.6g} "
@@ -434,7 +445,7 @@ def cmd_sample(args) -> int:
         make_field = lambda batch: velocity_field_from(  # noqa: E731
             params, mconfig, objective, batch.context
         )
-    out_dir = _ensure_out_dir(args)
+    run = _Run(args, "sample")
     trajectory: list[list] = []
 
     def record(k, states):
@@ -450,25 +461,13 @@ def cmd_sample(args) -> int:
         RngStream(seed=args.seed, stream=700),
         record if args.trajectories else None,
     )
-    d = spec.dimension
-    endpoints_path = os.path.join(out_dir, "endpoints.csv")
-    _write_csv(
-        endpoints_path,
-        ["run"] + [f"coord_{i}" for i in range(d)],
-        ([r] + endpoints[r].tolist() for r in range(args.runs)),
-    )
-    eval_path = os.path.join(out_dir, "eval.json")
-    _atomic_write(eval_path, report.to_json() + "\n")
-    outputs = [endpoints_path, eval_path]
+    coords = [f"coord_{i}" for i in range(spec.dimension)]
+    run.csv("endpoints.csv", ["run"] + coords, ([r] + endpoints[r].tolist() for r in range(args.runs)))
+    run.text("eval.json", report.to_json() + "\n")
     if args.trajectories:
-        traj_path = os.path.join(out_dir, "trajectory.csv")
-        _write_csv(traj_path, ["k", "t"] + [f"coord_{i}" for i in range(d)], trajectory)
-        outputs.append(traj_path)
-    resolved = _resolved_config(args)
-    if not args.oracle:
-        resolved["objective"] = objective.value
-    resolved["schedule_points"] = [float(t) for t in schedule.points]
-    _write_manifest(out_dir, "sample", resolved, outputs)
+        run.csv("trajectory.csv", ["k", "t"] + coords, trajectory)
+    extra = {} if args.oracle else {"objective": objective.value}
+    run.close(schedule_points=[float(t) for t in schedule.points], **extra)
     print(
         f"sampled {args.runs} endpoints (mode={args.mode}, N={args.N}, gamma={args.gamma}): "
         f"paired_mse={report.paired_mse:.6g} energy_distance={report.energy_distance:.6g}"
@@ -503,7 +502,7 @@ def cmd_ablate(args) -> int:
     spec = _usage_checked(_task_from_args, args)
     mconfig = _usage_checked(_model_config, args, spec)
     cells = _usage_checked(_ablate_cells, args)
-    out_dir = _ensure_out_dir(args)
+    run = _Run(args, "ablate")
     provider = pair_provider(spec, zero_context=args.zero_context)
 
     header = [
@@ -558,9 +557,8 @@ def cmd_ablate(args) -> int:
         except (TrainingError, IntegrationError, EvaluationError) as exc:
             rows.append([args.axis, value, f"error:{exc}", "", "", "", "", "", ""])
 
-    summary_path = os.path.join(out_dir, f"ablate_{args.axis}.csv")
-    _write_csv(summary_path, header, rows)
-    _write_manifest(out_dir, "ablate", _resolved_config(args), [summary_path])
+    summary_path = run.csv(f"ablate_{args.axis}.csv", header, rows)
+    run.close()
     print(f"wrote {summary_path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -568,12 +566,9 @@ def cmd_ablate(args) -> int:
 def cmd_schedule_dump(args) -> int:
     _check_out_file(args)
     schedule = _usage_checked(shifted, args.N, args.gamma)
-    out_dir = _ensure_out_dir(args)
-    path = args.out or os.path.join(out_dir, "schedule.csv")
-    _write_csv(
-        path, ["i", "t"], [[i, float(t)] for i, t in enumerate(schedule.points)]
-    )
-    _write_manifest(out_dir, "schedule_dump", _resolved_config(args), [path])
+    run = _Run(args, "schedule_dump")
+    path = run.csv("schedule.csv", ["i", "t"], [[i, float(t)] for i, t in enumerate(schedule.points)])
+    run.close()
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -652,6 +652,10 @@ class TestUsageErrors:
             ["sample", "--oracle", "--shift", "inf,0"],
             ["train", "--task", "moons_rotate", "--angle", "nan"],
             ["sample", "--oracle", "--task", "moons_rotate", "--angle", "inf"],
+            # numpy refuses these sizes before touching memory: no address space holds them
+            ["schedule", "dump", "--N", "1000000000000000"],
+            ["sample", "--oracle", "--N", "1000000000000000"],
+            ["profile", "--mc", "1000000000000000"],
         ],
         ids=[
             "sample-N0",
@@ -694,6 +698,9 @@ class TestUsageErrors:
             "sample-shift-inf",
             "train-angle-nan",
             "sample-angle-inf",
+            "schedule-dump-N-unallocatable",
+            "sample-N-unallocatable",
+            "profile-mc-unallocatable",
         ],
     )
     def test_bad_argument_exits_two_before_any_output(self, tmp_path, capsys, argv):

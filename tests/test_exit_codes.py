@@ -4,19 +4,23 @@ Whatever the argv, ``bridgelab`` exits 0 (success), 1 (a check failed),
 2 (usage error) or 3 (numerical failure), never with a traceback, and an
 exit 2 leaves no output behind. Each example starts from a tiny valid
 command and appends one or two options with hostile values, on the command
-line or in a --config file.
+line or in a --config file. ``python -m bridgelab`` passes the code through.
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bridgelab
 from bridgelab.cli import main
 from bridgelab.model import ModelConfig, init, save_parameters
 from bridgelab.numerics import RngStream
@@ -142,3 +146,22 @@ def test_exit_code_contract(invocation):
         if code == 2:
             after = sorted(os.listdir(workdir)) + sorted(os.listdir(paths[_DIRECTORY]))
             assert after == before, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["schedule", "dump", "--N", "2", "--out-dir", "D"], 0),
+        (["verify", "--suite", "schedules", "--mc", "4", "--override", "boundary_exactness=-1"], 1),
+        (["sample", "--oracle"], 2),
+    ],
+    ids=["ok", "check-failed", "usage-no-seed"],
+)
+def test_module_entry_point_passes_exit_code(tmp_path, argv, code):
+    """``python -m bridgelab`` in a fresh interpreter exits with main's code, never a traceback."""
+    env = {key: value for key, value in os.environ.items() if key != "BRIDGELAB_OUT_DIR"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(bridgelab.__file__)))
+    done = subprocess.run([sys.executable, "-m", "bridgelab", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
