@@ -1,17 +1,21 @@
 """Command-line surface: verify, profile, train, sample, ablate, schedule dump.
 
-Every artifact-producing command writes through one run record, which puts
-its outputs in one directory and then, only on success, a ``manifest.json``
-holding the resolved configuration, seed, library version, output names and
-a timestamp. Two fields hold wall-clock time: the ``ms`` column of
-``stats.csv`` and the manifest's ``created_utc``. Every other byte of every
-artifact is deterministic given the seed (for outputs of a trained network,
-on the same CPU kernels; see README). Configuration precedence is CLI flags >
-JSON config file > built-in defaults, and the resolved union is echoed into
-the manifest.
+Every artifact-producing command computes first and then writes through one
+run record, which puts its outputs in one directory and then, only on
+success, a ``manifest.json`` holding the resolved configuration, seed,
+library version, output paths and a timestamp. Two fields hold wall-clock
+time: the ``ms`` column of ``stats.csv`` and the manifest's ``created_utc``.
+Every other byte of every artifact is deterministic given the seed (for
+outputs of a trained network, on the same CPU kernels; see README).
+Configuration precedence is CLI flags > JSON config file > built-in
+defaults, and the resolved union is echoed into the manifest.
 
 Exit codes: 0 success, 1 check or assertion failure, 2 usage error,
-3 numerical failure.
+3 numerical failure. ``main`` alone maps exceptions to codes: a ValueError
+(so a DomainError) or a MemoryError (numpy's refusal of a size no address
+space holds) is a usage error, and a NumericalError is a numerical failure.
+The out dir is made at a command's first write, so exits 2 and 3 raised
+while it computes leave nothing behind.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .bridge import EndpointPair, check_noise_scale
-from .errors import EvaluationError, IntegrationError, TrainingError
+from .errors import NumericalError
 from .model import (
     ACTIVATIONS,
     ModelConfig,
@@ -51,21 +55,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _OUT_DIR_ENV = "BRIDGELAB_OUT_DIR"
-
-
-def _usage_error(message: str):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
-
-
-def _usage_checked(build, *args):
-    """Resolve configuration up front: a ValueError (or DomainError) from ``build``
-    exits 2, and so does a MemoryError, which numpy raises at once for a size
-    beyond any address space."""
-    try:
-        return build(*args)
-    except (ValueError, MemoryError) as exc:
-        _usage_error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +123,14 @@ def _write_svg(path: str, series: dict[str, list[tuple[float, float]]], title: s
 
 
 class _Run:
-    """One command's outputs: makes the out dir, hands out and registers each
-    output's path, and ``close`` writes ``manifest.json`` last.
+    """One command's outputs: hands out and registers each output's path,
+    making the out dir at the first, and ``close`` writes ``manifest.json`` last.
 
     The out dir is --out-dir, else the directory of an --out FILE, else
-    $BRIDGELAB_OUT_DIR, else '.'. Make the record only once every usage check
-    has passed, so that an exit 2 leaves nothing behind; a run that fails
-    later leaves its outputs but no manifest.
+    $BRIDGELAB_OUT_DIR, else '.'. A command asks for its first path only once
+    it has computed everything, so a run that fails before then leaves no out
+    dir, and one that fails later leaves its outputs but no manifest. An out
+    dir that cannot be made is a ValueError, raised at that first path.
     """
 
     def __init__(self, args, command: str):
@@ -150,14 +140,15 @@ class _Run:
             self.dir = os.path.dirname(self.out) or "."
         else:
             self.dir = args.out_dir or os.environ.get(_OUT_DIR_ENV) or "."
-        try:
-            os.makedirs(self.dir, exist_ok=True)
-        except OSError as exc:
-            _usage_error(f"cannot make output directory {self.dir}: {exc.strerror or exc}")
 
     def path(self, name: str) -> str:
         """Where output ``name`` goes: the out dir, or the --out FILE that names
         the one output of ``verify`` and ``schedule dump``."""
+        if not self.outputs:
+            try:
+                os.makedirs(self.dir, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(f"cannot make output directory {self.dir}: {exc.strerror or exc}")
         path = self.out or os.path.join(self.dir, name)
         self.outputs.append(path)
         return path
@@ -172,14 +163,15 @@ class _Run:
 
     def close(self, **extra_config) -> None:
         """Write the manifest: the resolved configuration, with ``extra_config``
-        (values the run computed) added, and the outputs' file names."""
+        (values the run computed) added, and the outputs' paths relative to the
+        out dir (base names, but for an --out FILE outside it)."""
         config = {**_resolved_config(self.args), **extra_config}
         manifest = {
             "command": self.command,
             "config": config,
             "seed": config.get("seed"),
             "version": __version__,
-            "outputs": sorted(os.path.basename(p) for p in self.outputs),
+            "outputs": sorted(os.path.relpath(p, self.dir) for p in self.outputs),
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
@@ -195,7 +187,7 @@ def _check_out_file(args) -> None:
     out_dir = os.path.abspath(args.out_dir) if args.out_dir else None
     parent = os.path.dirname(out)
     if os.path.isdir(out) or out == out_dir or not (parent == out_dir or os.path.isdir(parent)):
-        _usage_error(f"--out {args.out} must name a file in an existing directory or in --out-dir")
+        raise ValueError(f"--out {args.out} must name a file in an existing directory or in --out-dir")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +220,7 @@ def _parse_overrides(items: list[str] | None) -> dict:
         except ValueError:
             bound = math.nan
         if not sep or math.isnan(bound):
-            _usage_error(f"bad override {item!r}, expected name=number")
+            raise ValueError(f"bad override {item!r}, expected name=number")
         overrides[name] = bound
     return overrides
 
@@ -245,10 +237,7 @@ def _add_task_args(p: argparse.ArgumentParser) -> None:
 
 def _task_from_args(args) -> TaskSpec:
     if args.task == "gaussian_shift":
-        shift = args.shift
-        if len(shift) != args.dim:
-            _usage_error(f"--shift needs {args.dim} components, got {len(shift)}")
-        return TaskSpec(name="gaussian_shift", dimension=args.dim, shift=shift, seed=args.task_seed)
+        return TaskSpec(name="gaussian_shift", dimension=args.dim, shift=args.shift, seed=args.task_seed)
     if args.task == "moons_rotate":
         return TaskSpec(name="moons_rotate", dimension=2, angle=args.angle, seed=args.task_seed)
     if args.task == "grid_colorize":
@@ -315,7 +304,7 @@ def _resolved_config(args) -> dict:
 def cmd_verify(args) -> int:
     _check_out_file(args)
     overrides = _parse_overrides(args.override)
-    report = _usage_checked(run_suite, args.suite, args.seed, args.mc, overrides)
+    report = run_suite(args.suite, args.seed, args.mc, overrides)
     if args.out_dir is not None or args.out is not None:
         run = _Run(args, "verify")
         run.text("verify_report.json", report_to_json(report))
@@ -330,14 +319,14 @@ def cmd_verify(args) -> int:
 def cmd_profile(args) -> int:
     d = args.dim
     if d < 1 or not (math.isfinite(args.distance2) and args.distance2 >= 0.0):
-        _usage_error("profile needs --dim >= 1 and a finite --distance2 >= 0")
-    _usage_checked(check_noise_scale, args.s)
+        raise ValueError("profile needs --dim >= 1 and a finite --distance2 >= 0")
+    check_noise_scale(args.s)
     x1 = np.full((1, d), np.sqrt(args.distance2 / d))
     pair = EndpointPair(np.zeros((1, d)), x1)
     kind = ObjectiveKind(args.objective)
-    grid = _usage_checked(_parse_grid, args.grid)
+    grid = _parse_grid(args.grid)
     rng = RngStream(seed=args.seed, stream=600) if args.mc > 0 else None
-    s_values, c_values = _usage_checked(target_profile, kind, pair, args.s, grid, args.mc, rng)
+    s_values, c_values = target_profile(kind, pair, args.s, grid, args.mc, rng)
     t_values = grid.tolist()
     run = _Run(args, "profile")
     csv_path = run.csv(
@@ -390,9 +379,9 @@ class _AlphaAudit:
 
 
 def cmd_train(args) -> int:
-    spec = _usage_checked(_task_from_args, args)
-    mconfig = _usage_checked(_model_config, args, spec)
-    config = _usage_checked(_train_config, args, args.objective, args.s)
+    spec = _task_from_args(args)
+    mconfig = _model_config(args, spec)
+    config = _train_config(args, args.objective, args.s)
     run = _Run(args, "train")
     audit = _AlphaAudit(config.batch_size) if args.debug else None
     params, stats = _train_once(args, spec, mconfig, config, observer=audit)
@@ -420,7 +409,7 @@ def _load_trained(args, spec: TaskSpec) -> tuple[ModelConfig, np.ndarray, Object
     try:
         mconfig, params, objective = load_parameters(args.params)
     except OSError as exc:
-        _usage_error(f"cannot read --params {args.params}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read --params {args.params}: {exc.strerror or exc}")
     if (mconfig.input_dim, mconfig.context_dim) != (spec.dimension, spec.context_dim):
         raise ValueError(
             f"--params {args.params} holds a model of input_dim {mconfig.input_dim} and "
@@ -431,17 +420,15 @@ def _load_trained(args, spec: TaskSpec) -> tuple[ModelConfig, np.ndarray, Object
 
 
 def cmd_sample(args) -> int:
-    spec = _usage_checked(_task_from_args, args)
-    schedule = _usage_checked(shifted, args.N, args.gamma)
+    spec = _task_from_args(args)
+    schedule = shifted(args.N, args.gamma)
     if args.oracle == (args.params is not None):
-        _usage_error("sample needs exactly one of --oracle and --params FILE")
-    if args.runs < 1:
-        _usage_error(f"--runs must be >= 1, got {args.runs}")
-    _usage_checked(check_noise_scale, args.s)
+        raise ValueError("sample needs exactly one of --oracle and --params FILE")
+    check_noise_scale(args.s)
     if args.oracle:
         make_field = lambda batch: oracle_field(batch.x1)  # noqa: E731
     else:
-        mconfig, params, objective = _usage_checked(_load_trained, args, spec)
+        mconfig, params, objective = _load_trained(args, spec)
         make_field = lambda batch: velocity_field_from(  # noqa: E731
             params, mconfig, objective, batch.context
         )
@@ -479,9 +466,9 @@ def _ablate_cells(args) -> list[tuple[str, TrainConfig, Schedule]]:
     """(axis value, training configuration, sampling schedule) for each cell."""
     values = [v for v in args.values.split(",") if v != ""]
     if len(values) < 2:
-        _usage_error("ablation needs at least 2 axis values")
+        raise ValueError("ablation needs at least 2 axis values")
     if args.runs < 2:
-        _usage_error(f"ablation needs --runs >= 2, got {args.runs}")
+        raise ValueError(f"ablation needs --runs >= 2, got {args.runs}")
     cells = []
     for value in values:
         objective, noise_scale = ObjectiveKind(args.objective), args.s
@@ -499,9 +486,9 @@ def _ablate_cells(args) -> list[tuple[str, TrainConfig, Schedule]]:
 
 
 def cmd_ablate(args) -> int:
-    spec = _usage_checked(_task_from_args, args)
-    mconfig = _usage_checked(_model_config, args, spec)
-    cells = _usage_checked(_ablate_cells, args)
+    spec = _task_from_args(args)
+    mconfig = _model_config(args, spec)
+    cells = _ablate_cells(args)
     run = _Run(args, "ablate")
     provider = pair_provider(spec, zero_context=args.zero_context)
 
@@ -554,7 +541,7 @@ def cmd_ablate(args) -> int:
                     stats.max_target_sqnorm_overall,
                 ]
             )
-        except (TrainingError, IntegrationError, EvaluationError) as exc:
+        except NumericalError as exc:
             rows.append([args.axis, value, f"error:{exc}", "", "", "", "", "", ""])
 
     summary_path = run.csv(f"ablate_{args.axis}.csv", header, rows)
@@ -565,7 +552,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_schedule_dump(args) -> int:
     _check_out_file(args)
-    schedule = _usage_checked(shifted, args.N, args.gamma)
+    schedule = shifted(args.N, args.gamma)
     run = _Run(args, "schedule_dump")
     path = run.csv("schedule.csv", ["i", "t"], [[i, float(t)] for i, t in enumerate(schedule.points)])
     run.close()
@@ -692,7 +679,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     """Seed parser defaults from --config JSON so explicit flags keep precedence.
 
     Every key must name an option of some subcommand, and every value must
-    be one its flag would accept; otherwise the run exits 2 before any output.
+    be one its flag would accept; otherwise it raises ValueError.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
@@ -703,11 +690,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         with open(known.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
     except OSError as exc:
-        _usage_error(f"cannot read --config {known.config}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read --config {known.config}: {exc.strerror or exc}")
     except ValueError as exc:
-        _usage_error(f"--config {known.config} is not a JSON file: {exc}")
+        raise ValueError(f"--config {known.config} is not a JSON file: {exc}")
     if not isinstance(loaded, dict):
-        _usage_error(f"--config {known.config} must hold a JSON object")
+        raise ValueError(f"--config {known.config} must hold a JSON object")
     options = [
         (sub, action)
         for sub in _iter_parsers(parser)
@@ -718,22 +705,25 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
         dest = key.replace("-", "_")
         matches = [(sub, action) for sub, action in options if action.dest == dest]
         if not matches:
-            _usage_error(f"--config {known.config}: no option is named {key}")
+            raise ValueError(f"--config {known.config}: no option is named {key}")
         for sub, action in matches:
             try:
                 sub.set_defaults(**{dest: _config_value(action, value)})
             except ValueError as exc:
-                _usage_error(f"--config {known.config}: bad value {value!r} for {key}: {exc}")
+                raise ValueError(f"--config {known.config}: bad value {value!r} for {key}: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)
     try:
+        _apply_config_file(parser, argv)
+        args = parser.parse_args(argv)
         return args.func(args)
-    except (IntegrationError, TrainingError, EvaluationError) as exc:
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -11,7 +11,11 @@ class ClampedTimeError(DomainError):
     """Time is inside the clamped band next to t=1 where velocity targets blow up."""
 
 
-class IntegrationError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A computation on valid inputs produced a non-finite value."""
+
+
+class IntegrationError(NumericalError):
     """The sampler produced a non-finite state; carries the failing step index."""
 
     def __init__(self, message: str, step_index: int):
@@ -19,7 +23,7 @@ class IntegrationError(RuntimeError):
         self.step_index = step_index
 
 
-class TrainingError(RuntimeError):
+class TrainingError(NumericalError):
     """Training hit a non-finite loss or gradient; carries step and objective."""
 
     def __init__(self, message: str, step_index: int, objective: str):
@@ -28,5 +32,5 @@ class TrainingError(RuntimeError):
         self.objective = objective
 
 
-class EvaluationError(RuntimeError):
+class EvaluationError(NumericalError):
     """A score of sampled endpoints (paired MSE, energy distance, ...) is not finite."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bridgelab.cli import main
+from bridgelab.errors import TrainingError
 from bridgelab.model import ModelConfig, init, load_parameters, velocity_field_from
 from bridgelab.numerics import RngStream
 from bridgelab.schedules import shifted
@@ -74,6 +75,9 @@ class TestVerifyCommand:
         assert os.listdir(cwd) == []
         assert main(argv + ["--out-dir", str(named)]) == 0
         assert os.listdir(named) == ["manifest.json"]
+        for out_dir in (elsewhere, named):
+            manifest = json.loads(read(os.path.join(out_dir, "manifest.json")))
+            assert all(os.path.isfile(os.path.join(out_dir, name)) for name in manifest["outputs"])
 
     def test_impossible_override_exits_one(self, tmp_path):
         code = main(
@@ -656,6 +660,13 @@ class TestUsageErrors:
             ["schedule", "dump", "--N", "1000000000000000"],
             ["sample", "--oracle", "--N", "1000000000000000"],
             ["profile", "--mc", "1000000000000000"],
+            ["sample", "--oracle", "--runs", "1000000000000000"],
+            ["train", "--batch-size", "1000000000000000", "--steps", "1"],
+            ["train", "--hidden", "1000000000000000", "--steps", "1"],
+            ["ablate", "--axis", "gamma", "--values", "1,2", "--runs", "1000000000000000", "--steps", "1"],
+            ["train", "--task", "signal_refine", "--repeat", "2", "--dim", "1000000000000000", "--steps", "1"],
+            ["sample", "--oracle", "--task", "signal_refine", "--repeat", "2", "--dim", "1000000000000000"],
+            ["profile", "--dim", "1000000000000000"],
         ],
         ids=[
             "sample-N0",
@@ -701,6 +712,13 @@ class TestUsageErrors:
             "schedule-dump-N-unallocatable",
             "sample-N-unallocatable",
             "profile-mc-unallocatable",
+            "sample-runs-unallocatable",
+            "train-batch-size-unallocatable",
+            "train-hidden-unallocatable",
+            "ablate-runs-unallocatable",
+            "train-dim-unallocatable",
+            "sample-dim-unallocatable",
+            "profile-dim-unallocatable",
         ],
     )
     def test_bad_argument_exits_two_before_any_output(self, tmp_path, capsys, argv):
@@ -709,6 +727,34 @@ class TestUsageErrors:
             main(argv + ["--seed", "1", "--out-dir", out])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "step,argv",
+        [
+            ("train", ["train", "--steps", "2", "--hidden", "4"]),
+            ("evaluate", ["sample", "--oracle", "--runs", "4"]),
+            ("evaluate", ["ablate", "--axis", "gamma", "--values", "1,2", "--steps", "2",
+                          "--hidden", "4", "--runs", "4"]),
+            ("run_suite", ["verify", "--suite", "schedules", "--mc", "4"]),
+            ("target_profile", ["profile", "--grid", "0:0.9:5"]),
+            ("shifted", ["schedule", "dump", "--N", "4"]),
+        ],
+        ids=["train", "sample", "ablate", "verify", "profile", "schedule-dump"],
+    )
+    def test_memory_error_while_computing_exits_two(self, tmp_path, capsys, monkeypatch, step, argv):
+        """A MemoryError from a command's compute step is a usage error, and the
+        out dir is never made."""
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.2 PiB")
+
+        monkeypatch.setattr(f"bridgelab.cli.{step}", refuse)
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 14.2 PiB\n"
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("objective", ["displacement", "velocity", "stabilized_velocity"])
@@ -1058,6 +1104,18 @@ class TestNumericalFailureExitCode:
         assert "non-finite parameters after the update at step 1" in err
         assert "Warning" not in err
         assert not os.path.exists(os.path.join(out, "params.bin"))
+
+    def test_training_error_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        """A numerical failure before the first write exits 3 and makes no out dir."""
+
+        def diverge(*args, **kwargs):
+            raise TrainingError("non-finite loss at step 1", 1, "velocity")
+
+        monkeypatch.setattr("bridgelab.cli.train", diverge)
+        out = str(tmp_path / "out")
+        assert main(["train", "--steps", "2", "--seed", "1", "--out-dir", out]) == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite loss at step 1\n"
+        assert not os.path.exists(out)
 
     def test_non_finite_score_exits_three(self, tmp_path, capsys):
         """Endpoints 1e200 from the origin are finite, but their squared

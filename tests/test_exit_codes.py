@@ -2,7 +2,7 @@
 
 Whatever the argv, ``bridgelab`` exits 0 (success), 1 (a check failed),
 2 (usage error) or 3 (numerical failure), never with a traceback, and an
-exit 2 leaves no output behind. Each example starts from a tiny valid
+exit 2 or 3 leaves no output behind. Each example starts from a tiny valid
 command and appends one or two options with hostile values, on the command
 line or in a --config file. ``python -m bridgelab`` passes the code through.
 """
@@ -32,6 +32,11 @@ _PARAMS, _WRONG_WIDTH = "<params>", "<wrong-width>"
 _MISSING, _DIRECTORY, _MALFORMED = "<missing>", "<directory>", "<malformed-json>"
 _HOSTILE = ["", "0", "-1", "nan", "inf", "1e308", "abc", _MISSING, _DIRECTORY, _MALFORMED,
             _WRONG_WIDTH]
+# An array size no address space holds, which numpy refuses without touching
+# memory. Only flags that size an array get it: a step count this large would
+# not fail, it would run for years.
+_UNALLOCATABLE = "1000000000000000"
+_SIZE_FLAGS = {"--runs", "--batch-size", "--hidden", "--N", "--mc", "--dim"}
 
 # Tiny valid commands, as (command words, options): each runs in milliseconds.
 _BASE = {
@@ -76,7 +81,12 @@ def _invocations(draw):
     command = draw(st.sampled_from(sorted(_BASE)))
     options = draw(
         st.lists(
-            st.tuples(st.sampled_from(_FLAGS[command]), st.sampled_from(_HOSTILE)),
+            st.sampled_from(_FLAGS[command]).flatmap(
+                lambda flag: st.tuples(
+                    st.just(flag),
+                    st.sampled_from(_HOSTILE + [_UNALLOCATABLE] if flag in _SIZE_FLAGS else _HOSTILE),
+                )
+            ),
             min_size=1,
             max_size=2,
         )
@@ -143,7 +153,7 @@ def test_exit_code_contract(invocation):
 
         assert code in (0, 1, 2, 3), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
-        if code == 2:
+        if code in (2, 3):
             after = sorted(os.listdir(workdir)) + sorted(os.listdir(paths[_DIRECTORY]))
             assert after == before, (argv, err)
 
