@@ -13,7 +13,7 @@ from .bridge import (
     sample_state,
     velocity_target,
 )
-from .numerics import RngStream, Tensor, gaussian, squared_norm, uniform
+from .numerics import RngStream, Tensor, gaussian, uniform
 from .objectives import (
     ObjectiveKind,
     alpha_factor,
@@ -23,7 +23,7 @@ from .objectives import (
     target_profile,
 )
 from .sampler import EndpointStats, endpoint_statistics, integrate, oracle_field
-from .schedules import Schedule, shifted, uniform as uniform_schedule
+from .schedules import Schedule, shifted
 from .tasks import EvalReport, TaskSpec, energy_distance, evaluate, generate_pairs
 from .trainer import TrainConfig, TrainStats, train, train_step
 
@@ -57,11 +57,9 @@ __all__ = [
     "raw_target",
     "sample_state",
     "shifted",
-    "squared_norm",
     "target_profile",
     "train",
     "train_step",
     "uniform",
-    "uniform_schedule",
     "velocity_target",
 ]

@@ -146,11 +146,7 @@ def marginal_variance(t: "float | Tensor", noise_scale: float) -> "float | Tenso
 
     Zero at both endpoints (the process is pinned) and maximal at t=0.5.
     """
-    s = check_noise_scale(noise_scale)
-    t = np.asarray(t, dtype=np.float64)
-    if not ((0.0 <= t) & (t <= 1.0)).all():
-        raise DomainError(f"marginal variance requires t in [0, 1], got {t}")
-    return s * s * t * (1.0 - t)
+    return conditional_variance(0.0, t, noise_scale)
 
 
 def conditional_variance(

@@ -21,7 +21,6 @@ while it computes leave nothing behind.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import json
 import math
@@ -36,6 +35,7 @@ from .errors import NumericalError
 from .model import (
     ACTIVATIONS,
     ModelConfig,
+    atomic_open,
     init,
     load_parameters,
     save_parameters,
@@ -62,23 +62,14 @@ _OUT_DIR_ENV = "BRIDGELAB_OUT_DIR"
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _atomic_open(path: str):
-    """A text file that appears at ``path`` only once it is completely written."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        yield fh
-    os.replace(tmp, path)
-
-
 def _atomic_write(path: str, text: str) -> None:
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Write ``rows``, any iterable of lists, one line at a time."""
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(
@@ -634,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--gamma", type=float, default=1.0)
     pd.add_argument("--out", default=None)
     pd.add_argument("--out-dir", default=None)
-    pd.add_argument("--seed", type=int, default=0)
     pd.set_defaults(func=cmd_schedule_dump)
 
     return parser

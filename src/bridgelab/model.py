@@ -20,10 +20,12 @@ so a training step runs the network once.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -243,6 +245,21 @@ def linearize(
     return prediction, lambda upstream: backward(params, config, x, tape, upstream)
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, binary: bool = False):
+    """A file written as ``<path>.tmp`` and renamed to ``path`` once complete; a
+    failure removes the temporary and leaves ``path`` as it was. All outputs use it."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_parameters(
     path: str, config: ModelConfig, params: Tensor, objective: "ObjectiveKind | str"
 ) -> None:
@@ -259,7 +276,7 @@ def save_parameters(
         "count": int(params.size),
     }
     payload = np.ascontiguousarray(params, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 

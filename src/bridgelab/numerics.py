@@ -119,15 +119,3 @@ def uniform(rng: RngStream, shape: int | tuple[int, ...] | list[int]) -> Tensor:
     """Draw i.i.d. U[0, 1) entries, advancing the stream counter like gaussian."""
     return _draw(rng, shape, np.random.Generator.random)
 
-
-def squared_norm(x: Tensor) -> float:
-    """Sum of squared entries.
-
-    Uses numpy's pairwise-compensated summation so that accumulation error
-    stays far below the Monte-Carlo tolerances of the verification suites
-    (relative error O(log n * eps) instead of O(n * eps)).
-    """
-    flat = np.asarray(x, dtype=np.float64).ravel()
-    if flat.size == 0:
-        return 0.0
-    return float(np.sum(flat * flat))

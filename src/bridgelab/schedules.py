@@ -1,14 +1,14 @@
-"""Inference-time discretization schedules.
+"""Inference-time discretization schedules: gamma-shifted grids.
 
-Besides the uniform grid, a shift coefficient gamma >= 1 reparameterizes the
-grid to concentrate steps near t=0:
+A shift coefficient gamma >= 1 reparameterizes the uniform grid to concentrate
+steps near t=0:
 
     t_i = i / (gamma N - (gamma - 1) i),   i.e.  t(u) = u / (gamma - (gamma-1) u)
 
 with u = i/N. The map has dt/du = 1/gamma at u=0 (early densification) and is
 convex on [0, 1], so step sizes grow monotonically for gamma > 1; gamma = 1 is
-the identity and reproduces the uniform grid bitwise. Both endpoints are
-forced to exactly 0 and 1, which the sampler's final noiseless step relies on.
+the identity: ``shifted(n, 1.0)`` is the uniform grid i / N, bit for bit. Both
+endpoints are forced to exactly 0 and 1, which the final noiseless step needs.
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ class Schedule:
     @property
     def n_steps(self) -> int:
         return self.points.size - 1
-
-
-def uniform(n_steps: int) -> Schedule:
-    """Uniform schedule t_i = i / N."""
-    if n_steps < 1:
-        raise DomainError(f"step count must be >= 1, got {n_steps}")
-    idx = np.arange(n_steps + 1, dtype=np.float64)
-    pts = idx / float(n_steps)
-    pts[0] = 0.0
-    pts[-1] = 1.0
-    return Schedule(pts)
 
 
 def shifted(n_steps: int, gamma: float) -> Schedule:

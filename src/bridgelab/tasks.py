@@ -53,29 +53,30 @@ class TaskSpec:
         if self.name not in TASK_NAMES:
             raise ValueError(f"unknown task {self.name!r}")
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.name == "gaussian_shift":
             if self.shift is None or len(self.shift) != self.dimension:
-                raise ValueError("gaussian_shift needs a shift vector of length dimension")
+                n = len(self.shift or ())
+                raise ValueError(f"gaussian_shift needs a shift of length {self.dimension}, got {n}")
             if not all(math.isfinite(c) for c in self.shift):
                 raise ValueError(f"shift components must be finite, got {self.shift}")
         elif self.name == "moons_rotate":
             if self.dimension != 2:
-                raise ValueError("moons_rotate is a 2D task")
+                raise ValueError(f"moons_rotate is a 2D task, got dimension {self.dimension}")
             if self.angle is None:
                 raise ValueError("moons_rotate needs a rotation angle")
             if not math.isfinite(self.angle):
                 raise ValueError(f"angle must be finite, got {self.angle}")
         elif self.name == "grid_colorize":
             if self.grid_size is None or not 2 <= self.grid_size <= _MAX_GRID:
-                raise ValueError(f"grid_colorize needs grid_size in [2, {_MAX_GRID}]")
+                raise ValueError(f"grid_colorize needs grid_size in [2, {_MAX_GRID}], got {self.grid_size}")
             if self.dimension != 3 * self.grid_size**2:
-                raise ValueError("grid_colorize dimension must be 3 * grid_size^2")
+                raise ValueError(f"grid_colorize dimension must be {3 * self.grid_size**2}, got {self.dimension}")
         elif self.name == "signal_refine":
             if self.repeat is None or self.repeat < 2:
-                raise ValueError("signal_refine needs repeat factor k >= 2")
+                raise ValueError(f"signal_refine needs repeat factor k >= 2, got {self.repeat}")
             if self.dimension % self.repeat != 0:
-                raise ValueError("signal length must be divisible by the repeat factor")
+                raise ValueError(f"signal length {self.dimension} is not a multiple of repeat factor {self.repeat}")
 
     @property
     def context_dim(self) -> int:
@@ -125,7 +126,7 @@ def generate_pairs(spec: TaskSpec, count: int, rng: RngStream) -> EndpointPair:
     the identical batch.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValueError(f"count must be >= 1, got {count}")
     stream = rng.split(spec.seed).split(rng.counter)
     rng.counter += 1
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -32,7 +31,7 @@ from .bridge import (
     sample_state,
     velocity_target,
 )
-from .numerics import RngStream, gaussian, squared_norm, uniform
+from .numerics import RngStream, gaussian, uniform
 from .objectives import (
     ObjectiveKind,
     _mc_target_sqnorms,
@@ -42,7 +41,7 @@ from .objectives import (
     target_profile,
 )
 from .sampler import endpoint_statistics, integrate, oracle_field, plan_steps
-from .schedules import Schedule, shifted, uniform as uniform_schedule
+from .schedules import Schedule, shifted
 
 SUITES = ("bridge", "objectives", "sampler", "schedules", "all")
 
@@ -53,10 +52,15 @@ _X1 = np.array([[1.7, 0.4]])
 # Chi-square goodness of fit of the Gaussian source: 20 equiprobable bins
 # with standard-normal quantile edges, and the 0.999 quantile of chi-square
 # with 19 degrees of freedom (scipy.stats.chi2.ppf(0.999, 19), bit for bit).
-_GOF_EDGES = np.array(
-    [-math.inf, *map(NormalDist().inv_cdf, np.linspace(0.0, 1.0, 21)[1:-1]), math.inf]
-)
 _CHI2_999_DF19 = 43.82019596451753
+
+
+def _gof_edges() -> np.ndarray:
+    """The 21 bin edges; statistics is imported here so no other command loads it."""
+    from statistics import NormalDist
+
+    quantiles = map(NormalDist().inv_cdf, np.linspace(0.0, 1.0, 21)[1:-1])
+    return np.array([-math.inf, *quantiles, math.inf])
 
 
 # A suite's result: (check name, measured, bound); it passes iff measured <= bound.
@@ -149,7 +153,7 @@ def bridge_suite(seed: int, mc: int = 100_000) -> list[Check]:
     # Normal-source sanity: chi-square goodness of fit over quantile bins.
     gof_draws = 100_000
     draws = gaussian(rng.split(300), (gof_draws,))
-    observed, _ = np.histogram(draws, bins=_GOF_EDGES)
+    observed, _ = np.histogram(draws, bins=_gof_edges())
     expected = gof_draws / 20.0
     chi2_stat = float(np.sum((observed - expected) ** 2 / expected))
     checks.append(("gaussian_chi2_gof", chi2_stat, _CHI2_999_DF19))
@@ -166,7 +170,8 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
     rng = RngStream(seed=seed).split(2)
     pair = EndpointPair(_X0, _X1)
     d = pair.dimension
-    dist_sq = squared_norm(pair.x1 - pair.x0)
+    diff = pair.x1 - pair.x0
+    dist_sq = float(np.sum(diff * diff))
     s = 1.0
     draws = max(mc // 10, 1000)
     checks: list[Check] = []
@@ -300,7 +305,7 @@ def sampler_suite(
     checks.append(("standard_endpoint_variance", endpoint_variance(), 0.05))
 
     st0 = endpoint_statistics(
-        "standard", oracle_field(pair.x1), pair, uniform_schedule(8), 0.0, 16, rng.split(3)
+        "standard", oracle_field(pair.x1), pair, shifted(8, 1.0), 0.0, 16, rng.split(3)
     )
     checks.append(("standard_s0_exact", st0.mse, 1e-20))
 
@@ -313,7 +318,7 @@ def sampler_suite(
     # Driftless accumulation: with a zero field the endpoint variance equals
     # the sum of squared per-step amplitudes (direct check of the
     # variance-corrected noise schedule).
-    sch = uniform_schedule(16)
+    sch = shifted(16, 1.0)
     zero_field = lambda x, t: np.zeros_like(x)
     origin_pair = EndpointPair(np.zeros((1, 1)), np.zeros((1, 1)))
     st = endpoint_statistics("corrected", zero_field, origin_pair, sch, 1.0, mc, rng.split(4))
@@ -325,7 +330,7 @@ def sampler_suite(
     # corrected sampler's state variance reproduces the bridge marginal
     # s^2 t (1-t) at every grid time (telescoping conditional variances).
     s = 1.0
-    sch = uniform_schedule(8)
+    sch = shifted(8, 1.0)
     deviations = [0.0]
 
     def track(k, states):
@@ -384,9 +389,7 @@ def schedules_suite(seed: int, mc: int = 0) -> list[Check]:
                 growth_violations += float(np.sum(np.diff(diffs) < 0.0))
                 if n >= 2 and not sch.points[1] < 1.0 / n:
                     densify_violations += 1.0
-        bitwise_mismatch += float(
-            np.sum(shifted(n, 1.0).points != uniform_schedule(n).points)
-        )
+        bitwise_mismatch += float(np.sum(shifted(n, 1.0).points != np.arange(n + 1) / n))
 
     return [
         ("boundary_exactness", boundary, 0.0),

@@ -30,7 +30,7 @@ from bridgelab.model import (
     parameter_count,
     velocity_field_from,
 )
-from bridgelab.numerics import RngStream, gaussian, squared_norm
+from bridgelab.numerics import RngStream, gaussian
 from bridgelab.objectives import (
     ObjectiveKind,
     alpha_factor,
@@ -39,7 +39,7 @@ from bridgelab.objectives import (
     raw_target,
 )
 from bridgelab.sampler import endpoint_statistics, integrate, oracle_field
-from bridgelab.schedules import Schedule, shifted, uniform
+from bridgelab.schedules import Schedule, shifted
 from bridgelab.tasks import (
     TaskSpec,
     energy_distance,
@@ -110,7 +110,7 @@ def test_criterion_02_conditional_variance():
 def test_criterion_03_alpha_law():
     """E||u/alpha||^2 = ||x1-x0||^2 within 3 sigma at every grid point, and
     E||u||^2/||x1-x0||^2 matches alpha^2 within 3%."""
-    dist_sq = squared_norm(PAIR.x1 - PAIR.x0)
+    dist_sq = float(np.sum((PAIR.x1 - PAIR.x0) ** 2))
     grid = np.concatenate([np.arange(0.05, 0.951, 0.05), [0.995]])
     draws = 25_000
     worst_z, worst_ratio = 0.0, 0.0
@@ -264,7 +264,7 @@ def test_criterion_07_schedule_contract():
             assert np.all(diffs > 0.0)
             if gamma > 1.0:
                 assert np.all(np.diff(diffs) >= 0.0)
-        assert np.array_equal(shifted(n, 1.0).points, uniform(n).points)
+        assert np.array_equal(shifted(n, 1.0).points, np.arange(n + 1) / n)
     report(7, "schedule contract (N up to 1e4, gamma up to 100)")
 
 
@@ -274,7 +274,7 @@ def test_criterion_08_objective_ablation(shift_task, trained_shift_models):
     targets blow past 1e3 squared magnitude."""
     models, build_seconds = trained_shift_models
     started = time.perf_counter()
-    schedule = uniform(16)
+    schedule = shifted(16, 1.0)
     eval_runs = 4096
 
     eval_pairs = generate_pairs(shift_task, eval_runs, RngStream(seed=ABLATION_SEED, stream=800).split(1))
@@ -356,8 +356,8 @@ def test_criterion_09_noise_scale_sweep(tmp_path):
     # produce identical endpoints.
     x0 = generate_pairs(task, 32, RngStream(seed=9, stream=801)).x0
     field = velocity_field_from(params, mconfig, config.objective)
-    a = integrate(x0, field, uniform(8), "corrected", 0.0, RngStream(seed=1, stream=1))
-    b = integrate(x0, field, uniform(8), "corrected", 0.0, RngStream(seed=2, stream=2))
+    a = integrate(x0, field, shifted(8, 1.0), "corrected", 0.0, RngStream(seed=1, stream=1))
+    b = integrate(x0, field, shifted(8, 1.0), "corrected", 0.0, RngStream(seed=2, stream=2))
     assert np.array_equal(a, b)
     report(9, "noise sweep (5/5 rows ok; s=0: alpha = 1, deterministic path)")
 

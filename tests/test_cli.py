@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from bridgelab.cli import main
+from bridgelab.cli import _write_csv, main
 from bridgelab.errors import TrainingError
 from bridgelab.model import ModelConfig, init, load_parameters, velocity_field_from
 from bridgelab.numerics import RngStream
@@ -49,6 +49,20 @@ class TestScheduleDump:
         assert main(["schedule", "dump", "--N", "4", "--out", str(elsewhere / "grid.csv")]) == 0
         assert sorted(os.listdir(elsewhere)) == ["grid.csv", "manifest.json"]
         assert os.listdir(cwd) == []
+
+
+class TestAtomicWrites:
+    def test_failed_csv_leaves_no_file(self, tmp_path):
+        """Rows that raise midway leave neither the CSV nor its temporary file."""
+        path = str(tmp_path / "x.csv")
+
+        def rows():
+            yield [1, 0.5]
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            _write_csv(path, ["i", "t"], rows())
+        assert os.listdir(tmp_path) == []
 
 
 class TestVerifyCommand:
@@ -228,7 +242,7 @@ PINNED_MANIFESTS = {
     "schedule_dump": (
         None,
         ["schedule", "dump", "--N", "4", "--out-dir", "out"],
-        "508ba5880b008ba25d488c987c22a8d7c5fe7f53ce9c69d3ab00d6733be97677",
+        "2f8972b519f7852a4dd60dbd4bffb33c0ef387fe98e93f1a9809f8a3dc59d49a",
     ),
 }
 
@@ -612,6 +626,11 @@ class TestSampleRecordedObjective:
             assert not os.path.exists(out)
 
 
+def _seed_flag(argv: list[str]) -> list[str]:
+    """``--seed 1`` for every command but ``schedule dump``, which draws nothing."""
+    return [] if argv[0] == "schedule" else ["--seed", "1"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -724,7 +743,7 @@ class TestUsageErrors:
     def test_bad_argument_exits_two_before_any_output(self, tmp_path, capsys, argv):
         out = str(tmp_path / "out")
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--seed", "1", "--out-dir", out])
+            main(argv + _seed_flag(argv) + ["--out-dir", out])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
@@ -752,7 +771,7 @@ class TestUsageErrors:
         monkeypatch.setattr(f"bridgelab.cli.{step}", refuse)
         out = str(tmp_path / "out")
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--seed", "1", "--out-dir", out])
+            main(argv + _seed_flag(argv) + ["--out-dir", out])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: Unable to allocate 14.2 PiB\n"
         assert not os.path.exists(out)
@@ -803,6 +822,27 @@ class TestUsageErrors:
             main(["verify", "--suite", "schedules", "--override", "nosuchcheck=1", "--out-dir", out])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: suite 'schedules' has no check named nosuchcheck\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "argv,values",
+        [
+            (["sample", "--oracle", "--runs", "0"], ["got 0"]),
+            (["train", "--shift", "1,2,3"], ["length 2", "got 3"]),
+            (["train", "--task", "grid_colorize", "--grid-size", "9"], ["[2, 8]", "got 9"]),
+            (["train", "--task", "signal_refine", "--dim", "10", "--repeat", "4"], ["10", "4"]),
+        ],
+        ids=["sample-runs0", "train-shift-length", "train-grid-too-large", "train-repeat-not-a-divisor"],
+    )
+    def test_task_error_names_its_values(self, tmp_path, capsys, argv, values):
+        """A task parameter or pair count out of its domain is reported with the value given."""
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(value in err for value in values), err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(

@@ -40,15 +40,18 @@ _SIZE_FLAGS = {"--runs", "--batch-size", "--hidden", "--N", "--mc", "--dim"}
 
 # Tiny valid commands, as (command words, options): each runs in milliseconds.
 _BASE = {
-    "train": (["train"], {"--steps": "3", "--batch-size": "4", "--hidden": "4", "--log-every": "1"}),
-    "sample": (["sample"], {"--params": _PARAMS, "--runs": "4", "--N": "4"}),
+    "train": (
+        ["train"],
+        {"--steps": "3", "--batch-size": "4", "--hidden": "4", "--log-every": "1", "--seed": "1"},
+    ),
+    "sample": (["sample"], {"--params": _PARAMS, "--runs": "4", "--N": "4", "--seed": "1"}),
     "ablate": (
         ["ablate"],
         {"--axis": "gamma", "--values": "1,2", "--steps": "3", "--batch-size": "4",
-         "--hidden": "4", "--runs": "4", "--N": "4"},
+         "--hidden": "4", "--runs": "4", "--N": "4", "--seed": "1"},
     ),
-    "profile": (["profile"], {"--grid": "0:0.9:5", "--mc": "4"}),
-    "verify": (["verify"], {"--suite": "schedules", "--mc": "4"}),
+    "profile": (["profile"], {"--grid": "0:0.9:5", "--mc": "4", "--seed": "1"}),
+    "verify": (["verify"], {"--suite": "schedules", "--mc": "4", "--seed": "1"}),
     "schedule": (["schedule", "dump"], {"--N": "4"}),
 }
 
@@ -67,7 +70,7 @@ _FLAGS = {
     ],
     "profile": ["--objective", "--dim", "--distance2", "--s", "--grid", "--mc", "--seed", "--out-dir"],
     "verify": ["--suite", "--mc", "--seed", "--override", "--out", "--out-dir"],
-    "schedule": ["--N", "--gamma", "--out", "--seed", "--out-dir"],
+    "schedule": ["--N", "--gamma", "--out", "--out-dir"],
 }
 
 
@@ -135,7 +138,7 @@ def test_exit_code_contract(invocation):
             fh.write("{not json")
         words, base = _BASE[command]
         base = {flag: paths.get(value, value) for flag, value in base.items()}
-        base = {**base, "--seed": "1", "--out-dir": os.path.join(workdir, "out")}
+        base = {**base, "--out-dir": os.path.join(workdir, "out")}
         hostile = [(flag, paths.get(value, value)) for flag, value in options]
         if in_config:
             # Config values are only defaults, so the base options they set are dropped.

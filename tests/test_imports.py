@@ -1,9 +1,10 @@
 """Start-up cost: importing bridgelab, training, verifying and scoring load no scipy.
 
 bridgelab needs numpy alone at run time, and importing its CLI leaves the
-thread-pool machinery that only `verify` uses unloaded. The checks run in a
-fresh interpreter, because the test modules import scipy themselves. Every
-name in `bridgelab.__all__` must also be bound on the package.
+thread-pool machinery and the statistics module that only `verify` uses
+unloaded. The checks run in a fresh interpreter, because the test modules
+import scipy themselves. Every name in `bridgelab.__all__` must also be bound
+on the package.
 """
 
 import json
@@ -29,6 +30,7 @@ loaded["import bridgelab"] = scipy_modules()
 from bridgelab.cli import main
 loaded["import bridgelab.cli"] = scipy_modules()
 executor = [name for name in ("concurrent.futures", "logging") if name in sys.modules]
+statistics = [name for name in ("statistics", "fractions", "decimal") if name in sys.modules]
 with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
     train = main(["train", "--steps", "5", "--batch-size", "4", "--hidden", "4",
                   "--seed", "0", "--out-dir", out])
@@ -42,8 +44,8 @@ import numpy as np
 from bridgelab.tasks import energy_distance
 distance = energy_distance(np.array([[0.0], [1.0]]), np.array([[0.0], [3.0]]))
 loaded["energy_distance"] = scipy_modules()
-print(json.dumps({"loaded": loaded, "executor": executor, "exits": [train, verify, sample],
-                  "distance": distance}))
+print(json.dumps({"loaded": loaded, "executor": executor, "statistics": statistics,
+                  "exits": [train, verify, sample], "distance": distance}))
 """
 
 
@@ -76,6 +78,12 @@ def test_stage_loads_no_scipy(fresh_process, stage):
 def test_cli_import_loads_no_executor(fresh_process):
     """`verify` imports concurrent.futures (and with it logging) on first use."""
     assert fresh_process["executor"] == []
+
+
+def test_cli_import_loads_no_statistics(fresh_process):
+    """`verify`'s bridge suite imports statistics (and with it fractions and
+    decimal) for its goodness-of-fit bin edges, on first use."""
+    assert fresh_process["statistics"] == []
 
 
 def test_commands_succeeded(fresh_process):

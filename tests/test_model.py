@@ -1,5 +1,7 @@
 """Velocity network: forward, exact reverse-mode gradients, serialization."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -324,6 +326,25 @@ class TestSerialization:
             fh.write(b'{"format": "something-else"}\n')
         with pytest.raises(ValueError):
             load_parameters(path)
+
+    def test_failed_save_keeps_the_old_container(self, tmp_path, monkeypatch):
+        """A save that fails before its rename leaves the container it was to
+        replace byte for byte, and no temporary file."""
+        config = ModelConfig(input_dim=2, hidden=(4,))
+        path = str(tmp_path / "params.bin")
+        save_parameters(path, config, random_params(config, 25), "velocity")
+        with open(path, "rb") as fh:
+            before = fh.read()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            save_parameters(path, config, random_params(config, 26), "displacement")
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["params.bin"]
 
 
 class TestVelocityFieldAdapter:

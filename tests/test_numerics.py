@@ -1,4 +1,4 @@
-"""Tensor reductions and the counter-based random source."""
+"""The counter-based random source."""
 
 import math
 import sys
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from bridgelab.numerics import RngStream, gaussian, squared_norm, uniform
+from bridgelab.numerics import RngStream, gaussian, uniform
 
 
 class TestGaussian:
@@ -162,24 +162,3 @@ class TestGeneratorReuse:
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-
-class TestSquaredNorm:
-    def test_pythagorean(self):
-        assert squared_norm(np.array([3.0, 4.0])) == 25.0
-
-    def test_empty_sum(self):
-        assert squared_norm(np.array([])) == 0.0
-
-    def test_compensated_summation_accuracy(self):
-        """1e6 entries of 1e-3 sum to exactly 1 up to 1e-9 relative error."""
-        value = squared_norm(np.full(10**6, 1e-3))
-        assert abs(value - 1.0) <= 1e-9
-
-    def test_nonnegative_on_random_input(self):
-        x = gaussian(RngStream(seed=11), (257,))
-        assert squared_norm(x) >= 0.0
-        assert math.isclose(squared_norm(x), float(np.dot(x, x)), rel_tol=1e-12)
-
-    def test_shape_irrelevant(self):
-        x = gaussian(RngStream(seed=12), (3, 5))
-        assert squared_norm(x) == pytest.approx(squared_norm(x.ravel()), rel=0)

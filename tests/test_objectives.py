@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bridgelab.bridge import T_CLAMP, EndpointPair, sample_state, velocity_target
 from bridgelab.errors import DomainError
-from bridgelab.numerics import RngStream, gaussian, squared_norm
+from bridgelab.numerics import RngStream, gaussian
 from bridgelab.objectives import (
     ObjectiveKind,
     alpha_factor,
@@ -76,7 +76,7 @@ class TestAlphaFactor:
 
     def test_monte_carlo_normalization_law(self, pair2d):
         """E||u/alpha||^2 is constant in t and equals ||x1-x0||^2 (3-sigma)."""
-        dist_sq = squared_norm(pair2d.x1 - pair2d.x0)
+        dist_sq = float(np.sum((pair2d.x1 - pair2d.x0) ** 2))
         rng = RngStream(seed=21)
         draws = 10**4
         for i, t in enumerate(np.linspace(0.05, 0.995, 12)):
@@ -237,7 +237,7 @@ class TestClosedFormProfiles:
             ) == pytest.approx(1.0 - t, rel=1e-12)
 
     def test_stabilized_sqnorm_constant(self, pair2d):
-        dist_sq = squared_norm(pair2d.x1 - pair2d.x0)
+        dist_sq = float(np.sum((pair2d.x1 - pair2d.x0) ** 2))
         for t in (0.0, 0.3, 0.9, 0.99):
             assert expected_target_sqnorm(
                 ObjectiveKind.STABILIZED_VELOCITY, pair2d, 1.7, t
@@ -245,7 +245,7 @@ class TestClosedFormProfiles:
 
     def test_velocity_divergence_bound(self, pair2d):
         """S_v(t)/S_v(0) >= 0.5/(1-t) on t >= 0.5 when D s^2 >= ||x1-x0||^2."""
-        dist_sq = squared_norm(pair2d.x1 - pair2d.x0)
+        dist_sq = float(np.sum((pair2d.x1 - pair2d.x0) ** 2))
         s = math.sqrt(dist_sq / pair2d.dimension) + 0.1
         s0 = expected_target_sqnorm(ObjectiveKind.VELOCITY, pair2d, s, 0.0)
         for t in np.linspace(0.5, 0.99, 25):
@@ -254,7 +254,7 @@ class TestClosedFormProfiles:
 
     def test_displacement_vanishing_bound(self, pair2d):
         """S_d(t) <= (1-t) (||x1-x0||^2 + s^2 D) for all t."""
-        dist_sq = squared_norm(pair2d.x1 - pair2d.x0)
+        dist_sq = float(np.sum((pair2d.x1 - pair2d.x0) ** 2))
         s = 1.3
         for t in np.linspace(0.0, 0.99, 50):
             value = expected_target_sqnorm(ObjectiveKind.DISPLACEMENT, pair2d, s, float(t))

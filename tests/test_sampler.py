@@ -16,7 +16,7 @@ from bridgelab.sampler import (
     oracle_field,
     plan_steps,
 )
-from bridgelab.schedules import Schedule, shifted, uniform
+from bridgelab.schedules import Schedule, shifted
 
 
 @pytest.fixture()
@@ -29,8 +29,8 @@ class TestNoiseAmplitude:
 
     def test_corrected_interior_step(self):
         """Uniform N=4, step 0.5 -> 0.75, s=1: sqrt(0.25 * 0.25/0.5)."""
-        dt, eta = plan_steps(uniform(4), "corrected", 1.0)
-        np.testing.assert_array_equal(dt, np.diff(uniform(4).points))
+        dt, eta = plan_steps(shifted(4, 1.0), "corrected", 1.0)
+        np.testing.assert_array_equal(dt, np.diff(shifted(4, 1.0).points))
         assert eta[2] == pytest.approx(math.sqrt(0.125), rel=1e-15)
 
     def test_corrected_formula(self):
@@ -54,7 +54,7 @@ class TestNoiseAmplitude:
 
     def test_standard_final_step_keeps_noise(self):
         """The residual endpoint noise of the uncorrected scheme: sqrt(1/4)."""
-        assert plan_steps(uniform(4), "standard", 1.0)[1][-1] == 0.5
+        assert plan_steps(shifted(4, 1.0), "standard", 1.0)[1][-1] == 0.5
 
     def test_scales_linearly_with_noise_scale(self):
         for mode in ("standard", "corrected"):
@@ -71,7 +71,7 @@ class TestNoiseAmplitude:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="euler"):
-            plan_steps(uniform(4), "euler", 1.0)
+            plan_steps(shifted(4, 1.0), "euler", 1.0)
 
     def test_bad_interval_rejected(self):
         """A zero-length step cannot reach plan_steps: the schedule rejects it."""
@@ -92,10 +92,10 @@ class TestStep:
         field = oracle_field(pair2d.x1)
         x0 = np.array([[0.5, 0.5], [-1.0, 2.0]])
         rng = RngStream(seed=4)
-        states = run("corrected", x0, field, uniform(4), 1.0, rng)
+        states = run("corrected", x0, field, shifted(4, 1.0), 1.0, rng)
         replay = RngStream(seed=4)
-        dt, eta = plan_steps(uniform(4), "corrected", 1.0)
-        for k, t in enumerate(uniform(4).points[:-1]):
+        dt, eta = plan_steps(shifted(4, 1.0), "corrected", 1.0)
+        for k, t in enumerate(shifted(4, 1.0).points[:-1]):
             expected = states[k] + dt[k] * field(states[k], t)
             if eta[k] != 0.0:
                 expected += eta[k] * gaussian(replay, x0.shape)
@@ -105,7 +105,7 @@ class TestStep:
     def test_non_finite_field_reports_step_index(self):
         bad_field = lambda x, t: np.full_like(x, np.nan if t > 0.0 else 0.0)
         with pytest.raises(IntegrationError) as err:
-            integrate(np.zeros((1, 2)), bad_field, uniform(4), "corrected", 1.0, RngStream(seed=1))
+            integrate(np.zeros((1, 2)), bad_field, shifted(4, 1.0), "corrected", 1.0, RngStream(seed=1))
         assert err.value.step_index == 1
 
 
@@ -115,7 +115,7 @@ class TestArrayOwnership:
     def test_writable_x0_unchanged(self, pair2d):
         x0 = np.array([[0.5, 0.5], [-1.0, 2.0], [0.0, 0.0]])
         before = x0.copy()
-        integrate(x0, oracle_field(pair2d.x1), uniform(8), "standard", 1.0, RngStream(seed=3))
+        integrate(x0, oracle_field(pair2d.x1), shifted(8, 1.0), "standard", 1.0, RngStream(seed=3))
         np.testing.assert_array_equal(x0, before)
 
     @pytest.mark.parametrize("mode", ["standard", "corrected"])
@@ -127,7 +127,7 @@ class TestArrayOwnership:
             seen.append(states)
             copies.append(states.copy())
 
-        integrate(x0, oracle_field(pair2d.x1), uniform(8), mode, 1.0, RngStream(seed=3), record)
+        integrate(x0, oracle_field(pair2d.x1), shifted(8, 1.0), mode, 1.0, RngStream(seed=3), record)
         assert len(seen) == 9
         assert len({id(states) for states in seen}) == len(seen)
         for states, copy in zip(seen, copies):
@@ -155,22 +155,22 @@ class TestSample:
         """s=0 with the constant displacement field reproduces interpolation."""
         shift = pair2d.x1 - pair2d.x0
         field = lambda x, t: np.broadcast_to(shift, x.shape)
-        sch = uniform(8)
+        sch = shifted(8, 1.0)
         traj = run("corrected", pair2d.x0, field, sch, 0.0, RngStream(seed=5))
         for t, state in zip(sch.points, traj):
             np.testing.assert_allclose(state, pair2d.x0 + t * shift, atol=1e-12)
 
     def test_trajectory_determinism(self, pair2d):
-        a = run("standard", pair2d.x0, oracle_field(pair2d.x1), uniform(8), 1.0, RngStream(seed=9))
-        b = run("standard", pair2d.x0, oracle_field(pair2d.x1), uniform(8), 1.0, RngStream(seed=9))
+        a = run("standard", pair2d.x0, oracle_field(pair2d.x1), shifted(8, 1.0), 1.0, RngStream(seed=9))
+        b = run("standard", pair2d.x0, oracle_field(pair2d.x1), shifted(8, 1.0), 1.0, RngStream(seed=9))
         for sa, sb in zip(a, b):
             assert np.array_equal(sa, sb)
 
     def test_streaming_final_only(self, pair2d):
         """Without a recorder only the endpoint block comes back; it is the last recorded state."""
-        full = run("corrected", pair2d.x0, oracle_field(pair2d.x1), uniform(16), 1.0, RngStream(seed=2))
+        full = run("corrected", pair2d.x0, oracle_field(pair2d.x1), shifted(16, 1.0), 1.0, RngStream(seed=2))
         lean = integrate(
-            pair2d.x0, oracle_field(pair2d.x1), uniform(16), "corrected", 1.0, RngStream(seed=2)
+            pair2d.x0, oracle_field(pair2d.x1), shifted(16, 1.0), "corrected", 1.0, RngStream(seed=2)
         )
         assert len(full) == 17
         np.testing.assert_array_equal(lean, full[-1])
@@ -181,12 +181,12 @@ class TestSample:
                 return x * 1e200
 
         with pytest.raises(IntegrationError) as err:
-            run("corrected", pair2d.x0, exploding, uniform(8), 0.0, RngStream(seed=1))
+            run("corrected", pair2d.x0, exploding, shifted(8, 1.0), 0.0, RngStream(seed=1))
         assert 0 <= err.value.step_index < 8
 
     def test_rejects_unbatched_start(self, pair2d):
         with pytest.raises(ValueError):
-            integrate(pair2d.x0[0], oracle_field(pair2d.x1), uniform(4), "corrected", 1.0, RngStream(seed=1))
+            integrate(pair2d.x0[0], oracle_field(pair2d.x1), shifted(4, 1.0), "corrected", 1.0, RngStream(seed=1))
 
     @given(
         b=st.integers(1, 8),
@@ -217,7 +217,7 @@ class TestEndpointStatistics:
     def test_oracle_corrected_mse_tiny(self, pair2d):
         for n in (1, 4, 16):
             st = endpoint_statistics(
-                "corrected", oracle_field(pair2d.x1), pair2d, uniform(n), 1.0, 16, RngStream(seed=4)
+                "corrected", oracle_field(pair2d.x1), pair2d, shifted(n, 1.0), 1.0, 16, RngStream(seed=4)
             )
             assert st.mse <= 1e-20
 
@@ -226,14 +226,14 @@ class TestEndpointStatistics:
         the oracle drift's contraction."""
         for n in (4, 16, 64):
             st = endpoint_statistics(
-                "standard", oracle_field(pair2d.x1), pair2d, uniform(n), 1.0, 10_000, RngStream(seed=6)
+                "standard", oracle_field(pair2d.x1), pair2d, shifted(n, 1.0), 1.0, 10_000, RngStream(seed=6)
             )
             assert st.variance == pytest.approx(1.0 / n, rel=0.05)
 
     def test_driftless_accumulates_step_amplitudes(self):
         """field = 0: endpoint variance is the sum of squared amplitudes."""
         pair = EndpointPair(np.zeros((1, 1)), np.zeros((1, 1)))
-        sch = uniform(8)
+        sch = shifted(8, 1.0)
         field = lambda x, t: np.zeros_like(x)
         st = endpoint_statistics("corrected", field, pair, sch, 1.0, 50_000, RngStream(seed=8))
         predicted = float(np.sum(plan_steps(sch, "corrected", 1.0)[1] ** 2))
@@ -243,7 +243,7 @@ class TestEndpointStatistics:
         """With the conditional drift toward a zero target, the state variance
         follows s^2 t (1-t) at every grid point and pins to 0 at t=1."""
         runs, s = 100_000, 1.0
-        sch = uniform(8)
+        sch = shifted(8, 1.0)
         checked = []
 
         def track(k, states):
@@ -262,5 +262,5 @@ class TestEndpointStatistics:
     def test_requires_two_runs(self, pair2d):
         with pytest.raises(ValueError):
             endpoint_statistics(
-                "corrected", oracle_field(pair2d.x1), pair2d, uniform(4), 1.0, 1, RngStream(seed=1)
+                "corrected", oracle_field(pair2d.x1), pair2d, shifted(4, 1.0), 1.0, 1, RngStream(seed=1)
             )

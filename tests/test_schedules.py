@@ -6,25 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgelab.errors import DomainError
-from bridgelab.schedules import Schedule, shifted, uniform
+from bridgelab.schedules import Schedule, shifted
 
 
 class TestUniform:
+    """The uniform grid is ``shifted(n, 1.0)``."""
+
     def test_quarter_grid(self):
-        np.testing.assert_allclose(uniform(4).points, [0.0, 0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_allclose(shifted(4, 1.0).points, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_single_step(self):
-        np.testing.assert_array_equal(uniform(1).points, [0.0, 1.0])
+        np.testing.assert_array_equal(shifted(1, 1.0).points, [0.0, 1.0])
 
     def test_zero_steps_rejected(self):
         with pytest.raises(DomainError):
-            uniform(0)
+            shifted(0, 1.0)
 
 
 class TestShifted:
     def test_gamma_one_is_uniform_bitwise(self):
         for n in (1, 2, 3, 7, 64, 1000):
-            assert np.array_equal(shifted(n, 1.0).points, uniform(n).points)
+            assert np.array_equal(shifted(n, 1.0).points, np.arange(n + 1) / n)
 
     def test_known_grid(self):
         """gamma=5, N=4 gives [0, 1/16, 1/6, 3/8, 1]."""
@@ -95,16 +97,16 @@ class TestScheduleType:
         assert Schedule([0.0, 1.0]).n_steps == 1
         assert Schedule([0.0, 0.25, 0.75, 1.0]).n_steps == 3
         for n in (1, 7, 64):
-            assert uniform(n).n_steps == shifted(n, 5.0).n_steps == n
+            assert shifted(n, 1.0).n_steps == shifted(n, 5.0).n_steps == n
             assert shifted(n, 5.0).points.size == n + 1
 
     def test_compares_and_hashes_by_identity(self):
         """An ndarray field must not reach the generated __eq__ and __hash__."""
-        a, b = uniform(4), uniform(4)
+        a, b = shifted(4, 1.0), shifted(4, 1.0)
         assert a == a and a != b
         assert len({a, b, a}) == 2
 
     def test_points_are_immutable(self):
-        sch = uniform(4)
+        sch = shifted(4, 1.0)
         with pytest.raises(ValueError):
             sch.points[0] = 0.5

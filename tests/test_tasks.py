@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 from bridgelab.model import ModelConfig, init, velocity_field_from
 from bridgelab.numerics import RngStream, gaussian
 from bridgelab.sampler import oracle_field
-from bridgelab.schedules import uniform
+from bridgelab.schedules import shifted
 from bridgelab.tasks import (
     TaskSpec,
     energy_distance,
@@ -241,7 +241,7 @@ class TestEvaluate:
         endpoints, report = evaluate(
             lambda batch: oracle_field(batch.x1),
             pair_provider(spec),
-            uniform(4),
+            shifted(4, 1.0),
             "corrected",
             1.0,
             256,
@@ -260,7 +260,7 @@ class TestEvaluate:
         _, report = evaluate(
             lambda batch: velocity_field_from(params, mconfig, "stabilized_velocity"),
             pair_provider(spec),
-            uniform(16),
+            shifted(16, 1.0),
             "corrected",
             1.0,
             2048,
@@ -275,7 +275,7 @@ class TestEvaluate:
         _, report = evaluate(
             lambda batch: oracle_field(batch.x1),
             pair_provider(spec),
-            uniform(8),
+            shifted(8, 1.0),
             "standard",
             0.5,
             64,
@@ -307,7 +307,7 @@ class TestConditioningPathway:
             _, report = evaluate(
                 lambda batch: velocity_field_from(params, mconfig, config.objective, batch.context),
                 provider,
-                uniform(16),
+                shifted(16, 1.0),
                 "corrected",
                 0.0,
                 2048,
@@ -332,7 +332,7 @@ class TestStepCountTrend:
             _, report = evaluate(
                 lambda batch: velocity_field_from(params, mconfig, "stabilized_velocity"),
                 pair_provider(shift_task),
-                uniform(n),
+                shifted(n, 1.0),
                 "corrected",
                 1.0,
                 4096,

@@ -61,7 +61,7 @@ class TestChiSquareConstants:
 
     def test_bin_edges_are_normal_quantiles(self):
         expected = stats.norm.ppf(np.linspace(0.0, 1.0, 21))
-        np.testing.assert_allclose(verify._GOF_EDGES, expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(verify._gof_edges(), expected, rtol=0.0, atol=1e-15)
 
 
 class TestEndpointVarianceSweep:
