@@ -166,6 +166,12 @@ PINNED_SAMPLED_ENDPOINTS = {
 # steps of 32 pairs span blocks of 51, 51 and 28 steps.
 PINNED_DEBUG_CSV = "35b5957a9411964bc197891e330567636a82c4c11002ba7a4b9a0aee1476855b"
 
+# SHA-256 of the ablate summaries: the two ok rows of the PINNED_MANIFESTS
+# "ablate" run, and the two error rows of
+# TestAblateCommand::test_non_finite_score_is_an_error_row.
+PINNED_ABLATE_CSV = "a3d1b7058c0895134fc4bccf45a3cff6eac12d6d395cc4cb2cc395bbd90f2c85"
+PINNED_ABLATE_ERROR_CSV = "88708287d83a4072e5be182da162272511170a25459cad8e948a381a27aee485"
+
 
 def sha256_of(path: str) -> str:
     with open(path, "rb") as fh:
@@ -203,6 +209,11 @@ class TestPinnedArtifacts:
                 "--out-dir", str(tmp_path)]
         assert main(argv) == 0
         assert sha256_of(str(tmp_path / "debug.csv")) == PINNED_DEBUG_CSV
+
+    def test_ablate_csv_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(PINNED_MANIFESTS["ablate"][1]) == 0
+        assert sha256_of(os.path.join("out", "ablate_gamma.csv")) == PINNED_ABLATE_CSV
 
 
 # One run of each artifact-producing command, from an empty working directory
@@ -932,6 +943,7 @@ class TestAblateCommand:
         for row in rows:
             assert row["status"].startswith("error:non-finite paired_mse")
             assert row["energy_distance"] == ""
+        assert sha256_of(os.path.join(out, "ablate_steps.csv")) == PINNED_ABLATE_ERROR_CSV
 
     def test_failed_shared_training_is_an_error_row(self, tmp_path):
         """Seed 1's one training step overflows the gradient. On the steps
