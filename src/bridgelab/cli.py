@@ -21,6 +21,7 @@ while it computes leave nothing behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -45,7 +46,7 @@ from .numerics import RngStream
 from .objectives import ObjectiveKind, target_profile
 from .sampler import oracle_field
 from .schedules import Schedule, shifted
-from .tasks import TASK_NAMES, TaskSpec, evaluate, pair_provider
+from .tasks import TASK_NAMES, EvalReport, TaskSpec, evaluate, pair_provider
 from .trainer import OPTIMIZERS, TrainConfig, train
 from .verify import SUITES, report_to_json, run_suite
 
@@ -53,8 +54,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-_OUT_DIR_ENV = "BRIDGELAB_OUT_DIR"
 
 
 # ---------------------------------------------------------------------------
@@ -117,32 +116,25 @@ class _Run:
     """One command's outputs: hands out and registers each output's path,
     making the out dir at the first, and ``close`` writes ``manifest.json`` last.
 
-    The out dir is --out-dir, else the directory of an --out FILE, else
-    $BRIDGELAB_OUT_DIR, else '.'. A command asks for its first path only once
-    it has computed everything, so a run that fails before then leaves no out
-    dir, and one that fails later leaves its outputs but no manifest. An out
-    dir that cannot be made is a ValueError, raised at that first path.
+    The out dir is --out-dir, else '.'. A command asks for its first path only
+    once it has computed everything, so a run that fails before then leaves no
+    out dir, and one that fails later leaves its outputs but no manifest. An
+    out dir that cannot be made is a ValueError, raised at that first path.
     """
 
     def __init__(self, args, command: str):
-        self.args, self.command, self.outputs = args, command, []
-        self.out = getattr(args, "out", None)
-        if self.out and not args.out_dir:
-            self.dir = os.path.dirname(self.out) or "."
-        else:
-            self.dir = args.out_dir or os.environ.get(_OUT_DIR_ENV) or "."
+        self.args, self.command, self.names = args, command, []
+        self.dir = args.out_dir or "."
 
     def path(self, name: str) -> str:
-        """Where output ``name`` goes: the out dir, or the --out FILE that names
-        the one output of ``verify`` and ``schedule dump``."""
-        if not self.outputs:
+        """Where output ``name`` goes in the out dir."""
+        if not self.names:
             try:
                 os.makedirs(self.dir, exist_ok=True)
             except OSError as exc:
                 raise ValueError(f"cannot make output directory {self.dir}: {exc.strerror or exc}")
-        path = self.out or os.path.join(self.dir, name)
-        self.outputs.append(path)
-        return path
+        self.names.append(name)
+        return os.path.join(self.dir, name)
 
     def csv(self, name: str, header: list[str], rows) -> str:
         path = self.path(name)
@@ -154,31 +146,18 @@ class _Run:
 
     def close(self, **extra_config) -> None:
         """Write the manifest: the resolved configuration, with ``extra_config``
-        (values the run computed) added, and the outputs' paths relative to the
-        out dir (base names, but for an --out FILE outside it)."""
+        (values the run computed) added, and the outputs' names in the out dir."""
         config = {**_resolved_config(self.args), **extra_config}
         manifest = {
             "command": self.command,
             "config": config,
             "seed": config.get("seed"),
             "version": __version__,
-            "outputs": sorted(os.path.relpath(p, self.dir) for p in self.outputs),
+            "outputs": sorted(self.names),
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         _atomic_write(os.path.join(self.dir, "manifest.json"), text)
-
-
-def _check_out_file(args) -> None:
-    """Reject, before any output, an --out that is a directory or whose directory
-    neither exists nor is the --out-dir."""
-    if not args.out:
-        return
-    out = os.path.abspath(args.out)
-    out_dir = os.path.abspath(args.out_dir) if args.out_dir else None
-    parent = os.path.dirname(out)
-    if os.path.isdir(out) or out == out_dir or not (parent == out_dir or os.path.isdir(parent)):
-        raise ValueError(f"--out {args.out} must name a file in an existing directory or in --out-dir")
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +272,9 @@ def _resolved_config(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    _check_out_file(args)
     overrides = _parse_overrides(args.override)
     report = run_suite(args.suite, args.seed, args.mc, overrides)
-    if args.out_dir is not None or args.out is not None:
+    if args.out_dir is not None:
         run = _Run(args, "verify")
         run.text("verify_report.json", report_to_json(report))
         run.close()
@@ -483,17 +461,8 @@ def cmd_ablate(args) -> int:
     run = _Run(args, "ablate")
     provider = pair_provider(spec, zero_context=args.zero_context)
 
-    header = [
-        "axis",
-        "value",
-        "status",
-        "paired_mse",
-        "energy_distance",
-        "mean_displacement_error",
-        "sample_count",
-        "final_loss",
-        "max_target_sqnorm",
-    ]
+    scores = [field.name for field in dataclasses.fields(EvalReport)]
+    header = ["axis", "value", "status", *scores, "final_loss", "max_target_sqnorm"]
     rows: list[list] = []
 
     # Sampling-time axes share one training configuration, so one trained
@@ -524,16 +493,13 @@ def cmd_ablate(args) -> int:
                     args.axis,
                     value,
                     "ok",
-                    report.paired_mse,
-                    report.energy_distance,
-                    report.mean_displacement_error,
-                    report.sample_count,
+                    *report.to_dict().values(),
                     stats.rows[-1].loss,
                     stats.max_target_sqnorm_overall,
                 ]
             )
         except NumericalError as exc:
-            rows.append([args.axis, value, f"error:{exc}", "", "", "", "", "", ""])
+            rows.append([args.axis, value, f"error:{exc}"] + [""] * (len(header) - 3))
 
     summary_path = run.csv(f"ablate_{args.axis}.csv", header, rows)
     run.close()
@@ -542,7 +508,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_schedule_dump(args) -> int:
-    _check_out_file(args)
     schedule = shifted(args.N, args.gamma)
     run = _Run(args, "schedule_dump")
     path = run.csv("schedule.csv", ["i", "t"], [[i, float(t)] for i, t in enumerate(schedule.points)])
@@ -560,20 +525,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgelab",
         description="Brownian-bridge translation models: verify, profile, train, sample, ablate.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", default=None, help="JSON config file (flags override it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run a statistical verification suite")
+    p = sub.add_parser("verify", help="run a statistical verification suite", allow_abbrev=False)
     p.add_argument("--suite", default="all", choices=list(SUITES))
     p.add_argument("--mc", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--override", action="append", help="tolerance override name=value")
-    p.add_argument("--out", default=None, help="report JSON path")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("profile", help="loss-contribution profile S(t), C(t)")
+    p = sub.add_parser("profile", help="loss-contribution profile S(t), C(t)", allow_abbrev=False)
     p.add_argument("--objective", default="stabilized_velocity", choices=[k.value for k in ObjectiveKind])
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--distance2", type=float, default=1.0, help="squared endpoint distance")
@@ -585,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("train", help="train a velocity model on a synthetic task")
+    p = sub.add_parser("train", help="train a velocity model on a synthetic task", allow_abbrev=False)
     _add_task_args(p)
     _add_model_args(p)
     _add_train_args(p)
@@ -594,7 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sample", help="sample endpoints and evaluate against ground truth")
+    p = sub.add_parser(
+        "sample", help="sample endpoints and evaluate against ground truth", allow_abbrev=False
+    )
     _add_task_args(p)
     field = p.add_mutually_exclusive_group()
     field.add_argument("--params", default=None, help="trained parameter container for this task")
@@ -607,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("ablate", help="train+evaluate along one axis")
+    p = sub.add_parser("ablate", help="train+evaluate along one axis", allow_abbrev=False)
     _add_task_args(p)
     _add_model_args(p)
     p.add_argument("--axis", required=True, choices=["objective", "noise_scale", "steps", "gamma"])
@@ -618,12 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("schedule", help="schedule utilities")
+    p = sub.add_parser("schedule", help="schedule utilities", allow_abbrev=False)
     sched_sub = p.add_subparsers(dest="schedule_command", required=True)
-    pd = sched_sub.add_parser("dump", help="emit the discretization grid as CSV")
+    pd = sched_sub.add_parser("dump", help="emit the discretization grid as CSV", allow_abbrev=False)
     pd.add_argument("--N", type=int, required=True)
     pd.add_argument("--gamma", type=float, default=1.0)
-    pd.add_argument("--out", default=None)
     pd.add_argument("--out-dir", default=None)
     pd.set_defaults(func=cmd_schedule_dump)
 
@@ -671,7 +637,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     Every key must name an option of some subcommand, and every value must
     be one its flag would accept; otherwise it raises ValueError.
     """
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
     if not known.config:

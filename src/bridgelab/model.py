@@ -296,13 +296,16 @@ def load_parameters(path: str) -> tuple[ModelConfig, Tensor, ObjectiveKind]:
     try:
         config = ModelConfig(**header["config"])
         objective = ObjectiveKind(header["objective"])
-        count = header["count"]
+        count = _integer("count", header["count"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a parameter container: {path}") from exc
-    params = np.frombuffer(raw[newline + 1 :], dtype="<f8").astype(np.float64)
-    if params.size != count:
-        raise ValueError("parameter payload length does not match header")
-    return config, params, objective
+    payload = raw[newline + 1 :]
+    if len(payload) != 8 * count:
+        raise ValueError(
+            f"parameter container {path} holds {len(payload)} payload bytes, "
+            f"but its header's count of {count} float64 values needs {8 * count}"
+        )
+    return config, np.frombuffer(payload, dtype="<f8").astype(np.float64), objective
 
 
 def velocity_field_from(

@@ -2,12 +2,14 @@
 
 Each check compares a measured quantity against a bound (pass iff
 measured <= bound). Bounds come from the analytic sampling distribution of
-the estimator (3-sigma Monte-Carlo bands, stated relative tolerances, or
-exact-zero requirements) and can be overridden by name. Given a seed and a
-draw count, every suite is fully deterministic, so reports are byte-stable.
-Measurements run the library's own code paths (state construction, targets,
-alpha^2, the Monte-Carlo profile and the integrator), so a check certifies
-the code that trains and samples, not a re-derivation of it.
+the estimator (4.5-sigma family-wise bounds on Monte-Carlo means, 2-5%
+relative or 0.01-0.02 absolute tolerances, the 0.999 quantile of a
+chi-square goodness of fit, and round-off or exact-zero requirements) and
+can be overridden by name. Given a seed and a draw count, every suite is
+fully deterministic, so reports are byte-stable. Measurements run the
+library's own code paths (state construction, targets, alpha^2, the
+Monte-Carlo profile and the integrator), so a check certifies the code that
+trains and samples, not a re-derivation of it.
 
 Suites: bridge (marginal/conditional moments and target identities),
 objectives (normalization law and loss-contribution profiles), sampler

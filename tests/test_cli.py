@@ -38,18 +38,6 @@ class TestScheduleDump:
         assert manifest["command"] == "schedule_dump"
         assert "schedule.csv" in manifest["outputs"]
 
-    def test_manifest_written_beside_out_file(self, tmp_path, monkeypatch):
-        """Without --out-dir, the manifest goes next to --out FILE, not into the
-        current directory."""
-        cwd, elsewhere = tmp_path / "cwd", tmp_path / "elsewhere"
-        cwd.mkdir()
-        elsewhere.mkdir()
-        monkeypatch.chdir(cwd)
-        monkeypatch.delenv("BRIDGELAB_OUT_DIR", raising=False)
-        assert main(["schedule", "dump", "--N", "4", "--out", str(elsewhere / "grid.csv")]) == 0
-        assert sorted(os.listdir(elsewhere)) == ["grid.csv", "manifest.json"]
-        assert os.listdir(cwd) == []
-
 
 class TestAtomicWrites:
     def test_failed_csv_leaves_no_file(self, tmp_path):
@@ -74,24 +62,6 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(read(os.path.join(out, "verify_report.json")))
         assert report["passed"] is True
-
-    def test_manifest_written_beside_out_file(self, tmp_path, monkeypatch):
-        """Without --out-dir, the manifest goes next to --out FILE; --out-dir still
-        wins when given."""
-        cwd, elsewhere, named = tmp_path / "cwd", tmp_path / "elsewhere", tmp_path / "named"
-        cwd.mkdir()
-        elsewhere.mkdir()
-        monkeypatch.chdir(cwd)
-        monkeypatch.delenv("BRIDGELAB_OUT_DIR", raising=False)
-        argv = ["verify", "--suite", "schedules", "--mc", "4", "--out", str(elsewhere / "report.json")]
-        assert main(argv) == 0
-        assert sorted(os.listdir(elsewhere)) == ["manifest.json", "report.json"]
-        assert os.listdir(cwd) == []
-        assert main(argv + ["--out-dir", str(named)]) == 0
-        assert os.listdir(named) == ["manifest.json"]
-        for out_dir in (elsewhere, named):
-            manifest = json.loads(read(os.path.join(out_dir, "manifest.json")))
-            assert all(os.path.isfile(os.path.join(out_dir, name)) for name in manifest["outputs"])
 
     def test_impossible_override_exits_one(self, tmp_path):
         code = main(
@@ -181,9 +151,9 @@ def sha256_of(path: str) -> str:
 class TestPinnedArtifacts:
     @pytest.mark.parametrize("seed", sorted(PINNED_VERIFY_REPORTS))
     def test_verify_report_unchanged(self, tmp_path, seed):
-        out = str(tmp_path / "report.json")
-        main(["verify", "--suite", "all", "--mc", "100000", "--seed", str(seed), "--out", out])
-        assert sha256_of(out) == PINNED_VERIFY_REPORTS[seed]
+        out = str(tmp_path)
+        main(["verify", "--suite", "all", "--mc", "100000", "--seed", str(seed), "--out-dir", out])
+        assert sha256_of(os.path.join(out, "verify_report.json")) == PINNED_VERIFY_REPORTS[seed]
 
     @pytest.mark.parametrize("argv", sorted(PINNED_PROFILES))
     def test_profile_csv_unchanged(self, tmp_path, argv):
@@ -226,7 +196,7 @@ PINNED_MANIFESTS = {
     "verify": (
         None,
         ["verify", "--suite", "schedules", "--mc", "4", "--out-dir", "out"],
-        "6e017d50fbf08b34e2165da0801e20704027c9c8fea12c58222d448b6c9908ab",
+        "6a967d033523c43401fb7c2d792d52bffee9ba797a41131bea8d392e6372c146",
     ),
     "profile": (
         None,
@@ -253,7 +223,7 @@ PINNED_MANIFESTS = {
     "schedule_dump": (
         None,
         ["schedule", "dump", "--N", "4", "--out-dir", "out"],
-        "2f8972b519f7852a4dd60dbd4bffb33c0ef387fe98e93f1a9809f8a3dc59d49a",
+        "a4bda5496b3ffcb411d9984d600292280da76e7e7f1e8540d745f21e8597c390",
     ),
 }
 
@@ -263,7 +233,6 @@ class TestManifests:
     def run(self, request, tmp_path, monkeypatch):
         """(name, manifest) of one PINNED_MANIFESTS run, made in ``tmp_path``."""
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("BRIDGELAB_OUT_DIR", raising=False)
         setup, argv, _ = PINNED_MANIFESTS[request.param]
         if setup is not None:
             assert main(setup) == 0
@@ -680,8 +649,6 @@ class TestUsageErrors:
             ["profile", "--mc", "-5"],
             ["train", "--hidden", ""],
             ["ablate", "--axis", "gamma", "--values", "1,2", "--hidden", ",", "--steps", "5"],
-            ["verify", "--suite", "schedules", "--out", "."],
-            ["schedule", "dump", "--N", "4", "--out", "no/such/dir/schedule.csv"],
             ["train", "--shift", "nan,0"],
             ["sample", "--oracle", "--shift", "inf,0"],
             ["train", "--task", "moons_rotate", "--angle", "nan"],
@@ -733,8 +700,6 @@ class TestUsageErrors:
             "profile-negative-mc",
             "train-hidden-empty",
             "ablate-hidden-empty",
-            "verify-out-is-a-directory",
-            "schedule-dump-out-in-missing-directory",
             "train-shift-nan",
             "sample-shift-inf",
             "train-angle-nan",
@@ -825,6 +790,57 @@ class TestUsageErrors:
             main(["sample", *sampled, "--params", params, "--seed", "1", "--out-dir", out])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith(f"error: --params {params} holds a model")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "schedules", "--out", "manifest.json"],
+            ["schedule", "dump", "--N", "3", "--out", "x.csv"],
+            ["sample", "--oracle", "--seed", "1", "--runs", "4", "--traj"],
+        ],
+        ids=["verify-out", "schedule-dump-out", "sample-flag-prefix"],
+    )
+    def test_unknown_flag_is_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        """Only --out-dir names where a command writes, and a flag is matched
+        exactly: neither --out nor a prefix of another flag is accepted."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_out_in_config_is_rejected(self, tmp_path, capsys):
+        path = str(tmp_path / "config.json")
+        with open(path, "w") as fh:
+            json.dump({"out": "r.json"}, fh)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", path, "verify", "--suite", "schedules", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: --config {path}: no option is named out\n"
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("cut", [3, 8])
+    def test_truncated_params_names_file_and_sizes(self, tmp_path, capsys, cut):
+        """A container short of its payload is reported with its path, the bytes
+        found and the bytes its header's count needs."""
+        train_dir = str(tmp_path / "train")
+        argv = ["train", "--steps", "3", "--seed", "1", "--out-dir", train_dir]
+        assert main(argv) == 0
+        params = os.path.join(train_dir, "params.bin")
+        with open(params, "rb") as fh:
+            raw = fh.read()
+        with open(params, "wb") as fh:
+            fh.write(raw[:-cut])
+        payload = len(raw) - raw.index(b"\n") - 1
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--params", params, "--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert params in err and str(payload - cut) in err and str(payload) in err, err
         assert not os.path.exists(out)
 
     def test_unknown_override_is_named(self, tmp_path, capsys):
@@ -1215,17 +1231,3 @@ class TestConfigPrecedence:
         assert config["shift"] == [1.0, 0.0]
         assert config["train_config"]["steps"] == 3
         assert config["zero_context"] is True
-
-    def test_out_file_in_the_output_directory(self, tmp_path):
-        out = str(tmp_path / "new")
-        target = os.path.join(out, "grid.csv")
-        assert main(["schedule", "dump", "--N", "2", "--out-dir", out, "--out", target]) == 0
-        assert len(read_csv_rows(target)) == 3
-
-
-class TestEnvironmentOutDir:
-    def test_env_var_used_when_flag_missing(self, tmp_path, monkeypatch):
-        target = str(tmp_path / "envout")
-        monkeypatch.setenv("BRIDGELAB_OUT_DIR", target)
-        main(["schedule", "dump", "--N", "2"])
-        assert os.path.exists(os.path.join(target, "schedule.csv"))

@@ -14,14 +14,13 @@ import os
 import subprocess
 import sys
 import tempfile
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bridgelab
-from bridgelab.cli import main
+from bridgelab.cli import _iter_parsers, build_parser, main
 from bridgelab.model import ModelConfig, init, save_parameters
 from bridgelab.numerics import RngStream
 
@@ -55,22 +54,16 @@ _BASE = {
     "schedule": (["schedule", "dump"], {"--N": "4"}),
 }
 
-_TASK_FLAGS = ["--task", "--dim", "--shift", "--angle", "--grid-size", "--repeat", "--task-seed"]
+# Each command's options that take a value, as its parser declares them (an
+# option with nargs 0, such as a switch or --help, takes none).
+_PARSERS = {parser.prog: parser for parser in _iter_parsers(build_parser())}
 _FLAGS = {
-    "train": _TASK_FLAGS + [
-        "--hidden", "--time-features", "--activation", "--objective", "--s", "--steps",
-        "--batch-size", "--lr", "--optimizer", "--log-every", "--seed", "--out-dir",
-    ],
-    "sample": _TASK_FLAGS + [
-        "--params", "--N", "--gamma", "--mode", "--runs", "--s", "--seed", "--out-dir",
-    ],
-    "ablate": _TASK_FLAGS + [
-        "--hidden", "--axis", "--values", "--s", "--steps", "--lr", "--N", "--gamma", "--runs",
-        "--seed", "--out-dir",
-    ],
-    "profile": ["--objective", "--dim", "--distance2", "--s", "--grid", "--mc", "--seed", "--out-dir"],
-    "verify": ["--suite", "--mc", "--seed", "--override", "--out", "--out-dir"],
-    "schedule": ["--N", "--gamma", "--out", "--out-dir"],
+    command: [
+        action.option_strings[0]
+        for action in _PARSERS[" ".join(["bridgelab", *words])]._actions  # noqa: SLF001
+        if action.option_strings and action.nargs != 0
+    ]
+    for command, (words, _) in _BASE.items()
 }
 
 
@@ -104,8 +97,6 @@ def _run(argv: list[str], cwd: str) -> tuple[object, str]:
     the traceback a user would see."""
     err = io.StringIO()
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.dict(os.environ))
-        os.environ.pop("BRIDGELAB_OUT_DIR", None)
         stack.callback(os.chdir, os.getcwd())
         os.chdir(cwd)
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
@@ -172,7 +163,7 @@ def test_exit_code_contract(invocation):
 )
 def test_module_entry_point_passes_exit_code(tmp_path, argv, code):
     """``python -m bridgelab`` in a fresh interpreter exits with main's code, never a traceback."""
-    env = {key: value for key, value in os.environ.items() if key != "BRIDGELAB_OUT_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(bridgelab.__file__)))
     done = subprocess.run([sys.executable, "-m", "bridgelab", *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
