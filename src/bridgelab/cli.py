@@ -47,7 +47,7 @@ from .objectives import ObjectiveKind, target_profile
 from .sampler import oracle_field
 from .schedules import Schedule, shifted
 from .tasks import TASK_NAMES, EvalReport, TaskSpec, evaluate, pair_provider
-from .trainer import OPTIMIZERS, TrainConfig, train
+from .trainer import OPTIMIZERS, TrainConfig, step_blocks, train
 from .verify import SUITES, report_to_json, run_suite
 
 EXIT_OK = 0
@@ -175,10 +175,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _parse_grid(text: str) -> np.ndarray:
     """Grid syntax: either 'start:stop:count' or a comma-separated list."""
-    if ":" in text:
-        start, stop, count = text.split(":")
-        return np.linspace(float(start), float(stop), int(count))
-    return np.array(_parse_floats(text))
+    try:
+        if ":" in text:
+            start, stop, count = text.split(":")
+            return np.linspace(float(start), float(stop), int(count))
+        return np.array(_parse_floats(text))
+    except ValueError as exc:
+        raise ValueError(f"bad --grid {text!r}, expected 'start:stop:count' or a comma list: {exc}")
 
 
 def _parse_overrides(items: list[str] | None) -> dict:
@@ -328,23 +331,10 @@ def _train_config(args, objective: "ObjectiveKind | str", noise_scale: float) ->
     )
 
 
-def _train_once(args, spec: TaskSpec, mconfig: ModelConfig, config: TrainConfig, observer=None):
+def _train_once(args, spec: TaskSpec, mconfig: ModelConfig, config: TrainConfig):
     params = init(mconfig, RngStream(seed=args.seed, stream=900))
     provider = pair_provider(spec, zero_context=args.zero_context)
-    return train(params, mconfig, provider, config, observer=observer)
-
-
-class _AlphaAudit:
-    """Per-step normalization-factor statistics, written as debug CSV."""
-
-    def __init__(self, batch_size: int):
-        self.batch_size = batch_size
-        self.rows = []
-
-    def __call__(self, first, batch, sample, alpha_sq, targets):
-        for step, lo in enumerate(range(0, len(alpha_sq), self.batch_size), first):
-            step_alpha_sq = alpha_sq[lo : lo + self.batch_size]
-            self.rows.append([step, float(np.mean(step_alpha_sq)), float(np.max(step_alpha_sq))])
+    return train(params, mconfig, provider, config)
 
 
 def cmd_train(args) -> int:
@@ -352,8 +342,10 @@ def cmd_train(args) -> int:
     mconfig = _model_config(args, spec)
     config = _train_config(args, args.objective, args.s)
     run = _Run(args, "train")
-    audit = _AlphaAudit(config.batch_size) if args.debug else None
-    params, stats = _train_once(args, spec, mconfig, config, observer=audit)
+    params, stats = _train_once(args, spec, mconfig, config)
+    if args.debug:  # the draws depend on no parameters, so a second pass replays them
+        blocks = step_blocks(pair_provider(spec, zero_context=args.zero_context), config, mconfig)
+        alpha_sq = np.concatenate([block[2] for block in blocks]).reshape(config.steps, -1)
     params_path = run.path("params.bin")
     save_parameters(params_path, mconfig, params, config.objective)
     run.csv(
@@ -361,8 +353,12 @@ def cmd_train(args) -> int:
         ["step", "loss", "max_target_sqnorm", "grad_norm", "ms"],
         ([r.step, r.loss, r.max_target_sqnorm, r.grad_norm, r.ms] for r in stats.rows),
     )
-    if audit is not None:
-        run.csv("debug.csv", ["step", "mean_alpha_sq", "max_alpha_sq"], audit.rows)
+    if args.debug:
+        run.csv(
+            "debug.csv",
+            ["step", "mean_alpha_sq", "max_alpha_sq"],
+            ([k, float(np.mean(a)), float(np.max(a))] for k, a in enumerate(alpha_sq, 1)),
+        )
     run.close(train_config=config.to_dict(), sample_stream_digest=stats.sample_stream_digest)
     final = stats.rows[-1]
     print(
@@ -667,6 +663,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
                 sub.set_defaults(**{dest: _config_value(action, value)})
             except ValueError as exc:
                 raise ValueError(f"--config {known.config}: bad value {value!r} for {key}: {exc}")
+            action.required = False  # the file's value stands in for the flag
 
 
 def main(argv: list[str] | None = None) -> int:

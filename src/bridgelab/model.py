@@ -299,13 +299,21 @@ def load_parameters(path: str) -> tuple[ModelConfig, Tensor, ObjectiveKind]:
         count = _integer("count", header["count"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a parameter container: {path}") from exc
+    if count != parameter_count(config):
+        raise ValueError(
+            f"parameter container {path} counts {count} values, "
+            f"but its model has {parameter_count(config)} parameters"
+        )
     payload = raw[newline + 1 :]
     if len(payload) != 8 * count:
         raise ValueError(
             f"parameter container {path} holds {len(payload)} payload bytes, "
             f"but its header's count of {count} float64 values needs {8 * count}"
         )
-    return config, np.frombuffer(payload, dtype="<f8").astype(np.float64), objective
+    params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise ValueError(f"parameter container {path} holds non-finite parameters")
+    return config, params, objective
 
 
 def velocity_field_from(

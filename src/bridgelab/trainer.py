@@ -6,16 +6,17 @@ configured objective's targets and per-pair loss, backpropagates the
 batch-mean loss through the network, and applies one optimizer update.
 
 None of the draws, states, targets, alpha^2 or the network's input rows
-depend on the parameters, so ``train`` builds them for a block of
+depend on the parameters, so ``step_blocks`` builds them for a block of
 K = max(1, 2**14 // (B F)) steps at a time, F being the width of an input
 row: it calls the provider, which must return exactly B pairs, and draws
 each step's times and noise on their own streams in step order, so every
 draw keeps its counter, then runs the state, target, alpha^2 and input-row
 code once on the stacked (K B, ·) block. Every operation there is per row,
-so a block gives each step the bits it would get alone. ``train_step`` then
-runs one step on its slice of B rows of the block's arrays: the network, the
-loss, the gradient and the update. A batch of 2**14 input-row values or more
-is a block of one step.
+so a block gives each step the bits it would get alone. ``train`` reads the
+blocks and ``train_step`` runs one step on its slice of B rows of a block's
+arrays: the network, the loss, the gradient and the update. A batch of 2**14
+input-row values or more is a block of one step. Anything else that audits
+the draws (``train --debug``, the tests) iterates ``step_blocks`` itself.
 
 The (pair, t, eps) streams are derived only from the seed, never from the
 objective, so runs that differ only in objective consume identical sample
@@ -30,7 +31,7 @@ import hashlib
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -149,23 +150,12 @@ def _optimizer_update(
     return params - update
 
 
-# Test/debug instrumentation: called once per block, before its first update,
-# with (first step, the block's stacked pairs (K B, D) with their context, its
-# sample, alpha_squared (K B,), targets (K B, D)): rows [j B, (j + 1) B) are
-# the exact quantities entering step first + j; alpha_squared is all ones
-# unless the objective is stabilized. Observers must not mutate their arguments.
-BatchObserver = Callable[[int, EndpointPair, BridgeSample, Tensor, Tensor], None]
-
-
-def _step_blocks(
-    provider: PairProvider,
-    config: TrainConfig,
-    model_config: ModelConfig,
-    digest: "hashlib._Hash",
-    observer: BatchObserver | None,
-) -> Iterator[tuple[Tensor, Tensor, Tensor, Tensor]]:
-    """Each block's stacked (rows, targets, alpha^2, target squared norms),
-    B rows a step in step order."""
+def step_blocks(
+    provider: PairProvider, config: TrainConfig, model_config: ModelConfig
+) -> Iterator[tuple[EndpointPair, BridgeSample, Tensor, Tensor, Tensor]]:
+    """Each block's stacked (pairs with context, sample, alpha^2, targets, input
+    rows); rows [j B, (j + 1) B) enter the block's step j. alpha^2 is all ones
+    unless the objective is stabilized."""
     root = RngStream(seed=config.seed)
     data_rng = root.split(_STREAM_DATA)
     time_rng = root.split(_STREAM_TIME)
@@ -199,12 +189,8 @@ def _step_blocks(
             sample = sample_state(pair, t, eps, config.noise_scale)
             targets = raw_target(kind, pair, sample)
             alpha_sq = objective_alpha_sq(kind, pair, t, config.noise_scale)
-            target_sqnorms = np.sum(targets * targets, axis=-1)
             rows = input_rows(model_config, sample.state, t, context)
-        digest.update(np.concatenate([pair.x0, pair.x1, t[:, None], eps], axis=1))
-        if observer is not None:
-            observer(first + 1, pair, sample, alpha_sq, targets)
-        yield rows, targets, alpha_sq, target_sqnorms
+        yield pair, sample, alpha_sq, targets, rows
 
 
 def train_step(
@@ -248,7 +234,6 @@ def train(
     model_config: ModelConfig,
     provider: PairProvider,
     config: TrainConfig,
-    observer: BatchObserver | None = None,
 ) -> tuple[Tensor, TrainStats]:
     """Run the configured number of steps; logs every ``log_every`` steps plus the last.
 
@@ -259,8 +244,10 @@ def train(
     opt_state = OptimizerState(kind=config.optimizer)
     stats = TrainStats()
     step_index = 0
-    blocks = _step_blocks(provider, config, model_config, digest, observer)
-    for rows, targets, alpha_sq, target_sqnorms in blocks:
+    for pair, sample, alpha_sq, targets, rows in step_blocks(provider, config, model_config):
+        digest.update(np.concatenate([pair.x0, pair.x1, sample.t[:, None], sample.epsilon], axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            target_sqnorms = np.sum(targets * targets, axis=-1)
         block_max = float(np.max(target_sqnorms))
         stats.max_target_sqnorm_overall = max(stats.max_target_sqnorm_overall, block_max)
         for lo in range(0, len(rows), config.batch_size):

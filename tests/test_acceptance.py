@@ -47,7 +47,7 @@ from bridgelab.tasks import (
     generate_pairs,
     pair_provider,
 )
-from bridgelab.trainer import TrainConfig, train
+from bridgelab.trainer import TrainConfig, step_blocks, train
 
 from conftest import ABLATION_SEED
 
@@ -343,14 +343,14 @@ def test_criterion_09_noise_scale_sweep(tmp_path):
     assert all(float(r["energy_distance"]) >= 0.0 for r in rows)
 
     # s=0 degeneration: every per-sample alpha is exactly 1 ...
-    alphas = []
-    observer = lambda step, batch, sample, alpha_sq, targets: alphas.extend(alpha_sq)
     mconfig = ModelConfig(input_dim=2, hidden=(16,))
     task = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
     config = TrainConfig(objective="stabilized_velocity", noise_scale=0.0, steps=20, seed=9)
+    blocks = step_blocks(pair_provider(task), config, mconfig)
+    alphas = np.concatenate([alpha_sq for _, _, alpha_sq, _, _ in blocks])
+    assert len(alphas) and all(a == 1.0 for a in alphas)
     params = init(mconfig, RngStream(seed=9, stream=900))
-    params, _ = train(params, mconfig, pair_provider(task), config, observer=observer)
-    assert alphas and all(a == 1.0 for a in alphas)
+    params, _ = train(params, mconfig, pair_provider(task), config)
 
     # ... and the sampler path is noise-independent: different noise streams
     # produce identical endpoints.

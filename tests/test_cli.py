@@ -592,6 +592,35 @@ class TestSampleRecordedObjective:
         assert "overflows float64" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("count,edit", [(53, lambda p: p[:-8]), (55, lambda p: p + bytes(8))])
+    def test_count_not_the_models_exits_two(self, tmp_path, capsys, count, edit):
+        """A header count that is not its model's parameter count is rejected,
+        even when the payload holds that many values."""
+        params = _rewrite_params(
+            tmp_path, lambda header, payload: ({**header, "count": count}, edit(payload))
+        )
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--params", params, "--seed", "1", "--runs", "4", "--out-dir", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert params in err and str(count) in err and "54" in err, err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_exits_two(self, tmp_path, capsys, value):
+        """A container holding a non-finite weight is rejected at load, naming
+        the file, not reported as a sampler failure."""
+        first = np.array([value], dtype="<f8").tobytes()
+        params = _rewrite_params(tmp_path, lambda header, payload: (header, first + payload[8:]))
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--params", params, "--seed", "1", "--runs", "4", "--out-dir", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert params in err and "non-finite" in err, err
+        assert not os.path.exists(out)
+
     def test_foreign_container_exits_two(self, tmp_path, capsys):
         params = str(tmp_path / "bogus.bin")
         out = str(tmp_path / "out")
@@ -604,6 +633,20 @@ class TestSampleRecordedObjective:
             assert exc.value.code == 2, header
             assert capsys.readouterr().err == f"error: not a parameter container: {params}\n"
             assert not os.path.exists(out)
+
+
+def _rewrite_params(tmp_path, edit) -> str:
+    """The 54-value params.bin of a 2-step, 4-wide run, rewritten by ``edit``:
+    (header dict, payload bytes) -> (header dict, payload bytes)."""
+    train_dir = str(tmp_path / "train")
+    assert main(["train", "--steps", "2", "--hidden", "4", "--seed", "1", "--out-dir", train_dir]) == 0
+    path = os.path.join(train_dir, "params.bin")
+    with open(path, "rb") as fh:
+        header, _, payload = fh.read().partition(b"\n")
+    header, payload = edit(json.loads(header), payload)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    return path
 
 
 def _seed_flag(argv: list[str]) -> list[str]:
@@ -841,6 +884,16 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert params in err and str(payload - cut) in err and str(payload) in err, err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("grid", ["a:b", "0:0.5:2.5", "0:0.5:-1", "1,x"])
+    def test_bad_grid_names_the_flag(self, tmp_path, capsys, grid):
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--grid", grid, "--out-dir", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--grid" in err and grid in err and "start:stop:count" in err, err
         assert not os.path.exists(out)
 
     def test_unknown_override_is_named(self, tmp_path, capsys):
@@ -1231,3 +1284,27 @@ class TestConfigPrecedence:
         assert config["shift"] == [1.0, 0.0]
         assert config["train_config"]["steps"] == 3
         assert config["zero_context"] is True
+
+    @pytest.mark.parametrize(
+        "config,argv",
+        [
+            ({"seed": 3, "steps": 5}, ["train"]),
+            ({"seed": 3}, ["sample", "--oracle", "--runs", "4"]),
+            ({"seed": 3}, ["ablate", "--axis", "gamma", "--values", "1,2", "--steps", "2", "--runs", "2"]),
+            ({"axis": "gamma"}, ["ablate", "--seed", "3", "--values", "1,2", "--steps", "2", "--runs", "2"]),
+            ({"values": [1, 2]}, ["ablate", "--seed", "3", "--axis", "gamma", "--steps", "2", "--runs", "2"]),
+            ({"N": 3}, ["schedule", "dump"]),
+        ],
+        ids=["train-seed", "sample-seed", "ablate-seed", "ablate-axis", "ablate-values", "dump-N"],
+    )
+    def test_config_satisfies_required_option(self, tmp_path, config, argv):
+        """A required option set in the file needs no flag."""
+        config_path = str(tmp_path / "config.json")
+        with open(config_path, "w") as fh:
+            json.dump(config, fh)
+        out = str(tmp_path / "out")
+        assert main(["--config", config_path, *argv, "--out-dir", out]) == 0
+        resolved = json.loads(read(os.path.join(out, "manifest.json")))["config"]
+        for key, value in config.items():
+            expected = ",".join(map(str, value)) if isinstance(value, list) else value
+            assert resolved.get(key, resolved.get("train_config", {}).get(key)) == expected

@@ -13,18 +13,28 @@ from bridgelab.model import ModelConfig, init
 from bridgelab.numerics import RngStream
 from bridgelab.objectives import ObjectiveKind, alpha_factor
 from bridgelab.tasks import TaskSpec, pair_provider
-from bridgelab.trainer import TrainConfig, train
+from bridgelab.trainer import TrainConfig, step_blocks, train
 
 SHIFT_TASK = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
 
 
-def run_training(objective, steps=200, observer=None, **overrides):
+def _configs(objective, steps, overrides):
     defaults = dict(noise_scale=1.0, batch_size=16, seed=7, log_every=50)
     defaults.update(overrides)
     config = TrainConfig(objective=objective, steps=steps, **defaults)
-    mconfig = ModelConfig(input_dim=2, hidden=(16,))
+    return config, ModelConfig(input_dim=2, hidden=(16,))
+
+
+def run_training(objective, steps=200, **overrides):
+    config, mconfig = _configs(objective, steps, overrides)
     params = init(mconfig, RngStream(seed=config.seed, stream=900))
-    return train(params, mconfig, pair_provider(SHIFT_TASK), config, observer=observer)
+    return train(params, mconfig, pair_provider(SHIFT_TASK), config)
+
+
+def training_blocks(objective, steps=200, **overrides):
+    """The (pairs, sample, alpha^2, targets, rows) blocks that run_training reads."""
+    config, mconfig = _configs(objective, steps, overrides)
+    return list(step_blocks(pair_provider(SHIFT_TASK), config, mconfig))
 
 
 class TestDeterminism:
@@ -129,8 +139,7 @@ class TestAlgorithmFidelity:
         """Every constructed state equals interpolation + s sqrt(t(1-t)) eps
         for the drawn eps, the recorded alpha matches the normalization
         module, and the target is the conditional drift of that state."""
-        seen = []
-        observer = lambda step, batch, sample, alpha_sq, targets: seen.extend(
+        seen = [
             (
                 EndpointPair(batch.x0[i : i + 1], batch.x1[i : i + 1]),
                 float(sample.t[i]),
@@ -139,9 +148,11 @@ class TestAlgorithmFidelity:
                 float(alpha_sq[i]),
                 targets[i : i + 1].copy(),
             )
+            for batch, sample, alpha_sq, targets, _ in training_blocks(
+                ObjectiveKind.STABILIZED_VELOCITY, steps=5
+            )
             for i in range(len(batch))
-        )
-        run_training(ObjectiveKind.STABILIZED_VELOCITY, steps=5, observer=observer)
+        ]
         assert len(seen) == 5 * 16
         for pair, t, eps, state, alpha_sq, target in seen:
             rebuilt = interpolate(pair, t) + math.sqrt(t * (1.0 - t)) * eps
@@ -153,31 +164,26 @@ class TestAlgorithmFidelity:
 
     def test_first_step_loss_is_mean_stabilized_sqnorm(self):
         """Zero-initialized model: first batch loss = mean ||u/alpha||^2."""
-        seen = []
-        observer = lambda step, batch, sample, alpha_sq, targets: seen.extend(
-            float(np.sum(target * target)) / a for target, a in zip(targets, alpha_sq)
-        )
-        _, stats = run_training(
-            ObjectiveKind.STABILIZED_VELOCITY, steps=1, log_every=1, observer=observer
-        )
+        kind, overrides = ObjectiveKind.STABILIZED_VELOCITY, dict(steps=1, log_every=1)
+        [(_, _, alpha_sq, targets, _)] = training_blocks(kind, **overrides)
+        seen = [float(np.sum(target * target)) / a for target, a in zip(targets, alpha_sq)]
+        _, stats = run_training(kind, **overrides)
         assert stats.rows[0].loss == pytest.approx(float(np.mean(seen)), rel=1e-12)
 
     def test_zero_noise_scale_alpha_identically_one(self):
-        alphas = []
-        observer = lambda step, batch, sample, alpha_sq, targets: alphas.extend(alpha_sq)
-        run_training(ObjectiveKind.STABILIZED_VELOCITY, steps=20, noise_scale=0.0, observer=observer)
-        assert alphas and all(a == 1.0 for a in alphas)
+        blocks = training_blocks(ObjectiveKind.STABILIZED_VELOCITY, steps=20, noise_scale=0.0)
+        alphas = np.concatenate([alpha_sq for _, _, alpha_sq, _, _ in blocks])
+        assert len(alphas) == 20 * 16 and np.all(alphas == 1.0)
 
-    def test_observer_sees_each_block_once(self):
+    def test_blocks_hold_whole_steps(self):
         """130 steps of 32 pairs with 10-wide input rows run in blocks of 51,
-        51 and 28 steps; the observer gets each block's first step and rows."""
-        calls = []
-        observer = lambda step, batch, sample, alpha_sq, targets: calls.append(
-            (step, len(batch), len(sample.t), len(alpha_sq), len(targets))
-        )
-        run_training(ObjectiveKind.STABILIZED_VELOCITY, steps=130, batch_size=32, observer=observer)
-        assert calls == [(1, 1632, 1632, 1632, 1632), (52, 1632, 1632, 1632, 1632),
-                         (103, 896, 896, 896, 896)]
+        51 and 28 steps; each yielded array holds a block's rows."""
+        blocks = training_blocks(ObjectiveKind.STABILIZED_VELOCITY, steps=130, batch_size=32)
+        sizes = [
+            (len(batch), len(sample.t), len(sample.state), len(alpha_sq), len(targets), len(rows))
+            for batch, sample, alpha_sq, targets, rows in blocks
+        ]
+        assert sizes == [(1632,) * 6, (1632,) * 6, (896,) * 6]
 
     def test_network_runs_once_per_step(self, monkeypatch):
         """The gradient reuses the step's forward pass: with two hidden layers,
@@ -251,15 +257,15 @@ class TestInstabilityEvidence:
         """Mean squared displacement magnitude above t=0.9 is under 20% of the
         mean below t=0.1: late times contribute almost nothing to the loss."""
         buckets = {"early": [], "late": []}
-
-        def observer(step, batch, sample, alpha_sq, targets):
+        for _, sample, _, targets, _ in training_blocks(
+            ObjectiveKind.DISPLACEMENT, steps=2000, batch_size=32
+        ):
             for t, target in zip(sample.t, targets):
                 if t > 0.9:
                     buckets["late"].append(float(np.sum(target * target)))
                 elif t < 0.1:
                     buckets["early"].append(float(np.sum(target * target)))
 
-        run_training(ObjectiveKind.DISPLACEMENT, steps=2000, batch_size=32, observer=observer)
         assert buckets["early"] and buckets["late"]
         assert np.mean(buckets["late"]) < 0.2 * np.mean(buckets["early"])
 
