@@ -523,7 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Brownian-bridge translation models: verify, profile, train, sample, ablate.",
         allow_abbrev=False,
     )
-    parser.add_argument("--config", default=None, help="JSON config file (flags override it)")
+    parser.add_argument(
+        "--config", action=_ConfigFile, default=None,
+        help="JSON config file, given before the subcommand (flags override it)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a statistical verification suite", allow_abbrev=False)
@@ -627,51 +630,48 @@ def _config_value(action: argparse.Action, value):
     return converted if repeated else converted[0]
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Seed parser defaults from --config JSON so explicit flags keep precedence.
+class _ConfigFile(argparse.Action):
+    """``--config FILE`` seeds every parser's defaults from the JSON object in
+    FILE, so explicit flags keep precedence. Only the top-level parser takes
+    it, and argparse runs it before the subcommand's parser reads its flags.
 
     Every key must name an option of some subcommand, and every value must
     be one its flag would accept; otherwise it raises ValueError.
     """
-    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
-    try:
-        with open(known.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read --config {known.config}: {exc.strerror or exc}")
-    except ValueError as exc:
-        raise ValueError(f"--config {known.config} is not a JSON file: {exc}")
-    if not isinstance(loaded, dict):
-        raise ValueError(f"--config {known.config} must hold a JSON object")
-    options = [
-        (sub, action)
-        for sub in _iter_parsers(parser)
-        for action in sub._actions  # noqa: SLF001
-        if action.option_strings and not isinstance(action, argparse._HelpAction)  # noqa: SLF001
-    ]
-    for key, value in loaded.items():
-        dest = key.replace("-", "_")
-        matches = [(sub, action) for sub, action in options if action.dest == dest]
-        if not matches:
-            raise ValueError(f"--config {known.config}: no option is named {key}")
-        for sub, action in matches:
-            try:
-                sub.set_defaults(**{dest: _config_value(action, value)})
-            except ValueError as exc:
-                raise ValueError(f"--config {known.config}: bad value {value!r} for {key}: {exc}")
-            action.required = False  # the file's value stands in for the flag
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        setattr(namespace, self.dest, path)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read --config {path}: {exc.strerror or exc}")
+        except ValueError as exc:
+            raise ValueError(f"--config {path} is not a JSON file: {exc}")
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config {path} must hold a JSON object")
+        options = [
+            (sub, action)
+            for sub in _iter_parsers(parser)
+            for action in sub._actions  # noqa: SLF001
+            if action.option_strings and not isinstance(action, argparse._HelpAction)  # noqa: SLF001
+        ]
+        for key, value in loaded.items():
+            dest = key.replace("-", "_")
+            matches = [(sub, action) for sub, action in options if action.dest == dest]
+            if not matches:
+                raise ValueError(f"--config {path}: no option is named {key}")
+            for sub, action in matches:
+                try:
+                    sub.set_defaults(**{dest: _config_value(action, value)})
+                except ValueError as exc:
+                    raise ValueError(f"--config {path}: bad value {value!r} for {key}: {exc}")
+                action.required = False  # the file's value stands in for the flag
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,7 @@ state, and ``input_rows`` is the one place that builds them from (B, D)
 states x, a time t of shape () shared by the batch or (B,), one per state,
 and the context. ``forward`` predicts and can keep its activations on a
 tape; ``backward`` backpropagates through a tape without re-running the
-pass; ``linearize`` pairs the two, returning the prediction and a pullback,
-so a training step runs the network once.
+pass, so a training step runs the network once.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -203,14 +201,10 @@ def forward(params: Tensor, config: ModelConfig, x: Tensor, *, tape: list | None
     return out
 
 
-def backward(
-    params: Tensor, config: ModelConfig, x: Tensor, tape: list, upstream: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Exact reverse-mode gradients of <forward(...), upstream> for the pass
-    over input rows x that filled ``tape``: (grad_params, grad_x), a flat
-    vector matching the parameter layout and the (B, D) gradient with respect
-    to the states in those rows. The parameter gradient sums over the batch;
-    grad_x is per state.
+def backward(params: Tensor, config: ModelConfig, x: Tensor, tape: list, upstream: Tensor) -> Tensor:
+    """Exact reverse-mode gradient of <forward(...), upstream> with respect to
+    the parameters, for the pass over input rows x that filled ``tape``: a flat
+    vector matching the parameter layout, summed over the batch.
     """
     g = np.asarray(upstream, dtype=np.float64)
     states = (len(x), config.input_dim)
@@ -226,23 +220,9 @@ def backward(
         gw, gb = grad_layers[i]
         np.matmul(h.T, g, out=gw)
         np.add.reduce(g, axis=0, out=gb)
-        # below the first layer only the states' columns of the rows are wanted
-        g = g @ (w if i else w[: config.input_dim]).T
-    return grad_params, g
-
-
-def linearize(
-    params: Tensor, config: ModelConfig, x: Tensor
-) -> tuple[Tensor, Callable[[Tensor], tuple[Tensor, Tensor]]]:
-    """One forward pass over input rows x that keeps its activations: returns
-    (prediction, pullback).
-
-    ``pullback(upstream)`` is ``backward`` on that pass's tape, so a
-    training step runs the network once.
-    """
-    tape: list = []
-    prediction = forward(params, config, x, tape=tape)
-    return prediction, lambda upstream: backward(params, config, x, tape, upstream)
+        if i:  # the input rows themselves need no gradient
+            g = g @ w.T
+    return grad_params
 
 
 @contextlib.contextmanager

@@ -184,8 +184,8 @@ def target_profile(
     if len(pair) != 1:
         raise ValueError(f"a profile is of one pair, got {len(pair)}")
     grid = np.asarray(t_grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("profile grid must be nonempty")
+    if grid.size < 2:
+        raise ValueError(f"profile grid needs at least 2 points, got {grid.size}")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("profile grid must be strictly increasing")
     if grid[0] < 0.0 or grid[-1] > PROFILE_T_MAX:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bridge import T_CLAMP, BridgeSample, EndpointPair, check_noise_scale, sample_state
 from .errors import TrainingError
-from .model import ModelConfig, input_rows, linearize
+from .model import ModelConfig, backward, forward, input_rows
 from .numerics import RngStream, Tensor, gaussian, uniform
 from .objectives import ObjectiveKind, loss, objective_alpha_sq, raw_target
 
@@ -212,12 +212,13 @@ def train_step(
     kind = config.objective
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions, pullback = linearize(params, model_config, rows)
+        tape: list = []
+        predictions = forward(params, model_config, rows, tape=tape)
         losses, upstream = loss(predictions, targets, alpha_sq)
         batch_loss = float(np.add.reduce(losses)) / len(losses)
         if not math.isfinite(batch_loss):
             raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)
-        grad_params, _ = pullback(upstream)
+        grad_params = backward(params, model_config, rows, tape, upstream)
         grad_norm = math.sqrt(float(np.add.reduce(grad_params * grad_params)))
         if not math.isfinite(grad_norm):
             raise TrainingError(f"non-finite gradient at step {step_index}", step_index, kind.value)

@@ -1,3 +1,6 @@
+import ctypes
+import glob
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,29 @@ from bridgelab.trainer import TrainConfig, train
 ABLATION_SEED = 2
 ABLATION_STEPS = 2000
 ABLATION_LR = 1e-2
+
+
+def pytest_report_header(config):
+    """The CPU kernels behind the pinned network digests: numpy's version, its
+    SIMD dispatch targets enabled on this CPU and the core its bundled
+    OpenBLAS picked. Those pins hold only where all three match the machine
+    that made them; a part that cannot be read prints as unknown."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        simd = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)) or "none"
+    except (ImportError, AttributeError):
+        simd = "unknown"
+    try:
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+        (path,) = glob.glob(os.path.join(libs, "libscipy_openblas*"))
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (OSError, AttributeError, ValueError):
+        core = "unknown"
+    return f"kernels: numpy {np.__version__}; SIMD {simd}; OpenBLAS core {core}"
 
 
 def traced_peak(func, *args, **kwargs):

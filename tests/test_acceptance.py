@@ -23,10 +23,10 @@ from bridgelab.bridge import sample_state
 from bridgelab.cli import main
 from bridgelab.model import (
     ModelConfig,
+    backward,
     forward,
     init,
     input_rows,
-    linearize,
     parameter_count,
     velocity_field_from,
 )
@@ -234,8 +234,9 @@ def test_criterion_06_gradient_correctness():
                     pred = forward(theta, config, rows)
                     return float(np.mean(loss(pred, targets, alpha_sq)[0]))
 
-                pred, pullback = linearize(params, config, rows)
-                grad_params, _ = pullback(loss(pred, targets, alpha_sq)[1])
+                tape: list = []
+                pred = forward(params, config, rows, tape=tape)
+                grad_params = backward(params, config, rows, tape, loss(pred, targets, alpha_sq)[1])
                 probes = np.unique(
                     (np.abs(gaussian(rng, (32,))) * params.size * 0.37).astype(int) % params.size
                 )[:16]

@@ -841,12 +841,15 @@ class TestUsageErrors:
             ["verify", "--suite", "schedules", "--out", "manifest.json"],
             ["schedule", "dump", "--N", "3", "--out", "x.csv"],
             ["sample", "--oracle", "--seed", "1", "--runs", "4", "--traj"],
+            ["schedule", "dump", "--N", "3", "--config", "/nonexistent.json"],
         ],
-        ids=["verify-out", "schedule-dump-out", "sample-flag-prefix"],
+        ids=["verify-out", "schedule-dump-out", "sample-flag-prefix", "config-after-subcommand"],
     )
     def test_unknown_flag_is_rejected(self, tmp_path, capsys, monkeypatch, argv):
         """Only --out-dir names where a command writes, and a flag is matched
-        exactly: neither --out nor a prefix of another flag is accepted."""
+        exactly: neither --out nor a prefix of another flag is accepted.
+        --config is read only before the subcommand, so after it the file is
+        never opened."""
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -10,10 +10,10 @@ from bridgelab.model import (
     ModelConfig,
     _activate_grad,
     _views,
+    backward,
     forward,
     init,
     input_rows,
-    linearize,
     load_parameters,
     parameter_count,
     save_parameters,
@@ -32,6 +32,13 @@ def random_params(config: ModelConfig, seed: int) -> np.ndarray:
 def predict(params, config, x, t, context=None) -> np.ndarray:
     """The network's prediction for (B, D) states at time t."""
     return forward(params, config, input_rows(config, x, t, context))
+
+
+def gradient(params, config, rows, upstream) -> np.ndarray:
+    """The parameter gradient of <forward(params, config, rows), upstream>."""
+    tape: list = []
+    forward(params, config, rows, tape=tape)
+    return backward(params, config, rows, tape, upstream)
 
 
 class TestForward:
@@ -93,6 +100,12 @@ class TestForward:
         out = predict(params, config, np.zeros((1, 2)), 0.5, context=np.array([[1.0, -1.0]]))
         assert out.shape == (1, 2)
 
+    def test_context_rejected_when_not_configured(self):
+        config = ModelConfig(input_dim=2, hidden=(8,))
+        params = random_params(config, 8)
+        with pytest.raises(ValueError, match="context_dim=0 but a context was given"):
+            predict(params, config, np.zeros((1, 2)), 0.5, context=np.ones((1, 1)))
+
     def test_shape_mismatch_rejected(self):
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 9)
@@ -109,8 +122,8 @@ class TestForward:
     @pytest.mark.parametrize("activation", ["tanh", "smooth_relu"])
     def test_untaped_pass_is_the_taped_pass(self, activation, context_dim):
         """forward without a tape gives the bits of the taped pass, changes
-        none of its inputs, and leaves an earlier pass's tape intact: its
-        pullback gives the same gradient after a second pass."""
+        none of its inputs, and leaves an earlier pass's tape intact: backward
+        through it gives the same gradient after a second pass."""
         config = ModelConfig(
             input_dim=3, hidden=(8, 8), context_dim=context_dim, activation=activation
         )
@@ -121,12 +134,11 @@ class TestForward:
         upstream = gaussian(rng, (5, 3))
         inputs = [a.copy() for a in (params, rows, context) if a is not None]
 
-        prediction, pullback = linearize(params, config, rows)
-        grad_params, grad_x = pullback(upstream)
+        tape: list = []
+        prediction = forward(params, config, rows, tape=tape)
+        grad_params = backward(params, config, rows, tape, upstream)
         np.testing.assert_array_equal(forward(params, config, rows), prediction)
-        again_params, again_x = pullback(upstream)
-        np.testing.assert_array_equal(again_params, grad_params)
-        np.testing.assert_array_equal(again_x, grad_x)
+        np.testing.assert_array_equal(backward(params, config, rows, tape, upstream), grad_params)
         for before, after in zip(inputs, (params, rows, context)):
             np.testing.assert_array_equal(after, before)
 
@@ -186,6 +198,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="must be an integer"):
             ModelConfig(**{"input_dim": 2, **fields})
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"input_dim": 0}, "input_dim must be >= 1"),
+            ({"context_dim": -1}, "context_dim must be >= 0"),
+            ({"activation": "relu"}, "activation must be one of"),
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**{"input_dim": 2, **fields})
+
     def test_numpy_integers_become_ints(self, tmp_path):
         """Integer fields are stored as int, so the parameter header stays JSON."""
         config = ModelConfig(input_dim=np.int64(2), hidden=[np.int32(4)], context_dim=np.int8(1))
@@ -209,9 +233,11 @@ class TestBackward:
         x = gaussian(rng, (1, input_dim))
         upstream = gaussian(rng, (1, input_dim))
         t = 0.37
-        prediction, pullback = linearize(params, config, input_rows(config, x, t))
+        rows = input_rows(config, x, t)
+        tape: list = []
+        prediction = forward(params, config, rows, tape=tape)
         np.testing.assert_array_equal(prediction, predict(params, config, x, t))
-        grad_params, grad_x = pullback(upstream)
+        grad_params = backward(params, config, rows, tape, upstream)
 
         probe_idx = np.unique(
             (np.abs(gaussian(rng, (96,))) * params.size * 0.13).astype(int) % params.size
@@ -227,37 +253,23 @@ class TestBackward:
             denom = max(abs(fd), abs(float(grad_params[idx])), 1e-8)
             assert abs(float(grad_params[idx]) - fd) / denom < 1e-6
 
-        for i in range(input_dim):
-            bumped = x.copy()
-            bumped[0, i] += h
-            up = float(np.sum(predict(params, config, bumped, t) * upstream))
-            bumped[0, i] -= 2 * h
-            down = float(np.sum(predict(params, config, bumped, t) * upstream))
-            fd = (up - down) / (2.0 * h)
-            denom = max(abs(fd), abs(float(grad_x[0, i])), 1e-8)
-            assert abs(float(grad_x[0, i]) - fd) / denom < 1e-6
-
     def test_zero_upstream_zero_gradients(self):
         config = ModelConfig(input_dim=2, hidden=(8,))
         params = random_params(config, 13)
-        pullback = linearize(params, config, input_rows(config, np.ones((1, 2)), 0.5))[1]
-        grad_params, grad_x = pullback(np.zeros((1, 2)))
-        assert np.array_equal(grad_params, np.zeros_like(params))
-        assert np.array_equal(grad_x, np.zeros((1, 2)))
+        rows = input_rows(config, np.ones((1, 2)), 0.5)
+        assert np.array_equal(gradient(params, config, rows, np.zeros((1, 2))), np.zeros_like(params))
         with pytest.raises(ValueError, match="does not match states"):
-            pullback(np.zeros(2))
+            gradient(params, config, rows, np.zeros(2))
 
     def test_linearity_in_upstream(self):
-        """pullback(a+b) = pullback(a) + pullback(b) within 1e-12."""
+        """backward(a+b) = backward(a) + backward(b) within 1e-12."""
         config = ModelConfig(input_dim=3, hidden=(8,))
         params = random_params(config, 14)
         rng = RngStream(seed=15)
         x = gaussian(rng, (1, 3))
         a, b = gaussian(rng, (1, 3)), gaussian(rng, (1, 3))
-        _, pullback = linearize(params, config, input_rows(config, x, 0.4))
-        ga, _ = pullback(a)
-        gb, _ = pullback(b)
-        gab, _ = pullback(a + b)
+        rows = input_rows(config, x, 0.4)
+        ga, gb, gab = (gradient(params, config, rows, u) for u in (a, b, a + b))
         np.testing.assert_allclose(gab, ga + gb, atol=1e-12)
 
     def test_batched_gradient_sums_over_batch(self):
@@ -266,12 +278,11 @@ class TestBackward:
         xs = gaussian(RngStream(seed=17), (3, 2))
         ups = gaussian(RngStream(seed=18), (3, 2))
         ts = np.array([0.2, 0.5, 0.8])
-        batch_grad, _ = linearize(params, config, input_rows(config, xs, ts))[1](ups)
+        batch_grad = gradient(params, config, input_rows(config, xs, ts), ups)
         total = np.zeros_like(params)
         for i in range(3):
             rows = input_rows(config, xs[i : i + 1], ts[i])
-            gi, _ = linearize(params, config, rows)[1](ups[i : i + 1])
-            total += gi
+            total += gradient(params, config, rows, ups[i : i + 1])
         np.testing.assert_allclose(batch_grad, total, rtol=1e-10, atol=1e-12)
 
 

@@ -243,6 +243,11 @@ class TestClosedFormProfiles:
                 ObjectiveKind.STABILIZED_VELOCITY, pair2d, 1.7, t
             ) == pytest.approx(dist_sq, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_time_one_rejected(self, unit_pair, kind):
+        with pytest.raises(DomainError, match="profile time must be in"):
+            expected_target_sqnorm(kind, unit_pair, 1.0, 1.0)
+
     def test_velocity_divergence_bound(self, pair2d):
         """S_v(t)/S_v(0) >= 0.5/(1-t) on t >= 0.5 when D s^2 >= ||x1-x0||^2."""
         dist_sq = float(np.sum((pair2d.x1 - pair2d.x0) ** 2))
@@ -299,8 +304,9 @@ class TestTargetProfile:
             assert s_value == pytest.approx(closed, rel=0.02)
 
     def test_grid_validation(self, unit_pair):
-        with pytest.raises(ValueError):
-            target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, [])
+        for grid, points in (([], 0), ([0.5], 1)):
+            with pytest.raises(ValueError, match=f"at least 2 points, got {points}"):
+                target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, grid)
         with pytest.raises(ValueError):
             target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, [0.5, 0.4])
         with pytest.raises(DomainError):

@@ -108,6 +108,13 @@ class TestStep:
             integrate(np.zeros((1, 2)), bad_field, shifted(4, 1.0), "corrected", 1.0, RngStream(seed=1))
         assert err.value.step_index == 1
 
+    def test_overflowing_state_reports_step_index(self):
+        """A finite drift that carries the states past float64's range."""
+        huge_field = lambda x, t: np.full_like(x, 1e308)
+        with pytest.raises(IntegrationError, match="state became non-finite at step 0") as err:
+            integrate(np.full((1, 2), 1e308), huge_field, shifted(1, 1.0), "corrected", 1.0, RngStream(seed=1))
+        assert err.value.step_index == 0
+
 
 class TestArrayOwnership:
     """integrate writes only arrays it made: never x0, never a recorded block."""

@@ -23,6 +23,22 @@ from bridgelab.trainer import TrainConfig, train
 from conftest import traced_peak
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"name": "spirals", "dimension": 2}, "unknown task 'spirals'"),
+        ({"name": "moons_rotate", "dimension": 3, "angle": 1.0}, "2D task, got dimension 3"),
+        ({"name": "moons_rotate", "dimension": 2}, "needs a rotation angle"),
+        ({"name": "grid_colorize", "dimension": 10, "grid_size": 2}, "must be 12, got 10"),
+        ({"name": "signal_refine", "dimension": 4, "repeat": 1}, "k >= 2, got 1"),
+    ],
+    ids=["name", "moons-dimension", "moons-angle", "grid-dimension", "repeat"],
+)
+def test_bad_task_spec_rejected(fields, message):
+    with pytest.raises(ValueError, match=message):
+        TaskSpec(**fields)
+
+
 class TestGaussianShift:
     def test_pairing_is_exact_shift(self):
         spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
@@ -143,6 +159,10 @@ class TestEnergyDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             energy_distance(np.zeros((4, 2)), np.zeros((4, 3)))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="nonempty sample sets"):
+            energy_distance(np.zeros((0, 2)), np.zeros((4, 2)))
 
     @pytest.mark.parametrize("chunk", [0, -1, 1.5, 512.0, "512", None, True])
     def test_chunk_must_be_a_positive_int(self, chunk):

@@ -44,6 +44,11 @@ class TestChecksDriveLibraryCode:
         )
 
 
+def test_unknown_suite_rejected():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope")
+
+
 def test_bridge_suite_releases_each_checks_arrays():
     """Each Monte-Carlo check's (1e5, 2) arrays are gone before the next
     check draws its own, so the suite peaks under 10 MB (16.7 MB when they
