@@ -186,56 +186,77 @@ def pair_provider(spec: TaskSpec, zero_context: bool = False):
 # coordinate differences, so a pair kept in Gram form is off by at most
 # about 1e4 ulps of its squared distance, and only short pairs come near that.
 _GRAM_NEAR = 1e-4
+# Near pairs are searched for and recomputed at most this many values at a time.
+_NEAR_BATCH = 2**16
 
 
 def _mean_distance(x: Tensor, y: Tensor, chunk: int, buffer: Tensor) -> float:
     """Mean of ||x_i - y_j|| over all (i, j), with squared distances in Gram form.
 
-    Rows of ``x`` are taken ``chunk`` at a time into one Gram block, a view of
+    Rows of ``x`` are taken ``chunk`` at a time, scaled by -2 into one
+    (chunk, D) buffer and multiplied into one Gram block, a view of
     ``buffer``, which holds at least min(chunk, len(x)) * len(y) floats. A pair
     with d^2 <= _GRAM_NEAR * (||x_i||^2 + max_j ||y_j||^2) is recomputed from
-    its coordinate differences, in batches no larger than one Gram block.
+    its coordinate differences. Near pairs are searched for over groups of
+    max(1, 2^16 // len(y)) block rows and recomputed max(1, 2^16 // D) pairs
+    at a time, so each temporary of that search holds at most
+    max(2^16, len(y)) values.
     """
+    m, d = y.shape
     xx = np.einsum("ij,ij->i", x, x)
     yy = np.einsum("ij,ij->i", y, y)
-    neg_2yt = -2.0 * y.T
     near_scale = _GRAM_NEAR * (xx + np.max(yy))
-    block = buffer[: min(chunk, x.shape[0]) * y.shape[0]].reshape(-1, y.shape[0])
+    rows_per_block = min(chunk, x.shape[0])
+    block = buffer[: rows_per_block * m].reshape(rows_per_block, m)
+    lhs = np.empty((rows_per_block, d))
+    group = max(1, _NEAR_BATCH // m)
+    batch = max(1, _NEAR_BATCH // d)
     total = 0.0
     for lo in range(0, x.shape[0], chunk):
         rows = x[lo : lo + chunk]
-        sq = np.matmul(rows, neg_2yt, out=block[: rows.shape[0]])
+        # -2 is a power of two, so each product is that of rows @ (-2 y.T), bit for bit
+        scaled = np.multiply(rows, -2.0, out=lhs[: rows.shape[0]])
+        sq = np.matmul(scaled, y.T, out=block[: rows.shape[0]])
         sq += xx[lo : lo + chunk, None]
         sq += yy
-        near = np.flatnonzero(sq <= near_scale[lo : lo + chunk, None])
-        flat = sq.reshape(-1)
-        batch = max(1, sq.size // x.shape[1])
-        for start in range(0, near.size, batch):
-            i, j = np.divmod(near[start : start + batch], y.shape[0])
-            diff = rows[i] - y[j]
-            flat[near[start : start + batch]] = np.einsum("ij,ij->i", diff, diff)
+        for g in range(0, rows.shape[0], group):
+            part = sq[g : g + group]
+            near = np.flatnonzero(part <= near_scale[lo + g : lo + g + part.shape[0], None])
+            flat = part.reshape(-1)
+            for start in range(0, near.size, batch):
+                i, j = np.divmod(near[start : start + batch], m)
+                diff = rows[g + i] - y[j]
+                flat[near[start : start + batch]] = np.einsum("ij,ij->i", diff, diff)
         total += float(np.sum(np.sqrt(sq, out=sq)))
-    return total / (x.shape[0] * y.shape[0])
+    return total / (x.shape[0] * m)
 
 
 def energy_distance(a: Tensor, b: Tensor, chunk: int = 512) -> float:
     """V-statistic energy distance 2 E||a-b|| - E||a-a'|| - E||b-b'||.
 
-    All expectations run over every index pair including the diagonal, so
-    identical sets give exactly zero: with a == b the cross term repeats the
+    ``a`` and ``b`` are (n, D) sample sets with D >= 1; a 1-D array is one
+    point. All expectations run over every index pair including the diagonal,
+    so identical sets give exactly zero: with a == b the cross term repeats the
     self terms' arithmetic. Each self term is centred on its own set's mean
     and the cross term on a's mean, so a common offset, or one set shifted
     far from the other, leaves each set's within-set pairs at their own
     scale. Pairwise squared distances are formed ``chunk`` rows at a time in
-    one Gram block of at most chunk x n floats, n = max(len(a), len(b)). The
-    block is allocated once per call and reused across chunks and all three
-    terms, so memory is bounded by it and grows with the set sizes, not their
-    product. ``chunk`` must be an int >= 1.
+    one Gram block of min(chunk, n) x n floats, n = max(len(a), len(b)),
+    allocated once per call and reused across chunks and all three terms.
+    Beside the block, a call holds at most two centred (n, D) copies, one
+    (chunk, D) buffer of scaled rows and near-pair temporaries of at most
+    max(2^16, n) values each (see ``_mean_distance``), so memory grows with
+    the set sizes, not their product. ``chunk`` must be an int >= 1.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be an int >= 1, got {chunk!r}")
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] == 0 or b.shape[1] == 0:
+        raise ValueError(
+            "energy distance needs (n, D) sample sets with D >= 1, "
+            f"got shapes {a.shape} and {b.shape}"
+        )
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] == 0 or b.shape[0] == 0:
@@ -246,6 +267,7 @@ def energy_distance(a: Tensor, b: Tensor, chunk: int = 512) -> float:
     a_centred = a - a_mean
     cross = _mean_distance(a_centred, b - a_mean, chunk, buffer)
     within_a = _mean_distance(a_centred, a_centred, chunk, buffer)
+    del a_centred  # freed before b's copy, so no more than two copies are ever alive
     b_centred = b - np.mean(b, axis=0)
     return 2.0 * cross - within_a - _mean_distance(b_centred, b_centred, chunk, buffer)
 
@@ -281,8 +303,12 @@ def evaluate(
     returns the velocity field over the run states for that batch, e.g.
     ``lambda batch: oracle_field(batch.x1)``; ``record`` is passed to
     ``integrate``. Returns the (runs, D) endpoints and their report.
-    Evaluation data comes from the provided stream, which callers keep
-    disjoint from training streams. Sampler failures propagate, and a score
+    Once ``integrate`` returns, the batch is released but for its targets, so
+    scoring holds the endpoints, the targets and ``energy_distance``'s arrays
+    (one Gram block, two centred copies, one (chunk, D) buffer and near-pair
+    temporaries of at most max(2^16, runs) values each). Evaluation data
+    comes from the provided stream, which callers keep disjoint from
+    training streams. Sampler failures propagate, and a score
     that is not finite (finite endpoints far enough apart overflow float64)
     raises :class:`EvaluationError`.
     """
@@ -290,16 +316,19 @@ def evaluate(
     endpoints = integrate(
         batch.x0, make_field(batch), schedule, mode, noise_scale, rng.split(2), record
     )
+    # scoring reads only the targets: x0 and the context are released first
+    targets = batch.x1
+    del batch
     # overflow here is diagnosed by the finiteness check below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         # scored before the errors exist, so its Gram block and they never coexist
-        distance = energy_distance(endpoints, batch.x1)
-        errors = endpoints - batch.x1
+        distance = energy_distance(endpoints, targets)
+        errors = endpoints - targets
         report = EvalReport(
             paired_mse=float(np.mean(errors * errors)),
             energy_distance=distance,
             mean_displacement_error=float(np.sqrt(np.sum(np.mean(errors, axis=0) ** 2))),
-            sample_count=len(batch),
+            sample_count=len(targets),
         )
     non_finite = [name for name, value in report.to_dict().items() if not math.isfinite(value)]
     if non_finite:

@@ -20,7 +20,7 @@ ABLATION_STEPS = 2000
 ABLATION_LR = 1e-2
 
 
-def pytest_report_header(config):
+def kernel_fingerprint() -> str:
     """The CPU kernels behind the pinned network digests: numpy's version, its
     SIMD dispatch targets enabled on this CPU and the core its bundled
     OpenBLAS picked. Those pins hold only where all three match the machine
@@ -41,6 +41,10 @@ def pytest_report_header(config):
     except (OSError, AttributeError, ValueError):
         core = "unknown"
     return f"kernels: numpy {np.__version__}; SIMD {simd}; OpenBLAS core {core}"
+
+
+def pytest_report_header(config):
+    return kernel_fingerprint()
 
 
 def traced_peak(func, *args, **kwargs):

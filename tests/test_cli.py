@@ -14,6 +14,7 @@ from bridgelab.numerics import RngStream
 from bridgelab.schedules import shifted
 from bridgelab.tasks import TaskSpec, evaluate, generate_pairs, pair_provider
 from bridgelab.trainer import TrainConfig, train
+from conftest import kernel_fingerprint
 
 
 def read(path: str) -> str:
@@ -172,7 +173,7 @@ class TestPinnedArtifacts:
                 "--seed", "4", "--out-dir", out]
         assert main(argv) == 0
         digest = sha256_of(os.path.join(out, "endpoints.csv"))
-        assert digest == PINNED_SAMPLED_ENDPOINTS[task, activation]
+        assert digest == PINNED_SAMPLED_ENDPOINTS[task, activation], kernel_fingerprint()
 
     def test_debug_csv_unchanged(self, tmp_path):
         argv = ["train", "--steps", "130", "--batch-size", "32", "--debug", "--seed", "3",

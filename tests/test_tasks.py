@@ -1,6 +1,7 @@
 """Synthetic translation tasks, energy distance, and evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ class TestSignalRefine:
             TaskSpec(name="signal_refine", dimension=10, repeat=4)
 
 
+# Scoring two grid8-wide (1024, 192) sets holds one (512, 1024) Gram block,
+# two centred (1024, 192) copies and one (512, 192) buffer of scaled rows.
+_GRID8_SCORING = 8 * (512 * 1024 + 2 * 1024 * 192 + 512 * 192)
+# A near-pair search adds a mask of 2^16 bools, then 2^16 indices and the
+# gathered rows, gathered columns and differences of one 2^16-value batch.
+_NEAR_SEARCH = 2**16 + 4 * 8 * 2**16
+
+
 class TestEnergyDistance:
     def test_identical_sets_exactly_zero(self):
         a = gaussian(RngStream(seed=6), (100, 3))
@@ -186,6 +195,32 @@ class TestEnergyDistance:
         distance, peak = traced_peak(energy_distance, a, b)
         assert distance == energy_distance(a, b)
         assert peak <= 512 * 1024 * 8 + 2**20
+
+    def test_memory_at_grid8_width(self):
+        """Two (1024, 192) Gaussian sets hold the scoring arrays and the
+        diagonal's few near pairs, under half a MiB: a scaled copy of y.T, a
+        third centred copy, or near batches the size of a Gram block would
+        each break the bound."""
+        a = gaussian(RngStream(seed=21), (1024, 192))
+        b = gaussian(RngStream(seed=22), (1024, 192)) + 0.5
+        distance, peak = traced_peak(energy_distance, a, b)
+        assert distance == energy_distance(a, b)
+        assert peak <= _GRID8_SCORING + 2**19
+
+    def test_memory_when_every_pair_is_near(self):
+        """1024 identical 192-d points: every pair is recomputed from its
+        coordinate differences, 2^16 values at a time."""
+        same = np.full((1024, 192), 0.3)
+        distance, peak = traced_peak(energy_distance, same, same)
+        assert distance == 0.0
+        assert peak <= _GRID8_SCORING + _NEAR_SEARCH + 2**17
+
+    @pytest.mark.parametrize("shape", [(4, 0), (2, 2, 2)])
+    def test_sets_that_are_not_point_clouds_rejected(self, shape):
+        """(n, 0) sets used to divide by zero sizing the near-pair batches and
+        (2, 2, 2) sets to fail inside einsum; a 1-D array is one point."""
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {shape} and {shape}")):
+            energy_distance(np.zeros(shape), np.zeros(shape))
 
     @given(shift=st.floats(-5.0, 5.0))
     @settings(max_examples=30, deadline=None)
@@ -306,6 +341,23 @@ class TestEvaluate:
             assert np.isfinite(data[key])
         assert data["paired_mse"] >= 0.0
         assert data["mean_displacement_error"] >= 0.0
+
+    def test_memory_at_grid8_width(self):
+        """Scoring 1024 grid8 endpoints holds them, their targets and the
+        energy distance's arrays: the batch's sources are released first."""
+        spec = TaskSpec(name="grid_colorize", dimension=192, grid_size=8)
+        (_, report), peak = traced_peak(
+            evaluate,
+            lambda batch: oracle_field(batch.x1),
+            pair_provider(spec),
+            shifted(4, 1.0),
+            "corrected",
+            1.0,
+            1024,
+            RngStream(seed=23),
+        )
+        assert report.sample_count == 1024
+        assert peak <= 2 * 1024 * 192 * 8 + _GRID8_SCORING + 2**20
 
 
 class TestConditioningPathway:

@@ -14,6 +14,7 @@ from bridgelab.numerics import RngStream
 from bridgelab.objectives import ObjectiveKind, alpha_factor
 from bridgelab.tasks import TaskSpec, pair_provider
 from bridgelab.trainer import TrainConfig, step_blocks, train
+from conftest import kernel_fingerprint
 
 SHIFT_TASK = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
 
@@ -131,7 +132,7 @@ class TestPinnedRegression:
         params, stats = train(params, mconfig, pair_provider(spec), config)
         assert (hashlib.sha256(params.tobytes()).hexdigest(), stats.sample_stream_digest) == (
             PINNED_RUNS[task, objective]
-        )
+        ), kernel_fingerprint()
 
 
 class TestAlgorithmFidelity:
