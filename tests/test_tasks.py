@@ -199,8 +199,8 @@ class TestEnergyDistance:
     def test_memory_at_grid8_width(self):
         """Two (1024, 192) Gaussian sets hold the scoring arrays and the
         diagonal's few near pairs, under half a MiB: a scaled copy of y.T, a
-        third centred copy, or near batches the size of a Gram block would
-        each break the bound."""
+        third centred copy or a near-pair mask the size of the Gram block
+        would each break the bound."""
         a = gaussian(RngStream(seed=21), (1024, 192))
         b = gaussian(RngStream(seed=22), (1024, 192)) + 0.5
         distance, peak = traced_peak(energy_distance, a, b)
@@ -218,7 +218,7 @@ class TestEnergyDistance:
     @pytest.mark.parametrize("shape", [(4, 0), (2, 2, 2)])
     def test_sets_that_are_not_point_clouds_rejected(self, shape):
         """(n, 0) sets used to divide by zero sizing the near-pair batches and
-        (2, 2, 2) sets to fail inside einsum; a 1-D array is one point."""
+        (2, 2, 2) sets to fail inside einsum."""
         with pytest.raises(ValueError, match=re.escape(f"got shapes {shape} and {shape}")):
             energy_distance(np.zeros(shape), np.zeros(shape))
 
