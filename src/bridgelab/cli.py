@@ -297,7 +297,7 @@ def cmd_profile(args) -> int:
     pair = EndpointPair(np.zeros((1, d)), x1)
     kind = ObjectiveKind(args.objective)
     grid = _parse_grid(args.grid)
-    rng = RngStream(seed=args.seed, stream=600) if args.mc > 0 else None
+    rng = RngStream(seed=args.seed, stream=600)  # built even for --mc 0, so a bad --seed is rejected
     s_values, c_values = target_profile(kind, pair, args.s, grid, args.mc, rng)
     t_values = grid.tolist()
     run = _Run(args, "profile")

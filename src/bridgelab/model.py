@@ -179,12 +179,18 @@ def forward(params: Tensor, config: ModelConfig, x: Tensor, *, tape: list | None
     When ``tape`` is a list, the pass appends one (input, pre-activation,
     weight) triple per layer to it, the pre-activation None for the linear
     output layer: what ``backward`` needs to differentiate this pass without
-    running it again.
+    running it again. Otherwise the rows are released once the first layer
+    has read them: ``forward`` drops its own reference to ``x``, so rows that
+    the caller built inside the call expression, as ``velocity_field_from``
+    does, are freed before the hidden layers run (CPython >= 3.11 hands the
+    caller's argument reference to the callee; on 3.10 the caller holds it
+    through the call).
     """
     if x.ndim != 2 or x.shape[1] != config.feature_dim:
         raise ValueError(f"input rows {x.shape} are not a (B, {config.feature_dim}) batch")
     layers = _views(params, config)
     h = x
+    del x  # h is the last reference this frame holds; a tape keeps its own
     for w, b in layers[:-1]:
         z = h @ w
         z += b

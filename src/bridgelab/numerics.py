@@ -46,26 +46,41 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_u64(name: str, value) -> None:
+    """Reject anything but an integer in [0, 2^64): a Philox key word holds no
+    more, and reducing a value modulo 2^64 would alias distinct ones."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+
+
 @dataclass
 class RngStream:
     """Deterministic random source identified by (seed, stream, counter).
 
-    The counter advances by the number of elements drawn, so a call drawing
-    an empty shape leaves the stream untouched and replaying a stream from a
-    recorded counter reproduces the exact sequence.
+    ``seed`` and ``stream`` are integers in [0, 2^64), the two words of the
+    Philox key; any other value raises ValueError. The counter advances by
+    the number of elements drawn, so a call drawing an empty shape leaves the
+    stream untouched and replaying a stream from a recorded counter
+    reproduces the exact sequence.
     """
 
     seed: int
     stream: int = 0
     counter: int = 0
 
+    def __post_init__(self):
+        _check_u64("seed", self.seed)
+        _check_u64("stream", self.stream)
+
     def split(self, index: int) -> "RngStream":
         """Derive an independent child stream; does not consume randomness.
 
-        Children with distinct indices (or from distinct parents) map to
-        distinct Philox keys and are therefore independent streams.
+        ``index`` is an integer in [0, 2^64). Children with distinct indices
+        (or from distinct parents) map to distinct Philox keys and are
+        therefore independent streams.
         """
-        mixed = _splitmix64((self.stream ^ _splitmix64(index & _MASK64)) & _MASK64)
+        _check_u64("split index", index)
+        mixed = _splitmix64(self.stream ^ _splitmix64(index))
         return RngStream(seed=self.seed, stream=mixed, counter=0)
 
     def _generator(self) -> np.random.Generator:
@@ -79,7 +94,7 @@ class RngStream:
             # the 256-bit counter's words, low first, of counter << 64
             "state": {
                 "counter": [0, c & _MASK64, (c >> 64) & _MASK64, c >> 128],
-                "key": [self.seed & _MASK64, self.stream & _MASK64],
+                "key": [self.seed, self.stream],
             },
             "buffer": _EMPTY_BUFFER,
             "buffer_pos": 4,  # the buffer is spent: the next draw starts a block

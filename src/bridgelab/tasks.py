@@ -186,52 +186,85 @@ def pair_provider(spec: TaskSpec, zero_context: bool = False):
 # coordinate differences, so a pair kept in Gram form is off by at most
 # about 1e4 ulps of its squared distance, and only short pairs come near that.
 _GRAM_NEAR = 1e-4
-# Near pairs are searched for and recomputed at most this many values at a time.
+# Near pairs are recomputed at most this many values at a time.
 _NEAR_BATCH = 2**16
+# Distances are summed by np.sum over blocks of this many rows of x, so it
+# fixes the order of the pairwise summation and with it every bit of a score.
+_BLOCK_ROWS = 512
+# A block is formed in tiles of whole rows; a tile sums at most this many of
+# the block's values, or this many rows of them when rows are longer: thinner
+# products run far below BLAS speed (two (8192, 192) sets took 1.9 s in
+# 16-row tiles against 1.2 s in 128-row ones).
+_TILE_VALUES = 2**17
+_TILE_ROWS = 128
 
 
-def _mean_distance(x: Tensor, y: Tensor, chunk: int, buffer: Tensor) -> float:
+def _pairwise_sum(leaf, start: int, stop: int, span: int) -> float:
+    """np.sum of entries start..stop-1 of a flat float64 array, given as
+    ``leaf(lo, hi)``, the np.sum of entries lo..hi-1, for ranges of at most
+    ``span`` >= 128 entries. numpy's pairwise summation splits n > 128 entries
+    at n // 2 rounded down to a multiple of 8; so does this, and each part it
+    hands to ``leaf`` is a subtree of that summation, summed in the same order.
+    """
+    n = stop - start
+    if n <= span:
+        return leaf(start, stop)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, start, start + half, span) + _pairwise_sum(
+        leaf, start + half, stop, span
+    )
+
+
+def _mean_distance(x: Tensor, y: Tensor) -> float:
     """Mean of ||x_i - y_j|| over all (i, j), with squared distances in Gram form.
 
-    Rows of ``x`` are taken ``chunk`` at a time, scaled by -2 into one
-    (chunk, D) buffer and multiplied into one Gram block, a view of
-    ``buffer``, which holds at least min(chunk, len(x)) * len(y) floats. A pair
-    with d^2 <= _GRAM_NEAR * (||x_i||^2 + max_j ||y_j||^2) is recomputed from
-    its coordinate differences. Near pairs are searched for over groups of
-    max(1, 2^16 // len(y)) block rows and recomputed max(1, 2^16 // D) pairs
-    at a time, so each temporary of that search holds at most
-    max(2^16, len(y)) values.
+    The distances of each block of _BLOCK_ROWS rows of ``x`` are summed as one
+    np.sum of the flattened block, but the block is never formed: each range
+    of at most span = max(2^17, 128 len(y)) entries that ``_pairwise_sum``
+    leaves is summed from a tile of the rows it touches, at most span //
+    len(y) + 2 of them. A tile's rows are scaled by -2 and multiplied by y.T
+    into one reused buffer; a pair with d^2 <= _GRAM_NEAR * (||x_i||^2 +
+    max_j ||y_j||^2) is recomputed from its coordinate differences, 2^16 // D
+    pairs at a time. Beside ``x`` and ``y``, a call holds the tile, its scaled
+    rows, a bool mask of the tile and the flat indices of its near pairs.
     """
     m, d = y.shape
     xx = np.einsum("ij,ij->i", x, x)
     yy = np.einsum("ij,ij->i", y, y)
     near_scale = _GRAM_NEAR * (xx + np.max(yy))
-    rows_per_block = min(chunk, x.shape[0])
-    block = buffer[: rows_per_block * m].reshape(rows_per_block, m)
-    lhs = np.empty((rows_per_block, d))
-    group = max(1, _NEAR_BATCH // m)
+    span = max(_TILE_VALUES, _TILE_ROWS * m)
+    tile_rows = min(span // m + 2, _BLOCK_ROWS, x.shape[0])
+    tile = np.empty(tile_rows * m)
+    lhs = np.empty((tile_rows, d))
     batch = max(1, _NEAR_BATCH // d)
-    total = 0.0
-    for lo in range(0, x.shape[0], chunk):
-        rows = x[lo : lo + chunk]
+
+    def leaf(start: int, stop: int) -> float:
+        """np.sum of distances start..stop-1 of the flattened (len(x), m) matrix."""
+        lo, hi = start // m, (stop - 1) // m + 1
+        rows = x[lo:hi]
         # -2 is a power of two, so each product is that of rows @ (-2 y.T), bit for bit
-        scaled = np.multiply(rows, -2.0, out=lhs[: rows.shape[0]])
-        sq = np.matmul(scaled, y.T, out=block[: rows.shape[0]])
-        sq += xx[lo : lo + chunk, None]
+        scaled = np.multiply(rows, -2.0, out=lhs[: hi - lo])
+        sq = np.matmul(scaled, y.T, out=tile[: (hi - lo) * m].reshape(hi - lo, m))
+        sq += xx[lo:hi, None]
         sq += yy
-        for g in range(0, rows.shape[0], group):
-            part = sq[g : g + group]
-            near = np.flatnonzero(part <= near_scale[lo + g : lo + g + part.shape[0], None])
-            flat = part.reshape(-1)
-            for start in range(0, near.size, batch):
-                i, j = np.divmod(near[start : start + batch], m)
-                diff = rows[g + i] - y[j]
-                flat[near[start : start + batch]] = np.einsum("ij,ij->i", diff, diff)
-        total += float(np.sum(np.sqrt(sq, out=sq)))
+        near = np.flatnonzero(sq <= near_scale[lo:hi, None])
+        flat = sq.reshape(-1)
+        for first in range(0, near.size, batch):
+            pairs = near[first : first + batch]
+            i, j = np.divmod(pairs, m)
+            diff = rows[i] - y[j]
+            flat[pairs] = np.einsum("ij,ij->i", diff, diff)
+        part = flat[start - lo * m : stop - lo * m]
+        return float(np.sum(np.sqrt(part, out=part)))
+
+    total = 0.0
+    for lo in range(0, x.shape[0], _BLOCK_ROWS):
+        total += _pairwise_sum(leaf, lo * m, min(lo + _BLOCK_ROWS, x.shape[0]) * m, span)
     return total / (x.shape[0] * m)
 
 
-def energy_distance(a: Tensor, b: Tensor, chunk: int = 512) -> float:
+def energy_distance(a: Tensor, b: Tensor) -> float:
     """V-statistic energy distance 2 E||a-b|| - E||a-a'|| - E||b-b'||.
 
     ``a`` and ``b`` are (n, D) sample sets with D >= 1; a 1-D array is one
@@ -240,16 +273,15 @@ def energy_distance(a: Tensor, b: Tensor, chunk: int = 512) -> float:
     self terms' arithmetic. Each self term is centred on its own set's mean
     and the cross term on a's mean, so a common offset, or one set shifted
     far from the other, leaves each set's within-set pairs at their own
-    scale. Pairwise squared distances are formed ``chunk`` rows at a time in
-    one Gram block of min(chunk, n) x n floats, n = max(len(a), len(b)),
-    allocated once per call and reused across chunks and all three terms.
-    Beside the block, a call holds at most two centred (n, D) copies, one
-    (chunk, D) buffer of scaled rows and near-pair temporaries of at most
-    max(2^16, n) values each (see ``_mean_distance``), so memory grows with
-    the set sizes, not their product. ``chunk`` must be an int >= 1.
+    scale. Pairwise distances are formed in tiles of whole rows that sum at
+    most max(2^17, 128 n) values each, n the length of the term's second
+    set, and their sums combine in exactly the order of one np.sum over each
+    512-row block (see ``_mean_distance``), so the score does not depend on
+    the tiling. Beside a tile, a call holds at most two centred (n, D)
+    copies, the tile's scaled rows, its bool mask and the indices of its
+    near pairs, so memory grows with the set sizes, and past 128 rows not
+    with their product.
     """
-    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"chunk must be an int >= 1, got {chunk!r}")
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] == 0 or b.shape[1] == 0:
@@ -261,15 +293,13 @@ def energy_distance(a: Tensor, b: Tensor, chunk: int = 512) -> float:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("energy distance needs nonempty sample sets")
-    n = max(a.shape[0], b.shape[0])
-    buffer = np.empty(min(chunk, n) * n)
     a_mean = np.mean(a, axis=0)
     a_centred = a - a_mean
-    cross = _mean_distance(a_centred, b - a_mean, chunk, buffer)
-    within_a = _mean_distance(a_centred, a_centred, chunk, buffer)
+    cross = _mean_distance(a_centred, b - a_mean)
+    within_a = _mean_distance(a_centred, a_centred)
     del a_centred  # freed before b's copy, so no more than two copies are ever alive
     b_centred = b - np.mean(b, axis=0)
-    return 2.0 * cross - within_a - _mean_distance(b_centred, b_centred, chunk, buffer)
+    return 2.0 * cross - within_a - _mean_distance(b_centred, b_centred)
 
 
 @dataclass(frozen=True)
@@ -305,8 +335,12 @@ def evaluate(
     ``integrate``. Returns the (runs, D) endpoints and their report.
     Once ``integrate`` returns, the batch is released but for its targets, so
     scoring holds the endpoints, the targets and ``energy_distance``'s arrays
-    (one Gram block, two centred copies, one (chunk, D) buffer and near-pair
-    temporaries of at most max(2^16, runs) values each). Evaluation data
+    (two centred copies and one tile of at most max(2^17, 128 runs) + 2 runs
+    distances with its scaled rows, mask and near-pair indices). With a
+    network field, each step's input rows are freed once the network's first
+    layer has read them (see ``model.forward``; CPython >= 3.11), so a step
+    holds the batch, the states, the drift and the next states, and no
+    (runs, feature_dim) rows beside the hidden layers. Evaluation data
     comes from the provided stream, which callers keep disjoint from
     training streams. Sampler failures propagate, and a score
     that is not finite (finite endpoints far enough apart overflow float64)
@@ -321,7 +355,7 @@ def evaluate(
     del batch
     # overflow here is diagnosed by the finiteness check below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        # scored before the errors exist, so its Gram block and they never coexist
+        # scored before the errors exist, so its tile and they never coexist
         distance = energy_distance(endpoints, targets)
         errors = endpoints - targets
         report = EvalReport(

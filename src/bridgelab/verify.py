@@ -426,6 +426,7 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if mc < 0:
         raise ValueError(f"Monte-Carlo draw count must be >= 0, got {mc}")
+    RngStream(seed=seed)  # rejects a seed outside [0, 2^64), even for a suite that draws nothing
     overrides = overrides or {}
     # The sampler suite's endpoint-variance sweep runs on one worker thread
     # while the selected suites run here. Whole suites stay on this thread:

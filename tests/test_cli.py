@@ -768,6 +768,43 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--steps", "2", "--hidden", "4"],
+            ["sample", "--oracle", "--runs", "4", "--N", "4"],
+            ["verify", "--suite", "schedules", "--mc", "4"],
+            ["profile", "--grid", "0:0.9:5"],
+            ["ablate", "--axis", "gamma", "--values", "1,2", "--steps", "2", "--hidden", "4",
+             "--runs", "4"],
+        ],
+        ids=["train", "sample", "verify", "profile", "ablate"],
+    )
+    def test_seed_outside_u64_exits_two(self, tmp_path, capsys, argv, seed):
+        """A seed is a Philox key word: 2^64 + 5 and -2^64 + 5 used to alias
+        seed 5, and -1 to alias 2^64 - 1, with the given seed in the manifest."""
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed, "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: seed must be an integer in [0, 2^64), got {seed}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--steps", "2", "--hidden", "4"], ["sample", "--oracle", "--runs", "4", "--N", "4"]],
+        ids=["train", "sample"],
+    )
+    def test_task_seed_outside_u64_exits_two(self, tmp_path, capsys, argv):
+        """--task-seed is a split index of the data stream: -1 aliased 2^64 - 1."""
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--task-seed", "-1", "--seed", "1", "--out-dir", out])
+        assert exc.value.code == 2
+        assert "must be an integer in [0, 2^64), got -1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize(
         "step,argv",
         [

@@ -1,6 +1,7 @@
 """The counter-based random source."""
 
 import math
+import re
 import sys
 import threading
 
@@ -88,6 +89,28 @@ class TestUniform:
     def test_mean_near_half(self):
         draws = uniform(RngStream(seed=8), (10**5,))
         assert abs(float(draws.mean()) - 0.5) < 0.005
+
+
+class TestKeyRange:
+    """Seeds, streams and split indices are Philox key words: a value outside
+    [0, 2^64) is rejected rather than reduced modulo 2^64, which aliased
+    seed 5 with 2^64 + 5 and -2^64 + 5."""
+
+    @pytest.mark.parametrize("value", [-1, 2**64, 2**64 + 5, -(2**64) + 5])
+    @pytest.mark.parametrize("field", ["seed", "stream"])
+    def test_key_word_outside_u64_rejected(self, field, value):
+        fields = {"seed": 0, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer in [0, 2^64), got {value}")):
+            RngStream(**fields)
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_split_index_outside_u64_rejected(self, index):
+        with pytest.raises(ValueError, match=re.escape(f"split index must be an integer in [0, 2^64), got {index}")):
+            RngStream(seed=0).split(index)
+
+    def test_extremes_accepted(self):
+        rng = RngStream(seed=2**64 - 1, stream=2**64 - 1).split(2**64 - 1).split(0)
+        assert gaussian(rng, (2,)).shape == (2,)
 
 
 _U64 = st.integers(0, 2**64 - 1)

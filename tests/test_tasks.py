@@ -2,10 +2,11 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -152,18 +153,15 @@ class TestEnergyDistance:
         for seed in (11, 12):
             a = gaussian(RngStream(seed=seed, stream=1), (10_000, 1))
             b = gaussian(RngStream(seed=seed, stream=2), (10_000, 1)) + 2.0
-            values.append(energy_distance(a, b))
+            value, peak = traced_peak(energy_distance, a, b)
+            values.append(value)
+            # one tile of 130 rows of 10000 distances and its bool mask, plus 1 MiB
+            # for the centred copies and per-point vectors; a (512, 10000) block is 39 MiB
+            assert peak <= 9 * 130 * 10_000 + 2**20
         for v in values:
             assert v > 0.0
             assert v == pytest.approx(1.9444, rel=0.05)
         assert values[0] == pytest.approx(values[1], rel=0.05)
-
-    def test_chunking_invariant(self):
-        a = gaussian(RngStream(seed=13), (300, 2))
-        b = gaussian(RngStream(seed=14), (200, 2))
-        assert energy_distance(a, b, chunk=64) == pytest.approx(
-            energy_distance(a, b, chunk=512), rel=1e-12
-        )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -172,19 +170,6 @@ class TestEnergyDistance:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty sample sets"):
             energy_distance(np.zeros((0, 2)), np.zeros((4, 2)))
-
-    @pytest.mark.parametrize("chunk", [0, -1, 1.5, 512.0, "512", None, True])
-    def test_chunk_must_be_a_positive_int(self, chunk):
-        """chunk=-1 used to score every pair as absent and return 0.0."""
-        a = gaussian(RngStream(seed=17), (50, 2))
-        b = gaussian(RngStream(seed=18), (50, 2)) + 1.0
-        with pytest.raises(ValueError, match=r"chunk must be an int >= 1, got"):
-            energy_distance(a, b, chunk=chunk)
-
-    def test_numpy_integer_chunk_accepted(self):
-        a = gaussian(RngStream(seed=17), (50, 2))
-        b = gaussian(RngStream(seed=18), (50, 2)) + 1.0
-        assert energy_distance(a, b, chunk=np.int64(7)) == energy_distance(a, b, chunk=7)
 
     def test_memory_is_one_gram_block(self):
         """Every chunk of all three terms fills one (512, 1024) block, so the
@@ -215,6 +200,15 @@ class TestEnergyDistance:
         assert distance == 0.0
         assert peak <= _GRID8_SCORING + _NEAR_SEARCH + 2**17
 
+    def test_memory_is_a_tile_at_grid8_width(self):
+        """Two (1024, 192) sets hold two centred copies and one tile of at most
+        128 + 2 rows of 1024 distances, its scaled rows and its bool mask: no
+        (512, 1024) block is formed."""
+        a = gaussian(RngStream(seed=25), (1024, 192))
+        b = gaussian(RngStream(seed=26), (1024, 192)) + 0.5
+        _, peak = traced_peak(energy_distance, a, b)
+        assert peak <= 8 * (2 * 1024 * 192 + 130 * 1024 + 130 * 192) + 130 * 1024 + 2**18
+
     @pytest.mark.parametrize("shape", [(4, 0), (2, 2, 2)])
     def test_sets_that_are_not_point_clouds_rejected(self, shape):
         """(n, 0) sets used to divide by zero sizing the near-pair batches and
@@ -228,6 +222,65 @@ class TestEnergyDistance:
         a = gaussian(RngStream(seed=15), (128, 1))
         b = gaussian(RngStream(seed=16), (128, 1)) + shift
         assert energy_distance(a, b) >= -1e-9
+
+
+def _one_block_energy_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The score as one np.sum per (512, n) Gram block, with near pairs
+    recomputed from coordinate differences: the arithmetic that the tiles of
+    ``energy_distance`` reproduce bit for bit."""
+
+    def mean_distance(x, y):
+        xx = np.einsum("ij,ij->i", x, x)
+        yy = np.einsum("ij,ij->i", y, y)
+        near_scale = 1e-4 * (xx + np.max(yy))
+        total = 0.0
+        for lo in range(0, len(x), 512):
+            rows = x[lo : lo + 512]
+            sq = (rows * -2.0) @ y.T + xx[lo : lo + 512, None]
+            sq += yy
+            i, j = np.nonzero(sq <= near_scale[lo : lo + 512, None])
+            diff = rows[i] - y[j]
+            sq[i, j] = np.einsum("ij,ij->i", diff, diff)
+            total += float(np.sum(np.sqrt(sq)))
+        return total / (len(x) * len(y))
+
+    a_centred = a - np.mean(a, axis=0)
+    b_centred = b - np.mean(b, axis=0)
+    cross = mean_distance(a_centred, b - np.mean(a, axis=0))
+    return 2.0 * cross - mean_distance(a_centred, a_centred) - mean_distance(b_centred, b_centred)
+
+
+@st.composite
+def _sets_to_score(draw):
+    """Two (n, D) sets of 1..1600 points: independent, near-duplicate, or
+    every point the same, at a common offset up to 1e3."""
+    d = draw(st.sampled_from([1, 2, 3, 7, 48]))
+    na, nb = draw(st.integers(1, 1600)), draw(st.integers(1, 1600))
+    offset = draw(st.sampled_from([0.0, 1.0, -1e3, 1e3]))
+    kind = draw(st.sampled_from(["independent", "near-duplicates", "all-identical"]))
+    rng = RngStream(seed=draw(st.integers(0, 2**32)))
+    if kind == "all-identical":
+        return np.full((na, d), offset + 0.3), np.full((nb, d), offset + 0.3)
+    a = gaussian(rng, (na, d)) + offset
+    if kind == "near-duplicates":
+        return a, a + 1e-9 * gaussian(rng, (na, d))
+    return a, gaussian(rng, (nb, d)) + offset + 0.3
+
+
+class TestEnergyDistanceTiles:
+    @given(sets=_sets_to_score())
+    @example(sets=(np.linspace(0.0, 1.0, 1500)[:, None], np.linspace(0.5, 2.0, 1600)[:, None]))
+    @example(sets=(np.full((700, 2), 5.0), np.full((1300, 2), 5.0)))
+    @example(sets=(gaussian(RngStream(seed=27), (900, 2)), gaussian(RngStream(seed=28), (701, 2))))
+    @settings(max_examples=25, deadline=None)
+    def test_bits_match_one_block_per_sum(self, sets):
+        """Tiles of 2^17 values or 128 rows give every bit of one np.sum per
+        512-row block, whatever the set sizes. The first example's blocks
+        hold 768,000 and 819,200 values, so its tiles sum 128 rows; in the
+        last, a 388-row block of 701 columns splits where rounding its half,
+        135,994 values, down to a multiple of 8 moves the cut."""
+        a, b = sets
+        assert energy_distance(a, b).hex() == _one_block_energy_distance(a, b).hex()
 
 
 def _unit_axis(d: int, length: float) -> np.ndarray:
@@ -286,7 +339,6 @@ class TestEnergyDistanceAccuracy:
         for x, y in ((a, b), (b, a)):
             cross = float(np.mean(cdist(x, y)))
             reference = 2.0 * cross - float(np.mean(cdist(x, x))) - float(np.mean(cdist(y, y)))
-            assert abs(energy_distance(x, y, chunk=64) - reference) <= 1e-12 * cross
             assert abs(energy_distance(x, y) - reference) <= 1e-12 * cross
 
 
@@ -358,6 +410,30 @@ class TestEvaluate:
         )
         assert report.sample_count == 1024
         assert peak <= 2 * 1024 * 192 * 8 + _GRID8_SCORING + 2**20
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 callers hold call arguments")
+    def test_memory_with_a_model_field_at_grid8_width(self):
+        """A grid8 network samples 1024 runs over 64 steps. The peak is five
+        (1024, 192) arrays: the batch's two sets, and the states, drift and
+        next states of a step. The network's (1024, 200) input rows are freed
+        once its first layer has read them, and scoring holds one tile, not a
+        (512, 1024) Gram block."""
+        spec = TaskSpec(name="grid_colorize", dimension=192, grid_size=8)
+        mconfig = ModelConfig(input_dim=192, hidden=(128, 128))
+        params = init(mconfig, RngStream(seed=24, stream=900))
+        params[-192:] = 0.01  # the output bias: a nonzero field
+        (_, report), peak = traced_peak(
+            evaluate,
+            lambda batch: velocity_field_from(params, mconfig, "stabilized_velocity"),
+            pair_provider(spec),
+            shifted(64, 1.0),
+            "corrected",
+            1.0,
+            1024,
+            RngStream(seed=24),
+        )
+        assert report.sample_count == 1024
+        assert peak <= 5 * 1024 * 192 * 8 + 2**19
 
 
 class TestConditioningPathway:

@@ -58,6 +58,16 @@ def test_bridge_suite_releases_each_checks_arrays():
     assert peak <= 10_000_000
 
 
+def test_bridge_suite_at_the_benchmark_draw_count_peaks_at_five_state_arrays():
+    """``verify --mc 100000`` reaches its peak memory in the bridge suite: the
+    conditional-variance check integrates (1e5, 2) states, and the suite peaks
+    at 6.8 MiB. A change that widens that working set past five (1e5, 2)
+    float64 arrays (8 MB) fails here."""
+    report, peak = traced_peak(run_suite, "bridge", 0, 100_000)
+    assert report["passed"]
+    assert peak <= 5 * 100_000 * 2 * 8
+
+
 class TestChiSquareConstants:
     """The goodness-of-fit edges and bound are computed without scipy; pin them to it."""
 
