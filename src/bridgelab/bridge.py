@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClampedTimeError, DomainError
 from .numerics import Tensor
 
 # Training-time guard band next to t=1: velocity targets reject t beyond
@@ -34,7 +33,7 @@ def check_noise_scale(noise_scale: float) -> float:
     """The noise scale s as a float; it must be finite and >= 0."""
     s = float(noise_scale)
     if not (math.isfinite(s) and s >= 0.0):
-        raise DomainError(f"noise scale must be finite and >= 0, got {noise_scale}")
+        raise ValueError(f"noise scale must be finite and >= 0, got {noise_scale}")
     return s
 
 
@@ -96,7 +95,7 @@ def interpolate(pair: EndpointPair, t: "float | Tensor") -> Tensor:
     if t.shape not in ((), (len(pair),)):
         raise ValueError(f"time shape {t.shape} is neither () nor ({len(pair)},)")
     if not ((0.0 <= t) & (t <= 1.0)).all():
-        raise DomainError(f"interpolation time must be in [0, 1], got {t}")
+        raise ValueError(f"interpolation time must be in [0, 1], got {t}")
     tc = t[..., None]
     return (1.0 - tc) * pair.x0 + tc * pair.x1
 
@@ -113,7 +112,7 @@ def sample_state(
     s = check_noise_scale(noise_scale)
     t = np.asarray(t, dtype=np.float64)
     if not ((0.0 <= t) & (t < 1.0)).all():
-        raise DomainError(f"state construction requires 0 <= t < 1, got {t}")
+        raise ValueError(f"state construction requires 0 <= t < 1, got {t}")
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != pair.x0.shape:
         raise ValueError(f"noise shape {eps.shape} does not match endpoints {pair.x0.shape}")
@@ -130,9 +129,7 @@ def velocity_target(pair: EndpointPair, sample: BridgeSample) -> Tensor:
     """
     tc = np.asarray(sample.t, dtype=np.float64)[..., None]
     if not (tc <= 1.0 - T_CLAMP).all():
-        raise ClampedTimeError(
-            f"velocity target undefined for t > {1.0 - T_CLAMP!r}, got t={sample.t}"
-        )
+        raise ValueError(f"velocity target undefined for t > {1.0 - T_CLAMP!r}, got t={sample.t}")
     return (pair.x1 - sample.state) / (1.0 - tc)
 
 
@@ -164,5 +161,5 @@ def conditional_variance(
     t1 = np.asarray(t1, dtype=np.float64)
     t2 = np.asarray(t2, dtype=np.float64)
     if not ((0.0 <= t1) & (t1 <= t2) & (t2 <= 1.0) & (t1 < 1.0)).all():
-        raise DomainError(f"conditional variance requires 0 <= t1 <= t2 <= 1, t1 < 1: {t1}, {t2}")
+        raise ValueError(f"conditional variance requires 0 <= t1 <= t2 <= 1, t1 < 1: {t1}, {t2}")
     return s * s * (t2 - t1) * (1.0 - t2) / (1.0 - t1)

@@ -12,8 +12,9 @@ defaults, and the resolved union is echoed into the manifest.
 
 Exit codes: 0 success, 1 check or assertion failure, 2 usage error,
 3 numerical failure. ``main`` alone maps exceptions to codes: a ValueError
-(so a DomainError) or a MemoryError (numpy's refusal of a size no address
-space holds) is a usage error, and a NumericalError is a numerical failure.
+(which the library raises for any input it rejects) or a MemoryError (numpy's
+refusal of a size no address space holds) is a usage error, and a
+NumericalError is a numerical failure.
 The out dir is made at a command's first write, so exits 2 and 3 raised
 while it computes leave nothing behind.
 """
@@ -31,8 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bridge import EndpointPair, check_noise_scale
-from .errors import NumericalError
+from .bridge import EndpointPair
 from .model import (
     ACTIVATIONS,
     ModelConfig,
@@ -42,7 +42,7 @@ from .model import (
     save_parameters,
     velocity_field_from,
 )
-from .numerics import RngStream
+from .numerics import NumericalError, RngStream
 from .objectives import ObjectiveKind, target_profile
 from .sampler import oracle_field
 from .schedules import Schedule, shifted
@@ -292,7 +292,6 @@ def cmd_profile(args) -> int:
     d = args.dim
     if d < 1 or not (math.isfinite(args.distance2) and args.distance2 >= 0.0):
         raise ValueError("profile needs --dim >= 1 and a finite --distance2 >= 0")
-    check_noise_scale(args.s)
     x1 = np.full((1, d), np.sqrt(args.distance2 / d))
     pair = EndpointPair(np.zeros((1, d)), x1)
     kind = ObjectiveKind(args.objective)
@@ -389,7 +388,6 @@ def cmd_sample(args) -> int:
     schedule = shifted(args.N, args.gamma)
     if args.oracle == (args.params is not None):
         raise ValueError("sample needs exactly one of --oracle and --params FILE")
-    check_noise_scale(args.s)
     if args.oracle:
         make_field = lambda batch: oracle_field(batch.x1)  # noqa: E731
     else:
@@ -461,18 +459,17 @@ def cmd_ablate(args) -> int:
     header = ["axis", "value", "status", *scores, "final_loss", "max_target_sqnorm"]
     rows: list[list] = []
 
-    # Sampling-time axes share one training configuration, so one trained
-    # model serves all cells. It is trained inside a cell, so that a training
-    # failure is an error row there too (and in each later cell, which
-    # retrains and fails the same way).
-    shared_model = None
+    # A cell whose training configuration equals that of the last model
+    # trained (so every cell of a sampling-time axis) reuses that model.
+    # Training runs inside a cell, so a training failure is an error row
+    # there; a failed training is not kept, so a later cell with its
+    # configuration retrains and fails the same way.
+    trained = None  # (config, (params, stats)) of the last training that succeeded
     for value, config, cell_schedule in cells:
         try:
-            if args.axis in ("steps", "gamma"):
-                shared_model = shared_model or _train_once(args, spec, mconfig, config)
-                params, stats = shared_model
-            else:
-                params, stats = _train_once(args, spec, mconfig, config)
+            if trained is None or trained[0] != config:
+                trained = config, _train_once(args, spec, mconfig, config)
+            params, stats = trained[1]
             # a fresh evaluation stream per cell: identical pairs and noise
             # across cells, so rows are directly comparable
             _, report = evaluate(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, Tensor, uniform
+from .numerics import RngStream, Tensor, _integer, uniform
 from .objectives import ObjectiveKind
 
 ACTIVATIONS = ("tanh", "smooth_relu")
@@ -40,13 +40,6 @@ _MAX_TIME_FEATURES = 2046
 
 _PARAMS_FORMAT = "bridgelab-params"
 _PARAMS_VERSION = 2  # version 1 had no objective field; it is no longer read
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; floats and bools are rejected, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

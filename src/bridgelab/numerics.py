@@ -46,6 +46,17 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+class NumericalError(RuntimeError):
+    """A computation on valid inputs produced a non-finite value."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; floats and bools are rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_u64(name: str, value) -> None:
     """Reject anything but an integer in [0, 2^64): a Philox key word holds no
     more, and reducing a value modulo 2^64 would alias distinct ones."""

@@ -25,11 +25,11 @@ from .bridge import (
     T_CLAMP,
     BridgeSample,
     EndpointPair,
+    check_noise_scale,
     displacement_target,
     sample_state,
     velocity_target,
 )
-from .errors import DomainError
 from .numerics import RngStream, Tensor, gaussian
 
 # Guard for coincident endpoints (legal in translation data: unchanged
@@ -53,8 +53,8 @@ def alpha_factor(pair: EndpointPair, t: "float | Tensor", noise_scale: float) ->
     """
     t = np.asarray(t, dtype=np.float64)
     if not ((0.0 <= t) & (t <= 1.0 - T_CLAMP)).all():
-        raise DomainError(f"alpha factor requires 0 <= t <= {1.0 - T_CLAMP!r}, got {t}")
-    s = float(noise_scale)
+        raise ValueError(f"alpha factor requires 0 <= t <= {1.0 - T_CLAMP!r}, got {t}")
+    s = check_noise_scale(noise_scale)
     diff = pair.x1 - pair.x0
     dist_sq = np.maximum(np.sum(diff * diff, axis=-1), SQNORM_FLOOR_PER_DIM * pair.dimension)
     return 1.0 + (s * s * t * pair.dimension) / ((1.0 - t) * dist_sq)
@@ -127,8 +127,8 @@ def expected_target_sqnorm(
     """
     t = np.asarray(t, dtype=np.float64)
     if not ((0.0 <= t) & (t <= 1.0 - T_CLAMP)).all():
-        raise DomainError(f"profile time must be in [0, {1.0 - T_CLAMP!r}], got {t}")
-    s = float(noise_scale)
+        raise ValueError(f"profile time must be in [0, {1.0 - T_CLAMP!r}], got {t}")
+    s = check_noise_scale(noise_scale)
     diff = pair.x1 - pair.x0
     dist_sq = np.sum(diff * diff, axis=-1)
     d = pair.dimension
@@ -189,7 +189,7 @@ def target_profile(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("profile grid must be strictly increasing")
     if grid[0] < 0.0 or grid[-1] > PROFILE_T_MAX:
-        raise DomainError(f"profile grid must lie within [0, {PROFILE_T_MAX}]")
+        raise ValueError(f"profile grid must lie within [0, {PROFILE_T_MAX}]")
     if mc_samples < 0:
         raise ValueError(f"Monte-Carlo draw count must be >= 0, got {mc_samples}")
     if mc_samples > 0 and rng is None:

@@ -23,9 +23,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .bridge import EndpointPair
-from .errors import IntegrationError
-from .numerics import RngStream, Tensor, gaussian
+from .bridge import EndpointPair, check_noise_scale
+from .numerics import NumericalError, RngStream, Tensor, gaussian
 from .schedules import Schedule
 
 
@@ -58,7 +57,7 @@ def plan_steps(schedule: Schedule, mode: str, noise_scale: float) -> tuple[Tenso
     """Step sizes dt and noise amplitudes eta of the schedule's N transitions, (N,) each."""
     t = schedule.points
     dt = np.diff(t)
-    s = float(noise_scale)
+    s = check_noise_scale(noise_scale)
     if mode == "standard":
         return dt, s * np.sqrt(dt)
     if mode == "corrected":
@@ -84,23 +83,21 @@ def integrate(
     Each step builds a fresh array, so a recorder may keep what it is given:
     no later step writes into it, and ``x0`` (the block at k = 0) is never
     written.
-    Non-finite drifts or states raise :class:`IntegrationError` carrying the
-    failing step index.
+    Non-finite drifts or states raise :class:`NumericalError` naming the
+    failing step.
     """
     states = np.asarray(x0, dtype=np.float64)
     if states.ndim != 2:
         raise ValueError(f"x0 must be a (B, D) block, got shape {states.shape}")
+    dt, eta = plan_steps(schedule, mode, noise_scale)
     if record is not None:
         record(0, states)
-    dt, eta = plan_steps(schedule, mode, noise_scale)
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(schedule.points[:-1].tolist()):
             drift = np.asarray(field(states, t), dtype=np.float64)
             if not np.all(np.isfinite(drift)):
-                raise IntegrationError(
-                    f"velocity field returned non-finite values at step {k}", step_index=k
-                )
+                raise NumericalError(f"velocity field returned non-finite values at step {k}")
             # one fresh array per step; addition commutes, so these are the
             # bits of states + dt[k] * drift. The drift and the noise are
             # released here, not held through the next step's field call.
@@ -114,7 +111,7 @@ def integrate(
                 states += noise
                 del noise
             if not np.all(np.isfinite(states)):
-                raise IntegrationError(f"state became non-finite at step {k}", step_index=k)
+                raise NumericalError(f"state became non-finite at step {k}")
             if record is not None:
                 record(k + 1, states)
     return states

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
@@ -49,10 +47,10 @@ class Schedule:
 def shifted(n_steps: int, gamma: float) -> Schedule:
     """Shifted schedule t_i = i / (gamma N - (gamma-1) i); gamma=1 is uniform."""
     if n_steps < 1:
-        raise DomainError(f"step count must be >= 1, got {n_steps}")
+        raise ValueError(f"step count must be >= 1, got {n_steps}")
     gamma = float(gamma)
     if not (math.isfinite(gamma) and gamma >= 1.0):
-        raise DomainError(f"shift coefficient must be finite and >= 1, got {gamma}")
+        raise ValueError(f"shift coefficient must be finite and >= 1, got {gamma}")
     idx = np.arange(n_steps + 1, dtype=np.float64)
     # An extreme gamma overflows here; Schedule rejects the non-finite grid.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

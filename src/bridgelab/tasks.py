@@ -25,8 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .bridge import EndpointPair
-from .errors import EvaluationError
-from .numerics import RngStream, Tensor, gaussian, uniform
+from .numerics import NumericalError, RngStream, Tensor, _integer, gaussian, uniform
 from .sampler import integrate
 from .schedules import Schedule
 
@@ -52,6 +51,10 @@ class TaskSpec:
     def __post_init__(self):
         if self.name not in TASK_NAMES:
             raise ValueError(f"unknown task {self.name!r}")
+        object.__setattr__(self, "dimension", _integer("dimension", self.dimension))
+        for name in ("grid_size", "repeat"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.name == "gaussian_shift":
@@ -344,7 +347,7 @@ def evaluate(
     comes from the provided stream, which callers keep disjoint from
     training streams. Sampler failures propagate, and a score
     that is not finite (finite endpoints far enough apart overflow float64)
-    raises :class:`EvaluationError`.
+    raises :class:`NumericalError`.
     """
     batch = provider(runs, rng.split(1))
     endpoints = integrate(
@@ -366,5 +369,5 @@ def evaluate(
         )
     non_finite = [name for name, value in report.to_dict().items() if not math.isfinite(value)]
     if non_finite:
-        raise EvaluationError(f"non-finite {' and '.join(non_finite)} of the sampled endpoints")
+        raise NumericalError(f"non-finite {' and '.join(non_finite)} of the sampled endpoints")
     return endpoints, report

@@ -36,9 +36,8 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from .bridge import T_CLAMP, BridgeSample, EndpointPair, check_noise_scale, sample_state
-from .errors import TrainingError
 from .model import ModelConfig, backward, forward, input_rows
-from .numerics import RngStream, Tensor, gaussian, uniform
+from .numerics import NumericalError, RngStream, Tensor, _integer, gaussian, uniform
 from .objectives import ObjectiveKind, loss, objective_alpha_sq, raw_target
 
 # Fixed stream ids so data/time/noise draws are independent of each other
@@ -74,6 +73,8 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "objective", ObjectiveKind(self.objective))
+        for name in ("steps", "batch_size", "log_every"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
@@ -201,15 +202,14 @@ def train_step(
     targets: Tensor,
     alpha_sq: Tensor,
     config: TrainConfig,
-    step_index: int,
+    step_number: int,
 ) -> tuple[Tensor, float, float]:
     """One update on a step's input rows (B, feature_dim), targets (B, D) and
     alpha^2 (B,): (new parameters, batch loss, gradient norm).
 
-    Non-finite losses, gradients or updated parameters raise TrainingError
-    with the step index.
+    Non-finite losses, gradients or updated parameters raise NumericalError
+    naming step ``step_number``.
     """
-    kind = config.objective
     # overflow here is diagnosed by the finiteness checks below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         tape: list = []
@@ -217,16 +217,14 @@ def train_step(
         losses, upstream = loss(predictions, targets, alpha_sq)
         batch_loss = float(np.add.reduce(losses)) / len(losses)
         if not math.isfinite(batch_loss):
-            raise TrainingError(f"non-finite loss at step {step_index}", step_index, kind.value)
+            raise NumericalError(f"non-finite loss at step {step_number}")
         grad_params = backward(params, model_config, rows, tape, upstream)
         grad_norm = math.sqrt(float(np.add.reduce(grad_params * grad_params)))
         if not math.isfinite(grad_norm):
-            raise TrainingError(f"non-finite gradient at step {step_index}", step_index, kind.value)
+            raise NumericalError(f"non-finite gradient at step {step_number}")
         new_params = _optimizer_update(opt_state, params, grad_params, config.learning_rate)
     if not np.isfinite(new_params).all():
-        raise TrainingError(
-            f"non-finite parameters after the update at step {step_index}", step_index, kind.value
-        )
+        raise NumericalError(f"non-finite parameters after the update at step {step_number}")
     return new_params, batch_loss, grad_norm
 
 
@@ -238,13 +236,13 @@ def train(
 ) -> tuple[Tensor, TrainStats]:
     """Run the configured number of steps; logs every ``log_every`` steps plus the last.
 
-    Non-finite losses, gradients or parameters abort with the failing step
-    index; they are never swallowed.
+    Non-finite losses, gradients or parameters abort with a NumericalError
+    naming the failing step; they are never swallowed.
     """
     digest = hashlib.sha256()
     opt_state = OptimizerState(kind=config.optimizer)
     stats = TrainStats()
-    step_index = 0
+    step_number = 0
     for pair, sample, alpha_sq, targets, rows in step_blocks(provider, config, model_config):
         digest.update(np.concatenate([pair.x0, pair.x1, sample.t[:, None], sample.epsilon], axis=1))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -253,15 +251,15 @@ def train(
         stats.max_target_sqnorm_overall = max(stats.max_target_sqnorm_overall, block_max)
         for lo in range(0, len(rows), config.batch_size):
             step = slice(lo, lo + config.batch_size)
-            step_index += 1
+            step_number += 1
             t0 = time.perf_counter()
             params, batch_loss, grad_norm = train_step(
                 params, model_config, opt_state, rows[step], targets[step], alpha_sq[step],
-                config, step_index,
+                config, step_number,
             )
-            if step_index % config.log_every == 0 or step_index == config.steps:
+            if step_number % config.log_every == 0 or step_number == config.steps:
                 ms = (time.perf_counter() - t0) * 1e3
                 max_sqnorm = float(np.max(target_sqnorms[step]))
-                stats.rows.append(StepStats(step_index, batch_loss, max_sqnorm, grad_norm, ms))
+                stats.rows.append(StepStats(step_number, batch_loss, max_sqnorm, grad_norm, ms))
     stats.sample_stream_digest = digest.hexdigest()
     return params, stats

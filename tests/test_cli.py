@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from bridgelab.cli import _write_csv, main
-from bridgelab.errors import TrainingError
 from bridgelab.model import ModelConfig, init, load_parameters, velocity_field_from
-from bridgelab.numerics import RngStream
+from bridgelab.numerics import NumericalError, RngStream
 from bridgelab.schedules import shifted
 from bridgelab.tasks import TaskSpec, evaluate, generate_pairs, pair_provider
 from bridgelab.trainer import TrainConfig, train
@@ -1094,6 +1093,23 @@ class TestAblateCommand:
         assert [r["value"] for r in rows] == ["0", "1"]
         assert all(r["status"] == "ok" for r in rows)
 
+    def test_equal_training_configurations_train_once(self, tmp_path, monkeypatch):
+        """A cell whose training configuration equals that of the last model
+        trained reuses that model, whatever the axis."""
+        calls = []
+
+        def counting_train(*args, **kwargs):
+            calls.append(args[3])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr("bridgelab.cli.train", counting_train)
+        argv = ["ablate", "--axis", "noise_scale", "--values", "0.5,0.5", "--steps", "3",
+                "--batch-size", "4", "--hidden", "4", "--runs", "4", "--N", "4", "--seed", "1"]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert [config.noise_scale for config in calls] == [0.5]
+        first, second = read_csv_rows(os.path.join(str(tmp_path), "ablate_noise_scale.csv"))
+        assert first["status"] == "ok" and first == second
+
     def test_needs_two_values(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -1271,7 +1287,7 @@ class TestNumericalFailureExitCode:
         """A numerical failure before the first write exits 3 and makes no out dir."""
 
         def diverge(*args, **kwargs):
-            raise TrainingError("non-finite loss at step 1", 1, "velocity")
+            raise NumericalError("non-finite loss at step 1")
 
         monkeypatch.setattr("bridgelab.cli.train", diverge)
         out = str(tmp_path / "out")

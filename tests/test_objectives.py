@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgelab.bridge import T_CLAMP, EndpointPair, sample_state, velocity_target
-from bridgelab.errors import DomainError
 from bridgelab.numerics import RngStream, gaussian
 from bridgelab.objectives import (
     ObjectiveKind,
@@ -48,6 +47,11 @@ class TestAlphaFactor:
         pair = EndpointPair(np.zeros((1, 4)), np.array([[2.0, 0.0, 0.0, 0.0]]))
         assert alpha_factor(pair, 0.5, 2.0) == pytest.approx(5.0, rel=1e-14)
 
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_bad_noise_scale_rejected(self, pair2d, s):
+        with pytest.raises(ValueError, match="noise scale must be finite and >= 0"):
+            alpha_factor(pair2d, 0.5, s)
+
     def test_identical_endpoints_floored_not_rejected(self):
         pair = EndpointPair(np.ones((1, 3)), np.ones((1, 3)))
         (alpha_sq,) = alpha_factor(pair, 0.5, 1.0)
@@ -55,7 +59,7 @@ class TestAlphaFactor:
         assert alpha_sq >= 1.0
 
     def test_rejects_clamped_time(self, pair2d):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="alpha factor requires 0 <= t <= "):
             alpha_factor(pair2d, 1.0, 1.0)
 
     @given(
@@ -245,7 +249,7 @@ class TestClosedFormProfiles:
 
     @pytest.mark.parametrize("kind", list(ObjectiveKind))
     def test_time_one_rejected(self, unit_pair, kind):
-        with pytest.raises(DomainError, match="profile time must be in"):
+        with pytest.raises(ValueError, match="profile time must be in"):
             expected_target_sqnorm(kind, unit_pair, 1.0, 1.0)
 
     def test_velocity_divergence_bound(self, pair2d):
@@ -267,6 +271,15 @@ class TestClosedFormProfiles:
 
 
 class TestTargetProfile:
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_bad_noise_scale_rejected(self, pair2d, s, kind):
+        """Closed-form S(t) and its profile check s as Monte-Carlo draws do."""
+        with pytest.raises(ValueError, match="noise scale must be finite and >= 0"):
+            expected_target_sqnorm(kind, pair2d, s, 0.5)
+        with pytest.raises(ValueError, match="noise scale must be finite and >= 0"):
+            target_profile(kind, pair2d, s, default_profile_grid(10))
+
     def test_stabilized_cumulative_is_linear(self, unit_pair):
         grid = default_profile_grid(500)
         s_values, c_values = target_profile(ObjectiveKind.STABILIZED_VELOCITY, unit_pair, 1.0, grid)
@@ -309,7 +322,7 @@ class TestTargetProfile:
                 target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, grid)
         with pytest.raises(ValueError):
             target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, [0.5, 0.4])
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"profile grid must lie within \[0, 0.999\]"):
             target_profile(ObjectiveKind.VELOCITY, unit_pair, 1.0, [0.5, 0.9995])
 
     def test_profile_is_of_one_pair(self):

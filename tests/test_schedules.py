@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgelab.errors import DomainError
 from bridgelab.schedules import Schedule, shifted
 
 
@@ -19,7 +18,7 @@ class TestUniform:
         np.testing.assert_array_equal(shifted(1, 1.0).points, [0.0, 1.0])
 
     def test_zero_steps_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="step count must be >= 1"):
             shifted(0, 1.0)
 
 
@@ -35,7 +34,7 @@ class TestShifted:
         )
 
     def test_gamma_below_one_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="shift coefficient must be finite and >= 1"):
             shifted(4, 0.99)
 
     @given(

@@ -33,8 +33,13 @@ from conftest import traced_peak
         ({"name": "moons_rotate", "dimension": 2}, "needs a rotation angle"),
         ({"name": "grid_colorize", "dimension": 10, "grid_size": 2}, "must be 12, got 10"),
         ({"name": "signal_refine", "dimension": 4, "repeat": 1}, "k >= 2, got 1"),
+        ({"name": "signal_refine", "dimension": 8, "repeat": 2.0}, "^repeat must be an integer, got 2.0$"),
+        ({"name": "signal_refine", "dimension": 8.0, "repeat": 2}, "^dimension must be an integer, got 8.0$"),
+        ({"name": "grid_colorize", "dimension": 12, "grid_size": 2.0}, "^grid_size must be an integer, got 2.0$"),
+        ({"name": "gaussian_shift", "dimension": True, "shift": (1.0,)}, "^dimension must be an integer, got True$"),
     ],
-    ids=["name", "moons-dimension", "moons-angle", "grid-dimension", "repeat"],
+    ids=["name", "moons-dimension", "moons-angle", "grid-dimension", "repeat",
+         "repeat-float", "dimension-float", "grid-size-float", "dimension-bool"],
 )
 def test_bad_task_spec_rejected(fields, message):
     with pytest.raises(ValueError, match=message):

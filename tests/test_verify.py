@@ -8,7 +8,7 @@ from scipy import stats
 
 from bridgelab import objectives, sampler, verify
 from bridgelab.cli import main
-from bridgelab.errors import IntegrationError
+from bridgelab.numerics import NumericalError
 from bridgelab.verify import run_suite
 from conftest import traced_peak
 
@@ -103,7 +103,7 @@ class TestEndpointVarianceSweep:
     def test_sweep_error_reaches_caller_and_worker_is_joined(
         self, monkeypatch, tmp_path, worker_only
     ):
-        """An IntegrationError keeps its type (and, from the worker, its
+        """A NumericalError keeps its type (and, from the worker, its
         identity), `verify` exits 3, and no thread outlives the call."""
         statistics = verify.endpoint_statistics
         raised = []
@@ -111,12 +111,12 @@ class TestEndpointVarianceSweep:
         def failing(*args, **kwargs):
             if worker_only and threading.current_thread() is threading.main_thread():
                 return statistics(*args, **kwargs)
-            raised.append(IntegrationError("state became non-finite at step 0", step_index=0))
+            raised.append(NumericalError("state became non-finite at step 0"))
             raise raised[-1]
 
         monkeypatch.setattr(verify, "endpoint_statistics", failing)
         before = threading.active_count()
-        with pytest.raises(IntegrationError) as caught:
+        with pytest.raises(NumericalError) as caught:
             run_suite("sampler", seed=0)
         assert threading.active_count() == before
         if worker_only:
