@@ -296,8 +296,7 @@ def cmd_profile(args) -> int:
     pair = EndpointPair(np.zeros((1, d)), x1)
     kind = ObjectiveKind(args.objective)
     grid = _parse_grid(args.grid)
-    rng = RngStream(seed=args.seed, stream=600)  # built even for --mc 0, so a bad --seed is rejected
-    s_values, c_values = target_profile(kind, pair, args.s, grid, args.mc, rng)
+    s_values, c_values = target_profile(kind, pair, args.s, grid)
     t_values = grid.tolist()
     run = _Run(args, "profile")
     csv_path = run.csv(
@@ -540,8 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance2", type=float, default=1.0, help="squared endpoint distance")
     p.add_argument("--s", type=float, default=1.0, help="noise scale")
     p.add_argument("--grid", default="0:0.999:1000", help="'start:stop:count' or comma list")
-    p.add_argument("--mc", type=int, default=0, help="Monte-Carlo draws per point (0 = closed form)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_profile)

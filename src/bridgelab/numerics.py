@@ -57,11 +57,13 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _check_u64(name: str, value) -> None:
-    """Reject anything but an integer in [0, 2^64): a Philox key word holds no
-    more, and reducing a value modulo 2^64 would alias distinct ones."""
+def _check_u64(name: str, value) -> int:
+    """``value`` as an int; anything but an integer in [0, 2^64) is rejected: a
+    Philox key word holds no more, and reducing a value modulo 2^64 would
+    alias distinct ones."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value <= _MASK64:
         raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+    return int(value)
 
 
 @dataclass

@@ -27,10 +27,9 @@ from .bridge import (
     EndpointPair,
     check_noise_scale,
     displacement_target,
-    sample_state,
     velocity_target,
 )
-from .numerics import RngStream, Tensor, gaussian
+from .numerics import Tensor
 
 # Guard for coincident endpoints (legal in translation data: unchanged
 # regions give x0 == x1). Keeps alpha finite instead of rejecting the pair.
@@ -140,46 +139,20 @@ def expected_target_sqnorm(
     return velocity_sqnorm / alpha_factor(pair, t, s)
 
 
-def _mc_target_sqnorms(
-    kind: ObjectiveKind,
-    pair: EndpointPair,
-    noise_scale: float,
-    t: float,
-    draws: int,
-    rng: RngStream,
-) -> Tensor:
-    """Per-draw ||raw_target||^2 / alpha^2 for one (1, D) pair at time t, (draws,).
-
-    Their mean is the Monte-Carlo estimate of S(t); the pair is broadcast
-    over the draws, so each draw runs the (B, D) state, target and alpha^2
-    code the trainer uses.
-    """
-    eps = gaussian(rng, (draws, pair.dimension))
-    drawn = EndpointPair(np.broadcast_to(pair.x0, eps.shape), np.broadcast_to(pair.x1, eps.shape))
-    targets = raw_target(kind, drawn, sample_state(drawn, t, eps, noise_scale))
-    return np.sum(targets * targets, axis=-1) / objective_alpha_sq(kind, drawn, t, noise_scale)
-
-
 def target_profile(
     kind: ObjectiveKind,
     pair: EndpointPair,
     noise_scale: float,
     t_grid: "np.ndarray | list[float]",
-    mc_samples: int = 0,
-    rng: RngStream | None = None,
 ) -> tuple[Tensor, Tensor]:
     """S(t) and C(t) for one (1, D) pair on a grid, each shaped like the grid.
 
     S(t) = E ||target_t||^2 is the instantaneous contribution, and C(t) its
-    cumulative share, accumulated by trapezoidal integration.
-
-    With ``mc_samples == 0`` the closed forms above are used; otherwise S is
-    estimated by Monte-Carlo over the noise draw with ``mc_samples`` draws
-    per grid point on independent substreams (the closed form remains the
-    cross-check oracle either way). C is normalized by the trapezoidal
-    integral over the full grid, so the grid should extend to 0.999 for the
-    canonical normalization. An S value or normalization integral that
-    overflows float64 raises ValueError.
+    cumulative share, accumulated by trapezoidal integration. S is the closed
+    form above; ``verify`` checks it against the trainer's own draws. C is
+    normalized by the trapezoidal integral over the full grid, so the grid
+    should extend to 0.999 for the canonical normalization. An S value or
+    normalization integral that overflows float64 raises ValueError.
     """
     if len(pair) != 1:
         raise ValueError(f"a profile is of one pair, got {len(pair)}")
@@ -190,21 +163,10 @@ def target_profile(
         raise ValueError("profile grid must be strictly increasing")
     if grid[0] < 0.0 or grid[-1] > PROFILE_T_MAX:
         raise ValueError(f"profile grid must lie within [0, {PROFILE_T_MAX}]")
-    if mc_samples < 0:
-        raise ValueError(f"Monte-Carlo draw count must be >= 0, got {mc_samples}")
-    if mc_samples > 0 and rng is None:
-        raise ValueError("Monte-Carlo profile estimation needs an RngStream")
 
     # Overflow shows up as a non-finite integral, which is rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if mc_samples > 0:
-            sqnorms = (
-                _mc_target_sqnorms(kind, pair, noise_scale, t, mc_samples, rng.split(i))
-                for i, t in enumerate(grid.tolist())
-            )
-            s_values = np.array([np.mean(v) for v in sqnorms])
-        else:
-            s_values = expected_target_sqnorm(kind, pair, noise_scale, grid)
+        s_values = expected_target_sqnorm(kind, pair, noise_scale, grid)
         cumulative = np.concatenate(
             ([0.0], np.cumsum(np.diff(grid) * (s_values[1:] + s_values[:-1]) / 2.0))
         )

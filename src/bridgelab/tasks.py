@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .bridge import EndpointPair
-from .numerics import NumericalError, RngStream, Tensor, _integer, gaussian, uniform
+from .numerics import NumericalError, RngStream, Tensor, _check_u64, _integer, gaussian, uniform
 from .sampler import integrate
 from .schedules import Schedule
 
@@ -52,6 +52,7 @@ class TaskSpec:
         if self.name not in TASK_NAMES:
             raise ValueError(f"unknown task {self.name!r}")
         object.__setattr__(self, "dimension", _integer("dimension", self.dimension))
+        object.__setattr__(self, "seed", _check_u64("seed", self.seed))
         for name in ("grid_size", "repeat"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _integer(name, getattr(self, name)))

@@ -8,11 +8,12 @@ chi-square goodness of fit, and round-off or exact-zero requirements) and
 can be overridden by name. Given a seed and a draw count, every suite is
 fully deterministic, so reports are byte-stable. Measurements run the
 library's own code paths (state construction, targets, alpha^2, the
-Monte-Carlo profile and the integrator), so a check certifies the code that
-trains and samples, not a re-derivation of it.
+trainer's ``step_blocks`` draws and the integrator), so a check certifies the
+code that trains and samples, not a re-derivation of it.
 
 Suites: bridge (marginal/conditional moments and target identities),
-objectives (normalization law and loss-contribution profiles), sampler
+objectives (normalization law, loss-contribution profiles and S(t) on the
+trainer's draws), sampler
 (endpoint exactness and variance laws), schedules (grid contract).
 """
 
@@ -25,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .bridge import (
+    T_CLAMP,
     EndpointPair,
     conditional_variance,
     displacement_target,
@@ -33,10 +35,10 @@ from .bridge import (
     sample_state,
     velocity_target,
 )
-from .numerics import RngStream, gaussian, uniform
+from .model import ModelConfig
+from .numerics import RngStream, _integer, gaussian, uniform
 from .objectives import (
     ObjectiveKind,
-    _mc_target_sqnorms,
     alpha_factor,
     default_profile_grid,
     expected_target_sqnorm,
@@ -44,6 +46,8 @@ from .objectives import (
 )
 from .sampler import endpoint_statistics, integrate, oracle_field, plan_steps
 from .schedules import Schedule, shifted
+from .tasks import TaskSpec, pair_provider
+from .trainer import TrainConfig, step_blocks
 
 SUITES = ("bridge", "objectives", "sampler", "schedules", "all")
 
@@ -167,6 +171,30 @@ def bridge_suite(seed: int, mc: int = 100_000) -> list[Check]:
 # objectives suite
 # ---------------------------------------------------------------------------
 
+# The trainer-draw checks bin t into this many equal bins over [0, 1 - T_CLAMP).
+_TIME_BINS = 20
+
+
+def _trainer_bins(seed: int, kind: ObjectiveKind) -> np.ndarray:
+    """(3, 20): each time bin's count, sum and sum of squares of
+    ||target||^2 / alpha^2 over the rows ``step_blocks`` draws for ``kind``.
+
+    The task is a gaussian_shift whose every pair has the fixed pair's
+    x1 - x0, so every row shares that pair's closed form. The 25 steps of
+    4096 rows are a fixed count: scaled with --mc, a huge --mc would loop for
+    years instead of failing fast in numpy's allocation. No network runs: the
+    smallest model config only sizes the input rows that step_blocks builds.
+    """
+    spec = TaskSpec("gaussian_shift", 2, shift=tuple((_X1 - _X0)[0].tolist()), seed=seed)
+    config = TrainConfig(objective=kind, steps=25, batch_size=4096, seed=seed)
+    model = ModelConfig(input_dim=2, hidden=(1,), time_features=2)
+    sums = np.zeros((3, _TIME_BINS))
+    for _, sample, alpha_sq, targets, _ in step_blocks(pair_provider(spec), config, model):
+        v = np.sum(targets * targets, axis=1) / alpha_sq
+        bins = np.minimum(sample.t * (_TIME_BINS / (1.0 - T_CLAMP)), _TIME_BINS - 1).astype(np.intp)
+        sums += [np.bincount(bins, w, minlength=_TIME_BINS) for w in (None, v, v * v)]
+    return sums
+
 
 def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
     rng = RngStream(seed=seed).split(2)
@@ -175,7 +203,6 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
     diff = pair.x1 - pair.x0
     dist_sq = float(np.sum(diff * diff))
     s = 1.0
-    draws = max(mc // 10, 1000)
     checks: list[Check] = []
 
     # Worst per-point deviation in estimator sigmas. The bound of 4.5 sigma
@@ -213,31 +240,28 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
     _, c_s = target_profile(ObjectiveKind.STABILIZED_VELOCITY, unit_pair, 1.0, grid_i)
     checks.append(("profile_stabilized_linear", np.max(np.abs(c_s - grid_i / 0.999)), 0.01))
 
-    # Monte-Carlo estimates agree with the closed forms for every objective
-    # kind; same family-wise sigma bound, 30 comparisons. The per-draw
-    # values come from the Monte-Carlo path that target_profile averages.
-    mc_grid = np.linspace(0.05, 0.95, 10)
-    worst_mc_z = 0.0
-    for ki, kind in enumerate(ObjectiveKind):
-        closed_forms = expected_target_sqnorm(kind, pair, s, mc_grid)
-        for i, (t, closed) in enumerate(zip(mc_grid.tolist(), closed_forms)):
-            sqnorms = _mc_target_sqnorms(kind, pair, s, t, draws, rng.split(400 + 20 * ki + i))
-            se = float(np.std(sqnorms, ddof=1)) / math.sqrt(draws)
-            worst_mc_z = max(worst_mc_z, abs(float(np.mean(sqnorms)) - closed) / se)
-    checks.append(("profile_mc_vs_closed_form_worst_sigma", worst_mc_z, 4.5))
-
-    # The library's own Monte-Carlo profile path reproduces the constant
-    # stabilized magnitude within 2 percent. The draw count is floored so the
-    # fixed bound stays a >4-sigma event at the noisiest grid point.
-    s_mc, _ = target_profile(
-        ObjectiveKind.STABILIZED_VELOCITY,
-        pair,
-        s,
-        mc_grid,
-        mc_samples=max(mc // 2, 50_000),
-        rng=rng.split(500),
-    )
-    checks.append(("profile_mc_stabilized_flat", np.max(np.abs(s_mc / dist_sq - 1.0)), 0.02))
+    # S(t) on the trainer's own draws, binned by t. A bin's mean is gated at
+    # 4.5 sigma against the closed form averaged over the bin (midpoint rule,
+    # 1000 points a bin), or for the stabilized objective against the flat
+    # ||x1 - x0||^2 itself, which unlike its closed form does not move with a
+    # defect in alpha^2. Velocity's last bin is not gated: 1/(1 - t) makes its
+    # tail heavy.
+    mid = (np.arange(_TIME_BINS * 1000) + 0.5) * ((1.0 - T_CLAMP) / (_TIME_BINS * 1000))
+    for kind in ObjectiveKind:
+        count, total, total_sq = _trainer_bins(seed, kind)
+        closed = dist_sq
+        if kind is not ObjectiveKind.STABILIZED_VELOCITY:
+            closed = expected_target_sqnorm(kind, pair, s, mid).reshape(_TIME_BINS, -1).mean(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a bin of < 2 rows fails as NaN
+            mean = total / count
+            se = np.sqrt((total_sq - count * mean * mean) / ((count - 1) * count))
+            z = np.abs(mean - closed) / se
+        gated = z[:-1] if kind is ObjectiveKind.VELOCITY else z
+        checks.append((f"trainer_profile_worst_sigma_{kind.value}", np.max(gated), 4.5))
+    # The trainer's time stream does not depend on the objective, so the last
+    # objective's bin counts are every objective's.
+    expected = np.sum(count) / _TIME_BINS
+    checks.append(("trainer_time_chi2", np.sum((count - expected) ** 2 / expected), _CHI2_999_DF19))
 
     # alpha monotonicity in t and in s (closed form, fine grids).
     t_grid = np.linspace(0.0, 0.99, 200)
@@ -424,6 +448,7 @@ def run_suite(
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    mc = _integer("Monte-Carlo draw count", mc)
     if mc < 0:
         raise ValueError(f"Monte-Carlo draw count must be >= 0, got {mc}")
     RngStream(seed=seed)  # rejects a seed outside [0, 2^64), even for a suite that draws nothing

@@ -103,22 +103,14 @@ class TestVerifyCommand:
 # they were recorded with (2.4.6); another numpy may change the normal draws
 # or the ufunc rounding, and so every digest.
 PINNED_VERIFY_REPORTS = {
-    0: "90a390a9d36a0708fbbdd8bf0292bd9d44a407bcfe4f508db91af54d39b2e5d8",
-    7: "51a0cd6e982b0027b009b166c70afbbd272a726556cbde4d6487660cb271c13d",
+    0: "c64b442dc353cec8b5d62daee03bf269c1812032ad7b57f8f91f96f1095ab8e6",
+    7: "09b6958084f30462bd294bea9f78fa441cd80b331ee69eed0e683f978ed48e77",
 }
 PINNED_PROFILES = {
     ("displacement",): "d1199b112d57ed36d9fff1056669b3ef66a6941018d1ba85407fbb9000c4a18c",
     ("velocity",): "60b546437c0486341509aa4f106544c67c8d5c9eb6786d490c09f8a4729ebc4c",
     ("stabilized_velocity",): "39188a3422082e29f67735ceebb53426392d68da6070275d56b7e2bf85545d26",
-    (
-        "stabilized_velocity",
-        "--mc",
-        "1000",
-        "--grid",
-        "0:0.99:50",
-        "--seed",
-        "3",
-    ): "23111813df9b91cceee5f386d4ae328864eede02d89dbd6aefd163bffc441675",
+    ("stabilized_velocity", "--grid", "0:0.99:50"): "bf4e6b1e631bf673198547777433981641a927709dae3b1532b19bac1a7e82fa",
 }
 
 
@@ -201,7 +193,7 @@ PINNED_MANIFESTS = {
     "profile": (
         None,
         ["profile", "--grid", "0:0.9:5", "--svg", "--out-dir", "out"],
-        "2edd890369cfbdd3a682515ed26f922bd2347556cbd0da6a736824cb85e1c149",
+        "944a02caf1d59b7bd71882b72b42ce2ade2762b4457c61f717ead21dc1ec4d83",
     ),
     "train": (
         None,
@@ -283,6 +275,17 @@ class TestProfileCommand:
         rows = read_csv_rows(os.path.join(out, "profile_stabilized_velocity.csv"))
         for r in rows[:: len(rows) // 10]:
             assert float(r["C"]) == pytest.approx(float(r["t"]) / 0.999, abs=0.01)
+
+    @pytest.mark.parametrize("flag", ["--mc", "--seed"])
+    def test_monte_carlo_flags_are_gone(self, tmp_path, capsys, flag):
+        """S(t) is the closed form only: the Monte-Carlo draw count and the seed
+        that fed those draws are unrecognized arguments, and nothing is written."""
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", flag, "10", "--out-dir", out])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestTrainCommand:
@@ -650,8 +653,8 @@ def _rewrite_params(tmp_path, edit) -> str:
 
 
 def _seed_flag(argv: list[str]) -> list[str]:
-    """``--seed 1`` for every command but ``schedule dump``, which draws nothing."""
-    return [] if argv[0] == "schedule" else ["--seed", "1"]
+    """``--seed 1`` for every command but ``schedule dump`` and ``profile``, which draw nothing."""
+    return [] if argv[0] in ("schedule", "profile") else ["--seed", "1"]
 
 
 class TestUsageErrors:
@@ -673,7 +676,7 @@ class TestUsageErrors:
             ["ablate", "--axis", "objective", "--values", "velocity,displacement", "--runs", "1", "--steps", "5"],
             ["profile", "--dim", "0"],
             ["profile", "--grid", "0:1:10"],
-            ["profile", "--s", "-1", "--mc", "10"],
+            ["profile", "--s", "-1"],
             ["profile", "--s", "nan"],
             ["profile", "--s", "inf"],
             ["profile", "--distance2", "nan"],
@@ -689,7 +692,6 @@ class TestUsageErrors:
             ["verify", "--suite", "schedules", "--override", "boundary_exactness=abc"],
             ["verify", "--suite", "schedules", "--override", "boundary_exactness=nan"],
             ["verify", "--suite", "schedules", "--mc", "-5"],
-            ["profile", "--mc", "-5"],
             ["train", "--hidden", ""],
             ["ablate", "--axis", "gamma", "--values", "1,2", "--hidden", ",", "--steps", "5"],
             ["train", "--shift", "nan,0"],
@@ -699,7 +701,6 @@ class TestUsageErrors:
             # numpy refuses these sizes before touching memory: no address space holds them
             ["schedule", "dump", "--N", "1000000000000000"],
             ["sample", "--oracle", "--N", "1000000000000000"],
-            ["profile", "--mc", "1000000000000000"],
             ["sample", "--oracle", "--runs", "1000000000000000"],
             ["train", "--batch-size", "1000000000000000", "--steps", "1"],
             ["train", "--hidden", "1000000000000000", "--steps", "1"],
@@ -740,7 +741,6 @@ class TestUsageErrors:
             "verify-override-not-a-number",
             "verify-override-nan",
             "verify-negative-mc",
-            "profile-negative-mc",
             "train-hidden-empty",
             "ablate-hidden-empty",
             "train-shift-nan",
@@ -749,7 +749,6 @@ class TestUsageErrors:
             "sample-angle-inf",
             "schedule-dump-N-unallocatable",
             "sample-N-unallocatable",
-            "profile-mc-unallocatable",
             "sample-runs-unallocatable",
             "train-batch-size-unallocatable",
             "train-hidden-unallocatable",
@@ -774,11 +773,10 @@ class TestUsageErrors:
             ["train", "--steps", "2", "--hidden", "4"],
             ["sample", "--oracle", "--runs", "4", "--N", "4"],
             ["verify", "--suite", "schedules", "--mc", "4"],
-            ["profile", "--grid", "0:0.9:5"],
             ["ablate", "--axis", "gamma", "--values", "1,2", "--steps", "2", "--hidden", "4",
              "--runs", "4"],
         ],
-        ids=["train", "sample", "verify", "profile", "ablate"],
+        ids=["train", "sample", "verify", "ablate"],
     )
     def test_seed_outside_u64_exits_two(self, tmp_path, capsys, argv, seed):
         """A seed is a Philox key word: 2^64 + 5 and -2^64 + 5 used to alias
@@ -834,16 +832,15 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("objective", ["displacement", "velocity", "stabilized_velocity"])
     @pytest.mark.parametrize(
-        "mc", [[], ["--mc", "100", "--grid", "0.1:0.9:5"]], ids=["closed", "mc"]
+        "overflow",
+        [["--s", "1e200"], ["--distance2", "1e308"]],
+        ids=["s-closed", "distance2-closed"],  # the closed-form S(t), the only one there is
     )
-    @pytest.mark.parametrize(
-        "overflow", [["--s", "1e200"], ["--distance2", "1e308"]], ids=["s", "distance2"]
-    )
-    def test_overflowing_profile_exits_two(self, tmp_path, capsys, objective, mc, overflow):
+    def test_overflowing_profile_exits_two(self, tmp_path, capsys, objective, overflow):
         """Finite inputs whose S(t) or its integral overflow float64 write no NaN profile."""
         out = str(tmp_path / "out")
         with pytest.raises(SystemExit) as exc:
-            main(["profile", "--objective", objective, *mc, *overflow, "--out-dir", out])
+            main(["profile", "--objective", objective, *overflow, "--out-dir", out])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: profile ")
         assert not os.path.exists(out)

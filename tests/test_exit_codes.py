@@ -49,7 +49,7 @@ _BASE = {
         {"--axis": "gamma", "--values": "1,2", "--steps": "3", "--batch-size": "4",
          "--hidden": "4", "--runs": "4", "--N": "4", "--seed": "1"},
     ),
-    "profile": (["profile"], {"--grid": "0:0.9:5", "--mc": "4", "--seed": "1"}),
+    "profile": (["profile"], {"--grid": "0:0.9:5"}),
     "verify": (["verify"], {"--suite": "schedules", "--mc": "4", "--seed": "1"}),
     "schedule": (["schedule", "dump"], {"--N": "4"}),
 }

@@ -37,9 +37,14 @@ from conftest import traced_peak
         ({"name": "signal_refine", "dimension": 8.0, "repeat": 2}, "^dimension must be an integer, got 8.0$"),
         ({"name": "grid_colorize", "dimension": 12, "grid_size": 2.0}, "^grid_size must be an integer, got 2.0$"),
         ({"name": "gaussian_shift", "dimension": True, "shift": (1.0,)}, "^dimension must be an integer, got True$"),
+        ({"name": "gaussian_shift", "dimension": 1, "shift": (1.0,), "seed": -1},
+         r"^seed must be an integer in \[0, 2\^64\), got -1$"),
+        ({"name": "gaussian_shift", "dimension": 1, "shift": (1.0,), "seed": 2.5},
+         r"^seed must be an integer in \[0, 2\^64\), got 2.5$"),
     ],
     ids=["name", "moons-dimension", "moons-angle", "grid-dimension", "repeat",
-         "repeat-float", "dimension-float", "grid-size-float", "dimension-bool"],
+         "repeat-float", "dimension-float", "grid-size-float", "dimension-bool",
+         "seed-negative", "seed-float"],
 )
 def test_bad_task_spec_rejected(fields, message):
     with pytest.raises(ValueError, match=message):

@@ -337,6 +337,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, 2**64])
+    def test_seed_checked_at_construction(self, seed):
+        """A seed that is no Philox key word is rejected here, not at the first draw."""
+        with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\^64\), got {seed!r}$"):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_learning_rate_must_be_a_real_number(self, value):
+        """A bool trained at rate 1, and a string raised TypeError."""
+        with pytest.raises(ValueError, match=f"^learning_rate must be a real number, got {value!r}$"):
+            TrainConfig(learning_rate=value)
+
+    def test_checked_reals_are_stored_as_floats(self):
+        """The manifest records the float that was checked, not the value given."""
+        config = TrainConfig(noise_scale="1", learning_rate=np.float32(0.5), seed=np.uint64(3))
+        assert config.to_dict() == {**TrainConfig().to_dict(), "noise_scale": 1.0, "learning_rate": 0.5, "seed": 3}
+        assert [type(v) for v in (config.noise_scale, config.learning_rate, config.seed)] == [float, float, int]
+
     def test_numpy_integer_counts_become_ints(self):
         config = TrainConfig(steps=np.int64(3), batch_size=np.int32(4), log_every=np.uint8(1))
         assert [type(v) for v in (config.steps, config.batch_size, config.log_every)] == [int] * 3

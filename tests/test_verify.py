@@ -1,12 +1,13 @@
 """The verify suites measure the library's own code: breaking it fails the check."""
 
+import math
 import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from bridgelab import objectives, sampler, verify
+from bridgelab import objectives, sampler, trainer, verify
 from bridgelab.cli import main
 from bridgelab.numerics import NumericalError
 from bridgelab.verify import run_suite
@@ -15,6 +16,42 @@ from conftest import traced_peak
 
 def failed(report: dict) -> set[str]:
     return {c["name"] for c in report["checks"] if not c["passed"]}
+
+
+def _worst_sigma(*kinds: str) -> set[str]:
+    return {f"trainer_profile_worst_sigma_{kind}" for kind in kinds}
+
+
+# One defect per row, as (module, function, mutant of it, the trainer-draw
+# checks that it fails), each patched where the trainer's step_blocks looks the
+# function up.
+_DRAW_MUTANTS = {
+    "state-noise-variance-x1.1": (
+        trainer, "sample_state", lambda f: lambda pair, t, eps, s: f(pair, t, eps, s * math.sqrt(1.1)),
+        _worst_sigma("displacement", "velocity", "stabilized_velocity"),
+    ),
+    "velocity-over-1-t-plus-1e-3": (
+        objectives, "velocity_target",
+        lambda f: lambda pair, sample: f(pair, sample) * ((1 - sample.t) / (1 - sample.t + 1e-3))[:, None],
+        _worst_sigma("stabilized_velocity"),
+    ),
+    "alpha-sq-without-D": (
+        objectives, "alpha_factor", lambda f: lambda pair, t, s: 1 + (f(pair, t, s) - 1) / pair.dimension,
+        _worst_sigma("stabilized_velocity"),
+    ),
+    "alpha-sq-ones": (
+        trainer, "objective_alpha_sq", lambda f: lambda kind, pair, t, s: np.ones(len(pair)),
+        _worst_sigma("stabilized_velocity"),
+    ),
+    "time-squared": (
+        trainer, "uniform", lambda f: lambda rng, shape: f(rng, shape) ** 2,
+        _worst_sigma("displacement", "velocity") | {"trainer_time_chi2"},
+    ),
+    "noise-x0.9": (
+        trainer, "gaussian", lambda f: lambda rng, shape: 0.9 * f(rng, shape),
+        _worst_sigma("displacement", "velocity", "stabilized_velocity"),
+    ),
+}
 
 
 class TestChecksDriveLibraryCode:
@@ -34,19 +71,27 @@ class TestChecksDriveLibraryCode:
             "conditional_var_0.1_0.9",
         }
 
-    def test_mc_profile_check_runs_objective_alpha_sq(self, monkeypatch):
-        """Dropping the stabilized alpha^2 fails the Monte-Carlo S(t) check."""
-        monkeypatch.setattr(
-            objectives, "objective_alpha_sq", lambda kind, pair, t, s: np.ones(len(pair))
-        )
-        assert "profile_mc_vs_closed_form_worst_sigma" in failed(
-            run_suite("objectives", seed=0, mc=100_000)
-        )
+    @pytest.mark.parametrize("mutant", list(_DRAW_MUTANTS))
+    def test_trainer_draw_checks_fail_on_defects(self, monkeypatch, mutant):
+        """A defect in the trainer's draws, or in the state, target and alpha^2
+        code that they run through, fails the named trainer-draw checks and no
+        other of them. The six suites take about 1 s."""
+        module, name, mutate, expected = _DRAW_MUTANTS[mutant]
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        names = failed(run_suite("objectives", seed=0, mc=100_000))
+        assert {n for n in names if n.startswith("trainer_")} == expected
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         run_suite("nope")
+
+
+@pytest.mark.parametrize("mc", [2.5, True], ids=["float", "bool"])
+def test_draw_count_must_be_an_integer(mc):
+    """A float or bool draw count is rejected, not run and written into the report."""
+    with pytest.raises(ValueError, match=f"Monte-Carlo draw count must be an integer, got {mc!r}"):
+        run_suite("schedules", 0, mc)
 
 
 def test_bridge_suite_releases_each_checks_arrays():
