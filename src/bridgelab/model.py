@@ -53,6 +53,8 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("input_dim", "time_features", "context_dim"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if not isinstance(self.hidden, (tuple, list, np.ndarray)):
+            raise ValueError(f"hidden must be a sequence of widths, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(_integer("hidden width", w) for w in self.hidden))
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")

@@ -12,7 +12,8 @@ empty output buffer before every draw. That gives the bits of a generator
 built for the draw, without the constructor's cost: ``Philox(key=...)``
 first builds a SeedSequence from OS entropy and then discards it. The
 generator is per thread because draws run on more than one thread (the
-sampler suite of ``verify`` sweeps on a worker).
+endpoint-variance sweep of ``verify`` is shared by a worker and the
+calling thread).
 
 Normal variates use numpy's ziggurat sampler on the Philox keystream; this
 fixes the bitwise-reproducibility contract of this implementation (a pinned
@@ -55,6 +56,20 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _finite_real(name: str, value) -> float:
+    """``value`` as a float; bools, strings and other non-reals are rejected,
+    and so are nan, inf and an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return real
 
 
 def _check_u64(name: str, value) -> int:

@@ -25,7 +25,16 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .bridge import EndpointPair
-from .numerics import NumericalError, RngStream, Tensor, _check_u64, _integer, gaussian, uniform
+from .numerics import (
+    NumericalError,
+    RngStream,
+    Tensor,
+    _check_u64,
+    _finite_real,
+    _integer,
+    gaussian,
+    uniform,
+)
 from .sampler import integrate
 from .schedules import Schedule
 
@@ -56,21 +65,24 @@ class TaskSpec:
         for name in ("grid_size", "repeat"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.shift is not None:
+            if not isinstance(self.shift, (tuple, list, np.ndarray)):
+                raise ValueError(f"shift must be a sequence of real numbers, got {self.shift!r}")
+            shift = tuple(_finite_real(f"shift[{i}]", c) for i, c in enumerate(self.shift))
+            object.__setattr__(self, "shift", shift)
+        if self.angle is not None:
+            object.__setattr__(self, "angle", _finite_real("angle", self.angle))
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.name == "gaussian_shift":
             if self.shift is None or len(self.shift) != self.dimension:
                 n = len(self.shift or ())
                 raise ValueError(f"gaussian_shift needs a shift of length {self.dimension}, got {n}")
-            if not all(math.isfinite(c) for c in self.shift):
-                raise ValueError(f"shift components must be finite, got {self.shift}")
         elif self.name == "moons_rotate":
             if self.dimension != 2:
                 raise ValueError(f"moons_rotate is a 2D task, got dimension {self.dimension}")
             if self.angle is None:
                 raise ValueError("moons_rotate needs a rotation angle")
-            if not math.isfinite(self.angle):
-                raise ValueError(f"angle must be finite, got {self.angle}")
         elif self.name == "grid_colorize":
             if self.grid_size is None or not 2 <= self.grid_size <= _MAX_GRID:
                 raise ValueError(f"grid_colorize needs grid_size in [2, {_MAX_GRID}], got {self.grid_size}")

@@ -37,7 +37,16 @@ import numpy as np
 
 from .bridge import T_CLAMP, BridgeSample, EndpointPair, check_noise_scale, sample_state
 from .model import ModelConfig, backward, forward, input_rows
-from .numerics import NumericalError, RngStream, Tensor, _check_u64, _integer, gaussian, uniform
+from .numerics import (
+    NumericalError,
+    RngStream,
+    Tensor,
+    _check_u64,
+    _finite_real,
+    _integer,
+    gaussian,
+    uniform,
+)
 from .objectives import ObjectiveKind, loss, objective_alpha_sq, raw_target
 
 # Fixed stream ids so data/time/noise draws are independent of each other
@@ -83,11 +92,7 @@ class TrainConfig:
             raise ValueError("log_every must be >= 1")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if isinstance(self.learning_rate, (bool, str)):
-            raise ValueError(f"learning_rate must be a real number, got {self.learning_rate!r}")
-        object.__setattr__(self, "learning_rate", float(self.learning_rate))
-        if not math.isfinite(self.learning_rate):
-            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
+        object.__setattr__(self, "learning_rate", _finite_real("learning_rate", self.learning_rate))
         if self.learning_rate < 0.0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         object.__setattr__(self, "noise_scale", check_noise_scale(self.noise_scale))

@@ -6,21 +6,26 @@ the estimator (4.5-sigma family-wise bounds on Monte-Carlo means, 2-5%
 relative or 0.01-0.02 absolute tolerances, the 0.999 quantile of a
 chi-square goodness of fit, and round-off or exact-zero requirements) and
 can be overridden by name. Given a seed and a draw count, every suite is
-fully deterministic, so reports are byte-stable. Measurements run the
-library's own code paths (state construction, targets, alpha^2, the
-trainer's ``step_blocks`` draws and the integrator), so a check certifies the
-code that trains and samples, not a re-derivation of it.
+fully deterministic, so reports are byte-stable. That holds although the
+sampler suite's endpoint-variance sweep runs on two threads: ``run_suite``
+shares its combinations between a worker and the calling thread, and the
+check reports their maximum. Measurements run the library's own code paths
+(state construction, targets, alpha^2, the trainer's ``step_blocks`` draws
+and the integrator), so a check certifies the code that trains and samples,
+not a re-derivation of it.
 
 Suites: bridge (marginal/conditional moments and target identities),
 objectives (normalization law, loss-contribution profiles and S(t) on the
-trainer's draws), sampler
-(endpoint exactness and variance laws), schedules (grid contract).
+trainer's draws), sampler (endpoint exactness and variance laws), schedules
+(grid contract).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import threading
 from typing import Callable
 
 import numpy as np
@@ -284,36 +289,86 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
 # (n_steps, gamma) of the shifted schedules the sampler suite sweeps.
 _SCHEDULES_GRID = [(n, g) for n in (1, 2, 4, 16, 64) for g in (1.0, 5.0)]
 
+# (k, n_steps, gamma, s) of the endpoint-variance sweep's 20 combinations,
+# largest n first, so that the last ones taken are the shortest; k numbers
+# the combination's substream.
+_SWEEP = sorted(
+    ((k, n, g, s) for k, ((n, g), s) in enumerate(itertools.product(_SCHEDULES_GRID, (1.0, 2.0)))),
+    key=lambda combination: -combination[1],
+)
 
-def _endpoint_variance_sweep(seed: int) -> float:
+
+class _EndpointVarianceSweep:
     """Worst relative deviation of the standard sampler's endpoint variance
-    from s^2 dt_{N-1}, over the schedule grid and s in (1, 2).
+    from s^2 dt_{N-1}, over the schedule grid and s in (1, 2), shared by a
+    worker thread and the calling thread.
 
     The 5% bound is verified at 2e4 runs, so it sits at ~5 estimator sigmas
     even across the 20-combination grid. Each combination draws its own
     substream of the sampler suite's stream, so the 20 variance estimates are
     independent. The work is Philox draws and ufuncs on (20000, 2) blocks,
-    which release the GIL, so ``run_suite`` runs this on a worker thread.
+    which release the GIL. The worker starts on construction and takes
+    combinations one at a time from ``_SWEEP``; ``result`` has the calling
+    thread take from the same list. The result is a maximum, so it does not
+    depend on which thread ran which combination. The first exception on
+    either thread empties the list, and ``result`` raises it once the worker
+    has finished its last combination.
     """
-    pair = EndpointPair(_X0, _X1)
-    variance_rng = RngStream(seed=seed).split(3).split(2)
-    runs = 20_000
-    worst_var = 0.0
-    for k, (n, g, s) in enumerate((n, g, s) for n, g in _SCHEDULES_GRID for s in (1.0, 2.0)):
-        sch = shifted(n, g)
-        st = endpoint_statistics(
-            "standard", oracle_field(pair.x1), pair, sch, s, runs, variance_rng.split(k)
-        )
-        expected = s * s * float(sch.points[-1] - sch.points[-2])
-        worst_var = max(worst_var, abs(st.variance / expected - 1.0))
-    return worst_var
+
+    def __init__(self, seed: int):
+        self._rng = RngStream(seed=seed).split(3).split(2)
+        self._todo = list(_SWEEP)
+        self._worst = 0.0
+        self._error: Exception | None = None
+        self._lock = threading.Lock()
+        self._worker = threading.Thread(target=self._run_share, name="endpoint-variance-sweep")
+        self._worker.start()
+
+    def _run_share(self) -> None:
+        """Run combinations until none is left; a failure is recorded, not raised."""
+        pair = EndpointPair(_X0, _X1)
+        try:
+            while True:
+                with self._lock:
+                    if not self._todo:
+                        return
+                    k, n, g, s = self._todo.pop(0)
+                sch = shifted(n, g)
+                st = endpoint_statistics(
+                    "standard", oracle_field(pair.x1), pair, sch, s, 20_000, self._rng.split(k)
+                )
+                expected = s * s * float(sch.points[-1] - sch.points[-2])
+                with self._lock:
+                    self._worst = max(self._worst, abs(st.variance / expected - 1.0))
+        except Exception as error:
+            with self._lock:
+                self._todo.clear()
+                if self._error is None:
+                    self._error = error
+
+    def stop(self) -> None:
+        """Leave the worker no more combinations and wait for it to finish."""
+        with self._lock:
+            self._todo.clear()
+        self._worker.join()
+
+    def result(self) -> float:
+        """Run the calling thread's share, join the worker, and return the
+        worst deviation, or raise the first exception either thread raised."""
+        self._run_share()
+        self._worker.join()
+        if self._error is not None:
+            raise self._error
+        return self._worst
 
 
 def sampler_suite(
     seed: int, mc: int = 100_000, *, endpoint_variance: Callable[[], float]
 ) -> list[Check]:
-    """``endpoint_variance`` returns ``_endpoint_variance_sweep(seed)``: it is
-    the ``result`` of the future that ``run_suite`` runs the sweep in."""
+    """``endpoint_variance`` is ``_EndpointVarianceSweep(seed).result``. The
+    suite calls it after its other checks, so the calling thread joins the
+    sweep only once it has nothing else to do, and puts the check second in
+    the report."""
     rng = RngStream(seed=seed).split(3)
     pair = EndpointPair(_X0, _X1)
     checks: list[Check] = []
@@ -327,8 +382,6 @@ def sampler_suite(
             )
             worst_mse = max(worst_mse, st.mse)
     checks.append(("oracle_corrected_mse", worst_mse, 1e-20))
-
-    checks.append(("standard_endpoint_variance", endpoint_variance(), 0.05))
 
     st0 = endpoint_statistics(
         "standard", oracle_field(pair.x1), pair, shifted(8, 1.0), 0.0, 16, rng.split(3)
@@ -387,6 +440,7 @@ def sampler_suite(
     det = max(float(np.max(np.abs(a - b))) for a, b in zip(trajectory(), trajectory()))
     checks.append(("trajectory_determinism", det, 0.0))
 
+    checks.insert(1, ("standard_endpoint_variance", endpoint_variance(), 0.05))
     return checks
 
 
@@ -444,7 +498,10 @@ def run_suite(
     """Run one named suite (or 'all'); returns a deterministic report dict.
 
     ``overrides`` maps a check name to a bound that replaces the suite's own;
-    a name that the suite does not check is rejected.
+    a name that the suite does not check is rejected. With the sampler suite,
+    a worker thread shares the endpoint-variance sweep with the calling
+    thread. It is joined before this returns or raises, and the first
+    exception raised on either thread reaches the caller as that object.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -453,19 +510,14 @@ def run_suite(
         raise ValueError(f"Monte-Carlo draw count must be >= 0, got {mc}")
     RngStream(seed=seed)  # rejects a seed outside [0, 2^64), even for a suite that draws nothing
     overrides = overrides or {}
-    # The sampler suite's endpoint-variance sweep runs on one worker thread
-    # while the selected suites run here. Whole suites stay on this thread:
-    # a worker's malloc arena keeps the freed (mc, D) blocks of the bridge
-    # and sampler suites, which would raise peak memory. Leaving the block
-    # joins the worker, and the future re-raises a sweep's exception where
-    # the sampler suite reads it. Imported here so that importing the CLI
-    # does not load concurrent.futures, and logging with it.
-    from concurrent.futures import ThreadPoolExecutor
-
+    # The sweep's worker starts now, while the selected suites run here, and
+    # this thread takes what is left once the sampler suite's other checks
+    # are done. Only the sweep's (20000, 2) blocks run on the worker: a
+    # worker's malloc arena keeps the freed (mc, D) blocks of the bridge and
+    # sampler suites, which would raise peak memory.
+    sweep = _EndpointVarianceSweep(seed) if suite in ("all", "sampler") else None
     checks = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        if suite in ("all", "sampler"):
-            sweep = worker.submit(_endpoint_variance_sweep, seed)
+    try:
         for name, func in _SUITE_FUNCS.items():
             if suite not in ("all", name):
                 continue
@@ -482,6 +534,9 @@ def run_suite(
                         "passed": measured <= bound,
                     }
                 )
+    finally:
+        if sweep is not None:
+            sweep.stop()
     unknown = sorted(set(overrides) - {c["name"] for c in checks})
     if unknown:
         raise ValueError(f"suite {suite!r} has no check named {', '.join(unknown)}")

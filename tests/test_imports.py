@@ -1,10 +1,10 @@
 """Start-up cost: importing bridgelab, training, verifying and scoring load no scipy.
 
-bridgelab needs numpy alone at run time, and importing its CLI leaves the
-thread-pool machinery and the statistics module that only `verify` uses
-unloaded. The checks run in a fresh interpreter, because the test modules
-import scipy themselves. Every name in `bridgelab.__all__` must also be bound
-on the package.
+bridgelab needs numpy alone at run time. Importing its CLI loads neither
+concurrent.futures, which no command uses, nor the statistics module, which
+only `verify` uses. The checks run in a fresh interpreter, because the test
+modules import scipy themselves. Every name in `bridgelab.__all__` must also
+be bound on the package.
 """
 
 import json
@@ -76,7 +76,8 @@ def test_stage_loads_no_scipy(fresh_process, stage):
 
 
 def test_cli_import_loads_no_executor(fresh_process):
-    """`verify` imports concurrent.futures (and with it logging) on first use."""
+    """Importing the CLI loads neither concurrent.futures nor the logging it
+    imports: `verify` runs its worker on a plain thread."""
     assert fresh_process["executor"] == []
 
 

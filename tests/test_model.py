@@ -204,6 +204,7 @@ class TestConfigValidation:
             ({"input_dim": 0}, "input_dim must be >= 1"),
             ({"context_dim": -1}, "context_dim must be >= 0"),
             ({"activation": "relu"}, "activation must be one of"),
+            ({"hidden": 4}, "^hidden must be a sequence of widths, got 4$"),
         ],
     )
     def test_out_of_range_fields_rejected(self, fields, message):

@@ -41,14 +41,34 @@ from conftest import traced_peak
          r"^seed must be an integer in \[0, 2\^64\), got -1$"),
         ({"name": "gaussian_shift", "dimension": 1, "shift": (1.0,), "seed": 2.5},
          r"^seed must be an integer in \[0, 2\^64\), got 2.5$"),
+        ({"name": "gaussian_shift", "dimension": 1, "shift": 2.0},
+         "^shift must be a sequence of real numbers, got 2.0$"),
+        ({"name": "gaussian_shift", "dimension": 1, "shift": ("a",)},
+         r"^shift\[0\] must be a real number, got 'a'$"),
+        ({"name": "gaussian_shift", "dimension": 1, "shift": (True,)},
+         r"^shift\[0\] must be a real number, got True$"),
+        ({"name": "gaussian_shift", "dimension": 2, "shift": (1.0, math.nan)},
+         r"^shift\[1\] must be finite, got nan$"),
+        ({"name": "moons_rotate", "dimension": 2, "angle": "1"}, "^angle must be a real number, got '1'$"),
+        ({"name": "moons_rotate", "dimension": 2, "angle": math.inf}, "^angle must be finite, got inf$"),
+        ({"name": "moons_rotate", "dimension": 2, "angle": 2**1024}, "^angle must be finite, got 17976931"),
     ],
     ids=["name", "moons-dimension", "moons-angle", "grid-dimension", "repeat",
          "repeat-float", "dimension-float", "grid-size-float", "dimension-bool",
-         "seed-negative", "seed-float"],
+         "seed-negative", "seed-float", "shift-scalar", "shift-str", "shift-bool",
+         "shift-nan", "angle-str", "angle-inf", "angle-int-overflow"],
 )
 def test_bad_task_spec_rejected(fields, message):
     with pytest.raises(ValueError, match=message):
         TaskSpec(**fields)
+
+
+def test_reals_are_stored_as_floats():
+    """A shift is kept as a tuple of floats and an angle as a float, whatever
+    real types they were given as."""
+    shift = TaskSpec("gaussian_shift", 2, shift=[1, np.float32(0.5)]).shift
+    angle = TaskSpec("moons_rotate", 2, angle=np.int64(1)).angle
+    assert shift == (1.0, 0.5) and [type(v) for v in (*shift, angle)] == [float] * 3
 
 
 class TestGaussianShift:

@@ -1,6 +1,7 @@
 """The verify suites measure the library's own code: breaking it fails the check."""
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -12,6 +13,16 @@ from bridgelab.cli import main
 from bridgelab.numerics import NumericalError
 from bridgelab.verify import run_suite
 from conftest import traced_peak
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """run_suite joins the sweep's worker on every path, so a test that leaves
+    a thread alive fails here."""
+    before = set(threading.enumerate())
+    yield
+    left = set(threading.enumerate()) - before
+    assert not left, f"threads left alive: {sorted(t.name for t in left)}"
 
 
 def failed(report: dict) -> set[str]:
@@ -125,8 +136,9 @@ class TestChiSquareConstants:
 
 
 class TestEndpointVarianceSweep:
-    """run_suite runs the sampler suite's endpoint-variance sweep on a worker
-    thread; the report must read as if every check ran in order on one."""
+    """run_suite shares the sampler suite's endpoint-variance sweep between a
+    worker thread and the calling thread; the report must read as if every
+    check ran in order on one."""
 
     def test_all_is_the_four_suites_in_order(self):
         singles = [
@@ -144,19 +156,64 @@ class TestEndpointVarianceSweep:
         measured = {c["name"]: c["measured"] for c in report["checks"]}
         assert measured["standard_endpoint_variance"] == expected
 
-    @pytest.mark.parametrize("worker_only", [False, True], ids=["everywhere", "worker-only"])
-    def test_sweep_error_reaches_caller_and_worker_is_joined(
-        self, monkeypatch, tmp_path, worker_only
-    ):
-        """A NumericalError keeps its type (and, from the worker, its
-        identity), `verify` exits 3, and no thread outlives the call."""
+    def test_each_combination_runs_once(self, monkeypatch):
+        """Both threads take from one list, and no combination is run twice or
+        skipped, which the maximum that the check reports need not show."""
+        shifted, statistics = verify.shifted, verify.endpoint_statistics
+        made, ran = {}, []
+
+        def recording_shifted(n, g):
+            schedule = shifted(n, g)
+            made[schedule] = (n, g)
+            return schedule
+
+        def recording(mode, field, pair, schedule, s, runs, rng):
+            if runs == 20_000:
+                ran.append((*made[schedule], s))
+            return statistics(mode, field, pair, schedule, s, runs, rng)
+
+        monkeypatch.setattr(verify, "shifted", recording_shifted)
+        monkeypatch.setattr(verify, "endpoint_statistics", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose an unlocked take or update
+        try:
+            report = run_suite("sampler", seed=0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == sorted((n, g, s) for n, g in verify._SCHEDULES_GRID for s in (1.0, 2.0))
+        measured = {c["name"]: c["measured"] for c in report["checks"]}
+        assert measured["standard_endpoint_variance"] == 0.010981475582586109
+
+    @pytest.mark.parametrize("fails", ["everywhere", "worker-only", "main-only"])
+    def test_sweep_error_reaches_caller_and_worker_is_joined(self, monkeypatch, tmp_path, fails):
+        """The first NumericalError reaches the caller as the object raised,
+        `verify` exits 3, and no thread outlives the call. Outside worker-only,
+        the calling thread fails only once the worker has started its first
+        combination (everywhere: at the calling thread's first sampler call;
+        main-only: in its share of the sweep). The worker holds that
+        combination until the failure, finishes it, and then starts no other."""
         statistics = verify.endpoint_statistics
         raised = []
+        worker_started, main_failed = threading.Event(), threading.Event()
+        worker_started_after_failure = []
 
-        def failing(*args, **kwargs):
-            if worker_only and threading.current_thread() is threading.main_thread():
-                return statistics(*args, **kwargs)
+        def failing(*args):
+            on_main = threading.current_thread() is threading.main_thread()
+            in_sweep = args[5] == 20_000  # each sweep combination integrates 20000 runs
+            if on_main and (fails == "worker-only" or (fails == "main-only" and not in_sweep)):
+                return statistics(*args)
+            if on_main:
+                worker_started.wait(timeout=60)
+            elif fails != "worker-only":
+                worker_started_after_failure.append(main_failed.is_set())
+                worker_started.set()
+                main_failed.wait(timeout=60)
+                result = statistics(*args)
+                if fails == "main-only":
+                    return result
             raised.append(NumericalError("state became non-finite at step 0"))
+            if on_main:
+                main_failed.set()
             raise raised[-1]
 
         monkeypatch.setattr(verify, "endpoint_statistics", failing)
@@ -164,8 +221,11 @@ class TestEndpointVarianceSweep:
         with pytest.raises(NumericalError) as caught:
             run_suite("sampler", seed=0)
         assert threading.active_count() == before
-        if worker_only:
-            assert caught.value is raised[0]
+        assert caught.value is raised[0]
+        if fails != "worker-only":
+            assert worker_started_after_failure == [False]
+        worker_started.clear()
+        main_failed.clear()
         assert main(["verify", "--suite", "all", "--out-dir", str(tmp_path)]) == 3
         assert threading.active_count() == before
         assert not (tmp_path / "verify_report.json").exists()
