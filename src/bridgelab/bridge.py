@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor
+from .numerics import Tensor, _real
 
 # Training-time guard band next to t=1: velocity targets reject t beyond
 # 1 - T_CLAMP and uniform time draws stay inside [0, 1 - T_CLAMP).
@@ -30,8 +30,8 @@ T_CLAMP = 1e-5
 
 
 def check_noise_scale(noise_scale: float) -> float:
-    """The noise scale s as a float; it must be finite and >= 0."""
-    s = float(noise_scale)
+    """The noise scale s as a float; it must be a real number, finite and >= 0."""
+    s = _real("noise scale", noise_scale)
     if not (math.isfinite(s) and s >= 0.0):
         raise ValueError(f"noise scale must be finite and >= 0, got {noise_scale}")
     return s

@@ -15,6 +15,10 @@ generator is per thread because draws run on more than one thread (the
 endpoint-variance sweep of ``verify`` is shared by a worker and the
 calling thread).
 
+``blas_threads`` holds numpy's bundled OpenBLAS to a thread count for the
+length of a ``with`` block: the trainer's network runs on one OpenBLAS
+thread while a worker of its own builds the next block on the other core.
+
 Normal variates use numpy's ziggurat sampler on the Philox keystream; this
 fixes the bitwise-reproducibility contract of this implementation (a pinned
 numpy provides stable streams, no reproducibility is claimed across
@@ -23,9 +27,15 @@ different normal-sampling algorithms).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 import threading
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -58,15 +68,21 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _finite_real(name: str, value) -> float:
-    """``value`` as a float; bools, strings and other non-reals are rejected,
-    and so are nan, inf and an int too large for a float."""
+def _real(name: str, value) -> float:
+    """``value`` as a float, which may be nan or inf (an int too large for a
+    float becomes inf); bools, strings and other non-reals are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        real = float(value)
+        return float(value)
     except OverflowError:
-        real = math.inf
+        return math.inf
+
+
+def _finite_real(name: str, value) -> float:
+    """``value`` as a float; bools, strings and other non-reals are rejected,
+    and so are nan, inf and an int too large for a float."""
+    real = _real(name, value)
     if not math.isfinite(real):
         raise ValueError(f"{name} must be finite, got {value}")
     return real
@@ -79,6 +95,46 @@ def _check_u64(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value <= _MASK64:
         raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
     return int(value)
+
+
+@functools.cache
+def openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled with numpy's wheel (scipy-openblas, 64-bit
+    integer interface), or None where numpy ships no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = glob.glob(os.path.join(libs, "libscipy_openblas*"))
+    if len(paths) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(paths[0])
+        lib.scipy_openblas_get_num_threads64_.argtypes = []
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        lib.scipy_openblas_get_corename64_.argtypes = []
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+@contextlib.contextmanager
+def blas_threads(count: int) -> Iterator[bool]:
+    """Hold numpy's bundled OpenBLAS to ``count`` threads inside the block and
+    restore its previous count on every exit path. Yields whether the count
+    was set: False, with nothing changed, where ``openblas()`` is None.
+
+    The count is the process's: BLAS calls on every thread see it."""
+    lib = openblas()
+    if lib is None:
+        yield False
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    try:
+        yield True
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
 
 
 @dataclass

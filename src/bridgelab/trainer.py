@@ -18,6 +18,18 @@ arrays: the network, the loss, the gradient and the update. A batch of 2**14
 input-row values or more is a block of one step. Anything else that audits
 the draws (``train --debug``, the tests) iterates ``step_blocks`` itself.
 
+Where blocks are one step and the network does at most ``_OVERLAP_MACS``
+forward multiply-adds per step, ``train`` builds block k + 1 on a worker
+thread, with its digest update and target norms, while the calling thread
+trains on block k, and holds numpy's OpenBLAS to one thread meanwhile. A
+block of one step is array work, which releases the GIL; larger blocks
+are mostly Python call overhead, which holds it. Without the hold,
+OpenBLAS's second thread occupies the second core during every GEMM and
+the worker gains nothing; above the bound, that second thread gains the
+network more than the worker gains the step. Where OpenBLAS's thread count
+cannot be set (``numerics.blas_threads``), ``train`` runs sequentially.
+Either way every step gets the same bits in the same order.
+
 The (pair, t, eps) streams are derived only from the seed, never from the
 objective, so runs that differ only in objective consume identical sample
 streams and their outcomes are attributable to the target alone. A SHA-256
@@ -27,8 +39,11 @@ every step in order, is recorded for auditing that property.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import queue
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Protocol
@@ -44,6 +59,7 @@ from .numerics import (
     _check_u64,
     _finite_real,
     _integer,
+    blas_threads,
     gaussian,
     uniform,
 )
@@ -59,6 +75,12 @@ _STREAM_NOISE = 103
 # spread numpy's per-call cost over many steps, few enough that a block's
 # arrays stay in cache.
 _BLOCK_VALUES = 2**14
+
+# Forward multiply-adds per step, B * sum(n_in n_out), up to which ``train``
+# builds one-step blocks on a worker thread and holds the network to one
+# OpenBLAS thread. Above it OpenBLAS's second thread gains the network more
+# than the worker gains the step (see README, "Training on two cores").
+_OVERLAP_MACS = 2**25
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -160,6 +182,20 @@ def _optimizer_update(
     return params - update
 
 
+def _block_steps(config: TrainConfig, model_config: ModelConfig) -> int:
+    return max(1, _BLOCK_VALUES // (config.batch_size * model_config.feature_dim))
+
+
+def _overlapped(config: TrainConfig, model_config: ModelConfig) -> bool:
+    """Whether ``train`` builds each next block on a worker thread while the
+    network runs on one OpenBLAS thread: each block is one step, so building
+    it is array work that releases the GIL, and the network does at most
+    ``_OVERLAP_MACS`` forward multiply-adds per step."""
+    widths = model_config.layer_widths
+    macs = config.batch_size * sum(a * b for a, b in zip(widths[:-1], widths[1:]))
+    return _block_steps(config, model_config) == 1 and macs <= _OVERLAP_MACS
+
+
 def step_blocks(
     provider: PairProvider, config: TrainConfig, model_config: ModelConfig
 ) -> Iterator[tuple[EndpointPair, BridgeSample, Tensor, Tensor, Tensor]]:
@@ -172,7 +208,7 @@ def step_blocks(
     noise_rng = root.split(_STREAM_NOISE)
     kind = config.objective
     size = config.batch_size
-    block_steps = max(1, _BLOCK_VALUES // (size * model_config.feature_dim))
+    block_steps = _block_steps(config, model_config)
 
     for first in range(0, config.steps, block_steps):
         batches, times, noises = [], [], []
@@ -201,6 +237,79 @@ def step_blocks(
             alpha_sq = objective_alpha_sq(kind, pair, t, config.noise_scale)
             rows = input_rows(model_config, sample.state, t, context)
         yield pair, sample, alpha_sq, targets, rows
+        # so that this block's arrays are freed before the next block's are made
+        del pair, sample, alpha_sq, targets, rows, t, eps, context, batches, times, noises
+
+
+def _prepared(
+    blocks: Iterator[tuple[EndpointPair, BridgeSample, Tensor, Tensor, Tensor]], digest
+) -> Iterator[tuple[Tensor, Tensor, Tensor, Tensor]]:
+    """Each block's (input rows, targets, alpha^2, target squared norms), after
+    its stream rows [x0 | x1 | t | eps] are hashed into ``digest``."""
+    for pair, sample, alpha_sq, targets, rows in blocks:
+        digest.update(np.concatenate([pair.x0, pair.x1, sample.t[:, None], sample.epsilon], axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            target_sqnorms = np.sum(targets * targets, axis=-1)
+        yield rows, targets, alpha_sq, target_sqnorms
+        del pair, sample, alpha_sq, targets, rows, target_sqnorms  # as in step_blocks
+
+
+class _Prefetch:
+    """``blocks`` run on a worker thread, ahead of the calling thread.
+
+    The calling thread allocates two sets of buffers of ``shapes``. The
+    worker builds a block, waits for a free set, copies the block into it
+    and hands the set's index over; the calling thread frees the set when it
+    asks for the block after. So the worker runs at most two blocks ahead,
+    and every array that it allocates is freed on the worker too, into the
+    malloc arena it came from. Blocks, and then the exception that ended
+    them, arrive in block order. Leaving the ``with`` block stops the
+    worker, which may be waiting for a free set, and joins it.
+    """
+
+    def __init__(self, blocks: Iterator[tuple[Tensor, ...]], shapes: list[tuple[int, ...]]):
+        self._blocks = blocks
+        self._sets = [[np.empty(shape) for shape in shapes] for _ in range(2)]
+        self._free: queue.SimpleQueue = queue.SimpleQueue()
+        self._ready: queue.SimpleQueue = queue.SimpleQueue()
+        self._stop = threading.Event()
+        for index in range(len(self._sets)):
+            self._free.put(index)
+        self._worker = threading.Thread(target=self._run, name="train-block-prefetch")
+
+    def _run(self) -> None:
+        try:
+            for block in self._blocks:
+                index = self._free.get()
+                if self._stop.is_set():
+                    return
+                for out, value in zip(self._sets[index], block):
+                    np.copyto(out, value)
+                del block  # as in step_blocks
+                self._ready.put(index)
+            self._ready.put(None)
+        # Any exception, as an executor's future keeps it: the calling thread
+        # raises it, and without it would wait for a block forever.
+        except BaseException as error:
+            self._ready.put(error)
+        finally:
+            self._blocks.close()
+
+    def __enter__(self) -> Iterator[list[Tensor]]:
+        self._worker.start()
+        return self._iter()
+
+    def _iter(self) -> Iterator[list[Tensor]]:
+        while (item := self._ready.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            yield self._sets[item]
+            self._free.put(item)
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        self._free.put(None)
+        self._worker.join()
 
 
 def train_step(
@@ -245,6 +354,10 @@ def train(
 ) -> tuple[Tensor, TrainStats]:
     """Run the configured number of steps; logs every ``log_every`` steps plus the last.
 
+    Where ``_overlapped`` holds and OpenBLAS can be held to one thread, the
+    provider is called on a worker thread, which is joined before ``train``
+    returns or raises.
+
     Non-finite losses, gradients or parameters abort with a NumericalError
     naming the failing step; they are never swallowed.
     """
@@ -252,23 +365,26 @@ def train(
     opt_state = OptimizerState(kind=config.optimizer)
     stats = TrainStats()
     step_number = 0
-    for pair, sample, alpha_sq, targets, rows in step_blocks(provider, config, model_config):
-        digest.update(np.concatenate([pair.x0, pair.x1, sample.t[:, None], sample.epsilon], axis=1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            target_sqnorms = np.sum(targets * targets, axis=-1)
-        block_max = float(np.max(target_sqnorms))
-        stats.max_target_sqnorm_overall = max(stats.max_target_sqnorm_overall, block_max)
-        for lo in range(0, len(rows), config.batch_size):
-            step = slice(lo, lo + config.batch_size)
-            step_number += 1
-            t0 = time.perf_counter()
-            params, batch_loss, grad_norm = train_step(
-                params, model_config, opt_state, rows[step], targets[step], alpha_sq[step],
-                config, step_number,
-            )
-            if step_number % config.log_every == 0 or step_number == config.steps:
-                ms = (time.perf_counter() - t0) * 1e3
-                max_sqnorm = float(np.max(target_sqnorms[step]))
-                stats.rows.append(StepStats(step_number, batch_loss, max_sqnorm, grad_norm, ms))
+    blocks = _prepared(step_blocks(provider, config, model_config), digest)
+    with contextlib.ExitStack() as stack:
+        if _overlapped(config, model_config) and stack.enter_context(blas_threads(1)):
+            size = config.batch_size
+            shapes = [(size, model_config.feature_dim), (size, model_config.input_dim), (size,), (size,)]
+            blocks = stack.enter_context(_Prefetch(blocks, shapes))
+        for rows, targets, alpha_sq, target_sqnorms in blocks:
+            block_max = float(np.max(target_sqnorms))
+            stats.max_target_sqnorm_overall = max(stats.max_target_sqnorm_overall, block_max)
+            for lo in range(0, len(rows), config.batch_size):
+                step = slice(lo, lo + config.batch_size)
+                step_number += 1
+                t0 = time.perf_counter()
+                params, batch_loss, grad_norm = train_step(
+                    params, model_config, opt_state, rows[step], targets[step], alpha_sq[step],
+                    config, step_number,
+                )
+                if step_number % config.log_every == 0 or step_number == config.steps:
+                    ms = (time.perf_counter() - t0) * 1e3
+                    max_sqnorm = float(np.max(target_sqnorms[step]))
+                    stats.rows.append(StepStats(step_number, batch_loss, max_sqnorm, grad_norm, ms))
     stats.sample_stream_digest = digest.hexdigest()
     return params, stats

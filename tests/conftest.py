@@ -1,13 +1,11 @@
-import ctypes
-import glob
-import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from bridgelab.model import ModelConfig, init
-from bridgelab.numerics import RngStream
+from bridgelab.numerics import RngStream, openblas
 from bridgelab.objectives import ObjectiveKind
 from bridgelab.tasks import TaskSpec, pair_provider
 from bridgelab.trainer import TrainConfig, train
@@ -31,20 +29,23 @@ def kernel_fingerprint() -> str:
         simd = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)) or "none"
     except (ImportError, AttributeError):
         simd = "unknown"
-    try:
-        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-        (path,) = glob.glob(os.path.join(libs, "libscipy_openblas*"))
-        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        corename.argtypes = []
-        corename.restype = ctypes.c_char_p
-        core = corename().decode()
-    except (OSError, AttributeError, ValueError):
-        core = "unknown"
+    lib = openblas()
+    core = "unknown" if lib is None else lib.scipy_openblas_get_corename64_().decode()
     return f"kernels: numpy {np.__version__}; SIMD {simd}; OpenBLAS core {core}"
 
 
 def pytest_report_header(config):
     return kernel_fingerprint()
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """``train`` and ``verify.run_suite`` join their workers on every path, so a
+    test that leaves a thread alive fails here."""
+    before = set(threading.enumerate())
+    yield
+    left = set(threading.enumerate()) - before
+    assert not left, f"threads left alive: {sorted(t.name for t in left)}"
 
 
 def traced_peak(func, *args, **kwargs):

@@ -1,4 +1,4 @@
-"""The counter-based random source."""
+"""The counter-based random source, and the hold on OpenBLAS's thread count."""
 
 import math
 import re
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from bridgelab.numerics import RngStream, gaussian, uniform
+from bridgelab.numerics import RngStream, blas_threads, gaussian, openblas, uniform
 
 
 class TestGaussian:
@@ -185,3 +185,22 @@ class TestGeneratorReuse:
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+
+
+def test_blas_threads_restores_the_count_on_every_exit():
+    """Held to one thread inside the block; the previous count comes back
+    after a normal exit and after an exception."""
+    lib = openblas()
+    if lib is None:
+        with blas_threads(1) as held:
+            assert held is False
+        pytest.skip("numpy bundles no scipy-openblas here")
+    count = lib.scipy_openblas_get_num_threads64_
+    before = count()
+    with blas_threads(1) as held:
+        assert held is True and count() == 1
+    assert count() == before
+    with pytest.raises(KeyError):
+        with blas_threads(1):
+            raise KeyError("inside")
+    assert count() == before

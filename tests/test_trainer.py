@@ -2,17 +2,20 @@
 
 import hashlib
 import math
+import re
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from bridgelab.bridge import EndpointPair, interpolate
-from bridgelab import model
+from bridgelab import model, trainer
 from bridgelab.model import ModelConfig, init
-from bridgelab.numerics import NumericalError, RngStream
+from bridgelab.numerics import NumericalError, RngStream, openblas
 from bridgelab.objectives import ObjectiveKind, alpha_factor
 from bridgelab.tasks import TaskSpec, pair_provider
-from bridgelab.trainer import TrainConfig, step_blocks, train
+from bridgelab.trainer import OptimizerState, TrainConfig, step_blocks, train, train_step
 from conftest import kernel_fingerprint
 
 SHIFT_TASK = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
@@ -121,17 +124,133 @@ PINNED_RUNS = {
 }
 
 
+def pinned_inputs(task, objective="stabilized_velocity", **overrides):
+    """(task spec, model config, train config, initial parameters) of a pinned run."""
+    spec, steps, batch_size, hidden = PINNED_TASKS[task]
+    mconfig = ModelConfig(input_dim=spec.dimension, hidden=hidden, context_dim=spec.context_dim)
+    settings = {"objective": objective, "steps": steps, "batch_size": batch_size, "seed": 11}
+    config = TrainConfig(**{**settings, **overrides})
+    return spec, mconfig, config, init(mconfig, RngStream(seed=11, stream=900))
+
+
 class TestPinnedRegression:
     @pytest.mark.parametrize("task,objective", sorted(PINNED_RUNS))
     def test_params_and_stream_digest_unchanged(self, task, objective):
-        spec, steps, batch_size, hidden = PINNED_TASKS[task]
-        mconfig = ModelConfig(input_dim=spec.dimension, hidden=hidden, context_dim=spec.context_dim)
-        config = TrainConfig(objective=objective, steps=steps, batch_size=batch_size, seed=11)
-        params = init(mconfig, RngStream(seed=11, stream=900))
+        spec, mconfig, config, params = pinned_inputs(task, objective)
         params, stats = train(params, mconfig, pair_provider(spec), config)
         assert (hashlib.sha256(params.tobytes()).hexdigest(), stats.sample_stream_digest) == (
             PINNED_RUNS[task, objective]
         ), kernel_fingerprint()
+
+
+def blas_thread_count() -> int | None:
+    lib = openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+class TestOverlappedDataHalf:
+    """Where blocks are one step and the network is small, ``train`` builds
+    each next block on a worker thread: the results, and the order in which
+    steps and errors happen, are those of the sequential loop."""
+
+    def test_which_runs_overlap(self):
+        """The grid run's blocks are one step of 400 56-wide rows, through 768k
+        multiply-adds; the other pinned runs have blocks of several steps. A
+        1024-wide pair of layers at B = 1024 is past the multiply-add bound."""
+        overlapped = set()
+        for task in PINNED_TASKS:
+            _, mconfig, config, _ = pinned_inputs(task)
+            if trainer._overlapped(config, mconfig):
+                overlapped.add(task)
+        assert overlapped == {"grid"}
+        mconfig = ModelConfig(input_dim=192, hidden=(1024, 1024))
+        assert not trainer._overlapped(TrainConfig(batch_size=1024), mconfig)
+        assert trainer._overlapped(TrainConfig(batch_size=128), ModelConfig(input_dim=192, hidden=(128, 128)))
+
+    @pytest.mark.parametrize("task", ["grid", "shift_blocks"])
+    def test_train_equals_the_sequential_loop(self, task):
+        """Bit for bit in one process, so on any CPU kernel: parameters, logged
+        rows, the largest target and the stream digest. Only the overlapped run
+        calls its provider off the calling thread."""
+        spec, mconfig, config, params = pinned_inputs(task, log_every=1)
+        callers = set()
+        provider = pair_provider(spec)
+
+        def recorded(batch_size, rng):
+            callers.add(threading.get_ident())
+            return provider(batch_size, rng)
+
+        trained, stats = train(params, mconfig, recorded, config)
+        assert (threading.get_ident() in callers) == (task != "grid")
+
+        opt_state, digest = OptimizerState(config.optimizer), hashlib.sha256()
+        rows_seen, losses, largest = 0, [], 0.0
+        for pair, sample, alpha_sq, targets, rows in step_blocks(pair_provider(spec), config, mconfig):
+            digest.update(np.concatenate([pair.x0, pair.x1, sample.t[:, None], sample.epsilon], axis=1))
+            largest = max(largest, float(np.max(np.sum(targets * targets, axis=-1))))
+            for lo in range(0, len(rows), config.batch_size):
+                step = slice(lo, lo + config.batch_size)
+                rows_seen += 1
+                params, batch_loss, _ = train_step(
+                    params, mconfig, opt_state, rows[step], targets[step], alpha_sq[step], config, rows_seen
+                )
+                losses.append(batch_loss)
+        assert np.array_equal(trained, params)
+        assert [r.loss for r in stats.rows] == losses
+        assert stats.max_target_sqnorm_overall == largest
+        assert stats.sample_stream_digest == digest.hexdigest()
+
+    @pytest.mark.parametrize("fault", ["wrong-size", "raised"])
+    def test_provider_error_arrives_after_the_steps_before_it(self, monkeypatch, fault):
+        """The 4th batch fails. Steps are slowed, so the worker, two blocks
+        ahead, fails while step 2 runs; the caller still gets the error after
+        exactly 3 steps."""
+        spec, mconfig, config, params = pinned_inputs("grid", steps=6)
+        provider, calls, steps_run = pair_provider(spec), [], []
+        error = ValueError("no 4th batch")
+
+        def failing(batch_size, rng):
+            calls.append(None)
+            if len(calls) < 4:
+                return provider(batch_size, rng)
+            if fault == "raised":
+                raise error
+            return provider(batch_size - 1, rng)
+
+        def slow_step(*args):
+            steps_run.append(None)
+            time.sleep(0.02)
+            return train_step(*args)
+
+        monkeypatch.setattr(trainer, "train_step", slow_step)
+        message = "^(no 4th batch|provider returned 399 pairs for a batch of 400)$"
+        with pytest.raises(ValueError, match=message) as caught:
+            train(params, mconfig, failing, config)
+        assert len(steps_run) == 3
+        assert fault == "wrong-size" or caught.value is error
+
+    def test_numerical_error_stops_the_worker(self, monkeypatch):
+        """A learning rate that blows up at step 18 of 30: the error reaches the
+        caller, no thread is left, and OpenBLAS, held to one thread while the
+        steps ran, is back at its count from before."""
+        spec, mconfig, config, params = pinned_inputs(
+            "grid", objective="velocity", steps=30, learning_rate=1e8, optimizer="sgd"
+        )
+        counts = []
+
+        def counted_step(*args):
+            counts.append(blas_thread_count())
+            return train_step(*args)
+
+        monkeypatch.setattr(trainer, "train_step", counted_step)
+        before_count, before_threads = blas_thread_count(), set(threading.enumerate())
+        with pytest.raises(NumericalError, match="^non-finite loss at step 18$"):
+            train(params, mconfig, pair_provider(spec), config)
+        assert set(threading.enumerate()) == before_threads
+        if before_count is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        assert blas_thread_count() == before_count
+        assert counts == [1] * 18
 
 
 class TestAlgorithmFidelity:
@@ -349,9 +468,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^learning_rate must be a real number, got {value!r}$"):
             TrainConfig(learning_rate=value)
 
+    @pytest.mark.parametrize("value", [[1.0], None, True, "1"], ids=["list", "None", "bool", "str"])
+    def test_noise_scale_must_be_a_real_number(self, value):
+        """A list or None raised TypeError, which the CLI does not map, and a
+        bool or a string trained at s = 1."""
+        message = rf"^noise scale must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(noise_scale=value)
+
     def test_checked_reals_are_stored_as_floats(self):
         """The manifest records the float that was checked, not the value given."""
-        config = TrainConfig(noise_scale="1", learning_rate=np.float32(0.5), seed=np.uint64(3))
+        config = TrainConfig(noise_scale=np.float16(1), learning_rate=np.float32(0.5), seed=np.uint64(3))
         assert config.to_dict() == {**TrainConfig().to_dict(), "noise_scale": 1.0, "learning_rate": 0.5, "seed": 3}
         assert [type(v) for v in (config.noise_scale, config.learning_rate, config.seed)] == [float, float, int]
 

@@ -15,16 +15,6 @@ from bridgelab.verify import run_suite
 from conftest import traced_peak
 
 
-@pytest.fixture(autouse=True)
-def no_thread_outlives_the_test():
-    """run_suite joins the sweep's worker on every path, so a test that leaves
-    a thread alive fails here."""
-    before = set(threading.enumerate())
-    yield
-    left = set(threading.enumerate()) - before
-    assert not left, f"threads left alive: {sorted(t.name for t in left)}"
-
-
 def failed(report: dict) -> set[str]:
     return {c["name"] for c in report["checks"] if not c["passed"]}
 
