@@ -80,6 +80,12 @@ class ModelConfig:
     def layer_widths(self) -> tuple[int, ...]:
         return (self.feature_dim, *self.hidden, self.input_dim)
 
+    @property
+    def forward_macs(self) -> int:
+        """Multiply-adds of ``forward`` per input row: the sum of n_in n_out."""
+        widths = self.layer_widths
+        return sum(a * b for a, b in zip(widths[:-1], widths[1:]))
+
     @functools.cached_property
     def _layout(self) -> tuple[tuple[int, int, int, tuple[int, int]], ...]:
         """(weight start, bias start, bias stop, weight shape) of each layer in
@@ -308,7 +314,9 @@ def velocity_field_from(
     ``context`` is None for unconditioned models, or one (B, C) row per run.
     Displacement-trained networks predict the remaining displacement, so
     their output is converted to a velocity by dividing by (1 - t); velocity
-    and stabilized-velocity networks already predict raw velocity.
+    and stabilized-velocity networks already predict raw velocity. The field
+    states its network cost as ``forward_macs``, the multiply-adds per state
+    row, which ``sampler.integrate`` reads to decide where to draw its noise.
     """
     predicts_displacement = ObjectiveKind(objective) is ObjectiveKind.DISPLACEMENT
 
@@ -318,4 +326,5 @@ def velocity_field_from(
             out /= 1.0 - t
         return out
 
+    field.forward_macs = config.forward_macs
     return field

@@ -16,8 +16,10 @@ endpoint-variance sweep of ``verify`` is shared by a worker and the
 calling thread).
 
 ``blas_threads`` holds numpy's bundled OpenBLAS to a thread count for the
-length of a ``with`` block: the trainer's network runs on one OpenBLAS
-thread while a worker of its own builds the next block on the other core.
+length of a ``with`` block, and ``Prefetch`` runs an iterator of blocks on a
+worker thread: the trainer's network and the sampler's velocity field run
+on one OpenBLAS thread while a worker builds the next training block, or
+draws the next noise block, on the other core.
 
 Normal variates use numpy's ziggurat sampler on the Philox keystream; this
 fixes the bitwise-reproducibility contract of this implementation (a pinned
@@ -33,6 +35,7 @@ import functools
 import glob
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Iterator
@@ -118,23 +121,100 @@ def openblas() -> ctypes.CDLL | None:
     return lib
 
 
+class _BlasHolds:
+    """The open ``blas_threads`` holds, and the count from before the first."""
+
+    lock = threading.Lock()
+    open = 0
+    saved = 0
+
+
 @contextlib.contextmanager
 def blas_threads(count: int) -> Iterator[bool]:
     """Hold numpy's bundled OpenBLAS to ``count`` threads inside the block and
     restore its previous count on every exit path. Yields whether the count
     was set: False, with nothing changed, where ``openblas()`` is None.
 
-    The count is the process's: BLAS calls on every thread see it."""
+    The count is the process's: BLAS calls on every thread see it. So holds
+    may overlap, on one thread or on several, without nesting: the first to
+    enter saves the count, each sets its own, and the last to exit restores
+    the saved count."""
     lib = openblas()
     if lib is None:
         yield False
         return
-    previous = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(count)
+    with _BlasHolds.lock:
+        if _BlasHolds.open == 0:
+            _BlasHolds.saved = lib.scipy_openblas_get_num_threads64_()
+        _BlasHolds.open += 1
+        lib.scipy_openblas_set_num_threads64_(count)
     try:
         yield True
     finally:
-        lib.scipy_openblas_set_num_threads64_(previous)
+        with _BlasHolds.lock:
+            _BlasHolds.open -= 1
+            if _BlasHolds.open == 0:
+                lib.scipy_openblas_set_num_threads64_(_BlasHolds.saved)
+
+
+class Prefetch:
+    """``blocks`` run on a worker thread, ahead of the calling thread.
+
+    The calling thread allocates two sets of buffers of ``shapes``. The
+    worker builds a block, waits for a free set, copies the block into it
+    and hands the set's index over; the calling thread frees the set when it
+    asks for the block after. So the worker runs at most two blocks ahead,
+    and every array that it allocates is freed on the worker too, into the
+    malloc arena it came from. Blocks, and then the exception that ended
+    them, arrive in block order. Leaving the ``with`` block stops the
+    worker, which may be waiting for a free set, and joins it.
+    """
+
+    def __init__(self, blocks: Iterator[tuple[Tensor, ...]], shapes: list[tuple[int, ...]]):
+        self._blocks = blocks
+        self._sets = [[np.empty(shape) for shape in shapes] for _ in range(2)]
+        self._free: queue.SimpleQueue = queue.SimpleQueue()
+        self._ready: queue.SimpleQueue = queue.SimpleQueue()
+        self._stop = threading.Event()
+        for index in range(len(self._sets)):
+            self._free.put(index)
+        self._worker = threading.Thread(target=self._run, name="bridgelab-prefetch")
+
+    def _run(self) -> None:
+        try:
+            for block in self._blocks:
+                index = self._free.get()
+                if self._stop.is_set():
+                    return
+                # each array is freed here, before the next block is built
+                for out, value in zip(self._sets[index], block):
+                    np.copyto(out, value)
+                    del value
+                del block
+                self._ready.put(index)
+            self._ready.put(None)
+        # Any exception, as an executor's future keeps it: the calling thread
+        # raises it, and without it would wait for a block forever.
+        except BaseException as error:
+            self._ready.put(error)
+        finally:
+            self._blocks.close()
+
+    def __enter__(self) -> Iterator[list[Tensor]]:
+        self._worker.start()
+        return self._iter()
+
+    def _iter(self) -> Iterator[list[Tensor]]:
+        while (item := self._ready.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            yield self._sets[item]
+            self._free.put(item)
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        self._free.put(None)
+        self._worker.join()
 
 
 @dataclass

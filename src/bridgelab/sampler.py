@@ -14,25 +14,55 @@ step, decays as t -> 1, and is exactly zero on the final step (t_{k+1} = 1),
 so with the analytic conditional drift (x1 - x) / (1 - t) the sampler lands
 on x1 exactly. The standard amplitude leaves residual endpoint noise of
 variance s^2 * dt_{N-1}.
+
+The noise eta * eps of a step depends on no state, so it can be drawn
+before the field is evaluated. ``integrate`` draws it on the calling
+thread, right after the step's drift, unless ``_overlapped`` holds: the
+field states its network cost (``forward_macs``, as fields from
+``model.velocity_field_from`` do), a noise block has at least
+``_OVERLAP_VALUES`` values, the network does at most
+``_OVERLAP_MACS_PER_VALUE`` multiply-adds per noise value, and some step is
+noisy. Then a worker thread (``numerics.Prefetch``) draws and scales step
+k + 1's noise while the calling thread evaluates the field at step k, with
+numpy's OpenBLAS held to one thread (``numerics.blas_threads``). Smaller
+blocks are mostly Python call overhead, which holds the GIL, and larger
+networks gain more from OpenBLAS's second thread than the worker gains the
+step. A field that states no cost (``oracle_field``, ``verify``'s fields)
+runs on the calling thread alone. Either way the noise comes from the same
+stream in the same order, so every state gets the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
 
 from .bridge import EndpointPair, check_noise_scale
-from .numerics import NumericalError, RngStream, Tensor, gaussian
+from .numerics import NumericalError, Prefetch, RngStream, Tensor, blas_threads, gaussian
 from .schedules import Schedule
+
+# Values in a noise block, B D, from which drawing it is array work, which
+# releases the GIL; below it a step is mostly Python call overhead.
+_OVERLAP_VALUES = 2**14
+
+# Network multiply-adds per noise value, forward_macs / D, up to which
+# ``integrate`` draws the noise on a worker. Above it OpenBLAS's second thread
+# gains the network more than the worker gains the step (see README,
+# "Two cores: training and sampling").
+_OVERLAP_MACS_PER_VALUE = 512
 
 
 class VelocityField(Protocol):
     """Evaluation contract: (states (B, D), time) -> velocities (B, D).
 
     Conditioning, when present, is closed over by the callable; the sampler
-    never inspects it.
+    never inspects it. A field may state its network cost as an int
+    attribute ``forward_macs``, the multiply-adds per state row; ``integrate``
+    reads it to decide where to draw its noise.
     """
 
     def __call__(self, states: Tensor, t: float) -> Tensor: ...
@@ -65,6 +95,29 @@ def plan_steps(schedule: Schedule, mode: str, noise_scale: float) -> tuple[Tenso
     raise ValueError(f"unknown sampler mode {mode!r}")
 
 
+def _overlapped(field: VelocityField, shape: tuple[int, int], eta: Tensor) -> bool:
+    """Whether ``integrate`` draws each next noise block on a worker thread
+    while the field runs on one OpenBLAS thread: the field states its
+    network cost, a block is array work, the network does at most
+    ``_OVERLAP_MACS_PER_VALUE`` multiply-adds per noise value, and some
+    step draws noise."""
+    macs = getattr(field, "forward_macs", None)
+    return (
+        macs is not None
+        and math.prod(shape) >= _OVERLAP_VALUES
+        and macs <= _OVERLAP_MACS_PER_VALUE * shape[1]
+        and bool(np.any(eta != 0.0))
+    )
+
+
+def _scaled_noise(rng: RngStream, shape: tuple[int, int], amplitude: float) -> Tensor:
+    """One step's noise eta eps, scaled in place. A function, so that no
+    generator frame holds the block through the next step's field call."""
+    noise = gaussian(rng, shape)
+    noise *= amplitude
+    return noise
+
+
 def integrate(
     x0: Tensor,
     field: VelocityField,
@@ -83,6 +136,15 @@ def integrate(
     Each step builds a fresh array, so a recorder may keep what it is given:
     no later step writes into it, and ``x0`` (the block at k = 0) is never
     written.
+
+    Where ``_overlapped`` holds and OpenBLAS can be held to one thread, the
+    noise is drawn on a worker thread, at most two steps ahead of the
+    field, and reaches the states through two buffers that the calling
+    thread owns; otherwise each step's noise is drawn on the calling thread after
+    its drift. The worker is joined, and OpenBLAS's thread count restored,
+    before ``integrate`` returns or raises. Either way ``rng.counter`` ends
+    where the calling thread alone leaves it: past the draws of the steps
+    that ran, also after an error, whatever the worker drew ahead.
     Non-finite drifts or states raise :class:`NumericalError` naming the
     failing step.
     """
@@ -92,28 +154,37 @@ def integrate(
     dt, eta = plan_steps(schedule, mode, noise_scale)
     if record is not None:
         record(0, states)
-    # overflow here is diagnosed by the finiteness checks below, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(schedule.points[:-1].tolist()):
-            drift = np.asarray(field(states, t), dtype=np.float64)
-            if not np.all(np.isfinite(drift)):
-                raise NumericalError(f"velocity field returned non-finite values at step {k}")
-            # one fresh array per step; addition commutes, so these are the
-            # bits of states + dt[k] * drift. The drift and the noise are
-            # released here, not held through the next step's field call.
-            step = dt[k] * drift
-            del drift
-            step += states
-            states = step
-            if eta[k] != 0.0:
-                noise = gaussian(rng, states.shape)
-                noise *= eta[k]
-                states += noise
-                del noise
-            if not np.all(np.isfinite(states)):
-                raise NumericalError(f"state became non-finite at step {k}")
-            if record is not None:
-                record(k + 1, states)
+    shape, start, drawn = states.shape, rng.counter, 0
+    try:
+        with contextlib.ExitStack() as stack:
+            # each noisy step's (eta_k eps_k,), in step order
+            noises = ((_scaled_noise(rng, shape, amplitude),) for amplitude in eta[eta != 0.0])
+            if _overlapped(field, shape, eta) and stack.enter_context(blas_threads(1)):
+                noises = stack.enter_context(Prefetch(noises, [shape]))
+            # overflow here is diagnosed by the finiteness checks below, not warned
+            stack.enter_context(np.errstate(over="ignore", invalid="ignore"))
+            for k, t in enumerate(schedule.points[:-1].tolist()):
+                drift = np.asarray(field(states, t), dtype=np.float64)
+                if not np.all(np.isfinite(drift)):
+                    raise NumericalError(f"velocity field returned non-finite values at step {k}")
+                # one fresh array per step; addition commutes, so these are the
+                # bits of states + dt[k] * drift. The drift and the noise are
+                # released here, not held through the next step's field call.
+                step = dt[k] * drift
+                del drift
+                step += states
+                states = step
+                if eta[k] != 0.0:
+                    (noise,) = next(noises)
+                    drawn += 1
+                    states += noise
+                    del noise
+                if not np.all(np.isfinite(states)):
+                    raise NumericalError(f"state became non-finite at step {k}")
+                if record is not None:
+                    record(k + 1, states)
+    finally:
+        rng.counter = start + drawn * math.prod(shape)
     return states
 
 

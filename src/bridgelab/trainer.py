@@ -20,7 +20,8 @@ the draws (``train --debug``, the tests) iterates ``step_blocks`` itself.
 
 Where blocks are one step and the network does at most ``_OVERLAP_MACS``
 forward multiply-adds per step, ``train`` builds block k + 1 on a worker
-thread, with its digest update and target norms, while the calling thread
+thread (``numerics.Prefetch``, which the sampler's noise shares), with its
+digest update and target norms, while the calling thread
 trains on block k, and holds numpy's OpenBLAS to one thread meanwhile. A
 block of one step is array work, which releases the GIL; larger blocks
 are mostly Python call overhead, which holds it. Without the hold,
@@ -42,8 +43,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-import queue
-import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Protocol
@@ -54,6 +53,7 @@ from .bridge import T_CLAMP, BridgeSample, EndpointPair, check_noise_scale, samp
 from .model import ModelConfig, backward, forward, input_rows
 from .numerics import (
     NumericalError,
+    Prefetch,
     RngStream,
     Tensor,
     _check_u64,
@@ -79,7 +79,8 @@ _BLOCK_VALUES = 2**14
 # Forward multiply-adds per step, B * sum(n_in n_out), up to which ``train``
 # builds one-step blocks on a worker thread and holds the network to one
 # OpenBLAS thread. Above it OpenBLAS's second thread gains the network more
-# than the worker gains the step (see README, "Training on two cores").
+# than the worker gains the step (see README, "Two cores: training and
+# sampling").
 _OVERLAP_MACS = 2**25
 
 OPTIMIZERS = ("sgd", "adam")
@@ -191,8 +192,7 @@ def _overlapped(config: TrainConfig, model_config: ModelConfig) -> bool:
     network runs on one OpenBLAS thread: each block is one step, so building
     it is array work that releases the GIL, and the network does at most
     ``_OVERLAP_MACS`` forward multiply-adds per step."""
-    widths = model_config.layer_widths
-    macs = config.batch_size * sum(a * b for a, b in zip(widths[:-1], widths[1:]))
+    macs = config.batch_size * model_config.forward_macs
     return _block_steps(config, model_config) == 1 and macs <= _OVERLAP_MACS
 
 
@@ -254,64 +254,6 @@ def _prepared(
         del pair, sample, alpha_sq, targets, rows, target_sqnorms  # as in step_blocks
 
 
-class _Prefetch:
-    """``blocks`` run on a worker thread, ahead of the calling thread.
-
-    The calling thread allocates two sets of buffers of ``shapes``. The
-    worker builds a block, waits for a free set, copies the block into it
-    and hands the set's index over; the calling thread frees the set when it
-    asks for the block after. So the worker runs at most two blocks ahead,
-    and every array that it allocates is freed on the worker too, into the
-    malloc arena it came from. Blocks, and then the exception that ended
-    them, arrive in block order. Leaving the ``with`` block stops the
-    worker, which may be waiting for a free set, and joins it.
-    """
-
-    def __init__(self, blocks: Iterator[tuple[Tensor, ...]], shapes: list[tuple[int, ...]]):
-        self._blocks = blocks
-        self._sets = [[np.empty(shape) for shape in shapes] for _ in range(2)]
-        self._free: queue.SimpleQueue = queue.SimpleQueue()
-        self._ready: queue.SimpleQueue = queue.SimpleQueue()
-        self._stop = threading.Event()
-        for index in range(len(self._sets)):
-            self._free.put(index)
-        self._worker = threading.Thread(target=self._run, name="train-block-prefetch")
-
-    def _run(self) -> None:
-        try:
-            for block in self._blocks:
-                index = self._free.get()
-                if self._stop.is_set():
-                    return
-                for out, value in zip(self._sets[index], block):
-                    np.copyto(out, value)
-                del block  # as in step_blocks
-                self._ready.put(index)
-            self._ready.put(None)
-        # Any exception, as an executor's future keeps it: the calling thread
-        # raises it, and without it would wait for a block forever.
-        except BaseException as error:
-            self._ready.put(error)
-        finally:
-            self._blocks.close()
-
-    def __enter__(self) -> Iterator[list[Tensor]]:
-        self._worker.start()
-        return self._iter()
-
-    def _iter(self) -> Iterator[list[Tensor]]:
-        while (item := self._ready.get()) is not None:
-            if isinstance(item, BaseException):
-                raise item
-            yield self._sets[item]
-            self._free.put(item)
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._free.put(None)
-        self._worker.join()
-
-
 def train_step(
     params: Tensor,
     model_config: ModelConfig,
@@ -370,7 +312,7 @@ def train(
         if _overlapped(config, model_config) and stack.enter_context(blas_threads(1)):
             size = config.batch_size
             shapes = [(size, model_config.feature_dim), (size, model_config.input_dim), (size,), (size,)]
-            blocks = stack.enter_context(_Prefetch(blocks, shapes))
+            blocks = stack.enter_context(Prefetch(blocks, shapes))
         for rows, targets, alpha_sq, target_sqnorms in blocks:
             block_max = float(np.max(target_sqnorms))
             stats.max_target_sqnorm_overall = max(stats.max_target_sqnorm_overall, block_max)

@@ -38,14 +38,22 @@ def pytest_report_header(config):
     return kernel_fingerprint()
 
 
+def blas_thread_count() -> int | None:
+    """OpenBLAS's thread count, or None where numpy bundles no scipy-openblas."""
+    lib = openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
-    """``train`` and ``verify.run_suite`` join their workers on every path, so a
-    test that leaves a thread alive fails here."""
-    before = set(threading.enumerate())
+    """``train``, ``sampler.integrate`` and ``verify.run_suite`` join their
+    workers and restore OpenBLAS's thread count on every path, so a test that
+    leaves a thread alive, or OpenBLAS at another count, fails here."""
+    before, count = set(threading.enumerate()), blas_thread_count()
     yield
     left = set(threading.enumerate()) - before
     assert not left, f"threads left alive: {sorted(t.name for t in left)}"
+    assert blas_thread_count() == count, "OpenBLAS's thread count changed"
 
 
 def traced_peak(func, *args, **kwargs):

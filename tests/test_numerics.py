@@ -204,3 +204,48 @@ def test_blas_threads_restores_the_count_on_every_exit():
         with blas_threads(1):
             raise KeyError("inside")
     assert count() == before
+
+
+def test_blas_threads_holds_that_overlap_on_two_threads():
+    """Holds A and B, on two threads, that do not nest: A enters, B enters, A
+    exits, B exits. OpenBLAS stays at one thread until B exits too, and is
+    then back at the count from before A."""
+    lib = openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no scipy-openblas here")
+    count = lib.scipy_openblas_get_num_threads64_
+    before = count()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        if count() != 2:
+            pytest.skip("OpenBLAS here runs on one thread only")
+        step = threading.Barrier(2, timeout=30)
+        seen = []
+
+        def hold_a():
+            with blas_threads(1):
+                step.wait()  # 1: A holds
+                step.wait()  # 2: B holds
+            step.wait()  # 3: A has exited
+            step.wait()  # 4: the count under B alone is read
+            step.wait()  # 5: B has exited
+
+        def hold_b():
+            step.wait()  # 1
+            with blas_threads(1):
+                step.wait()  # 2
+                step.wait()  # 3
+                seen.append(count())
+                step.wait()  # 4
+            step.wait()  # 5
+
+        threads = [threading.Thread(target=hold_a), threading.Thread(target=hold_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1]
+        assert count() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)

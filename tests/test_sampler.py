@@ -1,13 +1,17 @@
 """Stochastic integration: step amplitudes, exactness, endpoint statistics."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgelab import sampler
 from bridgelab.bridge import EndpointPair
+from bridgelab.model import ModelConfig, init, velocity_field_from
 from bridgelab.numerics import NumericalError, RngStream, gaussian
 from bridgelab.sampler import (
     endpoint_statistics,
@@ -16,6 +20,8 @@ from bridgelab.sampler import (
     plan_steps,
 )
 from bridgelab.schedules import Schedule, shifted
+from bridgelab.verify import run_suite
+from conftest import blas_thread_count
 
 
 @pytest.fixture()
@@ -279,3 +285,107 @@ class TestEndpointStatistics:
             endpoint_statistics(
                 "corrected", oracle_field(pair2d.x1), pair2d, shifted(4, 1.0), 1.0, 1, RngStream(seed=1)
             )
+
+
+def network_field(dim=192, hidden=(128, 128)):
+    """A velocity field of an untrained network that states its cost, as the
+    grid8 task's model with its default time features."""
+    config = ModelConfig(input_dim=dim, hidden=hidden)
+    return velocity_field_from(init(config, RngStream(seed=11)), config, "velocity")
+
+
+class TestOverlappedNoise:
+    """Where a network field is cheap for its noise blocks, ``integrate`` draws
+    each next noise block on a worker thread: every state, the stream's
+    counter and the failing step of an error are those of the one-thread loop."""
+
+    @pytest.mark.parametrize(
+        "dim, hidden, runs, s, overlaps",
+        [
+            (192, (128, 128), 1024, 1.0, True),
+            (2, (32, 32), 1024, 1.0, False),
+            (192, (512, 512), 1024, 1.0, False),
+            (192, (128, 128), 1024, 0.0, False),
+            (192, (128, 128), 64, 1.0, False),
+        ],
+        ids=["grid8-sample", "shift2d-sample", "512x512", "s0", "small-block"],
+    )
+    def test_which_runs_overlap(self, dim, hidden, runs, s, overlaps):
+        """grid8's sample (1024 runs of 192 values, 347 multiply-adds per noise
+        value) overlaps. shift2d's 2048 values a block, a 512x512 network's
+        2411 multiply-adds a value, a noiseless run and a block under 2^14
+        values do not; neither does a field that states no cost."""
+        field = network_field(dim, hidden)
+        _, eta = plan_steps(shifted(64, 1.0), "corrected", s)
+        assert sampler._overlapped(field, (runs, dim), eta) == overlaps
+        assert not sampler._overlapped(lambda x, t: field(x, t), (runs, dim), eta)
+
+    def test_no_verify_suite_starts_the_worker(self, monkeypatch):
+        """verify's fields state no cost, so its integrations, which already
+        share the second core, never start the noise worker."""
+        decided, overlapped = [], sampler._overlapped
+
+        def recorded(*args):
+            decided.append(overlapped(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(sampler, "_overlapped", recorded)
+        assert run_suite("all", seed=0, mc=0)["passed"]
+        assert decided and not any(decided)
+
+    @pytest.mark.parametrize("mode", ["standard", "corrected"])
+    def test_integrate_equals_the_sequential_loop(self, monkeypatch, mode):
+        """Bit for bit: every recorded state, the endpoints and the stream's
+        counter after the return. Only the network field's noise is drawn off
+        the calling thread; the same field wrapped in a lambda states no cost."""
+        field = network_field()
+        x0 = gaussian(RngStream(seed=12), (128, 192))
+        drawn_on = []
+
+        def recorded_gaussian(rng, shape):
+            drawn_on.append(threading.get_ident())
+            return gaussian(rng, shape)
+
+        monkeypatch.setattr(sampler, "gaussian", recorded_gaussian)
+        runs = {}
+        for name, f in (("overlapped", field), ("sequential", lambda x, t: field(x, t))):
+            rng, states, drawn_on[:] = RngStream(seed=13), [], []
+            end = integrate(x0, f, shifted(16, 2.0), mode, 1.5, rng, lambda k, x: states.append(x))
+            runs[name] = end, states, rng.counter, set(drawn_on)
+        (end, states, counter, threads), (end1, states1, counter1, threads1) = runs.values()
+        assert np.array_equal(end, end1)
+        assert len(states) == len(states1) == 17
+        assert all(np.array_equal(a, b) for a, b in zip(states, states1))
+        noisy = 16 if mode == "standard" else 15
+        assert counter == counter1 == noisy * x0.size
+        assert threads1 == {threading.get_ident()}
+        assert len(threads) == 1 and threading.get_ident() not in threads
+
+    def test_numerical_error_stops_the_worker(self):
+        """NaN from the field at step 5, after the worker has drawn ahead: the
+        error names step 5, no thread is left, OpenBLAS read one thread in each
+        field call and is back at its count from before, and the counter is
+        past the noise of steps 0-4 only."""
+        field = network_field()
+        counts = []
+
+        def failing(states, t):
+            counts.append(blas_thread_count())
+            out = field(states, t)
+            if len(counts) == 6:
+                time.sleep(0.05)  # the worker draws ahead meanwhile
+                out[0, 0] = np.nan
+            return out
+
+        failing.forward_macs = field.forward_macs
+        x0 = gaussian(RngStream(seed=12), (128, 192))
+        rng = RngStream(seed=13)
+        before_count, before_threads = blas_thread_count(), set(threading.enumerate())
+        with pytest.raises(NumericalError, match="^velocity field returned non-finite values at step 5$"):
+            integrate(x0, failing, shifted(16, 2.0), "corrected", 1.0, rng)
+        assert set(threading.enumerate()) == before_threads
+        assert rng.counter == 5 * x0.size
+        if before_count is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        assert blas_thread_count() == before_count
+        assert counts == [1] * 6

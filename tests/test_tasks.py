@@ -441,20 +441,22 @@ class TestEvaluate:
         assert report.sample_count == 1024
         assert peak <= 2 * 1024 * 192 * 8 + _GRID8_SCORING + 2**20
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 callers hold call arguments")
-    def test_memory_with_a_model_field_at_grid8_width(self):
-        """A grid8 network samples 1024 runs over 64 steps. The peak is five
-        (1024, 192) arrays: the batch's two sets, and the states, drift and
-        next states of a step. The network's (1024, 200) input rows are freed
-        once its first layer has read them, and scoring holds one tile, not a
-        (512, 1024) Gram block."""
+    @staticmethod
+    def model_field_peak(states_cost: bool) -> int:
+        """Peak of a grid8 network sampling 1024 runs over 64 steps; the field
+        states its cost, or is wrapped in a lambda that does not."""
         spec = TaskSpec(name="grid_colorize", dimension=192, grid_size=8)
         mconfig = ModelConfig(input_dim=192, hidden=(128, 128))
         params = init(mconfig, RngStream(seed=24, stream=900))
         params[-192:] = 0.01  # the output bias: a nonzero field
+
+        def make_field(batch):
+            field = velocity_field_from(params, mconfig, "stabilized_velocity")
+            return field if states_cost else lambda states, t: field(states, t)
+
         (_, report), peak = traced_peak(
             evaluate,
-            lambda batch: velocity_field_from(params, mconfig, "stabilized_velocity"),
+            make_field,
             pair_provider(spec),
             shifted(64, 1.0),
             "corrected",
@@ -463,7 +465,23 @@ class TestEvaluate:
             RngStream(seed=24),
         )
         assert report.sample_count == 1024
-        assert peak <= 5 * 1024 * 192 * 8 + 2**19
+        return peak
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 callers hold call arguments")
+    def test_memory_with_a_model_field_at_grid8_width(self):
+        """With the noise drawn on the calling thread, the peak is five
+        (1024, 192) arrays: the batch's two sets, and the states, drift and
+        next states of a step. The network's (1024, 200) input rows are freed
+        once its first layer has read them, and scoring holds one tile, not a
+        (512, 1024) Gram block."""
+        assert self.model_field_peak(states_cost=False) <= 5 * 1024 * 192 * 8 + 2**19
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 callers hold call arguments")
+    def test_memory_with_the_noise_drawn_on_a_worker(self):
+        """A field that states its cost has its noise drawn on a worker: three
+        (1024, 192) arrays more, the two buffers that the calling thread owns
+        and the block that the worker is drawing."""
+        assert self.model_field_peak(states_cost=True) <= 8 * 1024 * 192 * 8 + 2**19
 
 
 class TestConditioningPathway:

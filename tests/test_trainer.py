@@ -12,11 +12,11 @@ import pytest
 from bridgelab.bridge import EndpointPair, interpolate
 from bridgelab import model, trainer
 from bridgelab.model import ModelConfig, init
-from bridgelab.numerics import NumericalError, RngStream, openblas
+from bridgelab.numerics import NumericalError, RngStream
 from bridgelab.objectives import ObjectiveKind, alpha_factor
 from bridgelab.tasks import TaskSpec, pair_provider
 from bridgelab.trainer import OptimizerState, TrainConfig, step_blocks, train, train_step
-from conftest import kernel_fingerprint
+from conftest import blas_thread_count, kernel_fingerprint
 
 SHIFT_TASK = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
 
@@ -141,11 +141,6 @@ class TestPinnedRegression:
         assert (hashlib.sha256(params.tobytes()).hexdigest(), stats.sample_stream_digest) == (
             PINNED_RUNS[task, objective]
         ), kernel_fingerprint()
-
-
-def blas_thread_count() -> int | None:
-    lib = openblas()
-    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
 class TestOverlappedDataHalf:
