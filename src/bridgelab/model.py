@@ -148,17 +148,20 @@ def input_rows(
     feats = time_feature_matrix(t, config.time_features)
     if feats.shape[:-1] not in ((), (len(x),)):
         raise ValueError(f"time shape {feats.shape[:-1]} is neither () nor ({len(x)},)")
-    blocks = [x, np.broadcast_to(feats, (len(x), config.time_features))]
+    d, f = config.input_dim, config.input_dim + config.time_features
+    rows = np.empty((len(x), config.feature_dim), dtype=np.float64)
+    rows[:, :d] = x
+    rows[:, d:f] = feats
     if config.context_dim > 0:
         if context is None:
             raise ValueError("model expects conditioning context but none was given")
         ctx = np.asarray(context, dtype=np.float64)
         if ctx.shape != (len(x), config.context_dim):
             raise ValueError(f"context shape {ctx.shape} is not ({len(x)}, {config.context_dim})")
-        blocks.append(ctx)
+        rows[:, f:] = ctx
     elif context is not None and np.asarray(context).size > 0:
         raise ValueError("model has context_dim=0 but a context was given")
-    return np.concatenate(blocks, axis=1)
+    return rows
 
 
 def _activate(z: Tensor, kind: str, out: Tensor | None = None) -> Tensor:

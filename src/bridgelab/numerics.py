@@ -138,7 +138,13 @@ def blas_threads(count: int) -> Iterator[bool]:
     The count is the process's: BLAS calls on every thread see it. So holds
     may overlap, on one thread or on several, without nesting: the first to
     enter saves the count, each sets its own, and the last to exit restores
-    the saved count."""
+    the saved count.
+
+    A hold changes which later products OpenBLAS splits, not the threads it
+    has running: after a product that it split, its pool thread busy-waits
+    for about 0.1 s before it sleeps, and a hold entered meanwhile does not
+    stop it. Only code that runs under the hold from the start, as
+    ``train`` and ``sampler.integrate`` do, keeps the pool asleep."""
     lib = openblas()
     if lib is None:
         yield False

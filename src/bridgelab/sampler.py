@@ -24,12 +24,16 @@ field states its network cost (``forward_macs``, as fields from
 ``_OVERLAP_MACS_PER_VALUE`` multiply-adds per noise value, and some step is
 noisy. Then a worker thread (``numerics.Prefetch``) draws and scales step
 k + 1's noise while the calling thread evaluates the field at step k, with
-numpy's OpenBLAS held to one thread (``numerics.blas_threads``). Smaller
-blocks are mostly Python call overhead, which holds the GIL, and larger
-networks gain more from OpenBLAS's second thread than the worker gains the
-step. A field that states no cost (``oracle_field``, ``verify``'s fields)
-runs on the calling thread alone. Either way the noise comes from the same
-stream in the same order, so every state gets the same bits.
+numpy's OpenBLAS held to one thread (``numerics.blas_threads``). So the
+field never wakes OpenBLAS's thread pool, whose thread, after each product
+that OpenBLAS splits, busy-waits for about 0.1 s before it sleeps, and takes
+a core from whatever runs next (``verify``'s worker, after a shift2d
+``sample``). Smaller blocks are Python call overhead, which holds the GIL,
+and reach no product that OpenBLAS would split; larger networks gain more
+from OpenBLAS's second thread than the worker gains the step. A field that
+states no cost (``oracle_field``, ``verify``'s fields) runs on the calling
+thread alone. Either way the noise comes from the same stream in the same
+order, so every state gets the same bits.
 """
 
 from __future__ import annotations
@@ -45,15 +49,17 @@ from .bridge import EndpointPair, check_noise_scale
 from .numerics import NumericalError, Prefetch, RngStream, Tensor, blas_threads, gaussian
 from .schedules import Schedule
 
-# Values in a noise block, B D, from which drawing it is array work, which
-# releases the GIL; below it a step is mostly Python call overhead.
-_OVERLAP_VALUES = 2**14
+# Values in a noise block, B D, from which ``integrate`` draws it on a worker.
+# Below it a step is Python call overhead, which holds the GIL, and at D = 2
+# no product of the field on so few rows is large enough for OpenBLAS to
+# split, so holding it to one thread stops no spin.
+_OVERLAP_VALUES = 2**10
 
 # Network multiply-adds per noise value, forward_macs / D, up to which
 # ``integrate`` draws the noise on a worker. Above it OpenBLAS's second thread
 # gains the network more than the worker gains the step (see README,
 # "Two cores: training and sampling").
-_OVERLAP_MACS_PER_VALUE = 512
+_OVERLAP_MACS_PER_VALUE = 1024
 
 
 class VelocityField(Protocol):
@@ -98,9 +104,9 @@ def plan_steps(schedule: Schedule, mode: str, noise_scale: float) -> tuple[Tenso
 def _overlapped(field: VelocityField, shape: tuple[int, int], eta: Tensor) -> bool:
     """Whether ``integrate`` draws each next noise block on a worker thread
     while the field runs on one OpenBLAS thread: the field states its
-    network cost, a block is array work, the network does at most
-    ``_OVERLAP_MACS_PER_VALUE`` multiply-adds per noise value, and some
-    step draws noise."""
+    network cost, a block has at least ``_OVERLAP_VALUES`` values, the
+    network does at most ``_OVERLAP_MACS_PER_VALUE`` multiply-adds per noise
+    value, and some step draws noise."""
     macs = getattr(field, "forward_macs", None)
     return (
         macs is not None

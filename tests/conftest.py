@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bridgelab.model import ModelConfig, init
-from bridgelab.numerics import RngStream, openblas
+from bridgelab.numerics import RngStream, _BlasHolds, openblas
 from bridgelab.objectives import ObjectiveKind
 from bridgelab.tasks import TaskSpec, pair_provider
 from bridgelab.trainer import TrainConfig, train
@@ -48,12 +48,15 @@ def blas_thread_count() -> int | None:
 def no_thread_outlives_the_test():
     """``train``, ``sampler.integrate`` and ``verify.run_suite`` join their
     workers and restore OpenBLAS's thread count on every path, so a test that
-    leaves a thread alive, or OpenBLAS at another count, fails here."""
+    leaves a thread alive, OpenBLAS at another count or a ``blas_threads``
+    hold open, fails here. Where OpenBLAS already runs on one thread, a leaked
+    hold leaves the count unchanged; only the open holds show it."""
     before, count = set(threading.enumerate()), blas_thread_count()
     yield
     left = set(threading.enumerate()) - before
     assert not left, f"threads left alive: {sorted(t.name for t in left)}"
     assert blas_thread_count() == count, "OpenBLAS's thread count changed"
+    assert _BlasHolds.open == 0, f"{_BlasHolds.open} blas_threads holds left open"
 
 
 def traced_peak(func, *args, **kwargs):

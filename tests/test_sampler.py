@@ -303,18 +303,24 @@ class TestOverlappedNoise:
         "dim, hidden, runs, s, overlaps",
         [
             (192, (128, 128), 1024, 1.0, True),
-            (2, (32, 32), 1024, 1.0, False),
+            (2, (32, 32), 1024, 1.0, True),
+            (192, (128, 128), 32, 1.0, True),
             (192, (512, 512), 1024, 1.0, False),
+            (2, (64, 64), 1024, 1.0, False),
             (192, (128, 128), 1024, 0.0, False),
-            (192, (128, 128), 64, 1.0, False),
+            (2, (32, 32), 256, 1.0, False),
         ],
-        ids=["grid8-sample", "shift2d-sample", "512x512", "s0", "small-block"],
+        ids=[
+            "grid8-sample", "shift2d-sample", "grid8-32-runs", "512x512", "2d-64x64", "s0", "small-block"
+        ],
     )
     def test_which_runs_overlap(self, dim, hidden, runs, s, overlaps):
         """grid8's sample (1024 runs of 192 values, 347 multiply-adds per noise
-        value) overlaps. shift2d's 2048 values a block, a 512x512 network's
-        2411 multiply-adds a value, a noiseless run and a block under 2^14
-        values do not; neither does a field that states no cost."""
+        value), shift2d's (2048 values a block, 704 multiply-adds a value) and
+        32 runs of grid8's network overlap. A 512x512 network's 2411
+        multiply-adds a value, a D=2 64x64 network's 2432, a noiseless run and
+        a block under 2^10 values do not; neither does a field that states no
+        cost."""
         field = network_field(dim, hidden)
         _, eta = plan_steps(shifted(64, 1.0), "corrected", s)
         assert sampler._overlapped(field, (runs, dim), eta) == overlaps
@@ -333,13 +339,22 @@ class TestOverlappedNoise:
         assert run_suite("all", seed=0, mc=0)["passed"]
         assert decided and not any(decided)
 
-    @pytest.mark.parametrize("mode", ["standard", "corrected"])
-    def test_integrate_equals_the_sequential_loop(self, monkeypatch, mode):
+    @pytest.mark.parametrize(
+        "mode, dim, hidden, runs",
+        [
+            ("standard", 192, (128, 128), 128),
+            ("corrected", 192, (128, 128), 128),
+            ("standard", 2, (32, 32), 1024),
+            ("corrected", 2, (32, 32), 1024),
+        ],
+        ids=["standard", "corrected", "shift2d-standard", "shift2d-corrected"],
+    )
+    def test_integrate_equals_the_sequential_loop(self, monkeypatch, mode, dim, hidden, runs):
         """Bit for bit: every recorded state, the endpoints and the stream's
         counter after the return. Only the network field's noise is drawn off
         the calling thread; the same field wrapped in a lambda states no cost."""
-        field = network_field()
-        x0 = gaussian(RngStream(seed=12), (128, 192))
+        field = network_field(dim, hidden)
+        x0 = gaussian(RngStream(seed=12), (runs, dim))
         drawn_on = []
 
         def recorded_gaussian(rng, shape):
@@ -389,3 +404,23 @@ class TestOverlappedNoise:
             pytest.skip("numpy bundles no scipy-openblas here")
         assert blas_thread_count() == before_count
         assert counts == [1] * 6
+
+    def test_shift2d_field_runs_on_one_blas_thread(self):
+        """shift2d's field (1024 runs of D=2, hidden 32x32) reads one OpenBLAS
+        thread in every call, so it never wakes OpenBLAS's thread pool, and
+        the count is back at its value from before once ``integrate`` returns."""
+        field = network_field(2, (32, 32))
+        counts = []
+
+        def counted(states, t):
+            counts.append(blas_thread_count())
+            return field(states, t)
+
+        counted.forward_macs = field.forward_macs
+        before = blas_thread_count()
+        if before is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        x0 = gaussian(RngStream(seed=12), (1024, 2))
+        integrate(x0, counted, shifted(16, 2.0), "corrected", 1.0, RngStream(seed=13))
+        assert counts == [1] * 16
+        assert blas_thread_count() == before
