@@ -17,9 +17,9 @@ calling thread).
 
 ``blas_threads`` holds numpy's bundled OpenBLAS to a thread count for the
 length of a ``with`` block, and ``Prefetch`` runs an iterator of blocks on a
-worker thread: the trainer's network and the sampler's velocity field run
-on one OpenBLAS thread while a worker builds the next training block, or
-draws the next noise block, on the other core.
+worker thread. ``prefetch`` makes the one decision between them for the
+trainer and the sampler: a worker plus one OpenBLAS thread, or the calling
+thread plus two (README, "Two cores: training and sampling").
 
 Normal variates use numpy's ziggurat sampler on the Philox keystream; this
 fixes the bitwise-reproducibility contract of this implementation (a pinned
@@ -221,6 +221,37 @@ class Prefetch:
         self._stop.set()
         self._free.put(None)
         self._worker.join()
+
+
+# Network multiply-adds a step, per value that the worker hands over in the
+# step, up to which a worker beside one OpenBLAS thread beats the calling
+# thread with two (README, "Two cores: training and sampling").
+_MACS_PER_WORKER_VALUE = 1024
+
+
+def worker_pays(values: int, macs: int | None) -> bool:
+    """Whether a worker that hands over ``values`` values a step should run
+    ahead of a network of ``macs`` multiply-adds a step. A caller passes None
+    where its own floor rules the worker out."""
+    return macs is not None and macs <= _MACS_PER_WORKER_VALUE * values
+
+
+@contextlib.contextmanager
+def prefetch(
+    blocks: Iterator[tuple[Tensor, ...]], shapes: list[tuple[int, ...]], macs: int | None
+) -> Iterator[Iterator]:
+    """``blocks``, each a step's arrays of ``shapes``, from a ``Prefetch``
+    worker with OpenBLAS held to one thread, where ``worker_pays`` for the
+    values of ``shapes`` and the count can be set; otherwise ``blocks``
+    itself, on the calling thread. Either way they arrive in order with the
+    same bits."""
+    if worker_pays(sum(map(math.prod, shapes)), macs):
+        with blas_threads(1) as held:
+            if held:
+                with Prefetch(blocks, shapes) as prefetched:
+                    yield prefetched
+                return
+    yield blocks
 
 
 @dataclass

@@ -16,29 +16,18 @@ on x1 exactly. The standard amplitude leaves residual endpoint noise of
 variance s^2 * dt_{N-1}.
 
 The noise eta * eps of a step depends on no state, so it can be drawn
-before the field is evaluated. ``integrate`` draws it on the calling
-thread, right after the step's drift, unless ``_overlapped`` holds: the
-field states its network cost (``forward_macs``, as fields from
-``model.velocity_field_from`` do), a noise block has at least
-``_OVERLAP_VALUES`` values, the network does at most
-``_OVERLAP_MACS_PER_VALUE`` multiply-adds per noise value, and some step is
-noisy. Then a worker thread (``numerics.Prefetch``) draws and scales step
-k + 1's noise while the calling thread evaluates the field at step k, with
-numpy's OpenBLAS held to one thread (``numerics.blas_threads``). So the
-field never wakes OpenBLAS's thread pool, whose thread, after each product
-that OpenBLAS splits, busy-waits for about 0.1 s before it sleeps, and takes
-a core from whatever runs next (``verify``'s worker, after a shift2d
-``sample``). Smaller blocks are Python call overhead, which holds the GIL,
-and reach no product that OpenBLAS would split; larger networks gain more
-from OpenBLAS's second thread than the worker gains the step. A field that
-states no cost (``oracle_field``, ``verify``'s fields) runs on the calling
-thread alone. Either way the noise comes from the same stream in the same
-order, so every state gets the same bits.
+before the field is evaluated. Where the field states its network cost
+(``forward_macs``, as fields from ``model.velocity_field_from`` do), a noise
+block has at least ``_WORKER_VALUES`` values and some step is noisy,
+``integrate`` passes ``numerics.prefetch`` the network's B ``forward_macs``
+a step, which decides whether a worker draws step k + 1's noise while the
+calling thread evaluates the field at step k. Either way the noise comes
+from the same stream in the same order, so every state gets the same bits
+(README, "Two cores: training and sampling").
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
@@ -46,20 +35,14 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .bridge import EndpointPair, check_noise_scale
-from .numerics import NumericalError, Prefetch, RngStream, Tensor, blas_threads, gaussian
+from .numerics import NumericalError, RngStream, Tensor, gaussian, prefetch
 from .schedules import Schedule
 
-# Values in a noise block, B D, from which ``integrate`` draws it on a worker.
-# Below it a step is Python call overhead, which holds the GIL, and at D = 2
-# no product of the field on so few rows is large enough for OpenBLAS to
-# split, so holding it to one thread stops no spin.
-_OVERLAP_VALUES = 2**10
-
-# Network multiply-adds per noise value, forward_macs / D, up to which
-# ``integrate`` draws the noise on a worker. Above it OpenBLAS's second thread
-# gains the network more than the worker gains the step (see README,
-# "Two cores: training and sampling").
-_OVERLAP_MACS_PER_VALUE = 1024
+# Values in a noise block, B D, from which a worker may draw it. Below it a
+# step is Python call overhead, which holds the GIL, and at D = 2 no product
+# of the field on so few rows is large enough for OpenBLAS to split, so
+# holding it to one thread stops no spin.
+_WORKER_VALUES = 2**10
 
 
 class VelocityField(Protocol):
@@ -101,21 +84,6 @@ def plan_steps(schedule: Schedule, mode: str, noise_scale: float) -> tuple[Tenso
     raise ValueError(f"unknown sampler mode {mode!r}")
 
 
-def _overlapped(field: VelocityField, shape: tuple[int, int], eta: Tensor) -> bool:
-    """Whether ``integrate`` draws each next noise block on a worker thread
-    while the field runs on one OpenBLAS thread: the field states its
-    network cost, a block has at least ``_OVERLAP_VALUES`` values, the
-    network does at most ``_OVERLAP_MACS_PER_VALUE`` multiply-adds per noise
-    value, and some step draws noise."""
-    macs = getattr(field, "forward_macs", None)
-    return (
-        macs is not None
-        and math.prod(shape) >= _OVERLAP_VALUES
-        and macs <= _OVERLAP_MACS_PER_VALUE * shape[1]
-        and bool(np.any(eta != 0.0))
-    )
-
-
 def _scaled_noise(rng: RngStream, shape: tuple[int, int], amplitude: float) -> Tensor:
     """One step's noise eta eps, scaled in place. A function, so that no
     generator frame holds the block through the next step's field call."""
@@ -143,12 +111,12 @@ def integrate(
     no later step writes into it, and ``x0`` (the block at k = 0) is never
     written.
 
-    Where ``_overlapped`` holds and OpenBLAS can be held to one thread, the
-    noise is drawn on a worker thread, at most two steps ahead of the
-    field, and reaches the states through two buffers that the calling
-    thread owns; otherwise each step's noise is drawn on the calling thread after
-    its drift. The worker is joined, and OpenBLAS's thread count restored,
-    before ``integrate`` returns or raises. Either way ``rng.counter`` ends
+    Where ``numerics.prefetch`` runs the noise ahead, it is drawn on a worker
+    thread, at most two steps ahead of the field, and reaches the states
+    through two buffers that the calling thread owns; otherwise each step's
+    noise is drawn on the calling thread after its drift. The worker is
+    joined, and OpenBLAS's thread count restored, before ``integrate``
+    returns or raises. Either way ``rng.counter`` ends
     where the calling thread alone leaves it: past the draws of the steps
     that ran, also after an error, whatever the worker drew ahead.
     Non-finite drifts or states raise :class:`NumericalError` naming the
@@ -161,14 +129,14 @@ def integrate(
     if record is not None:
         record(0, states)
     shape, start, drawn = states.shape, rng.counter, 0
+    field_macs = getattr(field, "forward_macs", None)
+    floor = field_macs is not None and states.size >= _WORKER_VALUES and bool(np.any(eta != 0.0))
+    macs = shape[0] * field_macs if floor else None
+    # each noisy step's (eta_k eps_k,), in step order
+    noises = ((_scaled_noise(rng, shape, amplitude),) for amplitude in eta[eta != 0.0])
     try:
-        with contextlib.ExitStack() as stack:
-            # each noisy step's (eta_k eps_k,), in step order
-            noises = ((_scaled_noise(rng, shape, amplitude),) for amplitude in eta[eta != 0.0])
-            if _overlapped(field, shape, eta) and stack.enter_context(blas_threads(1)):
-                noises = stack.enter_context(Prefetch(noises, [shape]))
-            # overflow here is diagnosed by the finiteness checks below, not warned
-            stack.enter_context(np.errstate(over="ignore", invalid="ignore"))
+        # overflow here is diagnosed by the finiteness checks below, not warned
+        with prefetch(noises, [shape], macs) as noises, np.errstate(over="ignore", invalid="ignore"):
             for k, t in enumerate(schedule.points[:-1].tolist()):
                 drift = np.asarray(field(states, t), dtype=np.float64)
                 if not np.all(np.isfinite(drift)):

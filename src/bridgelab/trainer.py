@@ -14,22 +14,16 @@ draw keeps its counter, then runs the state, target, alpha^2 and input-row
 code once on the stacked (K B, ·) block. Every operation there is per row,
 so a block gives each step the bits it would get alone. ``train`` reads the
 blocks and ``train_step`` runs one step on its slice of B rows of a block's
-arrays: the network, the loss, the gradient and the update. A batch of 2**14
-input-row values or more is a block of one step. Anything else that audits
+arrays: the network, the loss, the gradient and the update. A batch of more
+than 2**13 input-row values is a block of one step. Anything else that audits
 the draws (``train --debug``, the tests) iterates ``step_blocks`` itself.
 
-Where blocks are one step and the network does at most ``_OVERLAP_MACS``
-forward multiply-adds per step, ``train`` builds block k + 1 on a worker
-thread (``numerics.Prefetch``, which the sampler's noise shares), with its
-digest update and target norms, while the calling thread
-trains on block k, and holds numpy's OpenBLAS to one thread meanwhile. A
-block of one step is array work, which releases the GIL; larger blocks
-are mostly Python call overhead, which holds it. Without the hold,
-OpenBLAS's second thread occupies the second core during every GEMM and
-the worker gains nothing; above the bound, that second thread gains the
-network more than the worker gains the step. Where OpenBLAS's thread count
-cannot be set (``numerics.blas_threads``), ``train`` runs sequentially.
-Either way every step gets the same bits in the same order.
+Where blocks are one step, ``train`` passes ``numerics.prefetch`` the
+network's B ``forward_macs`` a step, which decides whether a worker builds
+block k + 1, with its digest update and target norms, while the calling
+thread trains on block k. Larger blocks are Python call overhead, which
+holds the GIL. Either way every step gets the same bits in the same order
+(README, "Two cores: training and sampling").
 
 The (pair, t, eps) streams are derived only from the seed, never from the
 objective, so runs that differ only in objective consume identical sample
@@ -40,7 +34,6 @@ every step in order, is recorded for auditing that property.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import time
@@ -53,14 +46,13 @@ from .bridge import T_CLAMP, BridgeSample, EndpointPair, check_noise_scale, samp
 from .model import ModelConfig, backward, forward, input_rows
 from .numerics import (
     NumericalError,
-    Prefetch,
     RngStream,
     Tensor,
     _check_u64,
     _finite_real,
     _integer,
-    blas_threads,
     gaussian,
+    prefetch,
     uniform,
 )
 from .objectives import ObjectiveKind, loss, objective_alpha_sq, raw_target
@@ -75,13 +67,6 @@ _STREAM_NOISE = 103
 # spread numpy's per-call cost over many steps, few enough that a block's
 # arrays stay in cache.
 _BLOCK_VALUES = 2**14
-
-# Forward multiply-adds per step, B * sum(n_in n_out), up to which ``train``
-# builds one-step blocks on a worker thread and holds the network to one
-# OpenBLAS thread. Above it OpenBLAS's second thread gains the network more
-# than the worker gains the step (see README, "Two cores: training and
-# sampling").
-_OVERLAP_MACS = 2**25
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -187,15 +172,6 @@ def _block_steps(config: TrainConfig, model_config: ModelConfig) -> int:
     return max(1, _BLOCK_VALUES // (config.batch_size * model_config.feature_dim))
 
 
-def _overlapped(config: TrainConfig, model_config: ModelConfig) -> bool:
-    """Whether ``train`` builds each next block on a worker thread while the
-    network runs on one OpenBLAS thread: each block is one step, so building
-    it is array work that releases the GIL, and the network does at most
-    ``_OVERLAP_MACS`` forward multiply-adds per step."""
-    macs = config.batch_size * model_config.forward_macs
-    return _block_steps(config, model_config) == 1 and macs <= _OVERLAP_MACS
-
-
 def step_blocks(
     provider: PairProvider, config: TrainConfig, model_config: ModelConfig
 ) -> Iterator[tuple[EndpointPair, BridgeSample, Tensor, Tensor, Tensor]]:
@@ -296,9 +272,8 @@ def train(
 ) -> tuple[Tensor, TrainStats]:
     """Run the configured number of steps; logs every ``log_every`` steps plus the last.
 
-    Where ``_overlapped`` holds and OpenBLAS can be held to one thread, the
-    provider is called on a worker thread, which is joined before ``train``
-    returns or raises.
+    Where ``numerics.prefetch`` runs the blocks ahead, the provider is called
+    on a worker thread, which is joined before ``train`` returns or raises.
 
     Non-finite losses, gradients or parameters abort with a NumericalError
     naming the failing step; they are never swallowed.
@@ -307,12 +282,11 @@ def train(
     opt_state = OptimizerState(kind=config.optimizer)
     stats = TrainStats()
     step_number = 0
+    size, width = config.batch_size, model_config.feature_dim
+    shapes = [(size, width), (size, model_config.input_dim), (size,), (size,)]
+    macs = size * model_config.forward_macs if _block_steps(config, model_config) == 1 else None
     blocks = _prepared(step_blocks(provider, config, model_config), digest)
-    with contextlib.ExitStack() as stack:
-        if _overlapped(config, model_config) and stack.enter_context(blas_threads(1)):
-            size = config.batch_size
-            shapes = [(size, model_config.feature_dim), (size, model_config.input_dim), (size,), (size,)]
-            blocks = stack.enter_context(Prefetch(blocks, shapes))
+    with prefetch(blocks, shapes, macs) as blocks:
         for rows, targets, alpha_sq, target_sqnorms in blocks:
             block_max = float(np.max(target_sqnorms))
             stats.max_target_sqnorm_overall = max(stats.max_target_sqnorm_overall, block_max)

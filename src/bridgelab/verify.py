@@ -47,6 +47,7 @@ from .objectives import (
     alpha_factor,
     default_profile_grid,
     expected_target_sqnorm,
+    loss,
     target_profile,
 )
 from .sampler import endpoint_statistics, integrate, oracle_field, plan_steps
@@ -181,8 +182,9 @@ _TIME_BINS = 20
 
 
 def _trainer_bins(seed: int, kind: ObjectiveKind) -> np.ndarray:
-    """(3, 20): each time bin's count, sum and sum of squares of
-    ||target||^2 / alpha^2 over the rows ``step_blocks`` draws for ``kind``.
+    """(3, 20): each time bin's count, sum and sum of squares of the training
+    loss of a zero prediction, ||target||^2 / alpha^2 through
+    ``objectives.loss``, over the rows ``step_blocks`` draws for ``kind``.
 
     The task is a gaussian_shift whose every pair has the fixed pair's
     x1 - x0, so every row shares that pair's closed form. The 25 steps of
@@ -195,7 +197,7 @@ def _trainer_bins(seed: int, kind: ObjectiveKind) -> np.ndarray:
     model = ModelConfig(input_dim=2, hidden=(1,), time_features=2)
     sums = np.zeros((3, _TIME_BINS))
     for _, sample, alpha_sq, targets, _ in step_blocks(pair_provider(spec), config, model):
-        v = np.sum(targets * targets, axis=1) / alpha_sq
+        v = loss(np.zeros_like(targets), targets, alpha_sq)[0]
         bins = np.minimum(sample.t * (_TIME_BINS / (1.0 - T_CLAMP)), _TIME_BINS - 1).astype(np.intp)
         sums += [np.bincount(bins, w, minlength=_TIME_BINS) for w in (None, v, v * v)]
     return sums

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bridgelab import numerics
 from bridgelab.model import ModelConfig, init
 from bridgelab.numerics import RngStream, _BlasHolds, openblas
 from bridgelab.objectives import ObjectiveKind
@@ -57,6 +58,21 @@ def no_thread_outlives_the_test():
     assert not left, f"threads left alive: {sorted(t.name for t in left)}"
     assert blas_thread_count() == count, "OpenBLAS's thread count changed"
     assert _BlasHolds.open == 0, f"{_BlasHolds.open} blas_threads holds left open"
+
+
+@pytest.fixture()
+def refused_worker(monkeypatch) -> list[bool]:
+    """Each decision that ``numerics.worker_pays`` makes, in call order, while
+    it refuses the worker whatever it decides, so every run in the test stays
+    on the calling thread."""
+    decisions, pays = [], numerics.worker_pays
+
+    def refusing(values, macs):
+        decisions.append(pays(values, macs))
+        return False
+
+    monkeypatch.setattr(numerics, "worker_pays", refusing)
+    return decisions
 
 
 def traced_peak(func, *args, **kwargs):

@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from bridgelab import sampler
+from bridgelab.model import ModelConfig, init, velocity_field_from
 from bridgelab.numerics import RngStream, blas_threads, gaussian, openblas, uniform
+from bridgelab.sampler import integrate
+from bridgelab.schedules import shifted
+from bridgelab.tasks import TaskSpec, pair_provider
+from bridgelab.trainer import TrainConfig, train
 
 
 class TestGaussian:
@@ -249,3 +255,29 @@ def test_blas_threads_holds_that_overlap_on_two_threads():
         assert count() == 2
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
+
+
+def test_train_and_integrate_run_ahead_only_where_worker_pays(monkeypatch, refused_worker):
+    """grid8's ``train`` and ``integrate`` would each run a worker, but with
+    ``worker_pays`` refusing, ``train`` calls its provider and ``integrate``
+    draws its noise only on the calling thread: both decide through it."""
+    mconfig = ModelConfig(input_dim=192, hidden=(128, 128))
+    provider = pair_provider(TaskSpec("grid_colorize", 192, grid_size=8))
+    callers, drawn_on = set(), set()
+
+    def recorded_provider(batch_size, rng):
+        callers.add(threading.get_ident())
+        return provider(batch_size, rng)
+
+    def recorded_gaussian(rng, shape):
+        drawn_on.add(threading.get_ident())
+        return gaussian(rng, shape)
+
+    config = TrainConfig(steps=3, batch_size=128)
+    params, _ = train(init(mconfig, RngStream(seed=11)), mconfig, recorded_provider, config)
+    monkeypatch.setattr(sampler, "gaussian", recorded_gaussian)
+    field = velocity_field_from(params, mconfig, "stabilized_velocity")
+    x0 = gaussian(RngStream(seed=12), (1024, 192))
+    integrate(x0, field, shifted(8, 1.0), "corrected", 1.0, RngStream(seed=13))
+    assert refused_worker == [True, True]
+    assert callers == drawn_on == {threading.get_ident()}

@@ -309,35 +309,37 @@ class TestOverlappedNoise:
             (2, (64, 64), 1024, 1.0, False),
             (192, (128, 128), 1024, 0.0, False),
             (2, (32, 32), 256, 1.0, False),
+            (192, (32, 32), 4096, 1.0, True),
+            (192, (256, 256), 256, 1.0, True),
+            (192, (384, 384), 96, 1.0, False),
+            (2, (128, 128), 1024, 1.0, False),
         ],
         ids=[
-            "grid8-sample", "shift2d-sample", "grid8-32-runs", "512x512", "2d-64x64", "s0", "small-block"
+            "grid8-sample", "shift2d-sample", "grid8-32-runs", "512x512", "2d-64x64", "s0", "small-block",
+            "32x32-4096-runs", "256x256-256-runs", "384x384-96-runs", "2d-128x128",
         ],
     )
-    def test_which_runs_overlap(self, dim, hidden, runs, s, overlaps):
-        """grid8's sample (1024 runs of 192 values, 347 multiply-adds per noise
-        value), shift2d's (2048 values a block, 704 multiply-adds a value) and
-        32 runs of grid8's network overlap. A 512x512 network's 2411
-        multiply-adds a value, a D=2 64x64 network's 2432, a noiseless run and
-        a block under 2^10 values do not; neither does a field that states no
-        cost."""
+    def test_which_runs_overlap(self, refused_worker, dim, hidden, runs, s, overlaps):
+        """``integrate`` asks ``numerics.worker_pays`` once. grid8's sample
+        (1024 runs of 192 values, 347 multiply-adds per noise value),
+        shift2d's (2048 values a block, 704 a value) and 32 runs of grid8's
+        network run ahead. A 512x512 network's 2411 multiply-adds a value, a
+        D=2 64x64 network's 2432, a noiseless run and a block under 2^10
+        values do not; neither does a field that states no cost. The rows
+        where the trainer's rule changed answer keep theirs here: 32x32 (71 a
+        value) and 256x256 (864) run ahead, 384x384 (1552) and D=2 128x128
+        (8960) do not."""
         field = network_field(dim, hidden)
-        _, eta = plan_steps(shifted(64, 1.0), "corrected", s)
-        assert sampler._overlapped(field, (runs, dim), eta) == overlaps
-        assert not sampler._overlapped(lambda x, t: field(x, t), (runs, dim), eta)
+        x0 = np.zeros((runs, dim))
+        for f in (field, lambda x, t: field(x, t)):
+            integrate(x0, f, shifted(2, 1.0), "corrected", s, RngStream(seed=13))
+        assert refused_worker == [overlaps, False]
 
-    def test_no_verify_suite_starts_the_worker(self, monkeypatch):
+    def test_no_verify_suite_starts_the_worker(self, refused_worker):
         """verify's fields state no cost, so its integrations, which already
         share the second core, never start the noise worker."""
-        decided, overlapped = [], sampler._overlapped
-
-        def recorded(*args):
-            decided.append(overlapped(*args))
-            return decided[-1]
-
-        monkeypatch.setattr(sampler, "_overlapped", recorded)
         assert run_suite("all", seed=0, mc=0)["passed"]
-        assert decided and not any(decided)
+        assert refused_worker and not any(refused_worker)
 
     @pytest.mark.parametrize(
         "mode, dim, hidden, runs",

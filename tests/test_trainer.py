@@ -148,19 +148,42 @@ class TestOverlappedDataHalf:
     each next block on a worker thread: the results, and the order in which
     steps and errors happen, are those of the sequential loop."""
 
-    def test_which_runs_overlap(self):
-        """The grid run's blocks are one step of 400 56-wide rows, through 768k
-        multiply-adds; the other pinned runs have blocks of several steps. A
-        1024-wide pair of layers at B = 1024 is past the multiply-add bound."""
+    def test_which_runs_overlap(self, refused_worker):
+        """One step of ``train`` asks ``numerics.worker_pays`` once. Of the
+        pinned runs only grid's blocks are one step (400 56-wide rows, more
+        than 2^13 input-row values), through 1920 multiply-adds per 106 values
+        handed over a row. Rows are (D, hidden, B): grid8 at B = 64 has 12,800
+        input-row values, so one-step blocks. Against the old rule of at most
+        2^25 multiply-adds a step, five rows changed answer: 128x128 at
+        B = 1024 (169 multiply-adds a handed-over value), 32x32 at B = 4096
+        (34), 256x256 at B = 256 (421) and 448x448 at B = 128 (955) now run
+        ahead, and D = 2 128x128 at B = 1024 (1280) no longer does."""
         overlapped = set()
         for task in PINNED_TASKS:
-            _, mconfig, config, _ = pinned_inputs(task)
-            if trainer._overlapped(config, mconfig):
+            spec, mconfig, config, params = pinned_inputs(task, steps=1)
+            refused_worker.clear()
+            train(params, mconfig, pair_provider(spec), config)
+            if refused_worker == [True]:
                 overlapped.add(task)
         assert overlapped == {"grid"}
-        mconfig = ModelConfig(input_dim=192, hidden=(1024, 1024))
-        assert not trainer._overlapped(TrainConfig(batch_size=1024), mconfig)
-        assert trainer._overlapped(TrainConfig(batch_size=128), ModelConfig(input_dim=192, hidden=(128, 128)))
+        rows = {
+            (192, (128, 128), 128): True,  # grid8's train
+            (192, (128, 128), 64): True,
+            (192, (1024, 1024), 1024): False,
+            (192, (128, 128), 1024): True,  # was False
+            (192, (32, 32), 4096): True,  # was False
+            (192, (256, 256), 256): True,  # was False
+            (192, (448, 448), 128): True,  # was False
+            (192, (384, 384), 96): True,
+            (2, (128, 128), 1024): False,  # was True
+        }
+        for (dim, hidden, batch), overlaps in rows.items():
+            mconfig = ModelConfig(input_dim=dim, hidden=hidden)
+            pairs = EndpointPair(np.zeros((batch, dim)), np.ones((batch, dim)))
+            refused_worker.clear()
+            config = TrainConfig(steps=1, batch_size=batch)
+            train(init(mconfig, RngStream(seed=1)), mconfig, lambda b, rng: pairs, config)
+            assert refused_worker == [overlaps], (dim, hidden, batch)
 
     @pytest.mark.parametrize("task", ["grid", "shift_blocks"])
     def test_train_equals_the_sequential_loop(self, task):

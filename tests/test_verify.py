@@ -11,6 +11,7 @@ from scipy import stats
 from bridgelab import objectives, sampler, trainer, verify
 from bridgelab.cli import main
 from bridgelab.numerics import NumericalError
+from bridgelab.schedules import Schedule
 from bridgelab.verify import run_suite
 from conftest import traced_peak
 
@@ -52,6 +53,59 @@ _DRAW_MUTANTS = {
         trainer, "gaussian", lambda f: lambda rng, shape: 0.9 * f(rng, shape),
         _worst_sigma("displacement", "velocity", "stabilized_velocity"),
     ),
+    "loss-weight-1-over-alpha": (
+        verify, "loss", lambda f: lambda prediction, targets, alpha_sq: f(prediction, targets, np.sqrt(alpha_sq)),
+        _worst_sigma("stabilized_velocity"),
+    ),
+}
+
+
+def _sampler_plan(dt_factor=1.0, standard_eta_sq_factor=1.0):
+    """A mutant of ``plan_steps`` that scales every dt, or the standard eta^2."""
+
+    def mutate(plan):
+        def mutant(schedule, mode, s):
+            dt, eta = plan(schedule, mode, s)
+            if mode == "standard":
+                eta = eta * math.sqrt(standard_eta_sq_factor)
+            return dt * dt_factor, eta
+
+        return mutant
+
+    return mutate
+
+
+def _one_ulp_off_at_gamma_1(shifted):
+    def mutant(n, gamma):
+        schedule = shifted(n, gamma)
+        if gamma != 1.0 or n < 2:
+            return schedule
+        points = schedule.points.copy()
+        points[1] = np.nextafter(points[1], 1.0)
+        return Schedule(points)
+
+    return mutant
+
+
+# One defect per row, as (suite, module, function, mutant of it, every check
+# of the suite that it fails), each patched where the suite's code looks the
+# function up.
+_SUITE_MUTANTS = {
+    "M1-state-noise-variance-x1.1": (
+        "bridge", verify, "sample_state",
+        lambda f: lambda pair, t, eps, s: f(pair, t, eps, s * math.sqrt(1.1)),
+        {f"marginal_var_t{t}_s{s}" for t in (0.1, 0.5, 0.9) for s in (0.5, 1.0, 2.0)} | {"expansion_identity_abs"},
+    ),
+    "M4-standard-eta-sq-x1.1": (
+        "sampler", sampler, "plan_steps", _sampler_plan(standard_eta_sq_factor=1.1), {"standard_endpoint_variance"},
+    ),
+    "M5-integrate-dt-x1.01": (
+        "sampler", sampler, "plan_steps", _sampler_plan(dt_factor=1.01),
+        {"oracle_corrected_mse", "standard_s0_exact", "bridge_marginal_endpoint_pinned"},
+    ),
+    "shifted-one-ulp-off-at-gamma-1": (
+        "schedules", verify, "shifted", _one_ulp_off_at_gamma_1, {"gamma1_bitwise_uniform"},
+    ),
 }
 
 
@@ -75,12 +129,22 @@ class TestChecksDriveLibraryCode:
     @pytest.mark.parametrize("mutant", list(_DRAW_MUTANTS))
     def test_trainer_draw_checks_fail_on_defects(self, monkeypatch, mutant):
         """A defect in the trainer's draws, or in the state, target and alpha^2
-        code that they run through, fails the named trainer-draw checks and no
-        other of them. The six suites take about 1 s."""
+        code that they run through, or in the loss that weighs them, fails the
+        named trainer-draw checks and no other of them. The seven suites take
+        about 1 s."""
         module, name, mutate, expected = _DRAW_MUTANTS[mutant]
         monkeypatch.setattr(module, name, mutate(getattr(module, name)))
         names = failed(run_suite("objectives", seed=0, mc=100_000))
         assert {n for n in names if n.startswith("trainer_")} == expected
+
+    @pytest.mark.parametrize("mutant", list(_SUITE_MUTANTS))
+    def test_suite_checks_fail_on_defects(self, monkeypatch, mutant):
+        """A defect in the state noise, the sampler's step plan or the
+        schedule grid fails exactly the named checks of its suite. The four
+        suites take about 1 s."""
+        suite, module, name, mutate, expected = _SUITE_MUTANTS[mutant]
+        monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        assert failed(run_suite(suite, seed=0, mc=100_000)) == expected
 
 
 def test_unknown_suite_rejected():
