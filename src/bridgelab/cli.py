@@ -342,7 +342,7 @@ def cmd_train(args) -> int:
     run = _Run(args, "train")
     params, stats = _train_once(args, spec, mconfig, config)
     if args.debug:  # the draws depend on no parameters, so a second pass replays them
-        blocks = step_blocks(pair_provider(spec, zero_context=args.zero_context), config, mconfig)
+        blocks = step_blocks(pair_provider(spec, zero_context=args.zero_context), config)
         alpha_sq = np.concatenate([block[2] for block in blocks]).reshape(config.steps, -1)
     params_path = run.path("params.bin")
     save_parameters(params_path, mconfig, params, config.objective)

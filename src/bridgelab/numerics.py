@@ -15,11 +15,11 @@ generator is per thread because draws run on more than one thread (the
 endpoint-variance sweep of ``verify`` is shared by a worker and the
 calling thread).
 
-``blas_threads`` holds numpy's bundled OpenBLAS to a thread count for the
-length of a ``with`` block, and ``Prefetch`` runs an iterator of blocks on a
-worker thread. ``prefetch`` makes the one decision between them for the
-trainer and the sampler: a worker plus one OpenBLAS thread, or the calling
-thread plus two (README, "Two cores: training and sampling").
+``blas_threads`` holds numpy's bundled OpenBLAS to one thread for the
+length of a ``with`` block. ``prefetch`` runs an iterator of blocks for the
+trainer and the sampler, deciding between a worker thread beside one
+OpenBLAS thread and the calling thread beside two (README, "Two cores:
+training and sampling").
 
 Normal variates use numpy's ziggurat sampler on the Philox keystream; this
 fixes the bitwise-reproducibility contract of this implementation (a pinned
@@ -130,15 +130,15 @@ class _BlasHolds:
 
 
 @contextlib.contextmanager
-def blas_threads(count: int) -> Iterator[bool]:
-    """Hold numpy's bundled OpenBLAS to ``count`` threads inside the block and
-    restore its previous count on every exit path. Yields whether the count
-    was set: False, with nothing changed, where ``openblas()`` is None.
+def blas_threads() -> Iterator[None]:
+    """Hold numpy's bundled OpenBLAS, which ``openblas()`` must find, to one
+    thread inside the block and restore its previous count on every exit
+    path.
 
     The count is the process's: BLAS calls on every thread see it. So holds
     may overlap, on one thread or on several, without nesting: the first to
-    enter saves the count, each sets its own, and the last to exit restores
-    the saved count.
+    enter saves the count, each sets one thread, and the last to exit
+    restores the saved count.
 
     A hold changes which later products OpenBLAS splits, not the threads it
     has running: after a product that it split, its pool thread busy-waits
@@ -146,81 +146,18 @@ def blas_threads(count: int) -> Iterator[bool]:
     stop it. Only code that runs under the hold from the start, as
     ``train`` and ``sampler.integrate`` do, keeps the pool asleep."""
     lib = openblas()
-    if lib is None:
-        yield False
-        return
     with _BlasHolds.lock:
         if _BlasHolds.open == 0:
             _BlasHolds.saved = lib.scipy_openblas_get_num_threads64_()
         _BlasHolds.open += 1
-        lib.scipy_openblas_set_num_threads64_(count)
+        lib.scipy_openblas_set_num_threads64_(1)
     try:
-        yield True
+        yield
     finally:
         with _BlasHolds.lock:
             _BlasHolds.open -= 1
             if _BlasHolds.open == 0:
                 lib.scipy_openblas_set_num_threads64_(_BlasHolds.saved)
-
-
-class Prefetch:
-    """``blocks`` run on a worker thread, ahead of the calling thread.
-
-    The calling thread allocates two sets of buffers of ``shapes``. The
-    worker builds a block, waits for a free set, copies the block into it
-    and hands the set's index over; the calling thread frees the set when it
-    asks for the block after. So the worker runs at most two blocks ahead,
-    and every array that it allocates is freed on the worker too, into the
-    malloc arena it came from. Blocks, and then the exception that ended
-    them, arrive in block order. Leaving the ``with`` block stops the
-    worker, which may be waiting for a free set, and joins it.
-    """
-
-    def __init__(self, blocks: Iterator[tuple[Tensor, ...]], shapes: list[tuple[int, ...]]):
-        self._blocks = blocks
-        self._sets = [[np.empty(shape) for shape in shapes] for _ in range(2)]
-        self._free: queue.SimpleQueue = queue.SimpleQueue()
-        self._ready: queue.SimpleQueue = queue.SimpleQueue()
-        self._stop = threading.Event()
-        for index in range(len(self._sets)):
-            self._free.put(index)
-        self._worker = threading.Thread(target=self._run, name="bridgelab-prefetch")
-
-    def _run(self) -> None:
-        try:
-            for block in self._blocks:
-                index = self._free.get()
-                if self._stop.is_set():
-                    return
-                # each array is freed here, before the next block is built
-                for out, value in zip(self._sets[index], block):
-                    np.copyto(out, value)
-                    del value
-                del block
-                self._ready.put(index)
-            self._ready.put(None)
-        # Any exception, as an executor's future keeps it: the calling thread
-        # raises it, and without it would wait for a block forever.
-        except BaseException as error:
-            self._ready.put(error)
-        finally:
-            self._blocks.close()
-
-    def __enter__(self) -> Iterator[list[Tensor]]:
-        self._worker.start()
-        return self._iter()
-
-    def _iter(self) -> Iterator[list[Tensor]]:
-        while (item := self._ready.get()) is not None:
-            if isinstance(item, BaseException):
-                raise item
-            yield self._sets[item]
-            self._free.put(item)
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._free.put(None)
-        self._worker.join()
 
 
 # Network multiply-adds a step, per value that the worker hands over in the
@@ -240,18 +177,66 @@ def worker_pays(values: int, macs: int | None) -> bool:
 def prefetch(
     blocks: Iterator[tuple[Tensor, ...]], shapes: list[tuple[int, ...]], macs: int | None
 ) -> Iterator[Iterator]:
-    """``blocks``, each a step's arrays of ``shapes``, from a ``Prefetch``
-    worker with OpenBLAS held to one thread, where ``worker_pays`` for the
-    values of ``shapes`` and the count can be set; otherwise ``blocks``
-    itself, on the calling thread. Either way they arrive in order with the
-    same bits."""
-    if worker_pays(sum(map(math.prod, shapes)), macs):
-        with blas_threads(1) as held:
-            if held:
-                with Prefetch(blocks, shapes) as prefetched:
-                    yield prefetched
-                return
-    yield blocks
+    """``blocks``, each a step's arrays of ``shapes``, in order and with the
+    same bits either way: run ahead on a worker thread, with OpenBLAS held to
+    one thread, where ``openblas()`` finds it and ``worker_pays`` for the
+    values of ``shapes``; otherwise ``blocks`` itself, on the calling thread.
+
+    The calling thread allocates two sets of buffers of ``shapes``. The
+    worker builds a block, waits for a free set, copies the block into it
+    and hands the set's index over; the calling thread frees the set when it
+    asks for the block after. So the worker runs at most two blocks ahead,
+    and every array that it allocates is freed on the worker too, into the
+    malloc arena it came from. Blocks, and then the exception that ended
+    them, arrive in block order. Leaving the ``with`` block stops the
+    worker, which may be waiting for a free set, and joins it.
+    """
+    if openblas() is None or not worker_pays(sum(map(math.prod, shapes)), macs):
+        yield blocks
+        return
+    sets = [[np.empty(shape) for shape in shapes] for _ in range(2)]
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    ready: queue.SimpleQueue = queue.SimpleQueue()
+    stop = threading.Event()
+    for index in range(len(sets)):
+        free.put(index)
+
+    def run() -> None:
+        try:
+            for block in blocks:
+                index = free.get()
+                if stop.is_set():
+                    return
+                # each array is freed here, before the next block is built
+                for out, value in zip(sets[index], block):
+                    np.copyto(out, value)
+                    del value
+                del block
+                ready.put(index)
+            ready.put(None)
+        # Any exception, as an executor's future keeps it: the calling thread
+        # raises it, and without it would wait for a block forever.
+        except BaseException as error:
+            ready.put(error)
+        finally:
+            blocks.close()
+
+    def handed_over() -> Iterator[list[Tensor]]:
+        while (item := ready.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            yield sets[item]
+            free.put(item)
+
+    worker = threading.Thread(target=run, name="bridgelab-prefetch")
+    with blas_threads():
+        worker.start()
+        try:
+            yield handed_over()
+        finally:
+            stop.set()
+            free.put(None)
+            worker.join()
 
 
 @dataclass
@@ -306,8 +291,10 @@ class RngStream:
 
 
 def _draw(rng: RngStream, shape: int | tuple[int, ...] | list[int], method) -> Tensor:
-    """``method(generator, n)`` reshaped to ``shape``; the counter advances by n."""
-    shape = (shape,) if isinstance(shape, int) else tuple(int(d) for d in shape)
+    """``method(generator, n)`` reshaped to ``shape``; the counter advances by n.
+    A dimension that is not an integer (a float, a bool) is rejected."""
+    dims = shape if isinstance(shape, (tuple, list)) else (shape,)
+    shape = tuple(d if type(d) is int else _integer("a shape's dimension", d) for d in dims)
     if any(d < 0 for d in shape):
         raise ValueError(f"invalid shape {shape}")
     n = math.prod(shape)

@@ -35,7 +35,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .bridge import EndpointPair, check_noise_scale
-from .numerics import NumericalError, RngStream, Tensor, gaussian, prefetch
+from .numerics import NumericalError, RngStream, Tensor, _integer, gaussian, prefetch
 from .schedules import Schedule
 
 # Values in a noise block, B D, from which a worker may draw it. Below it a
@@ -112,13 +112,11 @@ def integrate(
     written.
 
     Where ``numerics.prefetch`` runs the noise ahead, it is drawn on a worker
-    thread, at most two steps ahead of the field, and reaches the states
-    through two buffers that the calling thread owns; otherwise each step's
-    noise is drawn on the calling thread after its drift. The worker is
-    joined, and OpenBLAS's thread count restored, before ``integrate``
-    returns or raises. Either way ``rng.counter`` ends
-    where the calling thread alone leaves it: past the draws of the steps
-    that ran, also after an error, whatever the worker drew ahead.
+    thread, which is joined before ``integrate`` returns or raises; otherwise
+    each step's noise is drawn on the calling thread after its drift. Either
+    way ``rng.counter`` ends where the calling thread alone leaves it: past
+    the draws of the steps that ran, also after an error, whatever the worker
+    drew ahead.
     Non-finite drifts or states raise :class:`NumericalError` naming the
     failing step.
     """
@@ -184,7 +182,7 @@ def endpoint_statistics(
     rng: RngStream,
 ) -> EndpointStats:
     """Endpoint MSE against x1 and endpoint variance over repeated runs of one (1, D) pair."""
-    if runs < 2:
+    if _integer("runs", runs) < 2:
         raise ValueError("endpoint statistics need at least 2 runs")
     endpoints = integrate(
         np.broadcast_to(pair.x0, (runs, pair.dimension)), field, schedule, mode, noise_scale, rng

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _integer, _real
+
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
@@ -46,9 +48,10 @@ class Schedule:
 
 def shifted(n_steps: int, gamma: float) -> Schedule:
     """Shifted schedule t_i = i / (gamma N - (gamma-1) i); gamma=1 is uniform."""
+    n_steps = _integer("step count", n_steps)
     if n_steps < 1:
         raise ValueError(f"step count must be >= 1, got {n_steps}")
-    gamma = float(gamma)
+    gamma = _real("shift coefficient", gamma)
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise ValueError(f"shift coefficient must be finite and >= 1, got {gamma}")
     idx = np.arange(n_steps + 1, dtype=np.float64)

@@ -141,6 +141,7 @@ def generate_pairs(spec: TaskSpec, count: int, rng: RngStream) -> EndpointPair:
     after batch) yield fresh pairs while an identical parent state replays
     the identical batch.
     """
+    count = _integer("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     stream = rng.split(spec.seed).split(rng.counter)

@@ -5,25 +5,27 @@ noise draw eps ~ N(0, I) per pair, constructs the states x_t, computes the
 configured objective's targets and per-pair loss, backpropagates the
 batch-mean loss through the network, and applies one optimizer update.
 
-None of the draws, states, targets, alpha^2 or the network's input rows
-depend on the parameters, so ``step_blocks`` builds them for a block of
-K = max(1, 2**14 // (B F)) steps at a time, F being the width of an input
-row: it calls the provider, which must return exactly B pairs, and draws
-each step's times and noise on their own streams in step order, so every
-draw keeps its counter, then runs the state, target, alpha^2 and input-row
-code once on the stacked (K B, ·) block. Every operation there is per row,
-so a block gives each step the bits it would get alone. ``train`` reads the
-blocks and ``train_step`` runs one step on its slice of B rows of a block's
-arrays: the network, the loss, the gradient and the update. A batch of more
-than 2**13 input-row values is a block of one step. Anything else that audits
-the draws (``train --debug``, the tests) iterates ``step_blocks`` itself.
+None of the draws, states, targets or alpha^2 depend on the parameters:
+they are the bridge's training tuple, and ``step_blocks`` yields them for
+blocks of ``block_steps`` steps. It calls the provider, which must return
+exactly B pairs, and draws each step's times and noise, at the provider's
+width, on their own streams in step order, so every draw keeps its counter,
+then runs the state, target and alpha^2 code once on the stacked block.
+Every operation there is per row, so a block gives each step the bits it
+would get alone. ``train`` asks for K = max(1, 2**14 // (B F)) steps a
+block, F being the width of the network's input rows, and ``_prepared``
+builds each block's input rows, stream digest update and target norms.
+``train_step`` then runs one step on its slice of B rows of a block's arrays:
+the network, the loss, the gradient and the update. Anything else that
+audits the draws (``train --debug``, ``verify``, the tests) iterates
+``step_blocks`` itself, with no model.
 
 Where blocks are one step, ``train`` passes ``numerics.prefetch`` the
-network's B ``forward_macs`` a step, which decides whether a worker builds
-block k + 1, with its digest update and target norms, while the calling
-thread trains on block k. Larger blocks are Python call overhead, which
-holds the GIL. Either way every step gets the same bits in the same order
-(README, "Two cores: training and sampling").
+network's B ``forward_macs`` a step, which decides whether a worker runs
+``_prepared`` for block k + 1 while the calling thread trains on block k.
+Larger blocks are Python call overhead, which holds the GIL. Either way
+every step gets the same bits in the same order (README, "Two cores:
+training and sampling").
 
 The (pair, t, eps) streams are derived only from the seed, never from the
 objective, so runs that differ only in objective consume identical sample
@@ -173,18 +175,17 @@ def _block_steps(config: TrainConfig, model_config: ModelConfig) -> int:
 
 
 def step_blocks(
-    provider: PairProvider, config: TrainConfig, model_config: ModelConfig
-) -> Iterator[tuple[EndpointPair, BridgeSample, Tensor, Tensor, Tensor]]:
-    """Each block's stacked (pairs with context, sample, alpha^2, targets, input
-    rows); rows [j B, (j + 1) B) enter the block's step j. alpha^2 is all ones
-    unless the objective is stabilized."""
+    provider: PairProvider, config: TrainConfig, block_steps: int = 1
+) -> Iterator[tuple[EndpointPair, BridgeSample, Tensor, Tensor]]:
+    """Each block's stacked (pairs with context, sample, alpha^2, targets),
+    ``block_steps`` steps at a time; rows [j B, (j + 1) B) enter the block's
+    step j. alpha^2 is all ones unless the objective is stabilized."""
     root = RngStream(seed=config.seed)
     data_rng = root.split(_STREAM_DATA)
     time_rng = root.split(_STREAM_TIME)
     noise_rng = root.split(_STREAM_NOISE)
     kind = config.objective
     size = config.batch_size
-    block_steps = _block_steps(config, model_config)
 
     for first in range(0, config.steps, block_steps):
         batches, times, noises = [], [], []
@@ -194,7 +195,7 @@ def step_blocks(
                 raise ValueError(f"provider returned {len(batch)} pairs for a batch of {size}")
             batches.append(batch)
             times.append(uniform(time_rng, (size,)))
-            noises.append(gaussian(noise_rng, (size, model_config.input_dim)))
+            noises.append(gaussian(noise_rng, batch.x0.shape))
         context = None
         if batches[0].context is not None:
             context = np.concatenate([b.context for b in batches])
@@ -211,20 +212,22 @@ def step_blocks(
             sample = sample_state(pair, t, eps, config.noise_scale)
             targets = raw_target(kind, pair, sample)
             alpha_sq = objective_alpha_sq(kind, pair, t, config.noise_scale)
-            rows = input_rows(model_config, sample.state, t, context)
-        yield pair, sample, alpha_sq, targets, rows
+        yield pair, sample, alpha_sq, targets
         # so that this block's arrays are freed before the next block's are made
-        del pair, sample, alpha_sq, targets, rows, t, eps, context, batches, times, noises
+        del pair, sample, alpha_sq, targets, t, eps, context, batches, times, noises
 
 
 def _prepared(
-    blocks: Iterator[tuple[EndpointPair, BridgeSample, Tensor, Tensor, Tensor]], digest
+    blocks: Iterator[tuple[EndpointPair, BridgeSample, Tensor, Tensor]],
+    model_config: ModelConfig,
+    digest,
 ) -> Iterator[tuple[Tensor, Tensor, Tensor, Tensor]]:
     """Each block's (input rows, targets, alpha^2, target squared norms), after
     its stream rows [x0 | x1 | t | eps] are hashed into ``digest``."""
-    for pair, sample, alpha_sq, targets, rows in blocks:
+    for pair, sample, alpha_sq, targets in blocks:
         digest.update(np.concatenate([pair.x0, pair.x1, sample.t[:, None], sample.epsilon], axis=1))
         with np.errstate(over="ignore", invalid="ignore"):
+            rows = input_rows(model_config, sample.state, sample.t, pair.context)
             target_sqnorms = np.sum(targets * targets, axis=-1)
         yield rows, targets, alpha_sq, target_sqnorms
         del pair, sample, alpha_sq, targets, rows, target_sqnorms  # as in step_blocks
@@ -284,8 +287,9 @@ def train(
     step_number = 0
     size, width = config.batch_size, model_config.feature_dim
     shapes = [(size, width), (size, model_config.input_dim), (size,), (size,)]
-    macs = size * model_config.forward_macs if _block_steps(config, model_config) == 1 else None
-    blocks = _prepared(step_blocks(provider, config, model_config), digest)
+    block_steps = _block_steps(config, model_config)
+    macs = size * model_config.forward_macs if block_steps == 1 else None
+    blocks = _prepared(step_blocks(provider, config, block_steps), model_config, digest)
     with prefetch(blocks, shapes, macs) as blocks:
         for rows, targets, alpha_sq, target_sqnorms in blocks:
             block_max = float(np.max(target_sqnorms))

@@ -40,7 +40,6 @@ from .bridge import (
     sample_state,
     velocity_target,
 )
-from .model import ModelConfig
 from .numerics import RngStream, _integer, gaussian, uniform
 from .objectives import (
     ObjectiveKind,
@@ -181,22 +180,21 @@ def bridge_suite(seed: int, mc: int = 100_000) -> list[Check]:
 _TIME_BINS = 20
 
 
-def _trainer_bins(seed: int, kind: ObjectiveKind) -> np.ndarray:
+def _trainer_bins(seed: int, kind: ObjectiveKind, s: float) -> np.ndarray:
     """(3, 20): each time bin's count, sum and sum of squares of the training
     loss of a zero prediction, ||target||^2 / alpha^2 through
-    ``objectives.loss``, over the rows ``step_blocks`` draws for ``kind``.
+    ``objectives.loss``, over the rows ``step_blocks`` draws for ``kind`` at
+    noise scale ``s``.
 
     The task is a gaussian_shift whose every pair has the fixed pair's
     x1 - x0, so every row shares that pair's closed form. The 25 steps of
     4096 rows are a fixed count: scaled with --mc, a huge --mc would loop for
-    years instead of failing fast in numpy's allocation. No network runs: the
-    smallest model config only sizes the input rows that step_blocks builds.
+    years instead of failing fast in numpy's allocation. No network runs.
     """
     spec = TaskSpec("gaussian_shift", 2, shift=tuple((_X1 - _X0)[0].tolist()), seed=seed)
-    config = TrainConfig(objective=kind, steps=25, batch_size=4096, seed=seed)
-    model = ModelConfig(input_dim=2, hidden=(1,), time_features=2)
+    config = TrainConfig(objective=kind, noise_scale=s, steps=25, batch_size=4096, seed=seed)
     sums = np.zeros((3, _TIME_BINS))
-    for _, sample, alpha_sq, targets, _ in step_blocks(pair_provider(spec), config, model):
+    for _, sample, alpha_sq, targets in step_blocks(pair_provider(spec), config):
         v = loss(np.zeros_like(targets), targets, alpha_sq)[0]
         bins = np.minimum(sample.t * (_TIME_BINS / (1.0 - T_CLAMP)), _TIME_BINS - 1).astype(np.intp)
         sums += [np.bincount(bins, w, minlength=_TIME_BINS) for w in (None, v, v * v)]
@@ -252,21 +250,24 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
     # 1000 points a bin), or for the stabilized objective against the flat
     # ||x1 - x0||^2 itself, which unlike its closed form does not move with a
     # defect in alpha^2. Velocity's last bin is not gated: 1/(1 - t) makes its
-    # tail heavy.
+    # tail heavy. At s = 1, s^2 = s, so the stabilized objective is checked
+    # at s = 2 too, where a wrong power of s in alpha^2 shows.
     mid = (np.arange(_TIME_BINS * 1000) + 0.5) * ((1.0 - T_CLAMP) / (_TIME_BINS * 1000))
-    for kind in ObjectiveKind:
-        count, total, total_sq = _trainer_bins(seed, kind)
+    runs = [(kind, s, kind.value) for kind in ObjectiveKind]
+    runs.append((ObjectiveKind.STABILIZED_VELOCITY, 2.0, "stabilized_velocity_s2"))
+    for kind, noise, name in runs:
+        count, total, total_sq = _trainer_bins(seed, kind, noise)
         closed = dist_sq
         if kind is not ObjectiveKind.STABILIZED_VELOCITY:
-            closed = expected_target_sqnorm(kind, pair, s, mid).reshape(_TIME_BINS, -1).mean(axis=1)
+            closed = expected_target_sqnorm(kind, pair, noise, mid).reshape(_TIME_BINS, -1).mean(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # a bin of < 2 rows fails as NaN
             mean = total / count
             se = np.sqrt((total_sq - count * mean * mean) / ((count - 1) * count))
             z = np.abs(mean - closed) / se
         gated = z[:-1] if kind is ObjectiveKind.VELOCITY else z
-        checks.append((f"trainer_profile_worst_sigma_{kind.value}", np.max(gated), 4.5))
-    # The trainer's time stream does not depend on the objective, so the last
-    # objective's bin counts are every objective's.
+        checks.append((f"trainer_profile_worst_sigma_{name}", np.max(gated), 4.5))
+    # The trainer's time stream depends on neither the objective nor the noise
+    # scale, so the last run's bin counts are every run's.
     expected = np.sum(count) / _TIME_BINS
     checks.append(("trainer_time_chi2", np.sum((count - expected) ** 2 / expected), _CHI2_999_DF19))
 

@@ -347,8 +347,8 @@ def test_criterion_09_noise_scale_sweep(tmp_path):
     mconfig = ModelConfig(input_dim=2, hidden=(16,))
     task = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
     config = TrainConfig(objective="stabilized_velocity", noise_scale=0.0, steps=20, seed=9)
-    blocks = step_blocks(pair_provider(task), config, mconfig)
-    alphas = np.concatenate([alpha_sq for _, _, alpha_sq, _, _ in blocks])
+    blocks = step_blocks(pair_provider(task), config)
+    alphas = np.concatenate([alpha_sq for _, _, alpha_sq, _ in blocks])
     assert len(alphas) and all(a == 1.0 for a in alphas)
     params = init(mconfig, RngStream(seed=9, stream=900))
     params, _ = train(params, mconfig, pair_provider(task), config)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from bridgelab import sampler
+from bridgelab import numerics, sampler
 from bridgelab.model import ModelConfig, init, velocity_field_from
 from bridgelab.numerics import RngStream, blas_threads, gaussian, openblas, uniform
 from bridgelab.sampler import integrate
@@ -83,6 +83,14 @@ class TestGaussian:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
             gaussian(RngStream(seed=0), (-1,))
+
+    @pytest.mark.parametrize("shape", [(2.5, 2), (True, 2), 2.0], ids=["float", "bool", "float-scalar"])
+    def test_dimension_must_be_an_integer(self, shape):
+        """A float dimension was truncated, a bool one drawn as 1 and a float
+        shape raised TypeError."""
+        bad = shape if isinstance(shape, float) else shape[0]
+        with pytest.raises(ValueError, match=rf"^a shape's dimension must be an integer, got {bad!r}$"):
+            gaussian(RngStream(seed=1), shape)
 
 
 class TestUniform:
@@ -198,16 +206,14 @@ def test_blas_threads_restores_the_count_on_every_exit():
     after a normal exit and after an exception."""
     lib = openblas()
     if lib is None:
-        with blas_threads(1) as held:
-            assert held is False
         pytest.skip("numpy bundles no scipy-openblas here")
     count = lib.scipy_openblas_get_num_threads64_
     before = count()
-    with blas_threads(1) as held:
-        assert held is True and count() == 1
+    with blas_threads():
+        assert count() == 1
     assert count() == before
     with pytest.raises(KeyError):
-        with blas_threads(1):
+        with blas_threads():
             raise KeyError("inside")
     assert count() == before
 
@@ -229,7 +235,7 @@ def test_blas_threads_holds_that_overlap_on_two_threads():
         seen = []
 
         def hold_a():
-            with blas_threads(1):
+            with blas_threads():
                 step.wait()  # 1: A holds
                 step.wait()  # 2: B holds
             step.wait()  # 3: A has exited
@@ -238,7 +244,7 @@ def test_blas_threads_holds_that_overlap_on_two_threads():
 
         def hold_b():
             step.wait()  # 1
-            with blas_threads(1):
+            with blas_threads():
                 step.wait()  # 2
                 step.wait()  # 3
                 seen.append(count())
@@ -281,3 +287,39 @@ def test_train_and_integrate_run_ahead_only_where_worker_pays(monkeypatch, refus
     integrate(x0, field, shifted(8, 1.0), "corrected", 1.0, RngStream(seed=13))
     assert refused_worker == [True, True]
     assert callers == drawn_on == {threading.get_ident()}
+
+
+def test_without_openblas_train_and_integrate_stay_on_the_calling_thread(monkeypatch):
+    """Where numpy bundles no scipy-openblas, ``prefetch`` starts no worker:
+    grid8's ``train`` calls its provider and ``integrate`` draws its noise
+    only on the calling thread, with the bits of the run-ahead path."""
+    mconfig = ModelConfig(input_dim=192, hidden=(128, 128))
+    provider = pair_provider(TaskSpec("grid_colorize", 192, grid_size=8))
+    callers, drawn_on = set(), set()
+
+    def recorded_provider(batch_size, rng):
+        callers.add(threading.get_ident())
+        return provider(batch_size, rng)
+
+    def recorded_gaussian(rng, shape):
+        drawn_on.add(threading.get_ident())
+        return gaussian(rng, shape)
+
+    def run():
+        config = TrainConfig(steps=3, batch_size=128)
+        params, stats = train(init(mconfig, RngStream(seed=11)), mconfig, recorded_provider, config)
+        field = velocity_field_from(params, mconfig, "stabilized_velocity")
+        x0 = gaussian(RngStream(seed=12), (1024, 192))
+        endpoints = integrate(x0, field, shifted(8, 1.0), "corrected", 1.0, RngStream(seed=13))
+        return params, stats.sample_stream_digest, endpoints
+
+    monkeypatch.setattr(sampler, "gaussian", recorded_gaussian)
+    ahead = run()
+    assert (threading.get_ident() in callers) == (openblas() is None)
+    callers.clear()
+    drawn_on.clear()
+    monkeypatch.setattr(numerics, "openblas", lambda: None)
+    alone = run()
+    assert callers == drawn_on == {threading.get_ident()}
+    assert np.array_equal(alone[0], ahead[0]) and alone[1] == ahead[1]
+    assert np.array_equal(alone[2], ahead[2])

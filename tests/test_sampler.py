@@ -1,6 +1,7 @@
 """Stochastic integration: step amplitudes, exactness, endpoint statistics."""
 
 import math
+import re
 import threading
 import time
 
@@ -284,6 +285,14 @@ class TestEndpointStatistics:
         with pytest.raises(ValueError):
             endpoint_statistics(
                 "corrected", oracle_field(pair2d.x1), pair2d, shifted(4, 1.0), 1.0, 1, RngStream(seed=1)
+            )
+
+    @pytest.mark.parametrize("runs", [2.5, np.float64(4.0)], ids=["float", "numpy-float"])
+    def test_runs_must_be_an_integer(self, pair2d, runs):
+        """A float run count raised TypeError in numpy's broadcast."""
+        with pytest.raises(ValueError, match=f"^{re.escape(f'runs must be an integer, got {runs!r}')}$"):
+            endpoint_statistics(
+                "corrected", oracle_field(pair2d.x1), pair2d, shifted(4, 1.0), 1.0, runs, RngStream(seed=1)
             )
 
 

@@ -1,5 +1,7 @@
 """Discretization grid contract: boundaries, monotonicity, densification."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,24 @@ class TestShifted:
     def test_gamma_below_one_rejected(self):
         with pytest.raises(ValueError, match="shift coefficient must be finite and >= 1"):
             shifted(4, 0.99)
+
+    @pytest.mark.parametrize(
+        "n_steps, gamma, message",
+        [
+            (2.5, 1.0, "step count must be an integer, got 2.5"),
+            (True, 1.0, "step count must be an integer, got True"),
+            (4, True, "shift coefficient must be a real number, got True"),
+            (4, "2", "shift coefficient must be a real number, got '2'"),
+            (4, None, "shift coefficient must be a real number, got None"),
+        ],
+        ids=["steps-float", "steps-bool", "gamma-bool", "gamma-str", "gamma-None"],
+    )
+    def test_arguments_must_be_numbers(self, n_steps, gamma, message):
+        """A float step count built a grid of its ceiling (2.5 gave 3 steps), a
+        bool step count or a bool or string gamma built a grid, and None raised
+        TypeError."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            shifted(n_steps, gamma)
 
     @given(
         n=st.integers(1, 2000),

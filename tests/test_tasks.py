@@ -71,6 +71,27 @@ def test_reals_are_stored_as_floats():
     assert shift == (1.0, 0.5) and [type(v) for v in (*shift, angle)] == [float] * 3
 
 
+_SHIFT = TaskSpec("gaussian_shift", 2, shift=(2.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: generate_pairs(_SHIFT, 2.5, RngStream(seed=1)),
+        lambda: evaluate(
+            lambda batch: oracle_field(batch.x1), pair_provider(_SHIFT), shifted(4, 1.0), "corrected", 1.0,
+            3.5, RngStream(seed=1),
+        ),
+    ],
+    ids=["generate-pairs-count", "evaluate-runs"],
+)
+def test_pair_counts_must_be_integers(draw):
+    """A float count was truncated: 2.5 drew 2 pairs, and 3.5 evaluation
+    runs scored 3."""
+    with pytest.raises(ValueError, match=r"^count must be an integer, got [23]\.5$"):
+        draw()
+
+
 class TestGaussianShift:
     def test_pairing_is_exact_shift(self):
         spec = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))

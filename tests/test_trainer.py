@@ -15,7 +15,7 @@ from bridgelab.model import ModelConfig, init
 from bridgelab.numerics import NumericalError, RngStream
 from bridgelab.objectives import ObjectiveKind, alpha_factor
 from bridgelab.tasks import TaskSpec, pair_provider
-from bridgelab.trainer import OptimizerState, TrainConfig, step_blocks, train, train_step
+from bridgelab.trainer import OptimizerState, TrainConfig, _block_steps, step_blocks, train, train_step
 from conftest import blas_thread_count, kernel_fingerprint
 
 SHIFT_TASK = TaskSpec(name="gaussian_shift", dimension=2, shift=(2.0, 0.0))
@@ -35,9 +35,9 @@ def run_training(objective, steps=200, **overrides):
 
 
 def training_blocks(objective, steps=200, **overrides):
-    """The (pairs, sample, alpha^2, targets, rows) blocks that run_training reads."""
+    """The (pairs, sample, alpha^2, targets) blocks that run_training reads."""
     config, mconfig = _configs(objective, steps, overrides)
-    return list(step_blocks(pair_provider(SHIFT_TASK), config, mconfig))
+    return list(step_blocks(pair_provider(SHIFT_TASK), config, _block_steps(config, mconfig)))
 
 
 class TestDeterminism:
@@ -203,7 +203,9 @@ class TestOverlappedDataHalf:
 
         opt_state, digest = OptimizerState(config.optimizer), hashlib.sha256()
         rows_seen, losses, largest = 0, [], 0.0
-        for pair, sample, alpha_sq, targets, rows in step_blocks(pair_provider(spec), config, mconfig):
+        blocks = step_blocks(pair_provider(spec), config, _block_steps(config, mconfig))
+        for pair, sample, alpha_sq, targets in blocks:
+            rows = model.input_rows(mconfig, sample.state, sample.t, pair.context)
             digest.update(np.concatenate([pair.x0, pair.x1, sample.t[:, None], sample.epsilon], axis=1))
             largest = max(largest, float(np.max(np.sum(targets * targets, axis=-1))))
             for lo in range(0, len(rows), config.batch_size):
@@ -285,7 +287,7 @@ class TestAlgorithmFidelity:
                 float(alpha_sq[i]),
                 targets[i : i + 1].copy(),
             )
-            for batch, sample, alpha_sq, targets, _ in training_blocks(
+            for batch, sample, alpha_sq, targets in training_blocks(
                 ObjectiveKind.STABILIZED_VELOCITY, steps=5
             )
             for i in range(len(batch))
@@ -302,14 +304,14 @@ class TestAlgorithmFidelity:
     def test_first_step_loss_is_mean_stabilized_sqnorm(self):
         """Zero-initialized model: first batch loss = mean ||u/alpha||^2."""
         kind, overrides = ObjectiveKind.STABILIZED_VELOCITY, dict(steps=1, log_every=1)
-        [(_, _, alpha_sq, targets, _)] = training_blocks(kind, **overrides)
+        [(_, _, alpha_sq, targets)] = training_blocks(kind, **overrides)
         seen = [float(np.sum(target * target)) / a for target, a in zip(targets, alpha_sq)]
         _, stats = run_training(kind, **overrides)
         assert stats.rows[0].loss == pytest.approx(float(np.mean(seen)), rel=1e-12)
 
     def test_zero_noise_scale_alpha_identically_one(self):
         blocks = training_blocks(ObjectiveKind.STABILIZED_VELOCITY, steps=20, noise_scale=0.0)
-        alphas = np.concatenate([alpha_sq for _, _, alpha_sq, _, _ in blocks])
+        alphas = np.concatenate([alpha_sq for _, _, alpha_sq, _ in blocks])
         assert len(alphas) == 20 * 16 and np.all(alphas == 1.0)
 
     def test_blocks_hold_whole_steps(self):
@@ -317,10 +319,21 @@ class TestAlgorithmFidelity:
         51 and 28 steps; each yielded array holds a block's rows."""
         blocks = training_blocks(ObjectiveKind.STABILIZED_VELOCITY, steps=130, batch_size=32)
         sizes = [
-            (len(batch), len(sample.t), len(sample.state), len(alpha_sq), len(targets), len(rows))
-            for batch, sample, alpha_sq, targets, rows in blocks
+            (len(batch), len(sample.t), len(sample.state), len(alpha_sq), len(targets))
+            for batch, sample, alpha_sq, targets in blocks
         ]
-        assert sizes == [(1632,) * 6, (1632,) * 6, (896,) * 6]
+        assert sizes == [(1632,) * 5, (1632,) * 5, (896,) * 5]
+
+    def test_draws_need_no_network_input(self, monkeypatch):
+        """``step_blocks`` yields the bridge's training tuple and builds no
+        network input rows: it runs to its end with ``input_rows`` failing."""
+
+        def no_rows(*args):
+            raise AssertionError("step_blocks built network input rows")
+
+        monkeypatch.setattr(trainer, "input_rows", no_rows)
+        config = TrainConfig(steps=3, batch_size=8, seed=1)
+        assert len(list(step_blocks(pair_provider(MOONS_TASK), config))) == 3
 
     def test_network_runs_once_per_step(self, monkeypatch):
         """The gradient reuses the step's forward pass: with two hidden layers,
@@ -394,7 +407,7 @@ class TestInstabilityEvidence:
         """Mean squared displacement magnitude above t=0.9 is under 20% of the
         mean below t=0.1: late times contribute almost nothing to the loss."""
         buckets = {"early": [], "late": []}
-        for _, sample, _, targets, _ in training_blocks(
+        for _, sample, _, targets in training_blocks(
             ObjectiveKind.DISPLACEMENT, steps=2000, batch_size=32
         ):
             for t, target in zip(sample.t, targets):

@@ -30,20 +30,24 @@ def _worst_sigma(*kinds: str) -> set[str]:
 _DRAW_MUTANTS = {
     "state-noise-variance-x1.1": (
         trainer, "sample_state", lambda f: lambda pair, t, eps, s: f(pair, t, eps, s * math.sqrt(1.1)),
-        _worst_sigma("displacement", "velocity", "stabilized_velocity"),
+        _worst_sigma("displacement", "velocity", "stabilized_velocity", "stabilized_velocity_s2"),
     ),
     "velocity-over-1-t-plus-1e-3": (
         objectives, "velocity_target",
         lambda f: lambda pair, sample: f(pair, sample) * ((1 - sample.t) / (1 - sample.t + 1e-3))[:, None],
-        _worst_sigma("stabilized_velocity"),
+        _worst_sigma("stabilized_velocity", "stabilized_velocity_s2"),
     ),
     "alpha-sq-without-D": (
         objectives, "alpha_factor", lambda f: lambda pair, t, s: 1 + (f(pair, t, s) - 1) / pair.dimension,
-        _worst_sigma("stabilized_velocity"),
+        _worst_sigma("stabilized_velocity", "stabilized_velocity_s2"),
+    ),
+    "alpha-sq-s-in-place-of-s-squared": (
+        objectives, "alpha_factor", lambda f: lambda pair, t, s: f(pair, t, math.sqrt(s)),
+        _worst_sigma("stabilized_velocity_s2"),
     ),
     "alpha-sq-ones": (
         trainer, "objective_alpha_sq", lambda f: lambda kind, pair, t, s: np.ones(len(pair)),
-        _worst_sigma("stabilized_velocity"),
+        _worst_sigma("stabilized_velocity", "stabilized_velocity_s2"),
     ),
     "time-squared": (
         trainer, "uniform", lambda f: lambda rng, shape: f(rng, shape) ** 2,
@@ -51,11 +55,11 @@ _DRAW_MUTANTS = {
     ),
     "noise-x0.9": (
         trainer, "gaussian", lambda f: lambda rng, shape: 0.9 * f(rng, shape),
-        _worst_sigma("displacement", "velocity", "stabilized_velocity"),
+        _worst_sigma("displacement", "velocity", "stabilized_velocity", "stabilized_velocity_s2"),
     ),
     "loss-weight-1-over-alpha": (
         verify, "loss", lambda f: lambda prediction, targets, alpha_sq: f(prediction, targets, np.sqrt(alpha_sq)),
-        _worst_sigma("stabilized_velocity"),
+        _worst_sigma("stabilized_velocity", "stabilized_velocity_s2"),
     ),
 }
 
@@ -130,7 +134,7 @@ class TestChecksDriveLibraryCode:
     def test_trainer_draw_checks_fail_on_defects(self, monkeypatch, mutant):
         """A defect in the trainer's draws, or in the state, target and alpha^2
         code that they run through, or in the loss that weighs them, fails the
-        named trainer-draw checks and no other of them. The seven suites take
+        named trainer-draw checks and no other of them. The eight suites take
         about 1 s."""
         module, name, mutate, expected = _DRAW_MUTANTS[mutant]
         monkeypatch.setattr(module, name, mutate(getattr(module, name)))
