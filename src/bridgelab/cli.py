@@ -47,7 +47,7 @@ from .objectives import ObjectiveKind, target_profile
 from .sampler import oracle_field
 from .schedules import Schedule, shifted
 from .tasks import TASK_NAMES, EvalReport, TaskSpec, evaluate, pair_provider
-from .trainer import OPTIMIZERS, TrainConfig, step_blocks, train
+from .trainer import OPTIMIZERS, TrainConfig, _block_steps, step_blocks, train
 from .verify import SUITES, report_to_json, run_suite
 
 EXIT_OK = 0
@@ -342,7 +342,8 @@ def cmd_train(args) -> int:
     run = _Run(args, "train")
     params, stats = _train_once(args, spec, mconfig, config)
     if args.debug:  # the draws depend on no parameters, so a second pass replays them
-        blocks = step_blocks(pair_provider(spec, zero_context=args.zero_context), config)
+        provider = pair_provider(spec, zero_context=args.zero_context)
+        blocks = step_blocks(provider, config, _block_steps(config, mconfig))
         alpha_sq = np.concatenate([block[2] for block in blocks]).reshape(config.steps, -1)
     params_path = run.path("params.bin")
     save_parameters(params_path, mconfig, params, config.objective)

@@ -8,11 +8,12 @@ chi-square goodness of fit, and round-off or exact-zero requirements) and
 can be overridden by name. Given a seed and a draw count, every suite is
 fully deterministic, so reports are byte-stable. That holds although the
 sampler suite's endpoint-variance sweep runs on two threads: ``run_suite``
-shares its combinations between a worker and the calling thread, and the
-check reports their maximum. Measurements run the library's own code paths
-(state construction, targets, alpha^2, the trainer's ``step_blocks`` draws
-and the integrator), so a check certifies the code that trains and samples,
-not a re-derivation of it.
+submits its combinations to a one-worker pool, the calling thread takes back
+those the worker has not started, and the check reports their maximum.
+Measurements run the library's own code paths (state construction,
+targets, alpha^2, the trainer's ``step_blocks`` draws and the integrator), so
+a check certifies the code that trains and samples, not a re-derivation of
+it.
 
 Suites: bridge (marginal/conditional moments and target identities),
 objectives (normalization law, loss-contribution profiles and S(t) on the
@@ -25,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 from typing import Callable
 
 import numpy as np
@@ -293,85 +293,40 @@ def objectives_suite(seed: int, mc: int = 100_000) -> list[Check]:
 _SCHEDULES_GRID = [(n, g) for n in (1, 2, 4, 16, 64) for g in (1.0, 5.0)]
 
 # (k, n_steps, gamma, s) of the endpoint-variance sweep's 20 combinations,
-# largest n first, so that the last ones taken are the shortest; k numbers
-# the combination's substream.
+# largest n first, so that the calling thread, which takes them from the end,
+# runs the shortest; k numbers the combination's substream.
 _SWEEP = sorted(
     ((k, n, g, s) for k, ((n, g), s) in enumerate(itertools.product(_SCHEDULES_GRID, (1.0, 2.0)))),
     key=lambda combination: -combination[1],
 )
 
 
-class _EndpointVarianceSweep:
-    """Worst relative deviation of the standard sampler's endpoint variance
-    from s^2 dt_{N-1}, over the schedule grid and s in (1, 2), shared by a
-    worker thread and the calling thread.
+def _variance_deviation(seed: int, k: int, n: int, gamma: float, s: float) -> float:
+    """Relative deviation of the standard sampler's endpoint variance from
+    s^2 dt_{N-1} on ``shifted(n, gamma)``, over 20000 runs on the sweep's
+    substream k.
 
     The 5% bound is verified at 2e4 runs, so it sits at ~5 estimator sigmas
     even across the 20-combination grid. Each combination draws its own
     substream of the sampler suite's stream, so the 20 variance estimates are
     independent. The work is Philox draws and ufuncs on (20000, 2) blocks,
-    which release the GIL. The worker starts on construction and takes
-    combinations one at a time from ``_SWEEP``; ``result`` has the calling
-    thread take from the same list. The result is a maximum, so it does not
-    depend on which thread ran which combination. The first exception on
-    either thread empties the list, and ``result`` raises it once the worker
-    has finished its last combination.
+    which release the GIL, so two threads can run combinations at once.
     """
-
-    def __init__(self, seed: int):
-        self._rng = RngStream(seed=seed).split(3).split(2)
-        self._todo = list(_SWEEP)
-        self._worst = 0.0
-        self._error: Exception | None = None
-        self._lock = threading.Lock()
-        self._worker = threading.Thread(target=self._run_share, name="endpoint-variance-sweep")
-        self._worker.start()
-
-    def _run_share(self) -> None:
-        """Run combinations until none is left; a failure is recorded, not raised."""
-        pair = EndpointPair(_X0, _X1)
-        try:
-            while True:
-                with self._lock:
-                    if not self._todo:
-                        return
-                    k, n, g, s = self._todo.pop(0)
-                sch = shifted(n, g)
-                st = endpoint_statistics(
-                    "standard", oracle_field(pair.x1), pair, sch, s, 20_000, self._rng.split(k)
-                )
-                expected = s * s * float(sch.points[-1] - sch.points[-2])
-                with self._lock:
-                    self._worst = max(self._worst, abs(st.variance / expected - 1.0))
-        except Exception as error:
-            with self._lock:
-                self._todo.clear()
-                if self._error is None:
-                    self._error = error
-
-    def stop(self) -> None:
-        """Leave the worker no more combinations and wait for it to finish."""
-        with self._lock:
-            self._todo.clear()
-        self._worker.join()
-
-    def result(self) -> float:
-        """Run the calling thread's share, join the worker, and return the
-        worst deviation, or raise the first exception either thread raised."""
-        self._run_share()
-        self._worker.join()
-        if self._error is not None:
-            raise self._error
-        return self._worst
+    pair = EndpointPair(_X0, _X1)
+    sch = shifted(n, gamma)
+    rng = RngStream(seed=seed).split(3).split(2).split(k)
+    st = endpoint_statistics("standard", oracle_field(pair.x1), pair, sch, s, 20_000, rng)
+    return abs(st.variance / (s * s * float(sch.points[-1] - sch.points[-2])) - 1.0)
 
 
 def sampler_suite(
     seed: int, mc: int = 100_000, *, endpoint_variance: Callable[[], float]
 ) -> list[Check]:
-    """``endpoint_variance`` is ``_EndpointVarianceSweep(seed).result``. The
-    suite calls it after its other checks, so the calling thread joins the
-    sweep only once it has nothing else to do, and puts the check second in
-    the report."""
+    """``endpoint_variance`` returns the worst ``_variance_deviation`` over
+    ``_SWEEP``, which ``run_suite`` shares between its worker and the calling
+    thread. The suite calls it after its other checks, so the calling thread
+    joins the sweep only once it has nothing else to do, and puts the check
+    second in the report."""
     rng = RngStream(seed=seed).split(3)
     pair = EndpointPair(_X0, _X1)
     checks: list[Check] = []
@@ -502,9 +457,13 @@ def run_suite(
 
     ``overrides`` maps a check name to a bound that replaces the suite's own;
     a name that the suite does not check is rejected. With the sampler suite,
-    a worker thread shares the endpoint-variance sweep with the calling
-    thread. It is joined before this returns or raises, and the first
-    exception raised on either thread reaches the caller as that object.
+    the endpoint-variance sweep's 20 combinations go to a one-worker pool,
+    largest step count first, and the calling thread runs, from the last one
+    back, each that it can cancel. The worker is joined before this returns
+    or raises. An exception reaches the caller as the object raised: the
+    calling thread's own, or else the worker's first in submission order. A
+    failing worker goes on with its queued combinations until the calling
+    thread reaches the sweep.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -513,18 +472,32 @@ def run_suite(
         raise ValueError(f"Monte-Carlo draw count must be >= 0, got {mc}")
     RngStream(seed=seed)  # rejects a seed outside [0, 2^64), even for a suite that draws nothing
     overrides = overrides or {}
+    from concurrent.futures import ThreadPoolExecutor
+
     # The sweep's worker starts now, while the selected suites run here, and
     # this thread takes what is left once the sampler suite's other checks
     # are done. Only the sweep's (20000, 2) blocks run on the worker: a
     # worker's malloc arena keeps the freed (mc, D) blocks of the bridge and
-    # sampler suites, which would raise peak memory.
-    sweep = _EndpointVarianceSweep(seed) if suite in ("all", "sampler") else None
+    # sampler suites, which would raise peak memory. The pool starts its
+    # thread at the first submit, so the other suites start none.
+    pool = ThreadPoolExecutor(1, thread_name_prefix="endpoint-variance-sweep")
+    sampled = suite in ("all", "sampler")
+    sweep = [pool.submit(_variance_deviation, seed, *c) for c in _SWEEP] if sampled else []
+
+    def endpoint_variance() -> float:
+        ran = {}
+        for i in reversed(range(len(sweep))):
+            if not sweep[i].cancel():  # the worker has started it, and so all before it
+                break
+            ran[i] = _variance_deviation(seed, *_SWEEP[i])
+        return max(ran[i] if i in ran else future.result() for i, future in enumerate(sweep))
+
     checks = []
     try:
         for name, func in _SUITE_FUNCS.items():
             if suite not in ("all", name):
                 continue
-            kwargs = {"endpoint_variance": sweep.result} if name == "sampler" else {}
+            kwargs = {"endpoint_variance": endpoint_variance} if name == "sampler" else {}
             for check, measured, bound in func(seed=seed, mc=mc, **kwargs):
                 measured = float(measured)
                 bound = float(overrides.get(check, bound))
@@ -538,8 +511,7 @@ def run_suite(
                     }
                 )
     finally:
-        if sweep is not None:
-            sweep.stop()
+        pool.shutdown(cancel_futures=True)
     unknown = sorted(set(overrides) - {c["name"] for c in checks})
     if unknown:
         raise ValueError(f"suite {suite!r} has no check named {', '.join(unknown)}")

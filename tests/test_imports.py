@@ -1,8 +1,8 @@
 """Start-up cost: importing bridgelab, training, verifying and scoring load no scipy.
 
 bridgelab needs numpy alone at run time. Importing its CLI loads neither
-concurrent.futures, which no command uses, nor the statistics module, which
-only `verify` uses. The checks run in a fresh interpreter, because the test
+concurrent.futures nor the statistics module, which only `verify` uses, and
+imports when it runs. The checks run in a fresh interpreter, because the test
 modules import scipy themselves. Every name in `bridgelab.__all__` must also
 be bound on the package.
 """
@@ -77,7 +77,7 @@ def test_stage_loads_no_scipy(fresh_process, stage):
 
 def test_cli_import_loads_no_executor(fresh_process):
     """Importing the CLI loads neither concurrent.futures nor the logging it
-    imports: `verify` runs its worker on a plain thread."""
+    imports: `verify` imports it inside `run_suite`, for its sweep's worker."""
     assert fresh_process["executor"] == []
 
 

@@ -194,9 +194,10 @@ class TestChiSquareConstants:
 
 
 class TestEndpointVarianceSweep:
-    """run_suite shares the sampler suite's endpoint-variance sweep between a
-    worker thread and the calling thread; the report must read as if every
-    check ran in order on one."""
+    """run_suite submits the sampler suite's endpoint-variance sweep to a
+    one-worker pool, and the calling thread runs the combinations that the
+    worker has not started; the report must read as if every check ran in
+    order on one thread."""
 
     def test_all_is_the_four_suites_in_order(self):
         singles = [
@@ -215,8 +216,9 @@ class TestEndpointVarianceSweep:
         assert measured["standard_endpoint_variance"] == expected
 
     def test_each_combination_runs_once(self, monkeypatch):
-        """Both threads take from one list, and no combination is run twice or
-        skipped, which the maximum that the check reports need not show."""
+        """Each combination runs on the worker or, once cancelled there, on
+        the calling thread, and none is run twice or skipped, which the
+        maximum that the check reports need not show."""
         shifted, statistics = verify.shifted, verify.endpoint_statistics
         made, ran = {}, []
 
@@ -241,6 +243,62 @@ class TestEndpointVarianceSweep:
         assert sorted(ran) == sorted((n, g, s) for n, g in verify._SCHEDULES_GRID for s in (1.0, 2.0))
         measured = {c["name"]: c["measured"] for c in report["checks"]}
         assert measured["standard_endpoint_variance"] == 0.010981475582586109
+
+    def test_calling_thread_takes_its_share(self, monkeypatch):
+        """The worker holds its first combination until the calling thread has
+        run 19, so the calling thread must take every combination that the
+        worker has not started, from the last one back."""
+        shifted, statistics = verify.shifted, verify.endpoint_statistics
+        made, ran = {}, {"main": [], "worker": []}
+        main_done = threading.Event()
+
+        def recording_shifted(n, g):
+            schedule = shifted(n, g)
+            made[schedule] = (n, g)
+            return schedule
+
+        def holding(mode, field, pair, schedule, s, runs, rng):
+            if runs == 20_000:
+                on_main = threading.current_thread() is threading.main_thread()
+                ran["main" if on_main else "worker"].append((*made[schedule], s))
+                if not on_main and len(ran["worker"]) == 1:
+                    main_done.wait(timeout=60)
+                if on_main and len(ran["main"]) == 19:
+                    main_done.set()
+            return statistics(mode, field, pair, schedule, s, runs, rng)
+
+        monkeypatch.setattr(verify, "shifted", recording_shifted)
+        monkeypatch.setattr(verify, "endpoint_statistics", holding)
+        report = run_suite("sampler", seed=0)
+        assert (len(ran["main"]), len(ran["worker"])) == (19, 1)
+        assert ran["worker"] == [verify._SWEEP[0][1:]]
+        assert sorted(ran["main"] + ran["worker"]) == sorted(c[1:] for c in verify._SWEEP)
+        measured = {c["name"]: c["measured"] for c in report["checks"]}
+        assert measured["standard_endpoint_variance"] == 0.010981475582586109
+
+    @pytest.mark.parametrize("suite", ["bridge", "objectives", "schedules"])
+    def test_suites_without_sampler_start_no_worker(self, monkeypatch, suite):
+        """Only the sampler suite sweeps, so no other suite may start a worker
+        or run a sweep combination."""
+
+        def refusing(*args):
+            raise AssertionError("a suite without the sampler ran the sweep")
+
+        threads = set(threading.enumerate())
+        seen = []
+        func = verify._SUITE_FUNCS[suite]
+
+        def watched(**kwargs):
+            seen.append(set(threading.enumerate()))
+            checks = func(**kwargs)
+            seen.append(set(threading.enumerate()))
+            return checks
+
+        monkeypatch.setattr(verify, "endpoint_statistics", refusing)
+        monkeypatch.setitem(verify._SUITE_FUNCS, suite, watched)
+        assert run_suite(suite, seed=0)["passed"]
+        assert seen == [threads, threads]
+        assert threads == {threading.current_thread()}
 
     @pytest.mark.parametrize("fails", ["everywhere", "worker-only", "main-only"])
     def test_sweep_error_reaches_caller_and_worker_is_joined(self, monkeypatch, tmp_path, fails):
