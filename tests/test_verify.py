@@ -110,6 +110,15 @@ _SUITE_MUTANTS = {
     "shifted-one-ulp-off-at-gamma-1": (
         "schedules", verify, "shifted", _one_ulp_off_at_gamma_1, {"gamma1_bitwise_uniform"},
     ),
+    "alpha-sq-over-1-t-plus-1e-3": (
+        "objectives", objectives, "alpha_factor",
+        lambda f: lambda pair, t, s: 1 + (f(pair, t, s) - 1) * (1 - t) / (1 - t + 1e-3),
+        {"profile_stabilized_linear"} | _worst_sigma("stabilized_velocity", "stabilized_velocity_s2"),
+    ),
+    "alpha-sq-x1.02": (
+        "objectives", objectives, "alpha_factor", lambda f: lambda pair, t, s: 1.02 * f(pair, t, s),
+        _worst_sigma("stabilized_velocity", "stabilized_velocity_s2"),
+    ),
 }
 
 
@@ -143,12 +152,28 @@ class TestChecksDriveLibraryCode:
 
     @pytest.mark.parametrize("mutant", list(_SUITE_MUTANTS))
     def test_suite_checks_fail_on_defects(self, monkeypatch, mutant):
-        """A defect in the state noise, the sampler's step plan or the
-        schedule grid fails exactly the named checks of its suite. The four
+        """A defect in the state noise, alpha^2, the sampler's step plan or
+        the schedule grid fails exactly the named checks of its suite. The six
         suites take about 1 s."""
         suite, module, name, mutate, expected = _SUITE_MUTANTS[mutant]
         monkeypatch.setattr(module, name, mutate(getattr(module, name)))
         assert failed(run_suite(suite, seed=0, mc=100_000)) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_objectives_suite_builds_no_target_of_its_own(monkeypatch, seed):
+    """The objectives suite draws nothing through verify's own Gaussian: its
+    draws are the trainer's. On the unit pair the stabilized C(t) is the line
+    t / 0.999 exactly, so its check reads 0.0 under its round-off bound."""
+
+    def refusing(*args):
+        raise AssertionError("the objectives suite drew a target of its own")
+
+    monkeypatch.setattr(verify, "gaussian", refusing)
+    report = run_suite("objectives", seed=seed)
+    assert report["passed"]
+    measured = {c["name"]: c["measured"] for c in report["checks"]}
+    assert measured["profile_stabilized_linear"] == 0.0
 
 
 def test_unknown_suite_rejected():
